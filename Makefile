@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build vet lint vuln test test-short test-chaos race fuzz-smoke bench bench-smoke bench-json bench-check cover-check obs-smoke sweep-smoke cluster-smoke experiments-quick experiments-full clean
+.PHONY: all build vet lint vuln test test-short test-chaos race fuzz-smoke bench bench-smoke bench-json bench-check bench-e2e bench-e2e-compare cover-check obs-smoke sweep-smoke cluster-smoke experiments-quick experiments-full clean
 
 all: build vet lint test fuzz-smoke bench-smoke obs-smoke sweep-smoke cluster-smoke
 
 # The packages with hot-path microbenchmarks (b.ReportAllocs); see also
 # the top-level BenchmarkSingleRun in bench_test.go.
-BENCH_PKGS = ./internal/eventq ./internal/cache ./internal/policy ./internal/core
+BENCH_PKGS = ./internal/eventq ./internal/cache ./internal/policy ./internal/dist ./internal/content ./internal/core
 
 build:
 	$(GO) build ./...
@@ -123,6 +123,17 @@ bench-check:
 	  | tee /dev/stderr \
 	  | /tmp/benchjson -check $(BENCH_BASELINE) \
 	      -benchmark 'BenchmarkSingleRun,BenchmarkLargeRun/shards=1'
+
+# The repository's end-to-end benchmark (bench/README.md): every
+# workload of BENCHMARK.json, five runs each, into a result set named
+# after the commit. bench-e2e-compare judges set B against set A on
+# BENCHMARK.json's bounds:
+#   make bench-e2e-compare A=bench/out/<parent>.json B=bench/out/<change>.json
+bench-e2e:
+	$(GO) run ./bench -out bench/out/$$(git rev-parse --short HEAD).json
+
+bench-e2e-compare:
+	$(GO) run ./bench -compare $(A) $(B)
 
 # End-to-end smoke of the observability endpoints: start a live node
 # with -metrics, scrape /metrics and /metrics.json, and validate the

@@ -26,6 +26,7 @@ package content
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/dist"
 	"repro/internal/simrng"
@@ -81,6 +82,8 @@ func (p Params) Validate() error {
 	switch {
 	case p.NumItems <= 0:
 		return fmt.Errorf("content: NumItems must be positive, got %d", p.NumItems)
+	case p.NumItems > math.MaxInt32:
+		return fmt.Errorf("content: NumItems must fit an ItemID (at most %d), got %d", math.MaxInt32, p.NumItems)
 	case p.PopularityExp < 0:
 		return fmt.Errorf("content: PopularityExp must be >= 0, got %v", p.PopularityExp)
 	case p.QueryExp < 0:
@@ -116,9 +119,12 @@ func New(params Params) (*Universe, error) {
 	if err != nil {
 		return nil, fmt.Errorf("content: item popularity: %w", err)
 	}
-	queryPop, err := dist.NewZipf(params.NumItems, params.QueryExp)
-	if err != nil {
-		return nil, fmt.Errorf("content: query popularity: %w", err)
+	queryPop := itemPop // immutable, so equal exponents share one table
+	if params.QueryExp != params.PopularityExp {
+		queryPop, err = dist.NewZipf(params.NumItems, params.QueryExp)
+		if err != nil {
+			return nil, fmt.Errorf("content: query popularity: %w", err)
+		}
 	}
 	maxLib := params.MaxLibrary
 	if maxLib == 0 {
@@ -162,14 +168,16 @@ func (u *Universe) SampleLibrarySize(r *simrng.RNG) int {
 	if r.Bool(u.params.FreeRiderFraction) {
 		return 0
 	}
-	size := int(u.libSize.Sample(r))
-	if size < 1 {
+	// Clamp before converting: the log-normal tail is unbounded, and
+	// int() of a float beyond int's range is platform-defined.
+	size := u.libSize.Sample(r)
+	if !(size >= 1) {
 		size = 1
 	}
-	if size > u.maxLib {
-		size = u.maxLib
+	if size > float64(u.maxLib) {
+		size = float64(u.maxLib)
 	}
-	return size
+	return int(size)
 }
 
 // NewLibrary samples a library of exactly size distinct items, each
@@ -180,38 +188,51 @@ func (u *Universe) NewLibrary(r *simrng.RNG, size int) Library {
 }
 
 // NewLibraryInto is NewLibrary reusing recycle's storage: the recycled
-// library's item set is emptied and refilled in place, so simulators
-// under churn can recycle dead peers' libraries instead of allocating
-// one per birth. It draws from r exactly as NewLibrary does — the
-// sampling loop depends only on the (emptied) set's contents — so
-// recycling never perturbs a seeded run. recycle must not be in use by
-// any live peer; pass Library{} to allocate fresh.
+// library's table is resliced to the new size and emptied, so
+// simulators under churn can recycle dead peers' libraries instead of
+// allocating one per birth. It draws from r exactly as NewLibrary does
+// — the sampling loop depends only on the (emptied) set's contents — so
+// recycling never perturbs a seeded run. An empty library keeps the
+// storage too, so a loop can thread one Library through every call.
+// recycle must not be in use by any live peer; pass Library{} to
+// allocate fresh.
 func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Library {
-	if size <= 0 {
-		return Library{}
-	}
 	if size > u.maxLib {
 		size = u.maxLib
 	}
-	items := recycle.items
-	if items == nil {
-		items = make(map[ItemID]struct{}, size)
+	set := recycle.set
+	if size <= 0 {
+		if set != nil {
+			set.n, set.tab = 0, set.tab[:0]
+		}
+		return Library{set: set}
+	}
+	if set == nil {
+		set = new(itemSet)
+	}
+	if n := tableLen(size); cap(set.tab) < n {
+		set.tab = make([]int32, n)
 	} else {
-		clear(items)
+		set.tab = set.tab[:n]
+		clear(set.tab)
 	}
 	// Popularity-weighted rejection sampling; popular items collide
 	// often for large libraries, so bound the attempts and top up with
 	// uniform unseen items (these late additions are tail items, which
 	// keeps the popularity weighting essentially intact).
-	budget := 10 * size
-	for len(items) < size && budget > 0 {
-		budget--
-		items[ItemID(u.itemPop.Rank(r))] = struct{}{}
+	have := 0
+	for budget := 10 * size; have < size && budget > 0; budget-- {
+		if insert(set.tab, ItemID(u.itemPop.Rank(r))) {
+			have++
+		}
 	}
-	for len(items) < size {
-		items[ItemID(r.Intn(u.params.NumItems))] = struct{}{}
+	for have < size {
+		if insert(set.tab, ItemID(r.Intn(u.params.NumItems))) {
+			have++
+		}
 	}
-	return Library{items: items}
+	set.n = size
+	return Library{set: set}
 }
 
 // DrawQuery samples the target item of a query: NoItem with probability
@@ -229,22 +250,66 @@ func (u *Universe) ItemProb(id ItemID) float64 {
 }
 
 // Library is the set of items a peer shares. The zero value is an
-// empty library (a free rider).
+// empty library (a free rider). It is one pointer wide: simulators hold
+// a Library per peer by value, in arrays sized to the population.
 type Library struct {
-	items map[ItemID]struct{}
+	set *itemSet
+}
+
+// itemSet is an open-addressed set of item IDs sized to the library. It
+// serves the sampler's dedup as well as Contains.
+type itemSet struct {
+	n int // items held
+	// tab is a power of two long and at most 3/4 full (empty when n is
+	// 0); each slot is 0 (empty) or an item's ID+1, found by find's
+	// linear probing.
+	tab []int32
+}
+
+// tableLen returns the table length for size >= 1 items: the smallest
+// power of two that size fills to at most 3/4.
+func tableLen(size int) int {
+	return 1 << bits.Len(uint((4*size+2)/3-1))
+}
+
+// find returns the slot of tab that holds key, or the empty slot where
+// its probe sequence ends. Probing starts at the top bits of a
+// multiplicative hash, so that the dense run of small popular IDs every
+// library shares spreads over the whole table.
+func find(tab []int32, key int32) int {
+	mask := len(tab) - 1
+	i := int((uint32(key) * 0x9E3779B1) >> bits.LeadingZeros32(uint32(mask)))
+	for tab[i] != key && tab[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// insert adds id to tab and reports whether it was absent.
+func insert(tab []int32, id ItemID) bool {
+	key := int32(id) + 1
+	i := find(tab, key)
+	absent := tab[i] == 0
+	tab[i] = key
+	return absent
 }
 
 // Size returns the number of files shared — the peer's NumFiles.
-func (l Library) Size() int { return len(l.items) }
+func (l Library) Size() int {
+	if l.set == nil {
+		return 0
+	}
+	return l.set.n
+}
 
 // Contains reports whether the library holds item id. It is always
 // false for NoItem.
 func (l Library) Contains(id ItemID) bool {
-	if id == NoItem || l.items == nil {
+	if id < 0 || l.Size() == 0 {
 		return false
 	}
-	_, ok := l.items[id]
-	return ok
+	tab, key := l.set.tab, int32(id)+1
+	return tab[find(tab, key)] == key
 }
 
 // Results returns the number of results the peer returns for a query
@@ -257,12 +322,16 @@ func (l Library) Results(id ItemID) int {
 	return 0
 }
 
-// Items returns the library's items in unspecified order; for tests.
-func (l Library) Items() []ItemID {
-	out := make([]ItemID, 0, len(l.items))
-	//lint:maporder-ok order is documented as unspecified; test-only helper off the simulation path
-	for id := range l.items {
-		out = append(out, id)
+// AppendItems appends the library's items to dst in table order, which
+// is a function of the seeded draws and nothing else.
+func (l Library) AppendItems(dst []ItemID) []ItemID {
+	if l.set == nil {
+		return dst
 	}
-	return out
+	for _, key := range l.set.tab {
+		if key != 0 {
+			dst = append(dst, ItemID(key-1))
+		}
+	}
+	return dst
 }

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/content"
 	"repro/internal/eventq"
@@ -309,15 +308,14 @@ func New(params Params) (*Engine, error) {
 func (e *Engine) publish(rngContent *simrng.RNG) {
 	n := e.p.NetworkSize
 	providers := make([]int32, e.universe.NumItems())
+	var lib content.Library
+	var items []content.ItemID
 	for v := 0; v < n; v++ {
 		if e.dead[v] {
 			continue
 		}
-		lib := e.universe.NewLibrary(rngContent, e.universe.SampleLibrarySize(rngContent))
-		items := lib.Items()
-		// Items() order is unspecified; sort so publication (and the
-		// cache-seeding RNG draws) are deterministic.
-		sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+		lib = e.universe.NewLibraryInto(rngContent, e.universe.SampleLibrarySize(rngContent), lib)
+		items = lib.AppendItems(items[:0])
 		for _, it := range items {
 			providers[it]++
 		}
