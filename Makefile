@@ -75,10 +75,11 @@ race:
 	  ./internal/core
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
-# the stream framing, the snapshot decoder, and the gossip/DHT
-# parameter spaces: cheap insurance that no datagram, frame, or
-# snapshot can panic a live node and no parameter corner breaks the
-# substrate engines' conservation invariants or determinism.
+# the stream framing, the snapshot decoder, the gossip/DHT parameter
+# spaces, and link-cache operation scripts: cheap insurance that no
+# datagram, frame, or snapshot can panic a live node, no parameter
+# corner breaks the substrate engines' conservation invariants or
+# determinism, and the link cache's two indexes never disagree.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/frame
@@ -86,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStateSyncDecode -fuzztime=10s ./node/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzGossipParams -fuzztime=10s ./internal/gossip
 	$(GO) test -run='^$$' -fuzz=FuzzDHTLookup -fuzztime=10s ./internal/dht
+	$(GO) test -run='^$$' -fuzz=FuzzLinkCacheOps -fuzztime=10s ./internal/cache
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -115,7 +117,7 @@ bench-json:
 # grows past 110% of the baseline for either the default-config run or
 # the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20260808.json
+BENCH_BASELINE ?= BENCH_20260930.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

@@ -283,10 +283,10 @@ func TestClearRetainsCapacityAndEmpties(t *testing.T) {
 func TestLinkCacheIndexRegimesAgree(t *testing.T) {
 	flat := NewLinkCache(linearIndexMax)
 	mapped := NewLinkCache(linearIndexMax + 1)
-	if flat.index != nil || flat.addrs == nil {
-		t.Fatal("capacity <= linearIndexMax did not select the flat index")
+	if flat.index != nil || flat.tags == nil {
+		t.Fatal("capacity <= linearIndexMax did not select the tag index")
 	}
-	if mapped.index == nil || mapped.addrs != nil {
+	if mapped.index == nil || mapped.tags != nil {
 		t.Fatal("capacity > linearIndexMax did not select the map index")
 	}
 	r := simrng.New(7)

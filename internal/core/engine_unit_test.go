@@ -253,11 +253,7 @@ func TestLargestWCCParallelMatchesSerial(t *testing.T) {
 }
 
 func TestQueryAddCandidateDedups(t *testing.T) {
-	q := &query{
-		sel:     policy.NewSelector(policy.SelMFS, nil),
-		seen:    make(map[cache.PeerID]uint64),
-		seenGen: 1,
-	}
+	q := &query{sel: policy.NewSelector(policy.SelMFS, nil)}
 	e := cache.Entry{Addr: 5, NumFiles: 3}
 	if !q.addCandidate(e) {
 		t.Fatal("first add rejected")

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/content"
 	"repro/internal/obs"
@@ -45,28 +48,80 @@ type query struct {
 	// a candidate. (The full cache.QueryCache bookkeeping is not needed
 	// here — the selector holds the pending entries — and exhaustive
 	// queries make per-candidate memory the simulator's footprint
-	// ceiling.) It is generation-stamped rather than cleared: an
-	// address is "seen" iff its stored stamp equals seenGen, so reuse
-	// across pooled queries costs one increment instead of a map clear
-	// or a fresh allocation.
-	seen    map[cache.PeerID]uint64
-	seenGen uint64
+	// ceiling.)
+	seen seenSet
 }
 
-// maxRetainedSeen bounds how large a pooled query's visited set may
-// grow before it is cleared on release: generation stamping never
-// removes entries, and under churn the address space is unbounded, so
-// without a cap a long run would accumulate every address ever seen in
-// every pooled map.
-const maxRetainedSeen = 1 << 15
+// seenSet is a set of peer addresses in one open-addressed table:
+// power-of-two length, linear probing, load at most 1/2. The zero value
+// is an empty set. Zero marks an empty slot, so only positive addresses
+// can be members (peer IDs start at 1 and fabricated addresses at
+// fakeAddrBase); add panics on anything else rather than lose it.
+type seenSet struct {
+	tab []cache.PeerID
+	n   int
+}
+
+const (
+	// seenMinSlots holds the paper's default CacheSize of candidates, the
+	// least a query starts with, without growing.
+	seenMinSlots = 256
+	// maxRetainedSeenSlots bounds the table a pooled query keeps (32 KiB,
+	// room for 2048 candidates). startQuery clears the whole table, so
+	// without a bound one exhaustive query would tax every later query
+	// served by the same pooled object; above it the table is dropped on
+	// release and the next query grows its own.
+	maxRetainedSeenSlots = 1 << 12
+)
+
+// add inserts addr, reporting whether it was absent.
+func (s *seenSet) add(addr cache.PeerID) bool {
+	if addr <= 0 {
+		panic(fmt.Sprintf("core: non-positive address %d as a query candidate", addr))
+	}
+	if 2*(s.n+1) > len(s.tab) {
+		s.grow()
+	}
+	// Probing starts at the top bits of a multiplicative hash, so runs
+	// of consecutive IDs spread over the whole table.
+	mask := len(s.tab) - 1
+	for i := int(uint64(addr) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask))); ; i = (i + 1) & mask {
+		switch s.tab[i] {
+		case addr:
+			return false
+		case 0:
+			s.tab[i] = addr
+			s.n++
+			return true
+		}
+	}
+}
+
+// grow doubles the table (or allocates the first one) and re-inserts
+// the members.
+func (s *seenSet) grow() {
+	old := s.tab
+	s.tab = make([]cache.PeerID, max(2*len(old), seenMinSlots))
+	s.n = 0
+	for _, addr := range old {
+		if addr != 0 {
+			s.add(addr)
+		}
+	}
+}
+
+// reset empties the set, keeping its storage.
+func (s *seenSet) reset() {
+	clear(s.tab)
+	s.n = 0
+}
 
 // addCandidate records addr as seen and, if new, feeds the entry to
 // the selector. It reports whether the entry was new.
 func (q *query) addCandidate(e cache.Entry) bool {
-	if q.seen[e.Addr] == q.seenGen {
+	if !q.seen.add(e.Addr) {
 		return false
 	}
-	q.seen[e.Addr] = q.seenGen
 	q.sel.Add(e)
 	return true
 }
@@ -80,10 +135,7 @@ func (e *Engine) getQuery() *query {
 		e.freeQueries = e.freeQueries[:n-1]
 		return q
 	}
-	return &query{
-		sel:  policy.NewSelector(e.p.QueryProbe, e.rngPolicy),
-		seen: make(map[cache.PeerID]uint64, 64),
-	}
+	return &query{sel: policy.NewSelector(e.p.QueryProbe, e.rngPolicy)}
 }
 
 // putQuery returns a finished query to the free list. Safe because a
@@ -94,9 +146,8 @@ func (e *Engine) putQuery(q *query) {
 	if e.noReuse {
 		return
 	}
-	if len(q.seen) > maxRetainedSeen {
-		clear(q.seen)
-		q.seenGen = 0
+	if len(q.seen.tab) > maxRetainedSeenSlots {
+		q.seen = seenSet{}
 	}
 	e.freeQueries = append(e.freeQueries, q)
 }
@@ -118,9 +169,9 @@ func (e *Engine) startQuery(p int, burstRemaining int) {
 	q.k = e.queryParallelism(p)
 	q.lastProgress = e.now
 	q.sel.Reset(e.p.QueryProbe, e.rngPolicy)
-	q.seenGen++
+	q.seen.reset()
 	// Never probe yourself.
-	q.seen[q.origin] = q.seenGen
+	q.seen.add(q.origin)
 
 	for _, entry := range e.ps.link[p].Entries() {
 		q.addCandidate(entry)

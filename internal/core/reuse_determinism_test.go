@@ -1,6 +1,6 @@
 package core
 
-// The hot-path optimizations (pooled queries, generation-stamped seen
+// The hot-path optimizations (pooled queries, open-addressed seen
 // sets, selection scratch, recycled link caches and libraries, buffered
 // traces) must not change a single simulated outcome. These tests run
 // every optimized path against the allocating reference implementation

@@ -77,29 +77,6 @@ func BenchmarkShardedPushPopSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkCalendarPushPopSteady is the same steady-state workload on
-// the calendar queue — the head-to-head its docs promise against the
-// binary heap (BenchmarkPushPopSteady). The workload's wide spread of
-// event horizons (t+1 .. t+31 over a warm queue of 4096) is the
-// simulator's, and is unflattering to the calendar; see the package
-// docs for why the engine keeps the heap.
-func BenchmarkCalendarPushPopSteady(b *testing.B) {
-	c := NewCalendar[int]()
-	const depth = 1 << 12
-	for i := 0; i < depth; i++ {
-		c.Push(float64(i%977), i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, v, ok := c.Pop()
-		if !ok {
-			b.Fatal("queue drained")
-		}
-		c.Push(t+float64(v%31)+1, v)
-	}
-}
-
 // BenchmarkPushDrain measures bulk scheduling followed by a full drain
 // (the shape of engine startup and shutdown).
 func BenchmarkPushDrain(b *testing.B) {

@@ -78,7 +78,7 @@ func TestShardedPanicsOnBadShardCount(t *testing.T) {
 }
 
 // TestResetBehavesLikeFresh pins the recycling contract shared by
-// Queue, Sharded and Calendar: after Reset, a reused queue must order
+// Queue and Sharded: after Reset, a reused queue must order
 // same-time events exactly like a freshly constructed one (sequence
 // counters rewound, no stale events).
 func TestResetBehavesLikeFresh(t *testing.T) {
@@ -115,14 +115,6 @@ func TestResetBehavesLikeFresh(t *testing.T) {
 	}
 	if got := script(pushS, s.Pop); !equalInts(got, freshS) {
 		t.Fatalf("Sharded after Reset diverged:\n got %v\nwant %v", got, freshS)
-	}
-
-	c := NewCalendar[int]()
-	freshC := script(c.Push, c.Pop)
-	c.Push(99, -1)
-	c.Reset()
-	if got := script(c.Push, c.Pop); !equalInts(got, freshC) {
-		t.Fatalf("Calendar after Reset diverged:\n got %v\nwant %v", got, freshC)
 	}
 }
 
