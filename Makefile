@@ -8,7 +8,7 @@ all: build vet lint test fuzz-smoke bench-smoke obs-smoke sweep-smoke cluster-sm
 
 # The packages with hot-path microbenchmarks (b.ReportAllocs); see also
 # the top-level BenchmarkSingleRun in bench_test.go.
-BENCH_PKGS = ./internal/eventq ./internal/cache ./internal/policy ./internal/dist ./internal/content ./internal/core
+BENCH_PKGS = ./internal/simrng ./internal/eventq ./internal/cache ./internal/policy ./internal/dist ./internal/content ./internal/overlay ./internal/core
 
 build:
 	$(GO) build ./...
@@ -60,13 +60,13 @@ test-chaos:
 	$(GO) test -race -count=2 -run Chaos ./node
 
 # Race-detect the goroutine-spawning packages (live node, experiment
-# harness, sweep orchestration, protocol substrates, sharded engine).
-# -short keeps the experiment sweeps to the cheap ones — the race
-# detector's ~20x slowdown would push the full battery past the default
-# test timeout — while still covering the worker-pool fan-out. The core
-# leg runs the shard-count invariance suite plus the parallel
-# sample/WCC scan tests: the engine's worker goroutines only exist at
-# Shards>1, and these are the tests that drive them.
+# harness, sweep orchestration, protocol substrates) and the engine's
+# Shards>1 paths. -short keeps the experiment sweeps to the cheap ones —
+# the race detector's ~20x slowdown would push the full battery past the
+# default test timeout — while still covering the worker-pool fan-out.
+# The engine itself starts no goroutine at any Shards value; the core
+# leg keeps the shard-count invariance and Renew suites under the
+# detector so that stays checked.
 race:
 	$(GO) test -race -short -timeout 15m ./node/... ./internal/experiments \
 	  ./internal/gossip ./internal/dht ./internal/orchestrate
@@ -93,7 +93,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the headline benchmarks (the default-config run and
-# the 100k-peer scaling run, serial and sharded) plus the hot-path
+# the 100k-peer scaling run, one event heap and four) plus the hot-path
 # microbenchmarks: catches benchmark bit-rot and allocation regressions
 # on every `make all`.
 bench-smoke:
@@ -117,7 +117,7 @@ bench-json:
 # grows past 110% of the baseline for either the default-config run or
 # the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20260930.json
+BENCH_BASELINE ?= BENCH_20261001.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

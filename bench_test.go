@@ -67,13 +67,13 @@ func BenchmarkAblIntroProb(b *testing.B)        { benchExperiment(b, "abl-introp
 
 // BenchmarkLargeRun measures a 100k-peer churning simulation with
 // connectivity sampling — the scaling path toward the million-peer
-// target (see README "Scaling"). The shards=1/shards=4 pair exposes
-// the sharded engine's parallel sample and WCC scan phases: the gap
-// between the two is the machine's parallel dividend (on one core
-// shards=4 costs a few percent of merge overhead; with spare cores
-// the scan phases spread out), while results stay byte-identical
-// (TestShardCountInvariance) and allocs/op stays flat (make
-// bench-check gates shards=1).
+// target (see README "Scaling"). Half of it is the 100k births of the
+// time-zero population and the eight whole-overlay samples, the rest
+// pings. The shards=4 leg prices the split event queue (four smaller
+// heaps and a merge of their heads; the engine is serial at every
+// value, so there is no parallel dividend to find), while results stay
+// byte-identical (TestShardCountInvariance) and allocs/op stays flat
+// (make bench-check gates shards=1).
 func BenchmarkLargeRun(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -39,7 +39,7 @@ func run(args []string) error {
 
 	fs.IntVar(&p.NetworkSize, "network", p.NetworkSize, "number of live peers")
 	fs.IntVar(&p.NetworkSize, "peers", p.NetworkSize, "alias for -network (million-peer runs read better)")
-	fs.IntVar(&p.Shards, "shards", p.Shards, "event-queue shards / scan workers (results are identical at any value)")
+	fs.IntVar(&p.Shards, "shards", p.Shards, "event-queue shards (results are identical at any value; none is faster than 1)")
 	fs.IntVar(&p.NumDesiredResults, "results", p.NumDesiredResults, "results needed to satisfy a query")
 	fs.Float64Var(&p.LifespanMultiplier, "lifespan", p.LifespanMultiplier, "lifespan multiplier")
 	fs.Float64Var(&p.QueryRate, "query-rate", p.QueryRate, "queries per user per second")

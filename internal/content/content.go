@@ -220,11 +220,28 @@ func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Libr
 	// often for large libraries, so bound the attempts and top up with
 	// uniform unseen items (these late additions are tail items, which
 	// keeps the popularity weighting essentially intact).
+	//
+	// The draws come a block at a time: the uniforms and their ranks are
+	// computed together, where the table loads overlap, and only the
+	// inserts run one after another. A block is never longer than the
+	// items still missing, so every draw in it is one the loop that draws
+	// a rank per insert would have made too: same items, same table
+	// order, same state of r afterwards.
+	var (
+		uniform [libraryBlock]float64
+		ranks   [libraryBlock]int32
+	)
 	have := 0
-	for budget := 10 * size; have < size && budget > 0; budget-- {
-		if insert(set.tab, ItemID(u.itemPop.Rank(r))) {
-			have++
+	for budget := 10 * size; have < size && budget > 0; {
+		n := min(libraryBlock, budget, size-have)
+		r.Float64s(uniform[:n])
+		u.itemPop.Ranks(ranks[:n], uniform[:n])
+		for _, k := range ranks[:n] {
+			if insert(set.tab, ItemID(k)) {
+				have++
+			}
 		}
+		budget -= n
 	}
 	for have < size {
 		if insert(set.tab, ItemID(r.Intn(u.params.NumItems))) {
@@ -234,6 +251,10 @@ func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Libr
 	set.n = size
 	return Library{set: set}
 }
+
+// libraryBlock is the most popularity draws NewLibraryInto makes at a
+// time.
+const libraryBlock = 64
 
 // DrawQuery samples the target item of a query: NoItem with probability
 // NonexistentQueryFraction, otherwise a popularity-weighted item.

@@ -329,7 +329,15 @@ func TestLibraryMatchesReferenceSampler(t *testing.T) {
 	}{{"default", MustNew(DefaultParams())}, {"items=40", MustNew(small)}}
 	for _, uc := range universes {
 		name, u := uc.name, uc.u
-		for _, size := range []int{1, 5, 185, u.MaxLibrary()} {
+		sizes := []int{1, 5, 185, u.MaxLibrary()}
+		if name == "default" {
+			// Around the sampler's block length: a first block that is
+			// short, exactly full, and followed by a one-draw block. (The
+			// 40-item cases above end with the budget, not the missing
+			// items, cutting the last blocks short.)
+			sizes = append(sizes, libraryBlock-1, libraryBlock, libraryBlock+1, 2*libraryBlock)
+		}
+		for _, size := range sizes {
 			for seed := uint64(1); seed <= 3; seed++ {
 				t.Run(fmt.Sprintf("%s/size=%d/seed=%d", name, size, seed), func(t *testing.T) {
 					rRef, rNew, rInto := simrng.New(seed), simrng.New(seed), simrng.New(seed)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/content"
@@ -119,15 +117,6 @@ type Engine struct {
 	badBuf     []cache.PeerID // colluder candidates for BadPongBad pongs
 	wcc        overlay.WCCScratch
 	traceBuf   []byte // one CSV row, rebuilt in place per sample
-
-	// Sample-scan scratch: per-peer live/good entry counts filled by the
-	// (optionally parallel) scan phase, then reduced sequentially in
-	// slot order so the floating-point accumulation sequence is
-	// identical at every shard count. edgeBufs holds per-worker overlay
-	// edges for the connectivity sample.
-	samplePl []int32
-	samplePg []int32
-	edgeBufs [][]int32
 
 	// Free lists recycling the per-churn and per-query allocations:
 	// dead peers donate their link cache, library storage and
@@ -242,9 +231,6 @@ func (e *Engine) adoptStorage(old *Engine) {
 	e.badBuf = old.badBuf[:0]
 	e.wcc = old.wcc
 	e.traceBuf = old.traceBuf[:0]
-	e.samplePl = old.samplePl[:0]
-	e.samplePg = old.samplePg[:0]
-	e.edgeBufs = old.edgeBufs
 	e.freeQueries = old.freeQueries
 	e.freeLibs = old.freeLibs
 	e.freeProvenance = old.freeProvenance
@@ -665,114 +651,104 @@ func (e *Engine) handleBurst(id cache.PeerID) {
 	e.startQuery(p, size-1)
 }
 
-// scanChunk is the slot-range granularity of the parallel sample
-// scans: large enough that chunk handoff is noise, small enough to
-// balance uneven cache sizes across workers.
-const scanChunk = 2048
+// overlaySample is what one pass over the live population's link
+// caches measures.
+type overlaySample struct {
+	held, live float64 // entries, and entries pointing at live peers, summed over peers
+	fracSum    float64 // live share of a peer's entries, summed over peers that hold any
+	fracPeers  int
+	goodSum    float64 // entries pointing at live honest peers, summed over honest peers
+	goodPeers  int
+	largestWCC int // with connectivity only
+}
 
-// forEachChunk partitions [0, n) into chunks and runs fn over them on
-// nshards workers (inline when sharding is off or n is small). fn must
-// be RNG-free and touch only per-slot disjoint state: the worker index
-// w is for per-worker scratch, lo/hi is the slot range.
-func (e *Engine) forEachChunk(n int, fn func(w, lo, hi int)) {
-	if e.nshards <= 1 || n < 2*scanChunk {
-		fn(0, 0, n)
-		return
+// scanOverlay is the engine's one O(NetworkSize) scan: it counts every
+// peer's live and good cache entries and, with connectivity set, unions
+// the conceptual overlay's edges on the way — dead-target entries and
+// self-loops skipped exactly as overlay.Builder.AddEdge skips them.
+//
+// The union-find scratch is reset over peer IDs, dead and never-born
+// ones dropped, so the load that answers "is this address live" is also
+// the first step of the find; fabricated addresses lie beyond it like
+// any other unknown ID. The pass is serial at every Shards value and
+// adds up its floating-point sums in slot order, so they are the same
+// operation sequence, bit for bit, whatever the configuration.
+func (e *Engine) scanOverlay(connectivity bool) overlaySample {
+	byID := e.ps.byID
+	e.wcc.Reset(len(byID))
+	for id, slot := range byID {
+		if slot < 0 {
+			e.wcc.Drop(id)
+		}
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < e.nshards; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(scanChunk)) - scanChunk
-				if lo >= n {
-					return
-				}
-				hi := min(lo+scanChunk, n)
-				fn(w, lo, hi)
+	// With no malicious peer alive every live entry is a good one, and
+	// the target's slot is never needed.
+	allGood := len(e.bad) == 0
+	// Range-checked as a PeerID first: a fabricated address need not
+	// fit the int the scratch is indexed by.
+	limit := cache.PeerID(len(byID))
+	var s overlaySample
+	for i, self := range e.ps.id {
+		entries := e.ps.link[i].Entries()
+		live, good := 0, 0
+		for k := range entries {
+			addr := entries[k].Addr
+			if addr >= limit || !e.wcc.Has(int(addr)) {
+				continue
 			}
-		}(w)
+			live++
+			if !allGood && !e.ps.malicious[byID[addr]] {
+				good++
+			}
+			if connectivity && addr != self {
+				e.wcc.Union(int(self), int(addr))
+			}
+		}
+		if allGood {
+			good = live
+		}
+		s.held += float64(len(entries))
+		s.live += float64(live)
+		if len(entries) > 0 {
+			s.fracSum += float64(live) / float64(len(entries))
+			s.fracPeers++
+		}
+		if !e.ps.malicious[i] {
+			s.goodSum += float64(good)
+			s.goodPeers++
+		}
 	}
-	wg.Wait()
+	if connectivity {
+		s.largestWCC = e.wcc.Largest()
+	}
+	return s
 }
 
 // handleSample takes a cache-health (and optionally connectivity)
 // sample and reschedules itself.
-//
-// The sample is the engine's one O(NetworkSize) scan, and the only
-// phase that parallelizes without touching randomness: counting each
-// peer's live and good cache entries is a pure read of the peer store.
-// With Shards > 1 the scan fans out over worker goroutines into
-// per-peer integer tallies; the floating-point averaging then replays
-// sequentially in slot order, performing bit-for-bit the same
-// operation sequence as the single-threaded scan — which is why every
-// shard count produces identical Results, traces and metrics.
 func (e *Engine) handleSample() {
 	if e.now+e.p.SampleInterval <= e.end {
 		e.push(e.now+e.p.SampleInterval, event{kind: evSample})
 	}
-	n := e.ps.len()
-	e.samplePl = growInt32(e.samplePl, n)
-	e.samplePg = growInt32(e.samplePg, n)
-	pl, pg := e.samplePl, e.samplePg
-	e.forEachChunk(n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			var live, good int32
-			for _, entry := range e.ps.link[i].Entries() {
-				t := e.ps.slotOf(entry.Addr)
-				if t < 0 {
-					continue
-				}
-				live++
-				if !e.ps.malicious[t] {
-					good++
-				}
-			}
-			pl[i] = live
-			pg[i] = good
-		}
-	})
-
-	var (
-		held, live float64
-		fracSum    float64
-		fracPeers  int
-		goodSum    float64
-		goodPeers  int
-	)
-	for i := 0; i < n; i++ {
-		entries := e.ps.link[i].Len()
-		held += float64(entries)
-		live += float64(pl[i])
-		if entries > 0 {
-			fracSum += float64(pl[i]) / float64(entries)
-			fracPeers++
-		}
-		if !e.ps.malicious[i] {
-			goodSum += float64(pg[i])
-			goodPeers++
-		}
-	}
-	nf := float64(n)
+	s := e.scanOverlay(e.p.SampleConnectivity)
+	nf := float64(e.ps.len())
 	if nf > 0 {
-		e.sumHeld += held / nf
-		e.sumLive += live / nf
+		e.sumHeld += s.held / nf
+		e.sumLive += s.live / nf
 	}
-	if fracPeers > 0 {
-		e.sumLiveFrac += fracSum / float64(fracPeers)
+	if s.fracPeers > 0 {
+		e.sumLiveFrac += s.fracSum / float64(s.fracPeers)
 	}
-	if goodPeers > 0 {
-		e.sumGood += goodSum / float64(goodPeers)
+	if s.goodPeers > 0 {
+		e.sumGood += s.goodSum / float64(s.goodPeers)
 	}
 	e.res.CacheSamples++
 
 	if e.met != nil {
 		e.met.SimTime.Set(e.now)
 		if nf > 0 {
-			e.met.AvgCacheEntries.Set(held / nf)
-			e.met.AvgLiveEntries.Set(live / nf)
+			e.met.AvgCacheEntries.Set(s.held / nf)
+			e.met.AvgLiveEntries.Set(s.live / nf)
 		}
 	}
 	if e.progress != nil {
@@ -781,7 +757,7 @@ func (e *Engine) handleSample() {
 	}
 
 	if e.p.SampleConnectivity {
-		e.sumWCC += float64(e.largestWCC())
+		e.sumWCC += float64(s.largestWCC)
 		e.res.ConnectivityRuns++
 	}
 
@@ -794,22 +770,13 @@ func (e *Engine) handleSample() {
 		if e.traceErr == nil {
 			var avgHeld, avgLive float64
 			if nf > 0 {
-				avgHeld = held / nf
-				avgLive = live / nf
+				avgHeld = s.held / nf
+				avgLive = s.live / nf
 			}
 			e.traceBuf = e.appendTraceRow(e.traceBuf[:0], avgHeld, avgLive)
 			_, e.traceErr = e.p.Trace.Write(e.traceBuf)
 		}
 	}
-}
-
-// growInt32 returns buf resized to n elements, reallocating only past
-// the high-water mark.
-func growInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
 }
 
 // appendTraceRow assembles one CSV trace row into b. It is strconv in
@@ -836,65 +803,6 @@ func (e *Engine) appendTraceRow(b []byte, avgHeld, avgLive float64) []byte {
 	b = strconv.AppendFloat(b, avgLive, 'f', 2, 64)
 	b = append(b, '\n')
 	return b
-}
-
-// largestWCC measures the conceptual overlay's largest weakly
-// connected component directly over the live population: slots are
-// already dense indices, so the sample is one union-find pass over the
-// link caches with reusable scratch — no overlay.Builder, no graph
-// materialization, no allocation. Dead-target entries and self-loops
-// are skipped exactly as Builder.AddEdge skips them.
-//
-// With Shards > 1 the expensive phase — resolving every cache entry's
-// address to a live slot — fans out over workers into per-worker edge
-// buffers, and only the cheap union pass runs sequentially. Union
-// order differs across shard counts, but component sizes (all the
-// union-find is asked for) are order-invariant, so the sample is
-// byte-identical at every shard count.
-func (e *Engine) largestWCC() int {
-	n := e.ps.len()
-	e.wcc.Reset(n)
-	if e.nshards <= 1 || n < 2*scanChunk {
-		for i := 0; i < n; i++ {
-			selfID := e.ps.id[i]
-			for _, entry := range e.ps.link[i].Entries() {
-				if entry.Addr == selfID {
-					continue
-				}
-				if t := e.ps.slotOf(entry.Addr); t >= 0 {
-					e.wcc.Union(i, t)
-				}
-			}
-		}
-		return e.wcc.Largest()
-	}
-	if len(e.edgeBufs) < e.nshards {
-		e.edgeBufs = append(e.edgeBufs, make([][]int32, e.nshards-len(e.edgeBufs))...)
-	}
-	for w := range e.edgeBufs {
-		e.edgeBufs[w] = e.edgeBufs[w][:0]
-	}
-	e.forEachChunk(n, func(w, lo, hi int) {
-		buf := e.edgeBufs[w]
-		for i := lo; i < hi; i++ {
-			selfID := e.ps.id[i]
-			for _, entry := range e.ps.link[i].Entries() {
-				if entry.Addr == selfID {
-					continue
-				}
-				if t := e.ps.slotOf(entry.Addr); t >= 0 {
-					buf = append(buf, int32(i), int32(t))
-				}
-			}
-		}
-		e.edgeBufs[w] = buf
-	})
-	for _, buf := range e.edgeBufs {
-		for k := 0; k+1 < len(buf); k += 2 {
-			e.wcc.Union(int(buf[k]), int(buf[k+1]))
-		}
-	}
-	return e.wcc.Largest()
 }
 
 // maybeIntroduce applies the introduction protocol: host adds the
@@ -1081,6 +989,6 @@ func (e *Engine) finalize() {
 	}
 	if e.res.ConnectivityRuns > 0 {
 		e.res.AvgLargestWCC = e.sumWCC / float64(e.res.ConnectivityRuns)
-		e.res.FinalLargestWCC = e.largestWCC()
+		e.res.FinalLargestWCC = e.scanOverlay(true).largestWCC
 	}
 }

@@ -226,29 +226,10 @@ func TestAcceptPongRules(t *testing.T) {
 
 func TestLargestWCCOnFreshNetwork(t *testing.T) {
 	e := newBootstrapped(t, nil)
-	wcc := e.largestWCC()
+	wcc := e.scanOverlay(true).largestWCC
 	// Seeded random caches of ~4 entries connect essentially everyone.
 	if wcc < e.p.NetworkSize*9/10 {
 		t.Fatalf("fresh overlay fragmented: WCC=%d of %d", wcc, e.p.NetworkSize)
-	}
-}
-
-// TestLargestWCCParallelMatchesSerial pins that the sharded WCC sample
-// (parallel edge resolution, sequential unions) computes exactly the
-// serial scan's component size. The population is made large enough to
-// cross the parallel path's size threshold.
-func TestLargestWCCParallelMatchesSerial(t *testing.T) {
-	mk := func(shards int) *Engine {
-		return newBootstrapped(t, func(p *Params) {
-			p.NetworkSize = 3 * scanChunk
-			p.Shards = shards
-		})
-	}
-	serial := mk(1).largestWCC()
-	for _, shards := range []int{2, 4, 8} {
-		if got := mk(shards).largestWCC(); got != serial {
-			t.Fatalf("Shards=%d WCC=%d, serial=%d", shards, got, serial)
-		}
 	}
 }
 

@@ -227,14 +227,12 @@ type Params struct {
 	// connected component of the conceptual overlay at every sample
 	// (costly; used by the connectivity experiments).
 	SampleConnectivity bool
-	// Shards is the engine's parallelism degree: the event queue splits
-	// into this many per-peer heaps merged on (time, push order), and
-	// the O(NetworkSize) sample scans fan out over this many worker
-	// goroutines. Any value produces byte-identical Results, traces and
-	// metrics for the same seed — the merge rule reproduces the
-	// single-queue event order exactly, and the parallel phases are
-	// randomness-free with a sequential floating-point reduction (see
-	// DESIGN.md). 0 or 1 runs fully serial.
+	// Shards splits the event queue into this many per-peer heaps,
+	// merged on (time, push order), and does nothing else: the engine
+	// runs on one goroutine at every value. Any value produces
+	// byte-identical Results, traces and metrics for the same seed —
+	// the merge rule reproduces the single-queue event order exactly —
+	// and none has measured faster than 1 (see DESIGN.md §6). 0 means 1.
 	Shards int
 	// Trace, when non-nil, receives a CSV time series with one row per
 	// sample (time, churn, query and cache-health counters) for
@@ -385,11 +383,11 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// maxShards bounds Params.Shards; beyond any machine's useful
-// parallelism, and a sanity guard against misparsed configurations.
+// maxShards bounds Params.Shards: a sanity guard against misparsed
+// configurations (Pop scans every shard's head).
 const maxShards = 1024
 
-// shardCount resolves the effective shard count (0 means serial).
+// shardCount resolves the effective shard count (0 means 1).
 func (p Params) shardCount() int {
 	if p.Shards < 1 {
 		return 1

@@ -1,0 +1,170 @@
+package core
+
+// The sample scan's reference: the two passes scanOverlay fused, kept
+// here as they were — per-peer integer tallies, a reduce in slot order,
+// and a union-find over slots that resolves every address through
+// byID — so the fused pass can be checked against them bit for bit.
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/cache"
+	"repro/internal/overlay"
+)
+
+func referenceSample(e *Engine) overlaySample {
+	n := e.ps.len()
+	pl, pg := make([]int32, n), make([]int32, n)
+	for i := 0; i < n; i++ {
+		var live, good int32
+		for _, entry := range e.ps.link[i].Entries() {
+			t := e.ps.slotOf(entry.Addr)
+			if t < 0 {
+				continue
+			}
+			live++
+			if !e.ps.malicious[t] {
+				good++
+			}
+		}
+		pl[i], pg[i] = live, good
+	}
+	var s overlaySample
+	for i := 0; i < n; i++ {
+		entries := e.ps.link[i].Len()
+		s.held += float64(entries)
+		s.live += float64(pl[i])
+		if entries > 0 {
+			s.fracSum += float64(pl[i]) / float64(entries)
+			s.fracPeers++
+		}
+		if !e.ps.malicious[i] {
+			s.goodSum += float64(pg[i])
+			s.goodPeers++
+		}
+	}
+	var wcc overlay.WCCScratch
+	wcc.Reset(n)
+	for i := 0; i < n; i++ {
+		selfID := e.ps.id[i]
+		for _, entry := range e.ps.link[i].Entries() {
+			if entry.Addr == selfID {
+				continue
+			}
+			if t := e.ps.slotOf(entry.Addr); t >= 0 {
+				wcc.Union(i, t)
+			}
+		}
+	}
+	s.largestWCC = wcc.Largest()
+	return s
+}
+
+// churned runs a short simulation and returns the engine as the run
+// left it: a population several generations deep, its caches holding
+// entries for the dead and, with malicious peers, fabricated addresses.
+func churned(t *testing.T, n, shards int, percentBad float64) *Engine {
+	t.Helper()
+	p := quickParams()
+	p.NetworkSize = n
+	p.Shards = shards
+	p.LifespanMultiplier = 0.02
+	p.WarmupTime, p.MeasureTime = 10, 30
+	p.PercentBadPeers = percentBad
+	p.BadPong = BadPongDead
+	e, err := New(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deaths == 0 {
+		t.Fatal("no churn; the caches hold no dead entries")
+	}
+	return e
+}
+
+// kill removes the peer in slot without a replacement, as handleDeath
+// does before it spawns one.
+func kill(e *Engine, slot int) {
+	id := e.ps.id[slot]
+	e.ps.byID[id] = -1
+	e.ps.swapRemove(slot)
+	for i, b := range e.bad {
+		if b == id {
+			e.bad[i] = e.bad[len(e.bad)-1]
+			e.bad = e.bad[:len(e.bad)-1]
+			break
+		}
+	}
+}
+
+func TestScanOverlayMatchesReference(t *testing.T) {
+	for _, n := range []int{300, 3 * 2048} {
+		for _, shards := range []int{1, 4} {
+			for _, percentBad := range []float64{0, 10} {
+				t.Run(fmt.Sprintf("n=%d/shards=%d/bad=%v", n, shards, percentBad), func(t *testing.T) {
+					e := churned(t, n, shards, percentBad)
+					var dead, fake, self int
+					for i, id := range e.ps.id {
+						if i%7 == 0 && !e.ps.link[i].Full() {
+							e.ps.link[i].Add(cache.Entry{Addr: id})
+						}
+						for _, entry := range e.ps.link[i].Entries() {
+							switch {
+							case entry.Addr >= fakeAddrBase:
+								fake++
+							case entry.Addr == id:
+								self++
+							case e.ps.slotOf(entry.Addr) < 0:
+								dead++
+							}
+						}
+					}
+					if dead == 0 || self == 0 || (fake > 0) != (percentBad > 0) || (len(e.bad) > 0) != (percentBad > 0) {
+						t.Fatalf("population lacks a case: %d dead, %d fabricated, %d self entries, %d malicious peers",
+							dead, fake, self, len(e.bad))
+					}
+					// Down to one peer and then none, the survivors' caches
+					// pointing ever more at the dead.
+					for _, keep := range []int{e.ps.len(), 1, 0} {
+						for e.ps.len() > keep {
+							kill(e, e.ps.len()/2)
+						}
+						want := referenceSample(e)
+						if got := e.scanOverlay(true); got != want {
+							t.Fatalf("%d peers: scanOverlay = %+v, reference %+v", keep, got, want)
+						}
+						want.largestWCC = 0
+						if got := e.scanOverlay(false); got != want {
+							t.Fatalf("%d peers, no connectivity: scanOverlay = %+v, reference %+v", keep, got, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLargestWCCParallelMatchesSerial pins that the connectivity sample
+// is the same at every Shards value — the knob splits the event queue
+// and nothing else — and equal to the reference's scan over slots.
+func TestLargestWCCParallelMatchesSerial(t *testing.T) {
+	mk := func(shards int) *Engine {
+		return newBootstrapped(t, func(p *Params) {
+			p.NetworkSize = 3 * 2048
+			p.Shards = shards
+		})
+	}
+	serial := mk(1)
+	want := referenceSample(serial).largestWCC
+	for _, shards := range []int{1, 2, 4, 8} {
+		if got := mk(shards).scanOverlay(true).largestWCC; got != want {
+			t.Fatalf("Shards=%d WCC=%d, reference=%d", shards, got, want)
+		}
+	}
+}

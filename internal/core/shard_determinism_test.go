@@ -6,9 +6,7 @@ package core
 // run, byte for byte. This suite is the tentpole's determinism
 // guarantee: across every reuse-battery configuration and several
 // seeds, Results, the CSV time-series trace, and the JSONL event trace
-// must all be identical at every shard count. It runs under -race in
-// CI (make race), which also exercises the parallel sample and WCC
-// scan phases for data races.
+// must all be identical at every shard count.
 
 import (
 	"context"
@@ -59,15 +57,12 @@ func diffLine(t *testing.T, label string, a, b string) {
 	t.Fatalf("%s lengths diverged: %d vs %d lines", label, len(l1), len(l2))
 }
 
-// TestShardedLargeRunSmoke runs a full simulation big enough to cross
-// the parallel scan threshold (NetworkSize >= 2*scanChunk), so the
-// sample and connectivity phases actually spawn worker goroutines —
-// the invariance battery's small networks stay on the inline path.
-// Under -race this is the test that checks the chunk-stealing scans
-// for data races end to end.
+// TestShardedLargeRunSmoke is the invariance check at a population
+// well above the battery's small networks: thousands of events per
+// shard heap, and connectivity sampled.
 func TestShardedLargeRunSmoke(t *testing.T) {
 	p := DefaultParams()
-	p.NetworkSize = 3 * scanChunk
+	p.NetworkSize = 3 * 2048
 	p.WarmupTime = 20
 	p.MeasureTime = 100
 	p.QueryRate = 0.002

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/simrng"
 )
@@ -18,8 +19,10 @@ import (
 type Zipf struct {
 	s   float64
 	cum []float64
-	// guide[j] is the first rank whose CDF reaches j/N, for j in [0, N]:
-	// where the walk for a u in [j/N, (j+1)/N) starts.
+	// guide cuts [0, 1) into M = len(guide) equal buckets, M the
+	// smallest power of two >= N: guide[j] is the first rank whose CDF
+	// reaches j/M. A power of two makes u*M exact, so u's bucket is
+	// exactly int(u*M) and the walk for u starts at or before its rank.
 	guide []int32
 }
 
@@ -47,14 +50,13 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 }
 
 // cutPoints builds the guide table of an ascending CDF ending in 1, in
-// one merge sweep: j/n and cum both ascend, and the final 1 stops k at
+// one merge sweep: j/M and cum both ascend, and the final 1 stops k at
 // the last rank.
 func cutPoints(cum []float64) []int32 {
-	n := len(cum)
-	guide := make([]int32, n+1)
+	guide := make([]int32, 1<<bits.Len(uint(len(cum)-1)))
 	k := 0
 	for j := range guide {
-		for t := float64(j) / float64(n); cum[k] < t; {
+		for t := float64(j) / float64(len(guide)); cum[k] < t; {
 			k++
 		}
 		guide[j] = int32(k)
@@ -75,22 +77,37 @@ func MustZipf(n int, s float64) *Zipf {
 func (z *Zipf) N() int { return len(z.cum) }
 
 // Rank draws a rank in [0, N) from one Float64 of r.
-func (z *Zipf) Rank(r *simrng.RNG) int { return z.rankOf(r.Float64()) }
+func (z *Zipf) Rank(r *simrng.RNG) int { return rankOf(z.cum, z.guide, r.Float64()) }
+
+// Ranks inverts a block of uniform draws: ranks[i] is the rank Rank
+// returns for a Float64 equal to u[i]. The inversions do not depend on
+// one another, so a block's table loads overlap where a loop that
+// consumes each rank before drawing the next waits for every one.
+func (z *Zipf) Ranks(ranks []int32, u []float64) {
+	cum, guide := z.cum, z.guide
+	ranks = ranks[:len(u)]
+	for i, x := range u {
+		ranks[i] = int32(rankOf(cum, guide, x))
+	}
+}
 
 // rankOf inverts the CDF: it returns exactly min{k : cum[k] >= u} for
 // every u in [0, 1). Seeded runs, goldens and generated benchmark
-// inputs depend on that value, so the guide table only chooses where
-// the walk starts; the two loops make the result independent of it.
-func (z *Zipf) rankOf(u float64) int {
-	cum := z.cum
-	k := int(z.guide[int(u*float64(len(cum)))])
+// inputs depend on that value. With j = int(u*M), j/M <= u holds
+// exactly, so the walk from guide[j] never starts past the rank.
+//
+// Nearly every bucket holds at most two cut points, and which side of
+// one a draw falls is a coin flip, so the first two steps are taken
+// without a branch: for floats with a clear sign bit (u comes from
+// Float64, never -0) x < y is the sign of the difference of their bit
+// patterns.
+func rankOf(cum []float64, guide []int32, u float64) int {
+	k := int(guide[int(u*float64(len(guide)))])
+	ub := math.Float64bits(u)
+	k += int((math.Float64bits(cum[k]) - ub) >> 63)
+	k += int((math.Float64bits(cum[k]) - ub) >> 63)
 	for cum[k] < u {
 		k++
-	}
-	// u*N can round up across a bucket edge, starting the walk one
-	// bucket late.
-	for k > 0 && cum[k-1] >= u {
-		k--
 	}
 	return k
 }

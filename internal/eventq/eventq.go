@@ -103,41 +103,49 @@ func (q *Queue[T]) head() (time float64, seq uint64, ok bool) {
 	return q.heap[0].time, q.heap[0].seq, true
 }
 
-// less orders by (time, seq).
-func (q *Queue[T]) less(i, j int) bool {
-	a, b := q.heap[i], q.heap[j]
-	if a.time != b.time {
-		return a.time < b.time
+// before reports whether e orders ahead of the key (time, seq).
+func (e *entry[T]) before(time float64, seq uint64) bool {
+	if e.time != time {
+		return e.time < time
 	}
-	return a.seq < b.seq
+	return e.seq < seq
 }
 
+// up sifts the entry at i towards the root. It holds the moving entry
+// and shifts parents down into the hole it leaves, storing it once at
+// the end: one entry copy per level, not a swap's three.
 func (q *Queue[T]) up(i int) {
+	h := q.heap
+	moving := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent) {
+		if !moving.before(h[parent].time, h[parent].seq) {
 			break
 		}
-		q.heap[i], q.heap[parent] = q.heap[parent], q.heap[i]
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = moving
 }
 
+// down sifts the entry at i towards the leaves, the same way.
 func (q *Queue[T]) down(i int) {
-	n := len(q.heap)
+	h := q.heap
+	n := len(h)
+	moving := h[i]
 	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+		child := 2*i + 1
+		if child >= n {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
+		if right := child + 1; right < n && h[right].before(h[child].time, h[child].seq) {
+			child = right
 		}
-		if !q.less(smallest, i) {
-			return
+		if !h[child].before(moving.time, moving.seq) {
+			break
 		}
-		q.heap[i], q.heap[smallest] = q.heap[smallest], q.heap[i]
-		i = smallest
+		h[i] = h[child]
+		i = child
 	}
+	h[i] = moving
 }

@@ -14,6 +14,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/cache"
@@ -98,39 +99,30 @@ func (g *Graph) Nodes() []cache.PeerID {
 // component (0 for an empty graph), computed with a union-find over
 // the undirected projection.
 func (g *Graph) LargestWCC() int {
-	n := len(g.nodes)
-	if n == 0 {
-		return 0
-	}
-	uf := newUnionFind(n)
+	return g.components().Largest()
+}
+
+// components unions the undirected projection of the graph.
+func (g *Graph) components() *WCCScratch {
+	var s WCCScratch
+	s.Reset(len(g.nodes))
 	for from, targets := range g.adj {
 		for _, to := range targets {
-			uf.union(from, to)
+			s.Union(from, to)
 		}
 	}
-	return uf.largest()
+	return &s
 }
 
 // WCCSizes returns the sizes of all weakly connected components in
 // descending order.
 func (g *Graph) WCCSizes() []int {
-	n := len(g.nodes)
-	if n == 0 {
-		return nil
-	}
-	uf := newUnionFind(n)
-	for from, targets := range g.adj {
-		for _, to := range targets {
-			uf.union(from, to)
+	s := g.components()
+	var sizes []int
+	for i, p := range s.parent {
+		if int(p) == i {
+			sizes = append(sizes, int(s.size[i]))
 		}
-	}
-	counts := make(map[int]int, n)
-	for i := 0; i < n; i++ {
-		counts[uf.find(i)]++
-	}
-	sizes := make([]int, 0, len(counts))
-	for _, c := range counts {
-		sizes = append(sizes, c)
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
 	return sizes
@@ -270,34 +262,60 @@ func (g *Graph) ReachableFrom(id cache.PeerID) int {
 // connectivity every few virtual seconds resets one WCCScratch per
 // sample instead of rebuilding a Builder + Graph, so steady-state
 // sampling does not allocate (the backing arrays grow once to the
-// population high-water mark).
+// high-water mark).
 //
-// Nodes are dense indices [0, n); the caller supplies its own
+// Nodes are indices in [0, n); the caller supplies its own
 // index-to-peer mapping (a simulation engine already has one). The
-// zero value is ready to use after Reset.
+// index space may have holes: Drop takes a node out of the snapshot,
+// and Has then answers for it as for an index out of range, so an
+// engine can use its sparse peer IDs as indices and ask the scratch
+// which addresses are live. The zero value is ready to use after Reset.
 type WCCScratch struct {
-	parent, size []int
+	// parent[i] is i's parent in its component's tree (i itself at a
+	// root), or absent; size counts the nodes under a root. int32 halves
+	// the memory a find walks through; Reset rejects a wider n.
+	parent, size []int32
 }
 
+// absent is the parent of a dropped node.
+const absent = -1
+
 // Reset prepares the scratch for a snapshot of n nodes, each initially
-// its own component.
+// present and its own component.
 func (s *WCCScratch) Reset(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("overlay: WCCScratch of %d nodes", n))
+	}
 	if cap(s.parent) < n {
-		s.parent = make([]int, n)
-		s.size = make([]int, n)
+		s.parent = make([]int32, n)
+		s.size = make([]int32, n)
 	}
 	s.parent = s.parent[:n]
 	s.size = s.size[:n]
-	for i := 0; i < n; i++ {
-		s.parent[i] = i
+	for i := range s.parent {
+		s.parent[i] = int32(i)
 		s.size[i] = 1
 	}
 }
 
+// Drop takes node i out of the snapshot. Only a node that no Union has
+// touched since Reset may be dropped.
+func (s *WCCScratch) Drop(i int) {
+	s.parent[i] = absent
+	s.size[i] = 0
+}
+
+// Has reports whether i is a node of the snapshot: in range and not
+// dropped.
+func (s *WCCScratch) Has(i int) bool {
+	return uint(i) < uint(len(s.parent)) && s.parent[i] != absent
+}
+
 // Union merges the components of nodes a and b (an undirected edge:
-// weak connectivity ignores direction). Self-loops are no-ops.
+// weak connectivity ignores direction). Self-loops are no-ops. Both
+// nodes must be in the snapshot.
 func (s *WCCScratch) Union(a, b int) {
-	ra, rb := s.find(a), s.find(b)
+	ra, rb := s.find(int32(a)), s.find(int32(b))
 	if ra == rb {
 		return
 	}
@@ -308,67 +326,28 @@ func (s *WCCScratch) Union(a, b int) {
 	s.size[ra] += s.size[rb]
 }
 
-// Largest returns the size of the largest component (0 when Reset(0)).
+// Largest returns the size of the largest component (0 when no node is
+// present).
 func (s *WCCScratch) Largest() int {
-	best := 0
-	for i := range s.parent {
-		if s.parent[i] == i && s.size[i] > best {
+	best := int32(0)
+	for i, p := range s.parent {
+		if int(p) == i && s.size[i] > best {
 			best = s.size[i]
 		}
 	}
-	return best
+	return int(best)
 }
 
-// find is path-halving lookup, identical to unionFind.find.
-func (s *WCCScratch) find(x int) int {
-	for s.parent[x] != x {
-		s.parent[x] = s.parent[s.parent[x]]
-		x = s.parent[x]
-	}
-	return x
-}
-
-// unionFind is a weighted quick-union with path halving.
-type unionFind struct {
-	parent []int
-	size   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), size: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
-		uf.size[i] = 1
-	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.size[ra] < uf.size[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	uf.size[ra] += uf.size[rb]
-}
-
-func (uf *unionFind) largest() int {
-	best := 0
-	for i := range uf.parent {
-		if uf.parent[i] == i && uf.size[i] > best {
-			best = uf.size[i]
+// find is weighted quick-union's root lookup, with path halving.
+func (s *WCCScratch) find(x int32) int32 {
+	parent := s.parent
+	for {
+		p := parent[x]
+		if p == x {
+			return x
 		}
+		gp := parent[p]
+		parent[x] = gp
+		x = gp
 	}
-	return best
 }

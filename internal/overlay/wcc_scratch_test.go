@@ -3,6 +3,7 @@ package overlay
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/simrng"
 )
 
@@ -62,3 +63,82 @@ func TestWCCScratchEmpty(t *testing.T) {
 		t.Fatalf("after shrink Largest = %d, want 1", got)
 	}
 }
+
+// TestWCCScratchDrop checks a snapshot with holes against the Graph
+// built from the remaining nodes: dropped indices answer Has as
+// out-of-range ones do and count towards no component.
+func TestWCCScratchDrop(t *testing.T) {
+	r := simrng.New(7)
+	var sc WCCScratch
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(60)
+		sc.Reset(n)
+		b := NewBuilder(n)
+		for i := 0; i < n; i++ {
+			if r.Intn(4) == 0 {
+				sc.Drop(i)
+			} else if err := b.AddNode(cache.PeerID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if sc.Has(-1) || sc.Has(n) {
+			t.Fatalf("trial %d: Has accepts an index outside [0, %d)", trial, n)
+		}
+		for e := r.Intn(4 * n); e > 0; e-- {
+			from, to := r.Intn(n), r.Intn(n)
+			if !sc.Has(from) {
+				continue
+			}
+			if err := b.AddEdge(cache.PeerID(from), cache.PeerID(to)); err != nil {
+				t.Fatal(err)
+			}
+			if sc.Has(to) {
+				sc.Union(from, to)
+			}
+		}
+		g, _ := b.Graph()
+		if got, want := sc.Largest(), g.LargestWCC(); got != want {
+			t.Fatalf("trial %d (n=%d, %d present): scratch WCC %d, graph WCC %d",
+				trial, n, g.NumNodes(), got, want)
+		}
+	}
+}
+
+// BenchmarkWCCScratch is one connectivity sample of the 100k-peer run:
+// 32 cache entries a peer, about one address in twenty dead.
+func BenchmarkWCCScratch(b *testing.B) {
+	const nodes, degree = 100_000, 32
+	r := simrng.New(1)
+	dead := make([]bool, nodes)
+	for i := range dead {
+		dead[i] = r.Intn(20) == 0
+	}
+	edges := make([]int32, nodes*degree)
+	for i := range edges {
+		edges[i] = int32(r.Intn(nodes))
+	}
+	var sc WCCScratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Reset(nodes)
+		for id, d := range dead {
+			if d {
+				sc.Drop(id)
+			}
+		}
+		for from := 0; from < nodes; from++ {
+			if !sc.Has(from) {
+				continue
+			}
+			for _, to := range edges[from*degree : (from+1)*degree] {
+				if sc.Has(int(to)) {
+					sc.Union(from, int(to))
+				}
+			}
+		}
+		benchLargest = sc.Largest()
+	}
+}
+
+var benchLargest int

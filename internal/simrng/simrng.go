@@ -54,6 +54,18 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// Float64s fills dst with the next len(dst) values of Float64. The
+// state is a counter, so the draws of a block do not wait for one
+// another.
+func (r *RNG) Float64s(dst []float64) {
+	s := r.state
+	for i := range dst {
+		s += golden
+		dst[i] = float64(mix(s)>>11) / (1 << 53)
+	}
+	r.state = s
+}
+
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -68,8 +80,9 @@ func (r *RNG) Int63() int64 {
 }
 
 // Uint64n returns a uniformly distributed uint64 in [0, n). It panics
-// if n == 0. It uses Lemire's nearly-divisionless bounded method with a
-// rejection step to remove modulo bias.
+// if n == 0. It is modulo reduction with a rejection step that removes
+// the bias: draws at or above the largest multiple of n that fits in 64
+// bits are thrown away.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("simrng: Uint64n called with n == 0")
@@ -78,11 +91,12 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	// Rejection sampling over the largest multiple of n that fits.
-	max := math.MaxUint64 - math.MaxUint64%n
 	for {
 		v := r.Uint64()
-		if v < max {
+		// The rejection threshold MaxUint64 - MaxUint64%n lies above
+		// MaxUint64 - n, so only a draw in the top n values needs the
+		// threshold (and its division) computed.
+		if v <= math.MaxUint64-n || v < math.MaxUint64-math.MaxUint64%n {
 			return v % n
 		}
 	}

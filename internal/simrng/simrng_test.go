@@ -229,6 +229,98 @@ func TestSplitAdvancesParent(t *testing.T) {
 	}
 }
 
+// TestFloat64sMatchesFloat64 pins the block form against one-at-a-time
+// draws: for every block length up to 64 (and blocks back to back) the
+// same values and the same generator state afterwards, with
+// NormFloat64's spare variate untouched.
+func TestFloat64sMatchesFloat64(t *testing.T) {
+	var block [64]float64
+	a, b := New(9), New(9)
+	a.NormFloat64() // park a spare in both
+	b.NormFloat64()
+	for n := 0; n <= len(block); n++ {
+		a.Float64s(block[:n])
+		for i, got := range block[:n] {
+			if want := b.Float64(); got != want {
+				t.Fatalf("block of %d, draw %d: %v, want %v", n, i, got, want)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("after a block of %d: state %+v, want %+v", n, *a, *b)
+		}
+	}
+	if a.NormFloat64() != b.NormFloat64() || a.Float64() != b.Float64() {
+		t.Fatal("sequences diverge after the blocks")
+	}
+}
+
+// unmix inverts the SplitMix64 output function, so a test can put the
+// generator one step before any chosen output.
+func unmix(z uint64) uint64 {
+	inverse := func(a uint64) uint64 { // of an odd a modulo 2^64, by Newton's iteration
+		x := a
+		for i := 0; i < 6; i++ {
+			x *= 2 - a*x
+		}
+		return x
+	}
+	z ^= z>>31 ^ z>>62
+	z *= inverse(0x94d049bb133111eb)
+	z ^= z>>27 ^ z>>54
+	z *= inverse(0xbf58476d1ce4e5b9)
+	z ^= z>>30 ^ z>>60
+	return z
+}
+
+// referenceUint64n is Uint64n as it was first written, with the
+// rejection threshold computed on every call.
+func referenceUint64n(r *RNG, n uint64) uint64 {
+	if n&(n-1) == 0 {
+		return r.Uint64() & (n - 1)
+	}
+	max := math.MaxUint64 - math.MaxUint64%n
+	for {
+		if v := r.Uint64(); v < max {
+			return v % n
+		}
+	}
+}
+
+// TestUint64nMatchesReference checks that skipping the threshold for
+// draws below MaxUint64-n changes nothing: same value and same number
+// of draws for every (state, n), including states whose next output
+// sits on either side of the rejection edge.
+func TestUint64nMatchesReference(t *testing.T) {
+	ns := []uint64{1, 2, 3, 5, math.MaxUint64, math.MaxUint64 - 1}
+	for k := uint(2); k < 64; k++ {
+		ns = append(ns, 1<<k-1, 1<<k+1)
+	}
+	for _, n := range ns {
+		edge := uint64(math.MaxUint64) - math.MaxUint64%n // first rejected draw
+		outputs := []uint64{0, n - 1, n, math.MaxUint64 - n, math.MaxUint64 - n + 1,
+			edge - 2, edge - 1, edge, edge + 1, math.MaxUint64 - 1, math.MaxUint64}
+		for _, out := range outputs {
+			a := &RNG{state: unmix(out) - golden}
+			b := *a
+			if got := b.Uint64(); got != out {
+				t.Fatalf("unmix: forced output %d, got %d", out, got)
+			}
+			b = *a
+			got, want := a.Uint64n(n), referenceUint64n(&b, n)
+			if got != want || *a != b {
+				t.Fatalf("n=%d, next output %d: got %d (state %d), want %d (state %d)",
+					n, out, got, a.state, want, b.state)
+			}
+		}
+		a, b := New(n), New(n)
+		for i := 0; i < 200; i++ {
+			if got, want := a.Uint64n(n), referenceUint64n(b, n); got != want {
+				t.Fatalf("n=%d draw %d: got %d, want %d", n, i, got, want)
+			}
+		}
+	}
+}
+
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -240,5 +332,16 @@ func BenchmarkFloat64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Float64()
+	}
+}
+
+// BenchmarkFloat64s is one 64-draw block per iteration: the birth
+// path's unit of work (content.NewLibraryInto).
+func BenchmarkFloat64s(b *testing.B) {
+	r := New(1)
+	var block [64]float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.Float64s(block[:])
 	}
 }
