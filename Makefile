@@ -60,18 +60,19 @@ test-chaos:
 	$(GO) test -race -count=2 -run Chaos ./node
 
 # Race-detect the goroutine-spawning packages (live node, experiment
-# harness, sweep orchestration, protocol substrates) and the engine's
-# Shards>1 paths. -short keeps the experiment sweeps to the cheap ones —
-# the race detector's ~20x slowdown would push the full battery past the
-# default test timeout — while still covering the worker-pool fan-out.
-# The engine itself starts no goroutine at any Shards value; the core
-# leg keeps the shard-count invariance and Renew suites under the
-# detector so that stays checked.
+# harness, sweep orchestration, protocol substrates). -short keeps the
+# experiment sweeps to the cheap ones — the race detector's ~20x
+# slowdown would push the full battery past the default test timeout —
+# while still covering the worker-pool fan-out (every family's points on
+# pooled Workers: TestPoolRunsEveryFamily, TestWorkerRenewMatchesFresh).
+# The engine itself starts no goroutine; the core leg keeps the Renew
+# and sample-scan suites under the detector, since pooled Workers chain
+# engines through Renew.
 race:
 	$(GO) test -race -short -timeout 15m ./node/... ./internal/experiments \
 	  ./internal/gossip ./internal/dht ./internal/orchestrate
 	$(GO) test -race -short -timeout 15m \
-	  -run 'TestShardCountInvariance|TestLargestWCCParallelMatchesSerial|TestRenewMatchesFresh|TestShardedLargeRunSmoke' \
+	  -run 'TestRenewMatchesFresh|TestScanOverlayMatchesReference' \
 	  ./internal/core
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
@@ -93,11 +94,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # One iteration of the headline benchmarks (the default-config run and
-# the 100k-peer scaling run, one event heap and four) plus the hot-path
-# microbenchmarks: catches benchmark bit-rot and allocation regressions
-# on every `make all`.
+# the 100k-peer scaling run) plus the hot-path microbenchmarks: catches
+# benchmark bit-rot and allocation regressions on every `make all`.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$|BenchmarkLargeRun' -benchmem -benchtime 1x -timeout 30m .
+	$(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$|BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m .
 	$(GO) test -run '^$$' -bench . -benchtime 1x $(BENCH_PKGS)
 
 # Record a benchmark trajectory point: the headline simulation
@@ -107,7 +107,7 @@ bench-smoke:
 bench-json:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 5x . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun' -benchmem -benchtime 1x -timeout 30m . && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS); } \
 	  | tee /dev/stderr | /tmp/benchjson -o BENCH_$$(date +%Y%m%d).json
 	@echo wrote BENCH_$$(date +%Y%m%d).json
@@ -117,14 +117,14 @@ bench-json:
 # grows past 110% of the baseline for either the default-config run or
 # the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261001.json
+BENCH_BASELINE ?= BENCH_20261001_pr18.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun/shards=1' -benchmem -benchtime 1x -timeout 30m .; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m .; } \
 	  | tee /dev/stderr \
 	  | /tmp/benchjson -check $(BENCH_BASELINE) \
-	      -benchmark 'BenchmarkSingleRun,BenchmarkLargeRun/shards=1'
+	      -benchmark 'BenchmarkSingleRun,BenchmarkLargeRun'
 
 # The repository's end-to-end benchmark (bench/README.md): every
 # workload of BENCHMARK.json, five runs each, into a result set named

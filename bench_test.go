@@ -8,7 +8,6 @@ package guess_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
 	guess "repro"
@@ -69,35 +68,26 @@ func BenchmarkAblIntroProb(b *testing.B)        { benchExperiment(b, "abl-introp
 // connectivity sampling — the scaling path toward the million-peer
 // target (see README "Scaling"). Half of it is the 100k births of the
 // time-zero population and the eight whole-overlay samples, the rest
-// pings. The shards=4 leg prices the split event queue (four smaller
-// heaps and a merge of their heads; the engine is serial at every
-// value, so there is no parallel dividend to find), while results stay
-// byte-identical (TestShardCountInvariance) and allocs/op stays flat
-// (make bench-check gates shards=1).
+// pings. make bench-check gates its allocs/op.
 func BenchmarkLargeRun(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := guess.DefaultConfig()
-				cfg.NetworkSize = 100_000
-				cfg.CacheSize = 32
-				cfg.WarmupTime = 20
-				cfg.MeasureTime = 60
-				cfg.QueryRate = 0.0005
-				cfg.SampleInterval = 10
-				cfg.SampleConnectivity = true
-				cfg.Shards = shards
-				cfg.Seed = uint64(i + 1)
-				res, err := guess.Run(context.Background(), cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Deaths == 0 {
-					b.Fatal("no churn")
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		cfg := guess.DefaultConfig()
+		cfg.NetworkSize = 100_000
+		cfg.CacheSize = 32
+		cfg.WarmupTime = 20
+		cfg.MeasureTime = 60
+		cfg.QueryRate = 0.0005
+		cfg.SampleInterval = 10
+		cfg.SampleConnectivity = true
+		cfg.Seed = uint64(i + 1)
+		res, err := guess.Run(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Deaths == 0 {
+			b.Fatal("no churn")
+		}
 	}
 }
 

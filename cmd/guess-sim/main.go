@@ -39,7 +39,6 @@ func run(args []string) error {
 
 	fs.IntVar(&p.NetworkSize, "network", p.NetworkSize, "number of live peers")
 	fs.IntVar(&p.NetworkSize, "peers", p.NetworkSize, "alias for -network (million-peer runs read better)")
-	fs.IntVar(&p.Shards, "shards", p.Shards, "event-queue shards (results are identical at any value; none is faster than 1)")
 	fs.IntVar(&p.NumDesiredResults, "results", p.NumDesiredResults, "results needed to satisfy a query")
 	fs.Float64Var(&p.LifespanMultiplier, "lifespan", p.LifespanMultiplier, "lifespan multiplier")
 	fs.Float64Var(&p.QueryRate, "query-rate", p.QueryRate, "queries per user per second")
@@ -197,9 +196,6 @@ func run(args []string) error {
 	fmt.Printf("GUESS simulation: %d peers, cache %d, policies QP=%s QPong=%s PP=%s PPong=%s CR=%s\n",
 		p.NetworkSize, p.CacheSize, p.QueryProbe, p.QueryPong, p.PingProbe, p.PingPong, p.CacheReplacement)
 	fmt.Printf("simulated %.0fs (warmup %.0fs) in %v", p.MeasureTime, p.WarmupTime, elapsed.Round(time.Millisecond))
-	if shards := p.Shards; shards > 1 {
-		fmt.Printf(" with %d shards", shards)
-	}
 	if rss := peakRSSBytes(); rss > 0 {
 		fmt.Printf(", peak RSS %.1f MiB", float64(rss)/(1<<20))
 	}

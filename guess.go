@@ -153,28 +153,6 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (*Results, error) {
 	return engine.Run(ctx)
 }
 
-// RunConfig is the pre-context, pre-option Run input, kept so existing
-// callers keep compiling with a one-line change.
-//
-// Deprecated: use Run(ctx, cfg, opts...) directly.
-type RunConfig struct {
-	// Config holds the simulation parameters.
-	Config Config
-	// Progress, when non-nil, receives periodic progress lines.
-	Progress io.Writer
-}
-
-// Run executes the configured simulation without cancellation.
-//
-// Deprecated: use the package-level Run with a context and options.
-func (rc RunConfig) Run() (*Results, error) {
-	var opts []Option
-	if rc.Progress != nil {
-		opts = append(opts, WithProgress(rc.Progress))
-	}
-	return Run(context.Background(), rc.Config, opts...)
-}
-
 // Selection orders cache entries for probing and pong construction
 // (the QueryProbe, QueryPong, PingProbe and PingPong policy types).
 type Selection = policy.Selection
@@ -295,9 +273,5 @@ func LookupExperiment(id string) (Experiment, error) {
 
 // RunExperiment regenerates one paper table or figure.
 func RunExperiment(id string, opts ExperimentOptions) (*ExperimentResult, error) {
-	exp, err := experiments.Lookup(id)
-	if err != nil {
-		return nil, err
-	}
-	return exp.Run(opts)
+	return experiments.Run(id, opts)
 }

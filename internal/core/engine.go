@@ -61,14 +61,9 @@ type Engine struct {
 	rngPolicy   *simrng.RNG // random policy picks, eviction
 	rngIntro    *simrng.RNG // introduction coin flips
 
-	now float64
-	end float64
-	// events is sharded by peer ID and merged on (time, global push
-	// order), which reproduces exactly the total order of a single
-	// queue — so any shard count yields the same run, byte for byte
-	// (see eventq.Sharded and the shard determinism suite).
-	events  *eventq.Sharded[event]
-	nshards int
+	now    float64
+	end    float64
+	events eventq.Queue[event]
 
 	// ps is the struct-of-arrays peer state; bad tracks the IDs of live
 	// malicious peers (for colluding pongs). IDs rather than slots:
@@ -130,10 +125,9 @@ type Engine struct {
 	freeBlacklist  []map[cache.PeerID]bool
 	freeSuppressed []map[cache.PeerID]float64
 
-	// noReuse (tests only) disables every recycling fast path above and
-	// falls back to the allocating reference implementations, so
-	// determinism tests can assert pooled and reference runs are
-	// byte-identical.
+	// noReuse (tests only) keeps the free lists above empty: nothing is
+	// donated, every birth and query allocates fresh, and the reuse
+	// determinism suite asserts the two kinds of run are byte-identical.
 	noReuse bool
 
 	ran bool
@@ -192,7 +186,6 @@ func newEngine(params Params, recycle *Engine) (*Engine, error) {
 		rngWorkload: root.Stream("workload"),
 		rngPolicy:   root.Stream("policy"),
 		rngIntro:    root.Stream("intro"),
-		nshards:     params.shardCount(),
 		nextID:      1,
 		nextFake:    fakeAddrBase,
 		lieFiles:    int32(universe.MaxLibrary()),
@@ -202,9 +195,6 @@ func newEngine(params Params, recycle *Engine) (*Engine, error) {
 		e.adoptStorage(recycle)
 	}
 	e.ps.init(params.NetworkSize)
-	if e.events == nil {
-		e.events = eventq.NewSharded[event](e.nshards)
-	}
 	return e, nil
 }
 
@@ -215,16 +205,12 @@ func newEngine(params Params, recycle *Engine) (*Engine, error) {
 // capacity-bound) are dropped on mismatch rather than reused.
 func (e *Engine) adoptStorage(old *Engine) {
 	// Harvest the final population before taking the arrays.
-	if !old.noReuse {
-		for i := 0; i < old.ps.len(); i++ {
-			old.recycleSlotStorage(i)
-		}
+	for i := 0; i < old.ps.len(); i++ {
+		old.recycleSlotStorage(i)
 	}
 	e.ps = old.ps
-	if old.events.Shards() == e.nshards {
-		old.events.Reset()
-		e.events = old.events
-	}
+	old.events.Reset()
+	e.events = old.events
 	e.bad = old.bad[:0]
 	e.polScratch = old.polScratch
 	e.pongBuf = old.pongBuf[:0]
@@ -240,12 +226,17 @@ func (e *Engine) adoptStorage(old *Engine) {
 	if len(old.freeCaches) > 0 && old.freeCaches[0].Cap() == e.p.CacheSize {
 		e.freeCaches = old.freeCaches
 	}
-	e.noReuse = old.noReuse
 }
 
-// recycleSlotStorage clears slot i's link cache, library and state
-// maps into the free lists. Only called with reuse enabled.
+// recycleSlotStorage donates slot i's link cache, library and state
+// maps, cleared, to the free lists: the one place peer storage enters
+// them, for a death mid-run and for the final population at Renew. With
+// noReuse it donates nothing, so every pop finds its list empty and
+// allocates.
 func (e *Engine) recycleSlotStorage(i int) {
+	if e.noReuse {
+		return
+	}
 	link := e.ps.link[i]
 	if link.Cap() > 0 {
 		link.Clear()
@@ -278,6 +269,21 @@ func (e *Engine) recycleSlotStorage(i int) {
 	}
 }
 
+// pop takes the most recently donated element off a free list. ok is
+// false when the list is empty and the caller must allocate.
+func pop[T any](free *[]T) (v T, ok bool) {
+	s := *free
+	n := len(s)
+	if n == 0 {
+		return v, false
+	}
+	v = s[n-1]
+	var zero T
+	s[n-1] = zero // the list's tail must not pin donated storage
+	*free = s[:n-1]
+	return v, true
+}
+
 // SetObserver attaches an observer receiving lifecycle and query trace
 // events. Must be called before Run. Observers attached to engines run
 // in parallel (sweeps) must be safe for concurrent use.
@@ -299,26 +305,6 @@ func (e *Engine) SetProgress(w io.Writer) { e.progress = w }
 // simulated work.
 const ctxCheckInterval = 512
 
-// push schedules ev at time t on its home shard. Routing is by peer ID
-// (queries live on their origin's shard; the sampler on shard 0), but
-// because the sharded queue merges on global push order, the routing
-// choice affects only which heap holds an event — never the order
-// events fire, and therefore never a result.
-func (e *Engine) push(t float64, ev event) {
-	shard := 0
-	if e.nshards > 1 {
-		switch ev.kind {
-		case evProbeStep:
-			shard = int(uint64(ev.q.origin) % uint64(e.nshards))
-		case evSample:
-			shard = 0
-		default:
-			shard = int(uint64(ev.peer) % uint64(e.nshards))
-		}
-	}
-	e.events.Push(shard, t, ev)
-}
-
 // Run executes the simulation and returns its measurements. It can be
 // called once. A nil ctx is treated as context.Background. When ctx is
 // cancelled mid-run the loop stops at the next event-batch boundary and
@@ -332,7 +318,7 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 	e.end = e.p.WarmupTime + e.p.MeasureTime
 
 	e.bootstrap()
-	e.push(e.p.WarmupTime, event{kind: evSample})
+	e.events.Push(e.p.WarmupTime, event{kind: evSample})
 
 	var processed uint64
 	for {
@@ -410,24 +396,7 @@ func (e *Engine) samplePeers(r *simrng.RNG, k int, exclude cache.PeerID) []int {
 	if k > n {
 		k = n
 	}
-	var idx []int
-	if e.noReuse {
-		// Allocating reference: the classic map-based Floyd loop, kept
-		// so the reuse determinism suite can pin the scratch path
-		// against it (identical Intn sequence, identical indices).
-		chosen := make(map[int]bool, k)
-		idx = make([]int, 0, k)
-		for i := n - k; i < n; i++ {
-			j := r.Intn(i + 1)
-			if chosen[j] {
-				j = i
-			}
-			chosen[j] = true
-			idx = append(idx, j)
-		}
-	} else {
-		idx = e.polScratch.SampleIndices(r, n, k)
-	}
+	idx := e.polScratch.SampleIndices(r, n, k)
 	out := idx[:0]
 	for _, j := range idx {
 		if e.ps.id[j] != exclude {
@@ -444,20 +413,15 @@ func (e *Engine) spawnPeer(malicious, selfish bool) int {
 	id := e.nextID
 	e.nextID++
 	libSize := e.universe.SampleLibrarySize(e.rngContent)
-	var lib content.Library
-	if n := len(e.freeLibs); libSize > 0 && n > 0 {
-		lib = e.universe.NewLibraryInto(e.rngContent, libSize, e.freeLibs[n-1])
-		e.freeLibs[n-1] = content.Library{}
-		e.freeLibs = e.freeLibs[:n-1]
-	} else {
-		lib = e.universe.NewLibrary(e.rngContent, libSize)
+	// An empty library needs no storage; leave the free list for a peer
+	// that shares something.
+	var recycled content.Library
+	if libSize > 0 {
+		recycled, _ = pop(&e.freeLibs)
 	}
-	var link cache.LinkCache
-	if n := len(e.freeCaches); n > 0 {
-		link = e.freeCaches[n-1]
-		e.freeCaches[n-1] = cache.LinkCache{}
-		e.freeCaches = e.freeCaches[:n-1]
-	} else {
+	lib := e.universe.NewLibraryInto(e.rngContent, libSize, recycled)
+	link, ok := pop(&e.freeCaches)
+	if !ok {
 		link = *cache.NewLinkCache(e.p.CacheSize)
 	}
 	advertised := int32(lib.Size())
@@ -488,11 +452,11 @@ func (e *Engine) spawnPeer(malicious, selfish bool) int {
 		e.observer.Observe(obs.Event{Kind: obs.EvPeerBirth, Time: e.now, Peer: uint64(id)})
 	}
 
-	e.push(deathAt, event{kind: evDeath, peer: id})
-	e.push(e.now+e.rngChurn.Float64()*e.p.PingInterval, event{kind: evPing, peer: id})
+	e.events.Push(deathAt, event{kind: evDeath, peer: id})
+	e.events.Push(e.now+e.rngChurn.Float64()*e.p.PingInterval, event{kind: evPing, peer: id})
 	if e.p.QueriesEnabled && !malicious {
 		delay, _ := e.gen.NextBurst(e.rngWorkload)
-		e.push(e.now+delay, event{kind: evBurst, peer: id})
+		e.events.Push(e.now+delay, event{kind: evBurst, peer: id})
 	}
 	return slot
 }
@@ -509,14 +473,12 @@ func (e *Engine) handleDeath(id cache.PeerID) {
 	malicious := e.ps.malicious[slot]
 	selfish := e.ps.selfish[slot]
 	probesReceived := e.ps.probesReceived[slot]
-	link := e.ps.link[slot]
-	lib := e.ps.lib[slot]
-	provenance := e.ps.provenance[slot]
-	pongStats := e.ps.pongStats[slot]
-	blacklist := e.ps.blacklist[slot]
-	suppressed := e.ps.suppressed[slot]
 
+	// Once unlinked nothing reads the peer's cache, library or state
+	// maps again (see the Entries aliasing audit in cache.LinkCache), so
+	// later births may have them.
 	e.ps.byID[id] = -1
+	e.recycleSlotStorage(slot)
 	e.ps.swapRemove(slot)
 	if malicious {
 		for i, b := range e.bad {
@@ -536,29 +498,6 @@ func (e *Engine) handleDeath(id cache.PeerID) {
 	}
 	if e.now >= e.p.WarmupTime {
 		e.loads = append(e.loads, probesReceived)
-	}
-
-	// The dead peer is fully unlinked now; recycle its cache, library
-	// and state-map storage for later births (nothing reads them again —
-	// see the Entries aliasing audit in cache.LinkCache).
-	if !e.noReuse {
-		link.Clear()
-		e.freeCaches = append(e.freeCaches, link)
-		if lib.Size() > 0 {
-			e.freeLibs = append(e.freeLibs, lib)
-		}
-		if provenance != nil {
-			clear(provenance)
-			clear(pongStats)
-			clear(blacklist)
-			e.freeProvenance = append(e.freeProvenance, provenance)
-			e.freePongStats = append(e.freePongStats, pongStats)
-			e.freeBlacklist = append(e.freeBlacklist, blacklist)
-		}
-		if suppressed != nil {
-			clear(suppressed)
-			e.freeSuppressed = append(e.freeSuppressed, suppressed)
-		}
 	}
 
 	// Birth of the replacement, seeded by the random-friend policy:
@@ -593,7 +532,7 @@ func (e *Engine) handlePing(id cache.PeerID) {
 	if p < 0 {
 		return // peer died; its replacement has its own ping timer
 	}
-	e.push(e.now+e.ps.pingInterval[p], event{kind: evPing, peer: id})
+	e.events.Push(e.now+e.ps.pingInterval[p], event{kind: evPing, peer: id})
 
 	entries := e.ps.link[p].Entries()
 	i := policy.Pick(e.rngPolicy, e.p.PingProbe, entries)
@@ -647,7 +586,7 @@ func (e *Engine) handleBurst(id cache.PeerID) {
 		return
 	}
 	delay, size := e.gen.NextBurst(e.rngWorkload)
-	e.push(e.now+delay, event{kind: evBurst, peer: id})
+	e.events.Push(e.now+delay, event{kind: evBurst, peer: id})
 	e.startQuery(p, size-1)
 }
 
@@ -670,9 +609,9 @@ type overlaySample struct {
 // The union-find scratch is reset over peer IDs, dead and never-born
 // ones dropped, so the load that answers "is this address live" is also
 // the first step of the find; fabricated addresses lie beyond it like
-// any other unknown ID. The pass is serial at every Shards value and
-// adds up its floating-point sums in slot order, so they are the same
-// operation sequence, bit for bit, whatever the configuration.
+// any other unknown ID. The pass adds up its floating-point sums in
+// slot order, so they are the same operation sequence, bit for bit, as
+// the reference's.
 func (e *Engine) scanOverlay(connectivity bool) overlaySample {
 	byID := e.ps.byID
 	e.wcc.Reset(len(byID))
@@ -728,7 +667,7 @@ func (e *Engine) scanOverlay(connectivity bool) overlaySample {
 // sample and reschedules itself.
 func (e *Engine) handleSample() {
 	if e.now+e.p.SampleInterval <= e.end {
-		e.push(e.now+e.p.SampleInterval, event{kind: evSample})
+		e.events.Push(e.now+e.p.SampleInterval, event{kind: evSample})
 	}
 	s := e.scanOverlay(e.p.SampleConnectivity)
 	nf := float64(e.ps.len())
@@ -859,14 +798,8 @@ func (e *Engine) buildPong(host int, sel policy.Selection) []cache.Entry {
 		return e.buildBadPong(host)
 	}
 	entries := e.ps.link[host].Entries()
-	var idx []int
-	if e.noReuse {
-		idx = policy.PickN(e.rngPolicy, sel, entries, e.p.PongSize)
-	} else {
-		idx = e.polScratch.PickN(e.rngPolicy, sel, entries, e.p.PongSize)
-	}
 	out := e.pongBuf[:0]
-	for _, j := range idx {
+	for _, j := range e.polScratch.PickN(e.rngPolicy, sel, entries, e.p.PongSize) {
 		out = append(out, entries[j])
 	}
 	e.pongBuf = out
@@ -905,13 +838,7 @@ func (e *Engine) buildBadPong(host int) []cache.Entry {
 		return out
 	case BadPongGood:
 		entries := e.ps.link[host].Entries()
-		var idx []int
-		if e.noReuse {
-			idx = policy.PickN(e.rngPolicy, policy.SelRandom, entries, e.p.PongSize)
-		} else {
-			idx = e.polScratch.PickN(e.rngPolicy, policy.SelRandom, entries, e.p.PongSize)
-		}
-		for _, j := range idx {
+		for _, j := range e.polScratch.PickN(e.rngPolicy, policy.SelRandom, entries, e.p.PongSize) {
 			out = append(out, entries[j])
 		}
 		return out

@@ -93,27 +93,16 @@ func (e *Engine) recordSupplied(receiver int, source, addr cache.PeerID) {
 }
 
 // allocPoisonState lazily equips a slot with its poison-detection
-// maps, recycling cleared maps from dead peers when reuse is on.
+// maps, taking the cleared maps dead peers donated before making any.
 func (e *Engine) allocPoisonState(p int) {
-	if n := len(e.freeProvenance); n > 0 && !e.noReuse {
-		e.ps.provenance[p] = e.freeProvenance[n-1]
-		e.freeProvenance[n-1] = nil
-		e.freeProvenance = e.freeProvenance[:n-1]
-	} else {
+	var ok bool
+	if e.ps.provenance[p], ok = pop(&e.freeProvenance); !ok {
 		e.ps.provenance[p] = make(map[cache.PeerID]cache.PeerID, 64)
 	}
-	if n := len(e.freePongStats); n > 0 && !e.noReuse {
-		e.ps.pongStats[p] = e.freePongStats[n-1]
-		e.freePongStats[n-1] = nil
-		e.freePongStats = e.freePongStats[:n-1]
-	} else {
+	if e.ps.pongStats[p], ok = pop(&e.freePongStats); !ok {
 		e.ps.pongStats[p] = make(map[cache.PeerID]supplierRecord, 16)
 	}
-	if n := len(e.freeBlacklist); n > 0 && !e.noReuse {
-		e.ps.blacklist[p] = e.freeBlacklist[n-1]
-		e.freeBlacklist[n-1] = nil
-		e.freeBlacklist = e.freeBlacklist[:n-1]
-	} else {
+	if e.ps.blacklist[p], ok = pop(&e.freeBlacklist); !ok {
 		e.ps.blacklist[p] = make(map[cache.PeerID]bool, 4)
 	}
 }

@@ -227,13 +227,6 @@ type Params struct {
 	// connected component of the conceptual overlay at every sample
 	// (costly; used by the connectivity experiments).
 	SampleConnectivity bool
-	// Shards splits the event queue into this many per-peer heaps,
-	// merged on (time, push order), and does nothing else: the engine
-	// runs on one goroutine at every value. Any value produces
-	// byte-identical Results, traces and metrics for the same seed —
-	// the merge rule reproduces the single-queue event order exactly —
-	// and none has measured faster than 1 (see DESIGN.md §6). 0 means 1.
-	Shards int
 	// Trace, when non-nil, receives a CSV time series with one row per
 	// sample (time, churn, query and cache-health counters) for
 	// plotting a run's evolution. Excluded from JSON configurations.
@@ -297,7 +290,6 @@ func DefaultParams() Params {
 		WarmupTime:     500,
 		MeasureTime:    2000,
 		SampleInterval: 30,
-		Shards:         1,
 	}
 }
 
@@ -350,8 +342,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: MeasureTime must be positive, got %v", p.MeasureTime)
 	case p.SampleInterval <= 0:
 		return fmt.Errorf("core: SampleInterval must be positive, got %v", p.SampleInterval)
-	case p.Shards < 0 || p.Shards > maxShards:
-		return fmt.Errorf("core: Shards must be in [0,%d], got %d", maxShards, p.Shards)
 	}
 	switch {
 	case p.AdaptiveParallel && p.AdaptiveParallelWindow <= 0:
@@ -381,18 +371,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: content model: %w", err)
 	}
 	return nil
-}
-
-// maxShards bounds Params.Shards: a sanity guard against misparsed
-// configurations (Pop scans every shard's head).
-const maxShards = 1024
-
-// shardCount resolves the effective shard count (0 means 1).
-func (p Params) shardCount() int {
-	if p.Shards < 1 {
-		return 1
-	}
-	return p.Shards
 }
 
 // numSelfishPeers resolves the selfish peer count.

@@ -57,11 +57,8 @@ func (e *Engine) suppressedNow(p int, target cache.PeerID, now float64) bool {
 func (e *Engine) suppress(p int, target cache.PeerID, until float64) {
 	m := e.ps.suppressed[p]
 	if m == nil {
-		if n := len(e.freeSuppressed); n > 0 && !e.noReuse {
-			m = e.freeSuppressed[n-1]
-			e.freeSuppressed[n-1] = nil
-			e.freeSuppressed = e.freeSuppressed[:n-1]
-		} else {
+		var ok bool
+		if m, ok = pop(&e.freeSuppressed); !ok {
 			m = make(map[cache.PeerID]float64, 4)
 		}
 		e.ps.suppressed[p] = m

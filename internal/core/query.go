@@ -129,10 +129,7 @@ func (q *query) addCandidate(e cache.Entry) bool {
 // getQuery pops a recycled query (or makes a fresh one). The caller
 // must initialize every run-specific field; startQuery does.
 func (e *Engine) getQuery() *query {
-	if n := len(e.freeQueries); n > 0 && !e.noReuse {
-		q := e.freeQueries[n-1]
-		e.freeQueries[n-1] = nil
-		e.freeQueries = e.freeQueries[:n-1]
+	if q, ok := pop(&e.freeQueries); ok {
 		return q
 	}
 	return &query{sel: policy.NewSelector(e.p.QueryProbe, e.rngPolicy)}
@@ -254,7 +251,7 @@ func (e *Engine) handleProbeStep(q *query) {
 	case e.p.MaxProbesPerQuery > 0 && q.probes >= e.p.MaxProbesPerQuery:
 		e.completeQuery(origin, q, false)
 	default:
-		e.push(e.now+e.p.ProbeSpacing, event{kind: evProbeStep, q: q})
+		e.events.Push(e.now+e.p.ProbeSpacing, event{kind: evProbeStep, q: q})
 	}
 }
 

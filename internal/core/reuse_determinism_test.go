@@ -3,10 +3,12 @@ package core
 // The hot-path optimizations (pooled queries, open-addressed seen
 // sets, selection scratch, recycled link caches and libraries, buffered
 // traces) must not change a single simulated outcome. These tests run
-// every optimized path against the allocating reference implementation
-// (noReuse mode, which routes through policy.PickN and fresh
-// allocations exactly as the pre-optimization engine did) and demand
-// byte-identical Results and traces.
+// the engine with its free lists in use against the same engine with
+// nothing ever donated to them (noReuse: every birth and query
+// allocates fresh, as the pre-optimization engine did) and demand
+// byte-identical Results and traces. The selection scratch has its own
+// reference in internal/policy (TestScratchMatchesReference,
+// TestSampleIndicesMatchesReference).
 
 import (
 	"context"

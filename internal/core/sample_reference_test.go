@@ -65,11 +65,10 @@ func referenceSample(e *Engine) overlaySample {
 // churned runs a short simulation and returns the engine as the run
 // left it: a population several generations deep, its caches holding
 // entries for the dead and, with malicious peers, fabricated addresses.
-func churned(t *testing.T, n, shards int, percentBad float64) *Engine {
+func churned(t *testing.T, n int, percentBad float64) *Engine {
 	t.Helper()
 	p := quickParams()
 	p.NetworkSize = n
-	p.Shards = shards
 	p.LifespanMultiplier = 0.02
 	p.WarmupTime, p.MeasureTime = 10, 30
 	p.PercentBadPeers = percentBad
@@ -105,66 +104,53 @@ func kill(e *Engine, slot int) {
 
 func TestScanOverlayMatchesReference(t *testing.T) {
 	for _, n := range []int{300, 3 * 2048} {
-		for _, shards := range []int{1, 4} {
-			for _, percentBad := range []float64{0, 10} {
-				t.Run(fmt.Sprintf("n=%d/shards=%d/bad=%v", n, shards, percentBad), func(t *testing.T) {
-					e := churned(t, n, shards, percentBad)
-					var dead, fake, self int
-					for i, id := range e.ps.id {
-						if i%7 == 0 && !e.ps.link[i].Full() {
-							e.ps.link[i].Add(cache.Entry{Addr: id})
-						}
-						for _, entry := range e.ps.link[i].Entries() {
-							switch {
-							case entry.Addr >= fakeAddrBase:
-								fake++
-							case entry.Addr == id:
-								self++
-							case e.ps.slotOf(entry.Addr) < 0:
-								dead++
-							}
+		for _, percentBad := range []float64{0, 10} {
+			t.Run(fmt.Sprintf("n=%d/bad=%v", n, percentBad), func(t *testing.T) {
+				e := churned(t, n, percentBad)
+				var dead, fake, self int
+				for i, id := range e.ps.id {
+					if i%7 == 0 && !e.ps.link[i].Full() {
+						e.ps.link[i].Add(cache.Entry{Addr: id})
+					}
+					for _, entry := range e.ps.link[i].Entries() {
+						switch {
+						case entry.Addr >= fakeAddrBase:
+							fake++
+						case entry.Addr == id:
+							self++
+						case e.ps.slotOf(entry.Addr) < 0:
+							dead++
 						}
 					}
-					if dead == 0 || self == 0 || (fake > 0) != (percentBad > 0) || (len(e.bad) > 0) != (percentBad > 0) {
-						t.Fatalf("population lacks a case: %d dead, %d fabricated, %d self entries, %d malicious peers",
-							dead, fake, self, len(e.bad))
+				}
+				if dead == 0 || self == 0 || (fake > 0) != (percentBad > 0) || (len(e.bad) > 0) != (percentBad > 0) {
+					t.Fatalf("population lacks a case: %d dead, %d fabricated, %d self entries, %d malicious peers",
+						dead, fake, self, len(e.bad))
+				}
+				// Down to one peer and then none, the survivors' caches
+				// pointing ever more at the dead.
+				for _, keep := range []int{e.ps.len(), 1, 0} {
+					for e.ps.len() > keep {
+						kill(e, e.ps.len()/2)
 					}
-					// Down to one peer and then none, the survivors' caches
-					// pointing ever more at the dead.
-					for _, keep := range []int{e.ps.len(), 1, 0} {
-						for e.ps.len() > keep {
-							kill(e, e.ps.len()/2)
-						}
-						want := referenceSample(e)
-						if got := e.scanOverlay(true); got != want {
-							t.Fatalf("%d peers: scanOverlay = %+v, reference %+v", keep, got, want)
-						}
-						want.largestWCC = 0
-						if got := e.scanOverlay(false); got != want {
-							t.Fatalf("%d peers, no connectivity: scanOverlay = %+v, reference %+v", keep, got, want)
-						}
+					want := referenceSample(e)
+					if got := e.scanOverlay(true); got != want {
+						t.Fatalf("%d peers: scanOverlay = %+v, reference %+v", keep, got, want)
 					}
-				})
-			}
+					want.largestWCC = 0
+					if got := e.scanOverlay(false); got != want {
+						t.Fatalf("%d peers, no connectivity: scanOverlay = %+v, reference %+v", keep, got, want)
+					}
+				}
+			})
 		}
 	}
-}
-
-// TestLargestWCCParallelMatchesSerial pins that the connectivity sample
-// is the same at every Shards value — the knob splits the event queue
-// and nothing else — and equal to the reference's scan over slots.
-func TestLargestWCCParallelMatchesSerial(t *testing.T) {
-	mk := func(shards int) *Engine {
-		return newBootstrapped(t, func(p *Params) {
-			p.NetworkSize = 3 * 2048
-			p.Shards = shards
-		})
-	}
-	serial := mk(1)
-	want := referenceSample(serial).largestWCC
-	for _, shards := range []int{1, 2, 4, 8} {
-		if got := mk(shards).scanOverlay(true).largestWCC; got != want {
-			t.Fatalf("Shards=%d WCC=%d, reference=%d", shards, got, want)
+	// A population nothing has died in yet: the connectivity sample of
+	// the time-zero overlay equals the reference's scan over slots.
+	t.Run("bootstrapped", func(t *testing.T) {
+		e := newBootstrapped(t, func(p *Params) { p.NetworkSize = 3 * 2048 })
+		if got, want := e.scanOverlay(true).largestWCC, referenceSample(e).largestWCC; got != want {
+			t.Fatalf("WCC=%d, reference=%d", got, want)
 		}
-	}
+	})
 }

@@ -9,14 +9,13 @@
 // renderer that projects the sweep results into the paper's tables and
 // charts. RunSpec executes a Spec — locally on a bounded worker pool,
 // or through Options.Executor on a distributed coordinator — and
-// Experiment.Run glues the halves together. The legacy string-keyed
-// Run(id, opts) entry survives as a deprecated shim over Lookup and
-// Experiment.Run.
+// Experiment.Run glues the halves together; Run(id, opts) is Lookup
+// followed by Experiment.Run.
 //
 // Experiments run at two scales: Quick (small networks and short
 // measurement windows, for benchmarks and CI) and Full (the paper's
-// parameters). Sweep points run in parallel, one engine per
-// goroutine.
+// parameters). Sweep points of every family run in parallel, one
+// Worker per goroutine.
 package experiments
 
 import (
@@ -294,14 +293,10 @@ func (e Experiment) Run(opts Options) (*Result, error) {
 	return res, nil
 }
 
-// Run executes the experiment with the given options.
-//
-// Deprecated: Run is the legacy string-keyed entry point. It survives
-// as a thin shim over the typed Spec API — Lookup(id) for the
-// experiment handle, Experiment.Specs for its canonical sweep Specs,
-// and Experiment.Run or RunSpec to execute — which is what new code
-// (and anything that needs to serialize or distribute work) should
-// use.
+// Run looks up the experiment named id and executes it: the
+// convenience entry for callers that hold an ID and want the artifact.
+// Code that needs the sweep's Specs, or to tell "no such artifact" from
+// "the sweep failed", calls Lookup and works with the handle.
 func Run(id string, opts Options) (*Result, error) {
 	e, err := Lookup(id)
 	if err != nil {
@@ -360,9 +355,8 @@ func paramsDigest[T any](params []T) string {
 // spec is cached process-wide under its family-discriminated memoKey
 // (an empty Label disables memoization), GUESS points expand
 // Options.Replications independently seeded runs per point and merge
-// them back, and execution goes to Options.Executor when set —
-// otherwise GUESS sweeps run on the bounded in-process pool and the
-// other families run sequentially through their family Runner.
+// them back, and execution goes to Options.Executor when set,
+// otherwise to the bounded in-process pool.
 func RunSpec(opts Options, spec Spec) ([]PointResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -428,13 +422,10 @@ func runSpec(opts Options, spec Spec) ([]PointResult, error) {
 	expanded := expandPoints(opts, spec, reps)
 	var prs []PointResult
 	var err error
-	switch {
-	case opts.Executor != nil:
+	if opts.Executor != nil {
 		prs, err = opts.Executor.RunPoints(opts.ctx(), expanded)
-	case spec.Family == FamilyGUESS:
+	} else {
 		prs, err = runPool(opts, expanded)
-	default:
-		prs, err = runSequential(opts, expanded)
 	}
 	if err != nil {
 		return nil, err
@@ -468,18 +459,21 @@ func runSpec(opts Options, spec Spec) ([]PointResult, error) {
 // pool. TestParallelProgressRace exercises this under -race.
 var progressMu sync.Mutex
 
-// runPool executes expanded GUESS points on a bounded pool of
+// runPool executes expanded points of any family on a bounded pool of
 // opts.parallelism() workers, preserving order. Seeds were already
 // derived by expandPoints. A worker pool (rather than one goroutine
 // per point gated on a semaphore) keeps goroutine count — and
 // therefore stack and scheduler footprint — flat even for
-// multi-thousand-point sweeps.
+// multi-thousand-point sweeps. Each goroutine owns one Worker for the
+// batch, so consecutive GUESS points recycle their arenas, and lets it
+// go on return.
 //
 // Cancelling opts.Context stops the feeder (no new runs start),
 // interrupts in-flight runs at their next event batch, and makes
 // runPool return the context's error.
 func runPool(opts Options, pts []Point) ([]PointResult, error) {
 	ctx := opts.ctx()
+	o := Observation{Observer: opts.Observer, Metrics: opts.Metrics}
 	results := make([]PointResult, len(pts))
 	errs := make([]error, len(pts))
 	work := make(chan int)
@@ -492,39 +486,16 @@ func runPool(opts Options, pts []Point) ([]PointResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker chains engines through Renew so its arenas —
-			// peer arrays, link caches, event queue, scratch — are
-			// allocated once per worker, not once per sweep point.
-			// Recycling is draw-order-neutral (TestRenewMatchesFresh), so
-			// sweep results are identical to fresh-engine runs.
-			var prev *core.Engine
+			var worker Worker
 			for i := range work {
-				p := *pts[i].Core
-				var engine *core.Engine
-				var err error
-				if prev != nil {
-					engine, err = prev.Renew(p)
-				} else {
-					engine, err = core.New(p)
-				}
-				if err != nil {
-					errs[i] = err
-					prev = nil
-					continue
-				}
-				prev = engine
-				engine.SetObserver(opts.Observer)
-				engine.SetMetrics(opts.Metrics)
-				res, err := engine.Run(ctx)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				results[i] = PointResult{Family: FamilyGUESS, Core: res}
-				if opts.Progress != nil {
+				results[i], errs[i] = worker.Run(ctx, pts[i], o)
+				if errs[i] == nil && opts.Progress != nil {
+					detail := string(pts[i].Family)
+					if p := pts[i].Core; p != nil {
+						detail = fmt.Sprintf("N=%d cache=%d", p.NetworkSize, p.CacheSize)
+					}
 					progressMu.Lock()
-					fmt.Fprintf(opts.Progress, "  run %d/%d done (N=%d cache=%d)\n",
-						i+1, len(pts), p.NetworkSize, p.CacheSize)
+					fmt.Fprintf(opts.Progress, "  run %d/%d done (%s)\n", i+1, len(pts), detail)
 					progressMu.Unlock()
 				}
 			}
@@ -547,22 +518,6 @@ feed:
 		if err != nil {
 			return nil, err
 		}
-	}
-	return results, nil
-}
-
-// runSequential executes flood/gossip/DHT points one at a time through
-// the family Runner — these sweeps are one or a handful of points, so
-// pooling would buy nothing.
-func runSequential(opts Options, pts []Point) ([]PointResult, error) {
-	results := make([]PointResult, len(pts))
-	o := Observation{Observer: opts.Observer}
-	for i, pt := range pts {
-		pr, err := RunPoint(opts.ctx(), pt, o)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = pr
 	}
 	return results, nil
 }

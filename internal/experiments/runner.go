@@ -13,7 +13,7 @@ import (
 	"repro/internal/simrng"
 )
 
-// Observation carries the per-run observability attachments a Runner
+// Observation carries the per-run observability attachments a Worker
 // threads into its engine. Either field may be nil. Metrics applies to
 // GUESS runs only (the other families expose their own metric sets,
 // which sweeps do not currently attach).
@@ -22,62 +22,88 @@ type Observation struct {
 	Metrics  *obs.SimMetrics
 }
 
-// Runner executes single sweep points for one protocol family. All
-// four families implement it, which is what lets a distributed worker
-// execute any Point it is handed: the point's family discriminator
-// selects the Runner, and the parameters are complete — no closure or
-// figure ID resolves behind the call.
+// Worker executes sweep points of any family, one at a time: the
+// point's family discriminator selects the engine, and the parameters
+// are complete — no closure or figure ID resolves behind the call,
+// which is what lets a distributed worker execute any Point it is
+// handed. The zero value is ready to use; a Worker is not safe for
+// concurrent use.
 //
-// A Runner must be deterministic (equal points give identical results)
-// and must honor ctx: cancellation mid-run returns ctx.Err() rather
-// than a partial result, so partial runs can never enter a cache.
-type Runner interface {
-	// FamilyID names the family the runner executes.
-	FamilyID() Family
-	// RunPoint executes one sweep point.
-	RunPoint(ctx context.Context, pt Point, o Observation) (PointResult, error)
+// A Worker that has finished a GUESS point chains the next one through
+// core.Engine.Renew, so its arenas — peer arrays, link caches, event
+// queue, scratch — are allocated once per Worker, not once per point.
+// Recycling is draw-order-neutral (core's TestRenewMatchesFresh, and
+// TestWorkerRenewMatchesFresh here), so a Worker's results are those of
+// a fresh engine per point. It also keeps the last engine reachable:
+// let a Worker go when its batch is done.
+type Worker struct {
+	prev *core.Engine // the last GUESS engine, run; nil before the first
 }
 
-// RunnerFor returns the Runner for a protocol family.
-func RunnerFor(f Family) (Runner, error) {
-	switch f {
-	case FamilyGUESS:
-		return guessRunner{}, nil
-	case FamilyFlood:
-		return floodRunner{}, nil
-	case FamilyGossip:
-		return gossipRunner{}, nil
-	case FamilyDHT:
-		return dhtRunner{}, nil
-	}
-	return nil, fmt.Errorf("experiments: no runner for family %q", f)
-}
-
-// RunPoint validates and executes one sweep point with the family's
-// Runner. This is the distributed worker's entry: everything the run
-// needs is inside pt.
-func RunPoint(ctx context.Context, pt Point, o Observation) (PointResult, error) {
+// Run validates and executes one sweep point. It is deterministic
+// (equal points give identical results) and honors ctx: cancellation
+// mid-run returns ctx.Err() rather than a partial result, so partial
+// runs can never enter a cache.
+func (w *Worker) Run(ctx context.Context, pt Point, o Observation) (PointResult, error) {
 	if err := pt.Validate(); err != nil {
 		return PointResult{}, err
 	}
-	r, err := RunnerFor(pt.Family)
-	if err != nil {
-		return PointResult{}, err
+	switch pt.Family {
+	case FamilyGUESS:
+		return w.runGUESS(ctx, *pt.Core, o)
+	case FamilyFlood:
+		return runFlood(ctx, *pt.Flood)
+	case FamilyGossip:
+		e, err := gossip.New(*pt.Gossip)
+		if err != nil {
+			return PointResult{}, err
+		}
+		e.SetObserver(o.Observer)
+		res, err := e.Run(ctx)
+		if err != nil {
+			return PointResult{}, err
+		}
+		if res.Interrupted {
+			return PointResult{}, ctx.Err()
+		}
+		return PointResult{Family: FamilyGossip, Gossip: res}, nil
+	case FamilyDHT:
+		e, err := dht.New(*pt.DHT)
+		if err != nil {
+			return PointResult{}, err
+		}
+		e.SetObserver(o.Observer)
+		res, err := e.Run(ctx)
+		if err != nil {
+			return PointResult{}, err
+		}
+		if res.Interrupted {
+			return PointResult{}, ctx.Err()
+		}
+		return PointResult{Family: FamilyDHT, DHT: res}, nil
 	}
-	return r.RunPoint(ctx, pt, o)
+	// Validate admits only the four families above.
+	return PointResult{}, fmt.Errorf("experiments: no engine for family %q", pt.Family)
 }
 
-// guessRunner executes GUESS points on a fresh core engine per point.
-// (The in-process sweep pool instead chains engines through Renew to
-// recycle arenas; TestRenewMatchesFresh proves the two are
-// byte-identical, which is what makes local and distributed sweeps
-// interchangeable.)
-type guessRunner struct{}
+// RunPoint is a fresh Worker's single run: every arena is allocated
+// for this point and garbage once the result is. This is the
+// distributed worker's entry; everything the run needs is inside pt.
+func RunPoint(ctx context.Context, pt Point, o Observation) (PointResult, error) {
+	return new(Worker).Run(ctx, pt, o)
+}
 
-func (guessRunner) FamilyID() Family { return FamilyGUESS }
-
-func (guessRunner) RunPoint(ctx context.Context, pt Point, o Observation) (PointResult, error) {
-	engine, err := core.New(*pt.Core)
+// runGUESS runs p on an engine renewed from the Worker's last one, or
+// on a fresh engine when there is none.
+func (w *Worker) runGUESS(ctx context.Context, p core.Params, o Observation) (PointResult, error) {
+	var engine *core.Engine
+	var err error
+	if w.prev != nil {
+		engine, err = w.prev.Renew(p)
+	} else {
+		engine, err = core.New(p)
+	}
+	w.prev = engine // nil after a failure: the next point starts fresh
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -98,14 +124,9 @@ func (guessRunner) RunPoint(ctx context.Context, pt Point, o Observation) (Point
 // the cmp-families table is bit-for-bit unchanged by the migration.
 const floodStream = "families-flood"
 
-// floodRunner executes flooding points: build the static overlay and
+// runFlood executes one flooding point: build the static overlay and
 // population, then run the query batch, all from one seeded stream.
-type floodRunner struct{}
-
-func (floodRunner) FamilyID() Family { return FamilyFlood }
-
-func (floodRunner) RunPoint(ctx context.Context, pt Point, _ Observation) (PointResult, error) {
-	p := *pt.Flood
+func runFlood(ctx context.Context, p FloodParams) (PointResult, error) {
 	if err := p.Validate(); err != nil {
 		return PointResult{}, err
 	}
@@ -143,46 +164,4 @@ func (floodRunner) RunPoint(ctx context.Context, pt Point, _ Observation) (Point
 		}
 	}
 	return PointResult{Family: FamilyFlood, Flood: out}, nil
-}
-
-// gossipRunner executes gossip points.
-type gossipRunner struct{}
-
-func (gossipRunner) FamilyID() Family { return FamilyGossip }
-
-func (gossipRunner) RunPoint(ctx context.Context, pt Point, o Observation) (PointResult, error) {
-	e, err := gossip.New(*pt.Gossip)
-	if err != nil {
-		return PointResult{}, err
-	}
-	e.SetObserver(o.Observer)
-	res, err := e.Run(ctx)
-	if err != nil {
-		return PointResult{}, err
-	}
-	if res.Interrupted {
-		return PointResult{}, ctx.Err()
-	}
-	return PointResult{Family: FamilyGossip, Gossip: res}, nil
-}
-
-// dhtRunner executes DHT points.
-type dhtRunner struct{}
-
-func (dhtRunner) FamilyID() Family { return FamilyDHT }
-
-func (dhtRunner) RunPoint(ctx context.Context, pt Point, o Observation) (PointResult, error) {
-	e, err := dht.New(*pt.DHT)
-	if err != nil {
-		return PointResult{}, err
-	}
-	e.SetObserver(o.Observer)
-	res, err := e.Run(ctx)
-	if err != nil {
-		return PointResult{}, err
-	}
-	if res.Interrupted {
-		return PointResult{}, ctx.Err()
-	}
-	return PointResult{Family: FamilyDHT, DHT: res}, nil
 }

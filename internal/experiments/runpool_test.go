@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"runtime"
 	"strings"
@@ -58,6 +59,37 @@ func TestRunSpecPreservesOrderAndSeeding(t *testing.T) {
 		}
 		if string(got) != string(want) {
 			t.Fatalf("point %d: pooled result %s differs from serial %s", i, got, want)
+		}
+	}
+}
+
+// TestPoolRunsEveryFamily checks that the pool is not a GUESS-only
+// path: a gossip sweep at Parallelism 2 returns, in spec order, what
+// RunPoint returns for each point. (make race runs it under the
+// detector: two goroutines each own a Worker over one result slice.)
+func TestPoolRunsEveryFamily(t *testing.T) {
+	spec := Spec{Family: FamilyGossip}
+	base := *tinyFamilyPoints()[2].Gossip
+	for i := 0; i < 5; i++ {
+		p := base
+		p.Seed = uint64(i + 1)
+		p.Fanout = 2 + i%2 // distinguish points beyond the seed
+		spec.Gossip = append(spec.Gossip, p)
+	}
+	pooled, err := RunSpec(Options{Parallelism: 2}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pooled) != len(spec.Gossip) {
+		t.Fatalf("got %d results, want %d", len(pooled), len(spec.Gossip))
+	}
+	for i := range spec.Gossip {
+		want, err := RunPoint(context.Background(), spec.Point(i), Observation{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := mustJSON(t, pooled[i]), mustJSON(t, want); got != w {
+			t.Fatalf("point %d: pooled result %s differs from RunPoint's %s", i, got, w)
 		}
 	}
 }

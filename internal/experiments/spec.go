@@ -5,11 +5,11 @@ package experiments
 // set of every sweep point — and a Point is one serializable work unit
 // cut from a Spec. Both marshal to plain JSON, which is what makes
 // distributed execution possible at all: a worker process can execute
-// a Point it received over a wire, where the old string-keyed
-// Run("fig4", opts) entry resolved figure IDs to closures that only
-// existed inside this process. Points are content-addressed (Key) with
-// the same sha256 params digest the in-process sweep memo uses, so the
-// digest doubles as the wire-level shared-cache key.
+// a Point it received over a wire, because nothing in it names a
+// closure that exists only inside this process. Points are
+// content-addressed (Key) with the same sha256 params digest the
+// in-process sweep memo uses, so the digest doubles as the wire-level
+// shared-cache key.
 
 import (
 	"context"

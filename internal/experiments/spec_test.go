@@ -152,10 +152,9 @@ func TestExpandPointsSeedDerivation(t *testing.T) {
 	}
 }
 
-// TestRunPointFamilies runs one tiny point per family through the
-// Runner interface and checks each yields its family's result,
-// deterministically.
-func TestRunPointFamilies(t *testing.T) {
+// tinyFamilyPoints returns one minimal-cost point per protocol family,
+// in canonical family order.
+func tinyFamilyPoints() []Point {
 	gp := gossip.DefaultParams()
 	gp.NetworkSize = 50
 	gp.NumQueries = 20
@@ -166,42 +165,103 @@ func TestRunPointFamilies(t *testing.T) {
 	fp.NetworkSize = 50
 	fp.NumQueries = 20
 	cp := tinyParams(3)
-	points := []Point{
+	return []Point{
 		{Family: FamilyGUESS, Core: &cp},
 		{Family: FamilyFlood, Flood: &fp},
 		{Family: FamilyGossip, Gossip: &gp},
 		{Family: FamilyDHT, DHT: &dp},
 	}
-	for _, pt := range points {
-		r, err := RunnerFor(pt.Family)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.FamilyID() != pt.Family {
-			t.Fatalf("RunnerFor(%q).FamilyID() = %q", pt.Family, r.FamilyID())
-		}
-		first, err := RunPoint(context.Background(), pt, Observation{})
-		if err != nil {
-			t.Fatalf("%s: %v", pt.Family, err)
-		}
-		if err := first.Validate(); err != nil {
-			t.Fatalf("%s result invalid: %v", pt.Family, err)
-		}
-		if first.Family != pt.Family {
-			t.Fatalf("point family %q produced result family %q", pt.Family, first.Family)
-		}
-		second, err := RunPoint(context.Background(), pt, Observation{})
-		if err != nil {
-			t.Fatalf("%s rerun: %v", pt.Family, err)
-		}
-		a, _ := json.Marshal(first)
-		b, _ := json.Marshal(second)
-		if string(a) != string(b) {
-			t.Fatalf("%s not deterministic:\n%s\n%s", pt.Family, a, b)
-		}
+}
+
+// mustJSON marshals v for byte-level comparison.
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := RunnerFor("quantum"); err == nil {
-		t.Fatal("RunnerFor accepted unknown family")
+	return string(b)
+}
+
+// TestRunPointFamilies runs one tiny point per family through RunPoint
+// and checks each yields its family's result, deterministically; a
+// family RunPoint does not know is an error, not a run.
+func TestRunPointFamilies(t *testing.T) {
+	pts := tinyFamilyPoints()
+	cases := []struct {
+		name    string
+		pt      Point
+		wantErr bool
+	}{
+		{"guess", pts[0], false},
+		{"flood", pts[1], false},
+		{"gossip", pts[2], false},
+		{"dht", pts[3], false},
+		{"unknown family", Point{Family: "quantum", Core: pts[0].Core}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			first, err := RunPoint(context.Background(), tc.pt, Observation{})
+			if tc.wantErr {
+				if err == nil {
+					t.Fatalf("RunPoint accepted family %q", tc.pt.Family)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := first.Validate(); err != nil {
+				t.Fatalf("result invalid: %v", err)
+			}
+			if first.Family != tc.pt.Family {
+				t.Fatalf("point family %q produced result family %q", tc.pt.Family, first.Family)
+			}
+			second, err := RunPoint(context.Background(), tc.pt, Observation{})
+			if err != nil {
+				t.Fatalf("rerun: %v", err)
+			}
+			if a, b := mustJSON(t, first), mustJSON(t, second); a != b {
+				t.Fatalf("not deterministic:\n%s\n%s", a, b)
+			}
+		})
+	}
+}
+
+// TestWorkerRenewMatchesFresh is the Worker's contract: one Worker run
+// over a list that mixes the families, and GUESS points of different
+// cache capacity, returns what a fresh RunPoint per point returns, byte
+// for byte. The GUESS points after the first run on a renewed engine,
+// with other families' runs in between.
+func TestWorkerRenewMatchesFresh(t *testing.T) {
+	fam := tinyFamilyPoints()
+	guess, flood, gossipPt, dhtPt := fam[0], fam[1], fam[2], fam[3]
+	wider := *guess.Core
+	wider.CacheSize = 9 // another capacity: the recycled cache pool is dropped
+	wider.Seed = 4
+	last := *guess.Core
+	last.Seed = 5
+	pts := []Point{
+		guess,
+		gossipPt,
+		{Family: FamilyGUESS, Core: &wider},
+		dhtPt,
+		flood,
+		{Family: FamilyGUESS, Core: &last},
+	}
+	var w Worker
+	for i, pt := range pts {
+		got, err := w.Run(context.Background(), pt, Observation{})
+		if err != nil {
+			t.Fatalf("point %d (%s): %v", i, pt.Family, err)
+		}
+		want, err := RunPoint(context.Background(), pt, Observation{})
+		if err != nil {
+			t.Fatalf("point %d (%s) fresh: %v", i, pt.Family, err)
+		}
+		if g, f := mustJSON(t, got), mustJSON(t, want); g != f {
+			t.Fatalf("point %d (%s): Worker result differs from a fresh run:\n%s\n%s", i, pt.Family, g, f)
+		}
 	}
 }
 

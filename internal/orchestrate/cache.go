@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"repro/internal/experiments"
+	"repro/internal/frame"
 )
 
 // Cache shares computed point results. Get reports a hit only for a
@@ -62,9 +63,11 @@ func (c *MemoryCache) Len() int {
 }
 
 // DiskCache is a Cache backed by one JSON file per point under a
-// directory. Writes go through a temp file and rename, so a crash
-// mid-Put can leave a stray temp file but never a truncated entry; a
-// file that fails to read, parse, or validate is treated as a miss.
+// directory, which several coordinators may share. Writes go through
+// frame.WriteFileAtomic (each Put its own temp file, fsynced, then
+// renamed), so neither a crash mid-Put nor two Puts of one key can
+// leave a truncated or interleaved entry; a file that fails to read,
+// parse, or validate is treated as a miss.
 type DiskCache struct {
 	dir string
 }
@@ -126,11 +129,5 @@ func (c *DiskCache) Put(key string, pr experiments.PointResult) {
 	if err != nil {
 		return
 	}
-	tmp := p + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, p); err != nil {
-		os.Remove(tmp)
-	}
+	_ = frame.WriteFileAtomic(p, data) // best-effort, see above
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/experiments"
@@ -57,14 +58,63 @@ func TestDiskCachePersists(t *testing.T) {
 	}
 
 	// Writes are tmp+rename: no temp litter remains.
+	noTempFiles(t, dir)
+}
+
+// noTempFiles fails the test if dir holds a Put's temp file.
+func noTempFiles(t *testing.T, dir string) {
+	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".tmp") {
+		if strings.Contains(e.Name(), ".tmp") {
 			t.Fatalf("temp file left behind: %s", e.Name())
 		}
+	}
+}
+
+// TestDiskCacheConcurrentPutSameKey is two coordinators sharing a
+// cache directory and finishing one point together: every Put writes
+// its own temp file, so whichever rename lands last leaves a complete
+// entry. The payloads differ in length (determinism would make them
+// equal; unequal ones make an interleaved write visible) and Get must
+// return one of them whole.
+func TestDiskCacheConcurrentPutSameKey(t *testing.T) {
+	dir := t.TempDir()
+	key, pr := cacheEntry()
+	const writers = 8
+	for round := 0; round < 20; round++ {
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			c, err := NewDiskCache(dir) // a handle per coordinator
+			if err != nil {
+				t.Fatal(err)
+			}
+			flood := *pr.Flood
+			flood.Messages = int64(w)
+			flood.PeerLoads = make([]int64, 1+w*500)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c.Put(key, experiments.PointResult{Family: experiments.FamilyFlood, Flood: &flood})
+			}()
+		}
+		wg.Wait()
+		c, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := c.Get(key)
+		if !ok {
+			t.Fatalf("round %d: concurrent Puts left no valid entry", round)
+		}
+		if want := 1 + int(got.Flood.Messages)*500; len(got.Flood.PeerLoads) != want {
+			t.Fatalf("round %d: entry mixes two Puts: Messages %d with %d loads",
+				round, got.Flood.Messages, len(got.Flood.PeerLoads))
+		}
+		noTempFiles(t, dir)
 	}
 }
 

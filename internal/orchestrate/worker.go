@@ -81,6 +81,12 @@ func executeUnit(ctx context.Context, wu *workUnit) message {
 		reg = obs.NewRegistry()
 		o.Metrics = obs.NewSimMetrics(reg)
 	}
+	// A fresh engine per unit, not an experiments.Worker per connection:
+	// a Worker keeps its last engine's arenas reachable, and a
+	// connection outlives a sweep, so every idle pool worker would pin
+	// one engine's worth of heap between sweeps (bench's
+	// sweep-quick/live_heap_mb is read with the pool still open and
+	// measures exactly that). A Worker lives for one in-process batch.
 	pr, err := experiments.RunPoint(ctx, wu.Point, o)
 	if err != nil {
 		return fail(err)

@@ -1,7 +1,7 @@
 package cluster
 
 // Aggregate snapshots: crash recovery for the shed-state service,
-// mirroring node/snapshot.go's atomic-write pattern.
+// written as node/snapshot.go writes its own (frame.WriteFileAtomic).
 //
 // File format (all integers big-endian), see node/PROTOCOL.md:
 //
@@ -23,12 +23,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
+	"repro/internal/frame"
 	"repro/node"
 )
 
@@ -87,7 +86,7 @@ func encodeAggSnapshot(snap aggSnapshot) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, rec.Nonce)
 		buf = binary.BigEndian.AppendUint64(buf, rec.LastSeq)
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	return frame.AppendChecksum(buf), nil
 }
 
 // decodeAggSnapshot parses and checksums a snapshot. Every
@@ -98,8 +97,8 @@ func decodeAggSnapshot(b []byte) (aggSnapshot, error) {
 	if len(b) < fixed+4 {
 		return aggSnapshot{}, fmt.Errorf("%w: %d bytes < header", errAggSnapshot, len(b))
 	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
+	body, ok := frame.CutChecksum(b)
+	if !ok {
 		return aggSnapshot{}, fmt.Errorf("%w: checksum mismatch", errAggSnapshot)
 	}
 	if string(body[:4]) != aggSnapMagic {
@@ -156,31 +155,6 @@ func decodeAggSnapshot(b []byte) (aggSnapshot, error) {
 	return snap, nil
 }
 
-// writeAggFile writes data atomically: a temp file in the same
-// directory, fsynced, then renamed over path (the node/snapshot.go
-// pattern — a crash mid-write leaves the old snapshot or none, never a
-// torn one).
-func writeAggFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // writeSnapshot persists the current aggregate to SnapshotPath.
 func (s *Service) writeSnapshot() error {
 	if s.cfg.SnapshotPath == "" {
@@ -201,7 +175,7 @@ func (s *Service) writeSnapshot() error {
 	s.mu.Unlock()
 	data, err := encodeAggSnapshot(snap)
 	if err == nil {
-		err = writeAggFile(s.cfg.SnapshotPath, data)
+		err = frame.WriteFileAtomic(s.cfg.SnapshotPath, data)
 	}
 	if err != nil {
 		s.met.SnapshotErrors.Inc()

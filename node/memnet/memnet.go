@@ -105,8 +105,8 @@ type Network struct {
 	// endpoints and stream listeners share the address space.
 	streams map[netip.AddrPort]*StreamListener
 
-	// met backs both the Stats snapshot and an attached registry
-	// (AttachMetrics); guarded by mu for swap, instruments are atomic.
+	// met backs the Stats snapshot. Set once in New; its instruments
+	// are atomic.
 	met *obs.MemnetMetrics
 	// inFlight counts copies scheduled (possibly on a delay timer) but
 	// not yet enqueued or dropped; WaitIdle polls it.
@@ -124,16 +124,6 @@ func New(seed uint64) *Network {
 		isolated:  make(map[netip.AddrPort]bool),
 		met:       obs.NewMemnetMetrics(nil),
 	}
-}
-
-// AttachMetrics re-homes the network's guess_memnet_* counters in reg
-// for exposition alongside node metrics. Call it before traffic
-// starts: counts accumulated beforehand stay in the private registry
-// the network was created with.
-func (n *Network) AttachMetrics(reg *obs.Registry) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.met = obs.NewMemnetMetrics(reg)
 }
 
 // SetLoss sets the default packet drop probability (0 = reliable).
@@ -219,13 +209,9 @@ func (n *Network) Partition(addr netip.AddrPort) {
 	delete(n.endpoints, addr)
 }
 
-// Stats returns a snapshot of the network's packet accounting. The
-// same instruments feed an attached metrics registry, so Stats and a
-// metrics scrape always agree.
+// Stats returns a snapshot of the network's packet accounting.
 func (n *Network) Stats() Stats {
-	n.mu.Lock()
 	met := n.met
-	n.mu.Unlock()
 	return Stats{
 		Sent:       int64(met.Sent.Value()),
 		Delivered:  int64(met.Delivered.Value()),

@@ -24,13 +24,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/frame"
 	"repro/internal/policy"
 	"repro/internal/wire"
 )
@@ -90,7 +89,7 @@ func encodeSnapshot(writtenAt time.Time, entries []snapEntry) ([]byte, error) {
 			buf = append(buf, 0)
 		}
 	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf)), nil
+	return frame.AppendChecksum(buf), nil
 }
 
 // decodeSnapshot parses and checksums a snapshot. Every malformation —
@@ -101,8 +100,8 @@ func decodeSnapshot(b []byte) (writtenAt time.Time, entries []snapEntry, err err
 	if len(b) < snapHeaderSize+4 {
 		return time.Time{}, nil, fmt.Errorf("%w: %d bytes < header", errSnapshot, len(b))
 	}
-	body, trailer := b[:len(b)-4], b[len(b)-4:]
-	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
+	body, ok := frame.CutChecksum(b)
+	if !ok {
 		return time.Time{}, nil, fmt.Errorf("%w: checksum mismatch", errSnapshot)
 	}
 	if string(body[:4]) != snapMagic {
@@ -152,31 +151,6 @@ func decodeSnapshot(b []byte) (writtenAt time.Time, entries []snapEntry, err err
 	return writtenAt, entries, nil
 }
 
-// writeSnapshotFile writes data atomically: a temp file in the same
-// directory, fsynced, then renamed over path. A crash mid-write leaves
-// either the old snapshot or none — never a torn one (the checksum
-// catches torn sector writes below the rename's atomicity).
-func writeSnapshotFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
 // snapshotEntries collects the link cache for serialization.
 func (n *Node) snapshotEntries() []snapEntry {
 	n.mu.Lock()
@@ -206,7 +180,7 @@ func (n *Node) writeSnapshot() error {
 	now := time.Now()
 	data, err := encodeSnapshot(now, n.snapshotEntries())
 	if err == nil {
-		err = writeSnapshotFile(n.cfg.SnapshotPath, data)
+		err = frame.WriteFileAtomic(n.cfg.SnapshotPath, data)
 	}
 	if err != nil {
 		n.met.SnapshotErrors.Inc()

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/frame"
 	"repro/node/memnet"
 )
 
@@ -72,11 +73,11 @@ func TestSnapshotDecodeRejectsCorruption(t *testing.T) {
 func TestSnapshotAtomicWrite(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "cache.snap")
-	if err := writeSnapshotFile(path, []byte("old old old")); err != nil {
+	if err := frame.WriteFileAtomic(path, []byte("old old old")); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := goldenSnapshot(t)
-	if err := writeSnapshotFile(path, data); err != nil {
+	if err := frame.WriteFileAtomic(path, data); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
