@@ -8,7 +8,7 @@ all: build vet lint test fuzz-smoke bench-smoke obs-smoke sweep-smoke cluster-sm
 
 # The packages with hot-path microbenchmarks (b.ReportAllocs); see also
 # the top-level BenchmarkSingleRun in bench_test.go.
-BENCH_PKGS = ./internal/simrng ./internal/eventq ./internal/cache ./internal/policy ./internal/dist ./internal/content ./internal/overlay ./internal/core
+BENCH_PKGS = ./internal/simrng ./internal/eventq ./internal/cache ./internal/policy ./internal/dist ./internal/content ./internal/overlay ./internal/core ./internal/gossip ./internal/dht ./internal/gnutella
 
 build:
 	$(GO) build ./...
@@ -67,10 +67,11 @@ test-chaos:
 # pooled Workers: TestPoolRunsEveryFamily, TestWorkerRenewMatchesFresh).
 # The engine itself starts no goroutine; the core leg keeps the Renew
 # and sample-scan suites under the detector, since pooled Workers chain
-# engines through Renew.
+# engines through Renew. The gnutella leg floods one Topology from two
+# goroutines (TestConcurrentFloodsShareTopology).
 race:
 	$(GO) test -race -short -timeout 15m ./node/... ./internal/experiments \
-	  ./internal/gossip ./internal/dht ./internal/orchestrate
+	  ./internal/gossip ./internal/dht ./internal/gnutella ./internal/orchestrate
 	$(GO) test -race -short -timeout 15m \
 	  -run 'TestRenewMatchesFresh|TestScanOverlayMatchesReference' \
 	  ./internal/core
@@ -103,21 +104,27 @@ bench-smoke:
 # Record a benchmark trajectory point: the headline simulation
 # benchmark and the hot-path microbenchmarks, parsed into
 # BENCH_<date>.json for cross-commit comparison (see README.md,
-# "Profiling and benchmarking").
+# "Profiling and benchmarking"). A recorded point is never overwritten:
+# a second point on the same day needs a name of its own,
+# `make bench-json BENCH_OUT=BENCH_<date>_<what>.json`.
+BENCH_OUT ?= BENCH_$(shell date +%Y%m%d).json
 bench-json:
+	@if [ -e $(BENCH_OUT) ] && [ "$(origin BENCH_OUT)" = file ]; then \
+	  echo "bench-json: $(BENCH_OUT) exists; name this point with BENCH_OUT=<name>" >&2; exit 1; \
+	fi
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 5x . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m . && \
 	  $(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS); } \
-	  | tee /dev/stderr | /tmp/benchjson -o BENCH_$$(date +%Y%m%d).json
-	@echo wrote BENCH_$$(date +%Y%m%d).json
+	  | tee /dev/stderr | /tmp/benchjson -o $(BENCH_OUT)
+	@echo wrote $(BENCH_OUT)
 
 # Compare fresh headline benchmarks against the recorded trajectory
 # point: fails if allocs/op (iteration-exact, machine-independent)
 # grows past 110% of the baseline for either the default-config run or
 # the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261001_pr18.json
+BENCH_BASELINE ?= BENCH_20261001_pr19.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

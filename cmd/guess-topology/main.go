@@ -80,11 +80,12 @@ func run(args []string) error {
 
 	t := report.NewTable("Flood reach and message amplification vs TTL",
 		"TTL", "AvgReached", "AvgMessages", "MsgsPerReached")
+	var scratch gnutella.FloodScratch
 	for ttl := 1; ttl <= *maxTTL; ttl++ {
 		var reached, messages stats.Online
 		for i := 0; i < *floods; i++ {
 			origin := rng.Intn(topo.NumNodes())
-			fl, err := topo.Flood(origin, ttl)
+			fl, err := topo.FloodWith(&scratch, origin, ttl)
 			if err != nil {
 				return err
 			}

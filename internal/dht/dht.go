@@ -201,15 +201,6 @@ type record struct {
 	providers int32
 }
 
-// peerState holds one peer's authoritative store and replica cache.
-type peerState struct {
-	store map[content.ItemID]int32
-	// cache is a bounded random-replacement set; cacheIdx indexes it
-	// for O(1) lookup.
-	cache    []record
-	cacheIdx map[content.ItemID]int
-}
-
 type evKind uint8
 
 const (
@@ -217,6 +208,9 @@ const (
 	evHop
 )
 
+// event is one unit of the loop's work. An evLookupStart carries no
+// lookup: startLookup takes one from the free list when the arrival is
+// due, so only lookups in flight exist.
 type event struct {
 	kind evKind
 	q    *lookup
@@ -242,15 +236,35 @@ type lookup struct {
 type Engine struct {
 	p        Params
 	universe *content.Universe
-	peers    []peerState
 	dead     []bool
+
+	// Authoritative records, written once by publish: item it is held
+	// by holders[holderOff[it]:holderOff[it+1]] (the owner, then its
+	// live successors) with provider count providers[it], 0 for an item
+	// nobody shares. Memory follows the records stored, not NumItems x
+	// BaseReplicas.
+	providers []int32
+	holderOff []int32
+	holders   []int32
+	// caches[v] is peer v's replica cache, a random-replacement set of
+	// at most CacheSize records found by scanning it, so a hit or miss
+	// costs O(CacheSize). 16 is the default and the only size a spec or
+	// CLI sets; BenchmarkRunCacheSize (200 000 lookups, N=2000) reads
+	// 97 ms per run at 16, 122 ms at 64 and 180 ms at 256. One regime
+	// until a size in use says otherwise.
+	caches [][]record
 
 	rngWorkload *simrng.RNG
 	rngCache    *simrng.RNG
 	rngNet      *simrng.RNG
 
-	now    float64
-	events eventq.Queue[event]
+	now float64
+	// arrivals holds the lookups' start times, ascending, from
+	// arrivals[nextArrival] on still to come; events holds the hop
+	// attempts of the lookups in flight. pop merges the two.
+	arrivals    []float64
+	nextArrival int
+	events      eventq.Queue[event]
 
 	res   Results
 	loads []int64
@@ -284,7 +298,7 @@ func New(params Params) (*Engine, error) {
 		rngWorkload: root.Stream("workload"),
 		rngCache:    root.Stream("cache"),
 		rngNet:      root.Stream("net"),
-		peers:       make([]peerState, n),
+		caches:      make([][]record, n),
 		loads:       make([]int64, n),
 	}
 	e.dead = make([]bool, n)
@@ -308,6 +322,8 @@ func New(params Params) (*Engine, error) {
 func (e *Engine) publish(rngContent *simrng.RNG) {
 	n := e.p.NetworkSize
 	providers := make([]int32, e.universe.NumItems())
+	e.providers = providers
+	e.holderOff = make([]int32, len(providers)+1)
 	var lib content.Library
 	var items []content.ItemID
 	for v := 0; v < n; v++ {
@@ -321,20 +337,22 @@ func (e *Engine) publish(rngContent *simrng.RNG) {
 		}
 	}
 	for it, count := range providers {
+		e.holderOff[it+1] = e.holderOff[it]
 		if count == 0 {
 			continue
 		}
 		item := content.ItemID(it)
 		owner := e.firstLive(e.ringPos(item))
-		e.storeAt(owner, item, count)
+		e.holders = append(e.holders, int32(owner))
 		succ := owner
 		for r := 1; r < e.p.BaseReplicas; r++ {
 			succ = e.firstLive((succ + 1) % n)
 			if succ == owner {
 				break // fewer live peers than replicas
 			}
-			e.storeAt(succ, item, count)
+			e.holders = append(e.holders, int32(succ))
 		}
+		e.holderOff[it+1] = int32(len(e.holders))
 		for c := int32(0); c < count; c++ {
 			if e.rngCache.Bool(e.p.SeedCacheFraction) {
 				e.cacheAt(e.randomLivePeer(e.rngCache), item, count)
@@ -374,52 +392,50 @@ func (e *Engine) randomLivePeer(r *simrng.RNG) int {
 	}
 }
 
-func (e *Engine) storeAt(v int, item content.ItemID, providers int32) {
-	ps := &e.peers[v]
-	if ps.store == nil {
-		ps.store = make(map[content.ItemID]int32)
+// stores reports whether v holds item's authoritative record.
+func (e *Engine) stores(v int, item content.ItemID) bool {
+	if item < 0 {
+		return false // NoItem is published nowhere
 	}
-	ps.store[item] = providers
+	for _, h := range e.holders[e.holderOff[item]:e.holderOff[item+1]] {
+		if int(h) == v {
+			return true
+		}
+	}
+	return false
 }
 
 // cacheAt inserts a cached replica at v, evicting a random entry when
 // the cache is full. Peers already storing or caching the item keep
 // their existing copy.
 func (e *Engine) cacheAt(v int, item content.ItemID, providers int32) {
-	if e.p.CacheSize == 0 {
+	if e.p.CacheSize == 0 || e.stores(v, item) {
 		return
 	}
-	ps := &e.peers[v]
-	if _, ok := ps.store[item]; ok {
-		return
-	}
-	if ps.cacheIdx == nil {
-		ps.cacheIdx = make(map[content.ItemID]int)
-	}
-	if _, ok := ps.cacheIdx[item]; ok {
-		return
+	cache := e.caches[v]
+	for i := range cache {
+		if cache[i].item == item {
+			return
+		}
 	}
 	rec := record{item: item, providers: providers}
-	if len(ps.cache) < e.p.CacheSize {
-		ps.cacheIdx[item] = len(ps.cache)
-		ps.cache = append(ps.cache, rec)
+	if len(cache) < e.p.CacheSize {
+		e.caches[v] = append(cache, rec)
 		return
 	}
-	i := e.rngCache.Intn(len(ps.cache))
-	delete(ps.cacheIdx, ps.cache[i].item)
-	ps.cache[i] = rec
-	ps.cacheIdx[item] = i
+	cache[e.rngCache.Intn(len(cache))] = rec
 }
 
 // recordAt returns the record for item held at v, and whether it came
 // from the replica cache.
 func (e *Engine) recordAt(v int, item content.ItemID) (providers int32, cached, ok bool) {
-	ps := &e.peers[v]
-	if p, hit := ps.store[item]; hit {
-		return p, false, true
+	if e.stores(v, item) {
+		return e.providers[item], false, true
 	}
-	if i, hit := ps.cacheIdx[item]; hit {
-		return ps.cache[i].providers, true, true
+	for _, rec := range e.caches[v] {
+		if rec.item == item {
+			return rec.providers, true, true
+		}
 	}
 	return 0, false, false
 }
@@ -450,14 +466,18 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 		e.finalize()
 		return &e.res, nil
 	}
+	// Every inter-arrival gap is drawn before the first lookup starts:
+	// startLookup draws from the same stream, and the seeded results fix
+	// the order of its draws.
+	e.arrivals = make([]float64, e.p.NumLookups)
 	t := 0.0
-	for i := 0; i < e.p.NumLookups; i++ {
+	for i := range e.arrivals {
 		t += e.rngWorkload.ExpFloat64() / e.p.LookupRate
-		e.events.Push(t, event{kind: evLookupStart, q: e.newLookup()})
+		e.arrivals[i] = t
 	}
 	processed := 0
 	for {
-		when, ev, ok := e.events.Pop()
+		when, ev, ok := e.pop()
 		if !ok {
 			break
 		}
@@ -476,13 +496,29 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 		}
 		switch ev.kind {
 		case evLookupStart:
-			e.startLookup(ev.q)
+			e.startLookup()
 		case evHop:
 			e.handleHop(ev.q)
 		}
 	}
 	e.finalize()
 	return &e.res, nil
+}
+
+// pop returns the next event: the earliest arrival when it is due no
+// later than the earliest hop attempt, that attempt otherwise. This is
+// the (time, push order) order of a queue holding every arrival from
+// the start, where the arrivals would carry the lowest sequence
+// numbers and so win every tie.
+func (e *Engine) pop() (when float64, ev event, ok bool) {
+	if e.nextArrival < len(e.arrivals) {
+		t := e.arrivals[e.nextArrival]
+		if head, _, pending := e.events.Peek(); !pending || t <= head {
+			e.nextArrival++
+			return t, event{kind: evLookupStart}, true
+		}
+	}
+	return e.events.Pop()
 }
 
 func (e *Engine) finalize() {
@@ -498,7 +534,8 @@ func (e *Engine) newLookup() *lookup {
 	return &lookup{}
 }
 
-func (e *Engine) startLookup(q *lookup) {
+func (e *Engine) startLookup() {
+	q := e.newLookup()
 	e.nextLookupID++
 	q.id = e.nextLookupID
 	q.start = e.now

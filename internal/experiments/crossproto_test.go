@@ -194,8 +194,9 @@ func checkFloodInvariants(t *testing.T, cfg protoConfig, seed uint64) {
 		t.Fatalf("flood: %v", err)
 	}
 	satisfied := 0
+	var scratch gnutella.FloodScratch
 	for q := 0; q < protoQueries; q++ {
-		res, fs, err := gnutella.FloodSearch(topo, pop, rng, rng.Intn(cfg.n), cfg.ttl, protoDesired)
+		res, fs, err := gnutella.FloodSearch(topo, pop, rng, &scratch, rng.Intn(cfg.n), cfg.ttl, protoDesired)
 		if err != nil {
 			t.Fatalf("flood: %v", err)
 		}

@@ -16,7 +16,9 @@ import (
 // Observation carries the per-run observability attachments a Worker
 // threads into its engine. Either field may be nil. Metrics applies to
 // GUESS runs only (the other families expose their own metric sets,
-// which sweeps do not currently attach).
+// which sweeps do not currently attach). Flood points ignore both:
+// runFlood is a query replay over a static overlay, with no engine to
+// attach an Observer to.
 type Observation struct {
 	Observer obs.Observer
 	Metrics  *obs.SimMetrics
@@ -144,11 +146,12 @@ func runFlood(ctx context.Context, p FloodParams) (PointResult, error) {
 		return PointResult{}, err
 	}
 	out := &FloodResults{PeerLoads: make([]int64, p.NetworkSize)}
+	var scratch gnutella.FloodScratch
 	for q := 0; q < p.NumQueries; q++ {
 		if ctx != nil && ctx.Err() != nil {
 			return PointResult{}, ctx.Err()
 		}
-		res, fs, err := gnutella.FloodSearch(topo, pop, rng, rng.Intn(p.NetworkSize), p.TTL, p.NumDesiredResults)
+		res, fs, err := gnutella.FloodSearch(topo, pop, rng, &scratch, rng.Intn(p.NetworkSize), p.TTL, p.NumDesiredResults)
 		if err != nil {
 			return PointResult{}, err
 		}

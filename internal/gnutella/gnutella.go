@@ -25,9 +25,22 @@ import (
 // Population is a churn-free set of peer libraries used to evaluate
 // search mechanisms in isolation from cache maintenance. (Flooding
 // reaches only live peers, so a live snapshot is the fair baseline.)
+// The libraries never change, but a search keeps working state here: a
+// Population serves one goroutine at a time.
 type Population struct {
 	universe *content.Universe
 	libs     []content.Library
+
+	// The item -> peers index behind FloodSearch, built by the first
+	// search that needs it: item it is held by
+	// holders[holderOff[it]:holderOff[it+1]], ascending.
+	holderOff []int32
+	holders   []int32
+
+	// sample's working state: the peers in the sample being drawn, and
+	// the backing of the slice it returns.
+	chosen stampSet
+	order  []int
 }
 
 // NewPopulation samples n peers' libraries from the universe.
@@ -61,22 +74,67 @@ type SearchResult struct {
 	Satisfied bool
 }
 
-// sample draws k distinct peer indices via Floyd's algorithm.
+// holdersOf returns the peers whose library holds item, ascending (none
+// for NoItem), building the index on first use.
+func (p *Population) holdersOf(item content.ItemID) []int32 {
+	if item < 0 {
+		return nil
+	}
+	if p.holderOff == nil {
+		p.indexHolders()
+	}
+	return p.holders[p.holderOff[item]:p.holderOff[item+1]]
+}
+
+// indexHolders builds the item -> peers index in two passes over the
+// libraries: one to count each item's holders, one to place them.
+func (p *Population) indexHolders() {
+	off := make([]int32, p.universe.NumItems()+1)
+	var items []content.ItemID
+	total := 0
+	for _, lib := range p.libs {
+		items = lib.AppendItems(items[:0])
+		total += len(items)
+		for _, it := range items {
+			off[it+1]++
+		}
+	}
+	for it := 1; it < len(off); it++ {
+		off[it] += off[it-1]
+	}
+	// Placing advances off[it] to the end of item it's range, which is
+	// the start of item it+1's: shifting back by one restores it.
+	holders := make([]int32, total)
+	for v, lib := range p.libs {
+		items = lib.AppendItems(items[:0])
+		for _, it := range items {
+			holders[off[it]] = int32(v)
+			off[it]++
+		}
+	}
+	copy(off[1:], off)
+	off[0] = 0
+	p.holderOff, p.holders = off, holders
+}
+
+// sample draws k distinct peer indices via Floyd's algorithm. The
+// slice is the population's own: the next sample overwrites it.
 func (p *Population) sample(r *simrng.RNG, k int) []int {
 	n := len(p.libs)
 	if k > n {
 		k = n
 	}
-	chosen := make(map[int]bool, k)
-	out := make([]int, 0, k)
+	p.chosen.reset(n)
+	out := p.order[:0]
 	for i := n - k; i < n; i++ {
 		j := r.Intn(i + 1)
-		if chosen[j] {
+		if p.chosen.has(j) {
 			j = i
 		}
-		chosen[j] = true
+		p.chosen.add(j)
 		out = append(out, j)
 	}
+	p.order = out
 	return out
 }
 

@@ -226,7 +226,7 @@ func TestFloodSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := FloodSearch(topo, p, simrng.New(5), 0, 4, 1)
+	res, stats, err := FloodSearch(topo, p, simrng.New(5), new(FloodScratch), 0, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFloodSearch(t *testing.T) {
 	}
 	// Size mismatch rejected.
 	small := pop(t, 10)
-	if _, _, err := FloodSearch(topo, small, simrng.New(6), 0, 4, 1); err == nil {
+	if _, _, err := FloodSearch(topo, small, simrng.New(6), new(FloodScratch), 0, 4, 1); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
 }

@@ -236,6 +236,9 @@ const (
 	evRound
 )
 
+// event is one unit of the loop's work. An evQueryStart carries no
+// query: startQuery takes one from the free list when the arrival is
+// due, so only queries in flight hold an informed array.
 type event struct {
 	kind evKind
 	q    *query
@@ -269,8 +272,13 @@ type Engine struct {
 	rngSpread   *simrng.RNG
 	rngNet      *simrng.RNG
 
-	now    float64
-	events eventq.Queue[event]
+	now float64
+	// arrivals holds the queries' start times, ascending, from
+	// arrivals[nextArrival] on still to come; events holds the next
+	// round of each query in flight. pop merges the two.
+	arrivals    []float64
+	nextArrival int
+	events      eventq.Queue[event]
 
 	res   Results
 	loads []int64
@@ -279,8 +287,12 @@ type Engine struct {
 	met      *obs.GossipMetrics
 
 	nextQueryID uint64
-	pick        []int // neighbor-index scratch for fanout sampling
-	freeQ       []*query
+	// pick and moved are fanoutTargets' scratch: the neighbors drawn,
+	// and the shuffle positions whose entry is no longer the neighbor
+	// list's own.
+	pick  []int
+	moved []displaced
+	freeQ []*query
 
 	ran bool
 }
@@ -355,14 +367,18 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 		e.finalize()
 		return &e.res, nil
 	}
+	// Every inter-arrival gap is drawn before the first query starts:
+	// startQuery draws from the same stream, and the seeded results fix
+	// the order of its draws.
+	e.arrivals = make([]float64, e.p.NumQueries)
 	t := 0.0
-	for i := 0; i < e.p.NumQueries; i++ {
+	for i := range e.arrivals {
 		t += e.rngWorkload.ExpFloat64() / e.p.QueryRate
-		e.events.Push(t, event{kind: evQueryStart, q: e.newQuery()})
+		e.arrivals[i] = t
 	}
 	processed := 0
 	for {
-		when, ev, ok := e.events.Pop()
+		when, ev, ok := e.pop()
 		if !ok {
 			break
 		}
@@ -381,13 +397,29 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 		}
 		switch ev.kind {
 		case evQueryStart:
-			e.startQuery(ev.q)
+			e.startQuery()
 		case evRound:
 			e.runRound(ev.q)
 		}
 	}
 	e.finalize()
 	return &e.res, nil
+}
+
+// pop returns the next event: the earliest arrival when it is due no
+// later than the earliest pending round, that round otherwise. This is
+// the (time, push order) order of a queue holding every arrival from
+// the start, where the arrivals would carry the lowest sequence
+// numbers and so win every tie.
+func (e *Engine) pop() (when float64, ev event, ok bool) {
+	if e.nextArrival < len(e.arrivals) {
+		t := e.arrivals[e.nextArrival]
+		if head, _, pending := e.events.Peek(); !pending || t <= head {
+			e.nextArrival++
+			return t, event{kind: evQueryStart}, true
+		}
+	}
+	return e.events.Pop()
 }
 
 func (e *Engine) finalize() {
@@ -411,7 +443,8 @@ func (e *Engine) recycle(q *query) {
 	e.freeQ = append(e.freeQ, q)
 }
 
-func (e *Engine) startQuery(q *query) {
+func (e *Engine) startQuery() {
+	q := e.newQuery()
 	e.nextQueryID++
 	q.id = e.nextQueryID
 	q.start = e.now
@@ -480,23 +513,51 @@ func (e *Engine) runRound(q *query) {
 	}
 }
 
+// displaced is one position of fanoutTargets' shuffle that no longer
+// holds the neighbor list's own entry.
+type displaced struct {
+	pos int
+	val int
+}
+
 // fanoutTargets samples min(Fanout, degree) distinct neighbors of v
-// into e.pick via a partial Fisher-Yates shuffle.
+// into e.pick via a partial Fisher-Yates shuffle. The shuffle runs over
+// the neighbor list in place of a copy: step i reads positions i and
+// j >= i and writes only j (position i is never read again), so the
+// shuffled list is the neighbor list plus at most one displaced
+// position per step.
 func (e *Engine) fanoutTargets(v int) []int {
 	nbrs := e.topo.Neighbors(v)
 	k := e.p.Fanout
 	if k > len(nbrs) {
 		k = len(nbrs)
 	}
-	e.pick = e.pick[:0]
-	for i := range nbrs {
-		e.pick = append(e.pick, nbrs[i])
+	if cap(e.pick) < k {
+		e.pick, e.moved = make([]int, k), make([]displaced, k)
 	}
-	for i := 0; i < k; i++ {
-		j := i + e.rngSpread.Intn(len(e.pick)-i)
-		e.pick[i], e.pick[j] = e.pick[j], e.pick[i]
+	pick, moved, n := e.pick[:k], e.moved[:k], 0
+	for i := range pick {
+		j := i + e.rngSpread.Intn(len(nbrs)-i)
+		vi, vj, at := nbrs[i], nbrs[j], n
+		for m := 0; m < n; m++ {
+			switch moved[m].pos {
+			case i:
+				vi = moved[m].val
+			case j:
+				vj, at = moved[m].val, m
+			}
+		}
+		if j == i {
+			vj = vi
+		} else {
+			moved[at] = displaced{pos: j, val: vi}
+			if at == n {
+				n++
+			}
+		}
+		pick[i] = vj
 	}
-	return e.pick[:k]
+	return pick
 }
 
 // send accounts one message from src to dst and reports whether it was
