@@ -120,11 +120,11 @@ bench-json:
 	@echo wrote $(BENCH_OUT)
 
 # Compare fresh headline benchmarks against the recorded trajectory
-# point: fails if allocs/op (iteration-exact, machine-independent)
-# grows past 110% of the baseline for either the default-config run or
-# the 100k-peer scaling run. Override with
+# point: fails if allocs/op or B/op (iteration-exact,
+# machine-independent) grows past 110% of the baseline for either the
+# default-config run or the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261001_pr19.json
+BENCH_BASELINE ?= BENCH_20261002_pr20.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

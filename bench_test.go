@@ -8,6 +8,7 @@ package guess_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	guess "repro"
@@ -68,12 +69,15 @@ func BenchmarkAblIntroProb(b *testing.B)        { benchExperiment(b, "abl-introp
 // connectivity sampling — the scaling path toward the million-peer
 // target (see README "Scaling"). Half of it is the 100k births of the
 // time-zero population and the eight whole-overlay samples, the rest
-// pings. make bench-check gates its allocs/op.
+// pings. make bench-check gates its allocs/op and B/op; live-B/peer is
+// the heap still reachable after the last run, per peer: the footprint
+// that a larger population multiplies.
 func BenchmarkLargeRun(b *testing.B) {
+	const peers = 100_000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg := guess.DefaultConfig()
-		cfg.NetworkSize = 100_000
+		cfg.NetworkSize = peers
 		cfg.CacheSize = 32
 		cfg.WarmupTime = 20
 		cfg.MeasureTime = 60
@@ -87,6 +91,16 @@ func BenchmarkLargeRun(b *testing.B) {
 		}
 		if res.Deaths == 0 {
 			b.Fatal("no churn")
+		}
+		if i == b.N-1 {
+			// One forced collection, outside the timer, with the engine
+			// still reachable: a run returns a pointer into its engine.
+			b.StopTimer()
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(res)
+			b.ReportMetric(float64(ms.HeapAlloc)/peers, "live-B/peer")
 		}
 	}
 }

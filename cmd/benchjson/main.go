@@ -9,12 +9,13 @@
 // B/op, and allocs/op. See "Profiling and benchmarking" in README.md.
 //
 // With -check it compares fresh output against a recorded trajectory
-// point instead of writing one, failing when allocation counts drift:
+// point instead of writing one, failing when allocations drift:
 //
 //	go test -run '^$' -bench BenchmarkSingleRun -benchmem . | benchjson -check BENCH_20260805.json
 //
-// allocs/op is the checked metric because it is iteration-exact and
-// machine-independent, unlike ns/op; `make bench-check` wires this up.
+// allocs/op and B/op are the checked metrics because they are
+// iteration-exact and machine-independent, unlike ns/op; `make
+// bench-check` wires this up.
 package main
 
 import (
@@ -50,7 +51,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	out := fs.String("o", "", "output file (default stdout)")
 	check := fs.String("check", "", "baseline BENCH_<date>.json: compare instead of record")
 	benchmark := fs.String("benchmark", "BenchmarkSingleRun", "comma-separated benchmark names to compare with -check")
-	maxRatio := fs.Float64("max-ratio", 1.10, "fail -check when allocs/op exceeds baseline by this factor")
+	maxRatio := fs.Float64("max-ratio", 1.10, "fail -check when allocs/op or B/op exceeds baseline by this factor")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -103,8 +104,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	return err
 }
 
-// checkAgainst compares the named benchmark's allocs/op in results
-// against the recorded baseline, allowing growth up to maxRatio.
+// checkAgainst compares the named benchmark's allocs/op and B/op in
+// results against the recorded baseline, allowing growth up to maxRatio.
 func checkAgainst(baselinePath, name string, maxRatio float64, results []benchfmt.Result, stdout io.Writer) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -130,14 +131,22 @@ func checkAgainst(baselinePath, name string, maxRatio float64, results []benchfm
 	if err != nil {
 		return err
 	}
-	if base.AllocsPerOp <= 0 {
-		return fmt.Errorf("%s: %s baseline has no allocs/op (recorded without -benchmem?)", baselinePath, name)
-	}
-	ratio := fresh.AllocsPerOp / base.AllocsPerOp
-	fmt.Fprintf(stdout, "%s allocs/op: %.0f vs baseline %.0f (%s, rev %s) = %.3fx (limit %.2fx)\n",
-		name, fresh.AllocsPerOp, base.AllocsPerOp, baseline.Date, baseline.Revision, ratio, maxRatio)
-	if ratio > maxRatio {
-		return fmt.Errorf("%s allocs/op regressed beyond the %.2fx budget", name, maxRatio)
+	for _, m := range []struct {
+		unit        string
+		fresh, base float64
+	}{
+		{"allocs/op", fresh.AllocsPerOp, base.AllocsPerOp},
+		{"B/op", fresh.BytesPerOp, base.BytesPerOp},
+	} {
+		if m.base <= 0 {
+			return fmt.Errorf("%s: %s baseline has no %s (recorded without -benchmem?)", baselinePath, name, m.unit)
+		}
+		ratio := m.fresh / m.base
+		fmt.Fprintf(stdout, "%s %s: %.0f vs baseline %.0f (%s, rev %s) = %.3fx (limit %.2fx)\n",
+			name, m.unit, m.fresh, m.base, baseline.Date, baseline.Revision, ratio, maxRatio)
+		if ratio > maxRatio {
+			return fmt.Errorf("%s %s regressed beyond the %.2fx budget", name, m.unit, maxRatio)
+		}
 	}
 	return nil
 }

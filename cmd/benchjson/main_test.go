@@ -65,3 +65,33 @@ func TestRunRejectsEmptyInput(t *testing.T) {
 		t.Fatal("run accepted input with no benchmarks")
 	}
 }
+
+// TestCheckGatesAllocsAndBytes is the acceptance check for `make
+// bench-check`: fresh output passes against its own record, and fails
+// when either allocs/op or B/op has grown past the budget.
+func TestCheckGatesAllocsAndBytes(t *testing.T) {
+	baseline := filepath.Join(t.TempDir(), "BENCH_base.json")
+	if err := run([]string{"-o", baseline}, strings.NewReader(sample), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name, from, to, wantErr string
+	}{
+		{"same", "6326 allocs/op", "6326 allocs/op", ""},
+		{"within budget", "7207304 B/op", "7900000 B/op", ""},
+		{"allocs grew", "6326 allocs/op", "7000 allocs/op", "allocs/op regressed"},
+		{"bytes grew", "7207304 B/op", "7950000 B/op", "B/op regressed"},
+	} {
+		var sb strings.Builder
+		err := run([]string{"-check", baseline}, strings.NewReader(strings.Replace(sample, c.from, c.to, 1)), &sb)
+		if c.wantErr == "" && err != nil {
+			t.Fatalf("%s: check failed: %v\n%s", c.name, err, sb.String())
+		}
+		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Fatalf("%s: got error %v, want one about %q\n%s", c.name, err, c.wantErr, sb.String())
+		}
+		if !strings.Contains(sb.String(), "BenchmarkSingleRun allocs/op: ") {
+			t.Fatalf("%s: no comparison line printed:\n%s", c.name, sb.String())
+		}
+	}
+}

@@ -57,4 +57,10 @@
 // internal/lifetime), the policy implementations (internal/policy), the
 // forwarding baselines (internal/gnutella), and the per-figure
 // experiment harness (internal/experiments).
+//
+// Memory per simulated peer is the budget of a large run (README.md,
+// "Scaling"). One thing a Config decides about it without changing a
+// result: libraries keep 16-bit slots while Content.NumItems is at most
+// 65 535 (the default universe has 10 000 items) and 32-bit slots above
+// that, twice the bytes for the same libraries.
 package guess

@@ -21,6 +21,14 @@
 //
 // The probability that a peer answers a query thus depends on the
 // number of files it shares, exactly as in the paper's model.
+//
+// A library is one open-addressed table of item IDs, and the table is
+// most of what a simulated peer weighs. Its slots are 16 bits wide in a
+// universe of at most 65 535 items (every ID+1 fits; the default is
+// 10 000) and 32 bits wide in a larger one. The width is a function of
+// Params.NumItems alone and shows in nothing but memory: an item has the
+// same slot, AppendItems the same order and the sampler the same draws
+// either way (TestNarrowLibraryMatchesWide).
 package content
 
 import (
@@ -108,6 +116,10 @@ type Universe struct {
 	queryPop *dist.Zipf // query popularity
 	libSize  dist.Sampler
 	maxLib   int
+	// narrow is whether every item's ID+1 fits 16 bits, so that the
+	// universe's libraries keep uint16 tables: a function of NumItems
+	// alone.
+	narrow bool
 }
 
 // New builds a Universe from params.
@@ -139,6 +151,7 @@ func New(params Params) (*Universe, error) {
 		queryPop: queryPop,
 		libSize:  dist.LogNormal{Mu: params.LibraryMu, Sigma: params.LibrarySigma},
 		maxLib:   maxLib,
+		narrow:   params.NumItems <= narrowMaxItems,
 	}, nil
 }
 
@@ -203,19 +216,41 @@ func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Libr
 	set := recycle.set
 	if size <= 0 {
 		if set != nil {
-			set.n, set.tab = 0, set.tab[:0]
+			set.n, set.narrow, set.wide = 0, set.narrow[:0], set.wide[:0]
 		}
 		return Library{set: set}
 	}
 	if set == nil {
 		set = new(itemSet)
 	}
-	if n := tableLen(size); cap(set.tab) < n {
-		set.tab = make([]int32, n)
+	// A set recycled from a universe of the other width gives that table
+	// up: nothing of the dead library stays behind in it.
+	if n := tableLen(size); u.narrow {
+		set.wide = nil
+		set.narrow = resize(set.narrow, n)
+		fill(u, r, set.narrow, size)
 	} else {
-		set.tab = set.tab[:n]
-		clear(set.tab)
+		set.narrow = nil
+		set.wide = resize(set.wide, n)
+		fill(u, r, set.wide, size)
 	}
+	set.n = size
+	return Library{set: set}
+}
+
+// resize returns tab n slots long and empty, reallocated only when it
+// is too short.
+func resize[S slot](tab []S, n int) []S {
+	if cap(tab) < n {
+		return make([]S, n)
+	}
+	tab = tab[:n]
+	clear(tab)
+	return tab
+}
+
+// fill samples size distinct items into the empty table tab.
+func fill[S slot](u *Universe, r *simrng.RNG, tab []S, size int) {
 	// Popularity-weighted rejection sampling; popular items collide
 	// often for large libraries, so bound the attempts and top up with
 	// uniform unseen items (these late additions are tail items, which
@@ -237,19 +272,17 @@ func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Libr
 		r.Float64s(uniform[:n])
 		u.itemPop.Ranks(ranks[:n], uniform[:n])
 		for _, k := range ranks[:n] {
-			if insert(set.tab, ItemID(k)) {
+			if insert(tab, S(k)+1) {
 				have++
 			}
 		}
 		budget -= n
 	}
 	for have < size {
-		if insert(set.tab, ItemID(r.Intn(u.params.NumItems))) {
+		if insert(tab, S(r.Intn(u.params.NumItems))+1) {
 			have++
 		}
 	}
-	set.n = size
-	return Library{set: set}
 }
 
 // libraryBlock is the most popularity draws NewLibraryInto makes at a
@@ -281,11 +314,19 @@ type Library struct {
 // serves the sampler's dedup as well as Contains.
 type itemSet struct {
 	n int // items held
-	// tab is a power of two long and at most 3/4 full (empty when n is
-	// 0); each slot is 0 (empty) or an item's ID+1, found by find's
-	// linear probing.
-	tab []int32
+	// The table is narrow in a universe whose IDs fit it (Universe.narrow)
+	// and wide in any other; the one not in use is nil. It is a power of
+	// two long and at most 3/4 full (empty when n is 0); each slot is 0
+	// (empty) or an item's ID+1, found by find's linear probing.
+	narrow []uint16
+	wide   []int32
 }
+
+// slot is a table element: wide enough for every ID+1 of its universe.
+type slot interface{ uint16 | int32 }
+
+// narrowMaxItems is the largest universe whose every ID+1 fits a uint16.
+const narrowMaxItems = math.MaxUint16
 
 // tableLen returns the table length for size >= 1 items: the smallest
 // power of two that size fills to at most 3/4.
@@ -296,8 +337,10 @@ func tableLen(size int) int {
 // find returns the slot of tab that holds key, or the empty slot where
 // its probe sequence ends. Probing starts at the top bits of a
 // multiplicative hash, so that the dense run of small popular IDs every
-// library shares spreads over the whole table.
-func find(tab []int32, key int32) int {
+// library shares spreads over the whole table. The hash is of the key's
+// value, whatever the slot's width: an item has one slot in a table of
+// a given length.
+func find[S slot](tab []S, key S) int {
 	mask := len(tab) - 1
 	i := int((uint32(key) * 0x9E3779B1) >> bits.LeadingZeros32(uint32(mask)))
 	for tab[i] != key && tab[i] != 0 {
@@ -306,13 +349,18 @@ func find(tab []int32, key int32) int {
 	return i
 }
 
-// insert adds id to tab and reports whether it was absent.
-func insert(tab []int32, id ItemID) bool {
-	key := int32(id) + 1
+// insert adds key, an item's ID+1, to tab and reports whether it was
+// absent.
+func insert[S slot](tab []S, key S) bool {
 	i := find(tab, key)
 	absent := tab[i] == 0
 	tab[i] = key
 	return absent
+}
+
+// holds reports whether tab holds key, an item's ID+1.
+func holds[S slot](tab []S, key S) bool {
+	return tab[find(tab, key)] == key
 }
 
 // Size returns the number of files shared — the peer's NumFiles.
@@ -329,8 +377,12 @@ func (l Library) Contains(id ItemID) bool {
 	if id < 0 || l.Size() == 0 {
 		return false
 	}
-	tab, key := l.set.tab, int32(id)+1
-	return tab[find(tab, key)] == key
+	if tab := l.set.narrow; len(tab) > 0 {
+		// An ID beyond the narrow range is in no narrow universe; as a
+		// uint16 it would be some other item's key.
+		return id < narrowMaxItems && holds(tab, uint16(id)+1)
+	}
+	return holds(l.set.wide, int32(id)+1)
 }
 
 // Results returns the number of results the peer returns for a query
@@ -349,7 +401,14 @@ func (l Library) AppendItems(dst []ItemID) []ItemID {
 	if l.set == nil {
 		return dst
 	}
-	for _, key := range l.set.tab {
+	if tab := l.set.narrow; len(tab) > 0 {
+		return appendItems(dst, tab)
+	}
+	return appendItems(dst, l.set.wide)
+}
+
+func appendItems[S slot](dst []ItemID, tab []S) []ItemID {
+	for _, key := range tab {
 		if key != 0 {
 			dst = append(dst, ItemID(key-1))
 		}

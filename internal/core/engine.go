@@ -62,7 +62,7 @@ type Engine struct {
 	rngIntro    *simrng.RNG // introduction coin flips
 
 	now    float64
-	end    float64
+	end    float64 // when the run stops; schedule queues nothing later
 	events eventq.Queue[event]
 
 	// ps is the struct-of-arrays peer state; bad tracks the IDs of live
@@ -129,6 +129,9 @@ type Engine struct {
 	// donated, every birth and query allocates fresh, and the reuse
 	// determinism suite asserts the two kinds of run are byte-identical.
 	noReuse bool
+	// queueAll (tests only) has schedule queue the events it would drop;
+	// TestRunMatchesUnfilteredQueue asserts the runs are byte-identical.
+	queueAll bool
 
 	ran bool
 }
@@ -180,6 +183,7 @@ func newEngine(params Params, recycle *Engine) (*Engine, error) {
 		universe:    universe,
 		life:        life,
 		gen:         gen,
+		end:         params.WarmupTime + params.MeasureTime,
 		rngSeeding:  root.Stream("seeding"),
 		rngChurn:    root.Stream("churn"),
 		rngContent:  root.Stream("content"),
@@ -247,26 +251,27 @@ func (e *Engine) recycleSlotStorage(i int) {
 		e.freeLibs = append(e.freeLibs, e.ps.lib[i])
 		e.ps.lib[i] = content.Library{}
 	}
-	if m := e.ps.provenance[i]; m != nil {
-		clear(m)
-		e.freeProvenance = append(e.freeProvenance, m)
-		e.ps.provenance[i] = nil
+	if e.ps.rare == nil {
+		return
 	}
-	if m := e.ps.pongStats[i]; m != nil {
-		clear(m)
-		e.freePongStats = append(e.freePongStats, m)
-		e.ps.pongStats[i] = nil
+	r := &e.ps.rare[i]
+	if r.provenance != nil {
+		clear(r.provenance)
+		e.freeProvenance = append(e.freeProvenance, r.provenance)
 	}
-	if m := e.ps.blacklist[i]; m != nil {
-		clear(m)
-		e.freeBlacklist = append(e.freeBlacklist, m)
-		e.ps.blacklist[i] = nil
+	if r.pongStats != nil {
+		clear(r.pongStats)
+		e.freePongStats = append(e.freePongStats, r.pongStats)
 	}
-	if m := e.ps.suppressed[i]; m != nil {
-		clear(m)
-		e.freeSuppressed = append(e.freeSuppressed, m)
-		e.ps.suppressed[i] = nil
+	if r.blacklist != nil {
+		clear(r.blacklist)
+		e.freeBlacklist = append(e.freeBlacklist, r.blacklist)
 	}
+	if r.suppressed != nil {
+		clear(r.suppressed)
+		e.freeSuppressed = append(e.freeSuppressed, r.suppressed)
+	}
+	*r = rareState{}
 }
 
 // pop takes the most recently donated element off a free list. ok is
@@ -282,6 +287,21 @@ func pop[T any](free *[]T) (v T, ok bool) {
 	s[n-1] = zero // the list's tail must not pin donated storage
 	*free = s[:n-1]
 	return v, true
+}
+
+// schedule queues ev for time t, unless t lies past the end of the run:
+// Run's loop stops in front of such an event, so it could never fire,
+// and dropping it here keeps the relative (time, seq) order of every
+// event that can. Most deaths, most bursts at a low query rate and the
+// last step of every query still in flight are of that kind; unqueued,
+// they neither deepen the heap nor keep a finished query's candidates
+// reachable from it. The filter is the loop's own: an event at exactly
+// end is queued and fires.
+func (e *Engine) schedule(t float64, ev event) {
+	if t > e.end && !e.queueAll {
+		return
+	}
+	e.events.Push(t, ev)
 }
 
 // SetObserver attaches an observer receiving lifecycle and query trace
@@ -315,10 +335,9 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 		return nil, fmt.Errorf("core: engine already ran")
 	}
 	e.ran = true
-	e.end = e.p.WarmupTime + e.p.MeasureTime
 
 	e.bootstrap()
-	e.events.Push(e.p.WarmupTime, event{kind: evSample})
+	e.schedule(e.p.WarmupTime, event{kind: evSample})
 
 	var processed uint64
 	for {
@@ -452,11 +471,11 @@ func (e *Engine) spawnPeer(malicious, selfish bool) int {
 		e.observer.Observe(obs.Event{Kind: obs.EvPeerBirth, Time: e.now, Peer: uint64(id)})
 	}
 
-	e.events.Push(deathAt, event{kind: evDeath, peer: id})
-	e.events.Push(e.now+e.rngChurn.Float64()*e.p.PingInterval, event{kind: evPing, peer: id})
+	e.schedule(deathAt, event{kind: evDeath, peer: id})
+	e.schedule(e.now+e.rngChurn.Float64()*e.p.PingInterval, event{kind: evPing, peer: id})
 	if e.p.QueriesEnabled && !malicious {
 		delay, _ := e.gen.NextBurst(e.rngWorkload)
-		e.events.Push(e.now+delay, event{kind: evBurst, peer: id})
+		e.schedule(e.now+delay, event{kind: evBurst, peer: id})
 	}
 	return slot
 }
@@ -532,7 +551,7 @@ func (e *Engine) handlePing(id cache.PeerID) {
 	if p < 0 {
 		return // peer died; its replacement has its own ping timer
 	}
-	e.events.Push(e.now+e.ps.pingInterval[p], event{kind: evPing, peer: id})
+	e.schedule(e.now+e.ps.pingInterval[p], event{kind: evPing, peer: id})
 
 	entries := e.ps.link[p].Entries()
 	i := policy.Pick(e.rngPolicy, e.p.PingProbe, entries)
@@ -586,7 +605,7 @@ func (e *Engine) handleBurst(id cache.PeerID) {
 		return
 	}
 	delay, size := e.gen.NextBurst(e.rngWorkload)
-	e.events.Push(e.now+delay, event{kind: evBurst, peer: id})
+	e.schedule(e.now+delay, event{kind: evBurst, peer: id})
 	e.startQuery(p, size-1)
 }
 
@@ -666,9 +685,7 @@ func (e *Engine) scanOverlay(connectivity bool) overlaySample {
 // handleSample takes a cache-health (and optionally connectivity)
 // sample and reschedules itself.
 func (e *Engine) handleSample() {
-	if e.now+e.p.SampleInterval <= e.end {
-		e.events.Push(e.now+e.p.SampleInterval, event{kind: evSample})
-	}
+	e.schedule(e.now+e.p.SampleInterval, event{kind: evSample})
 	s := e.scanOverlay(e.p.SampleConnectivity)
 	nf := float64(e.ps.len())
 	if nf > 0 {

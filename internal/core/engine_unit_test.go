@@ -43,6 +43,11 @@ func TestBootstrapSeedsCaches(t *testing.T) {
 	if e.ps.len() != e.p.NetworkSize {
 		t.Fatalf("alive = %d", e.ps.len())
 	}
+	// Every peer's first ping falls inside the run: end is set before Run,
+	// or schedule would have dropped them all.
+	if e.events.Len() < e.p.NetworkSize {
+		t.Fatalf("%d events queued for %d peers", e.events.Len(), e.p.NetworkSize)
+	}
 	want := e.p.seedSize()
 	for p := 0; p < e.ps.len(); p++ {
 		link := &e.ps.link[p]

@@ -72,7 +72,10 @@ func (e *Engine) recordPingOutcome(p int, dead bool) {
 // pongSourceBlocked reports whether the peer in slot p has blacklisted
 // source's pongs.
 func (e *Engine) pongSourceBlocked(p int, source cache.PeerID) bool {
-	bl := e.ps.blacklist[p]
+	if e.ps.rare == nil {
+		return false
+	}
+	bl := e.ps.rare[p].blacklist
 	return bl != nil && bl[source]
 }
 
@@ -82,28 +85,28 @@ func (e *Engine) recordSupplied(receiver int, source, addr cache.PeerID) {
 	if !e.p.PoisonDetection {
 		return
 	}
-	if e.ps.provenance[receiver] == nil {
-		e.allocPoisonState(receiver)
+	r := e.ps.rareFor(receiver)
+	if r.provenance == nil {
+		e.allocPoisonState(r)
 	}
-	e.ps.provenance[receiver][addr] = source
-	stats := e.ps.pongStats[receiver]
-	rec := stats[source]
+	r.provenance[addr] = source
+	rec := r.pongStats[source]
 	rec.given++
-	stats[source] = rec
+	r.pongStats[source] = rec
 }
 
-// allocPoisonState lazily equips a slot with its poison-detection
-// maps, taking the cleared maps dead peers donated before making any.
-func (e *Engine) allocPoisonState(p int) {
+// allocPoisonState lazily equips a peer with its poison-detection maps,
+// taking the cleared maps dead peers donated before making any.
+func (e *Engine) allocPoisonState(r *rareState) {
 	var ok bool
-	if e.ps.provenance[p], ok = pop(&e.freeProvenance); !ok {
-		e.ps.provenance[p] = make(map[cache.PeerID]cache.PeerID, 64)
+	if r.provenance, ok = pop(&e.freeProvenance); !ok {
+		r.provenance = make(map[cache.PeerID]cache.PeerID, 64)
 	}
-	if e.ps.pongStats[p], ok = pop(&e.freePongStats); !ok {
-		e.ps.pongStats[p] = make(map[cache.PeerID]supplierRecord, 16)
+	if r.pongStats, ok = pop(&e.freePongStats); !ok {
+		r.pongStats = make(map[cache.PeerID]supplierRecord, 16)
 	}
-	if e.ps.blacklist[p], ok = pop(&e.freeBlacklist); !ok {
-		e.ps.blacklist[p] = make(map[cache.PeerID]bool, 4)
+	if r.blacklist, ok = pop(&e.freeBlacklist); !ok {
+		r.blacklist = make(map[cache.PeerID]bool, 4)
 	}
 }
 
@@ -114,28 +117,28 @@ func (e *Engine) blameDeadAddress(victim int, deadAddr cache.PeerID) {
 	if !e.p.PoisonDetection {
 		return
 	}
-	prov := e.ps.provenance[victim]
-	if prov == nil {
+	if e.ps.rare == nil {
 		return
 	}
-	source, ok := prov[deadAddr]
+	// A victim nobody supplied has nil maps: the lookup misses.
+	r := &e.ps.rare[victim]
+	source, ok := r.provenance[deadAddr]
 	if !ok {
 		return
 	}
-	delete(prov, deadAddr)
-	stats := e.ps.pongStats[victim]
-	rec, ok := stats[source]
+	delete(r.provenance, deadAddr)
+	rec, ok := r.pongStats[source]
 	if !ok {
 		return
 	}
 	rec.dead++
-	stats[source] = rec
-	if e.ps.blacklist[victim][source] {
+	r.pongStats[source] = rec
+	if r.blacklist[source] {
 		return
 	}
 	if rec.given >= e.p.PoisonMinSamples &&
 		float64(rec.dead)/float64(rec.given) >= e.p.PoisonThreshold {
-		e.ps.blacklist[victim][source] = true
+		r.blacklist[source] = true
 		e.ps.link[victim].Remove(source)
 		e.res.BlacklistEvents++
 		if e.met != nil {

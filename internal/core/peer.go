@@ -37,7 +37,10 @@ func (e *Engine) addLoad(p int, now float64, maxPerSec int) bool {
 // suppressedNow reports whether the peer in slot p is backing off from
 // target at now.
 func (e *Engine) suppressedNow(p int, target cache.PeerID, now float64) bool {
-	m := e.ps.suppressed[p]
+	if e.ps.rare == nil {
+		return false
+	}
+	m := e.ps.rare[p].suppressed
 	if m == nil {
 		return false
 	}
@@ -55,13 +58,12 @@ func (e *Engine) suppressedNow(p int, target cache.PeerID, now float64) bool {
 // suppress records a back-off from target until the given time for the
 // peer in slot p.
 func (e *Engine) suppress(p int, target cache.PeerID, until float64) {
-	m := e.ps.suppressed[p]
-	if m == nil {
+	r := e.ps.rareFor(p)
+	if r.suppressed == nil {
 		var ok bool
-		if m, ok = pop(&e.freeSuppressed); !ok {
-			m = make(map[cache.PeerID]float64, 4)
+		if r.suppressed, ok = pop(&e.freeSuppressed); !ok {
+			r.suppressed = make(map[cache.PeerID]float64, 4)
 		}
-		e.ps.suppressed[p] = m
 	}
-	m[target] = until
+	r.suppressed[target] = until
 }

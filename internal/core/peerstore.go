@@ -44,12 +44,28 @@ type peerStore struct {
 	winCount        []int32
 	probesReceived  []int64
 
-	// Poison-detection and back-off state; nil maps until first use
-	// (most configurations never touch them).
-	provenance []map[cache.PeerID]cache.PeerID
-	pongStats  []map[cache.PeerID]supplierRecord
-	blacklist  []map[cache.PeerID]bool
-	suppressed []map[cache.PeerID]float64
+	// rare is the slot-parallel poison-detection and back-off state. Most
+	// configurations never touch it, so the array itself waits for the
+	// first write (rareFor): nil, or as long as id.
+	rare []rareState
+}
+
+// rareState is one peer's poison-detection and back-off maps, each nil
+// until first use.
+type rareState struct {
+	provenance map[cache.PeerID]cache.PeerID
+	pongStats  map[cache.PeerID]supplierRecord
+	blacklist  map[cache.PeerID]bool
+	suppressed map[cache.PeerID]float64
+}
+
+// rareFor returns slot p's rare state for writing, making the array on
+// the first call. Readers check ps.rare for nil instead.
+func (ps *peerStore) rareFor(p int) *rareState {
+	if ps.rare == nil {
+		ps.rare = make([]rareState, len(ps.id), cap(ps.id))
+	}
+	return &ps.rare[p]
 }
 
 // init sizes every array for a population of n and empties the store.
@@ -70,10 +86,6 @@ func (ps *peerStore) init(n int) {
 		ps.winStart = make([]float64, 0, n)
 		ps.winCount = make([]int32, 0, n)
 		ps.probesReceived = make([]int64, 0, n)
-		ps.provenance = make([]map[cache.PeerID]cache.PeerID, 0, n)
-		ps.pongStats = make([]map[cache.PeerID]supplierRecord, 0, n)
-		ps.blacklist = make([]map[cache.PeerID]bool, 0, n)
-		ps.suppressed = make([]map[cache.PeerID]float64, 0, n)
 		return
 	}
 	ps.byID = ps.byID[:1]
@@ -87,10 +99,9 @@ func (ps *peerStore) truncate(n int) {
 	for i := n; i < len(ps.id); i++ {
 		ps.lib[i] = content.Library{}
 		ps.link[i] = cache.LinkCache{}
-		ps.provenance[i] = nil
-		ps.pongStats[i] = nil
-		ps.blacklist[i] = nil
-		ps.suppressed[i] = nil
+		if ps.rare != nil {
+			ps.rare[i] = rareState{}
+		}
 	}
 	ps.id = ps.id[:n]
 	ps.advertisedFiles = ps.advertisedFiles[:n]
@@ -104,10 +115,9 @@ func (ps *peerStore) truncate(n int) {
 	ps.winStart = ps.winStart[:n]
 	ps.winCount = ps.winCount[:n]
 	ps.probesReceived = ps.probesReceived[:n]
-	ps.provenance = ps.provenance[:n]
-	ps.pongStats = ps.pongStats[:n]
-	ps.blacklist = ps.blacklist[:n]
-	ps.suppressed = ps.suppressed[:n]
+	if ps.rare != nil {
+		ps.rare = ps.rare[:n]
+	}
 }
 
 // len returns the live population.
@@ -138,10 +148,9 @@ func (ps *peerStore) grow() int {
 	ps.winStart = append(ps.winStart, 0)
 	ps.winCount = append(ps.winCount, 0)
 	ps.probesReceived = append(ps.probesReceived, 0)
-	ps.provenance = append(ps.provenance, nil)
-	ps.pongStats = append(ps.pongStats, nil)
-	ps.blacklist = append(ps.blacklist, nil)
-	ps.suppressed = append(ps.suppressed, nil)
+	if ps.rare != nil {
+		ps.rare = append(ps.rare, rareState{})
+	}
 	return slot
 }
 
@@ -163,10 +172,9 @@ func (ps *peerStore) swapRemove(slot int) {
 		ps.winStart[slot] = ps.winStart[last]
 		ps.winCount[slot] = ps.winCount[last]
 		ps.probesReceived[slot] = ps.probesReceived[last]
-		ps.provenance[slot] = ps.provenance[last]
-		ps.pongStats[slot] = ps.pongStats[last]
-		ps.blacklist[slot] = ps.blacklist[last]
-		ps.suppressed[slot] = ps.suppressed[last]
+		if ps.rare != nil {
+			ps.rare[slot] = ps.rare[last]
+		}
 		ps.byID[ps.id[slot]] = int32(slot)
 	}
 	ps.truncate(last)

@@ -66,12 +66,15 @@ const (
 	// seenMinSlots holds the paper's default CacheSize of candidates, the
 	// least a query starts with, without growing.
 	seenMinSlots = 256
-	// maxRetainedSeenSlots bounds the table a pooled query keeps (32 KiB,
-	// room for 2048 candidates). startQuery clears the whole table, so
-	// without a bound one exhaustive query would tax every later query
-	// served by the same pooled object; above it the table is dropped on
-	// release and the next query grows its own.
-	maxRetainedSeenSlots = 1 << 12
+	// maxRetainedCandidates bounds what a pooled query keeps: a seen table
+	// of 32 KiB and selector buffers of as many entries. startQuery clears
+	// the whole table, and the free list holds the buffers for the rest of
+	// a Renew chain, so without a bound one exhaustive query (up to the
+	// whole population) would tax every later query served by the same
+	// pooled object; above it the storage is dropped on release and the
+	// next query grows its own.
+	maxRetainedCandidates = 2048
+	maxRetainedSeenSlots  = 2 * maxRetainedCandidates
 )
 
 // add inserts addr, reporting whether it was absent.
@@ -146,6 +149,7 @@ func (e *Engine) putQuery(q *query) {
 	if len(q.seen.tab) > maxRetainedSeenSlots {
 		q.seen = seenSet{}
 	}
+	q.sel.Shed(maxRetainedCandidates)
 	e.freeQueries = append(e.freeQueries, q)
 }
 
@@ -251,7 +255,7 @@ func (e *Engine) handleProbeStep(q *query) {
 	case e.p.MaxProbesPerQuery > 0 && q.probes >= e.p.MaxProbesPerQuery:
 		e.completeQuery(origin, q, false)
 	default:
-		e.events.Push(e.now+e.p.ProbeSpacing, event{kind: evProbeStep, q: q})
+		e.schedule(e.now+e.p.ProbeSpacing, event{kind: evProbeStep, q: q})
 	}
 }
 

@@ -50,8 +50,8 @@ func runTracedRenew(t *testing.T, params []Params) ([]string, []string) {
 // worker chaining Renew across a sweep must produce exactly what fresh
 // engines would, even when consecutive configs differ in cache
 // capacity (dropping the cache pool), network size (growing or
-// truncating the peer arrays), and enabled extensions (recycled poison
-// maps).
+// truncating the peer arrays), enabled extensions (recycled poison
+// maps), and the size of the item universe (the libraries' slot width).
 func TestRenewMatchesFresh(t *testing.T) {
 	base := quickParams()
 	base.MeasureTime = 200
@@ -72,7 +72,13 @@ func TestRenewMatchesFresh(t *testing.T) {
 	churny.SampleConnectivity = true
 	churny.Seed = 9
 
-	chain := []Params{base, small, base, poisoned, churny, base}
+	// More items than a 16-bit library slot holds: the recycled libraries
+	// change table width on the way in and on the way out.
+	manyItems := base
+	manyItems.Content.NumItems = 70_000
+	manyItems.Seed = 3
+
+	chain := []Params{base, small, base, poisoned, churny, manyItems, base}
 	gotRes, gotTrace := runTracedRenew(t, chain)
 	for i, p := range chain {
 		wantRes, wantTrace := runTraced(t, p, false)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/policy"
 	"repro/internal/simrng"
 )
 
@@ -143,6 +145,45 @@ func TestPutQueryDropsOversizedSeen(t *testing.T) {
 	e.putQuery(q)
 	if got := e.getQuery(); got != q || got.seen.tab != nil || got.seen.n != 0 {
 		t.Fatalf("table above the bound retained: %d slots, n=%d", len(got.seen.tab), got.seen.n)
+	}
+}
+
+// TestPutQueryShedsOversizedSelector is the same bound on the other
+// half of a query's candidates: after a query that learned of a whole
+// 100k population, the pooled object holds buffers for at most
+// maxRetainedCandidates entries, under the random and a scored policy.
+func TestPutQueryShedsOversizedSelector(t *testing.T) {
+	for _, sel := range []policy.Selection{policy.SelRandom, policy.SelMFS} {
+		e := newBootstrapped(t, func(p *Params) { p.QueryProbe = sel })
+		held := func(q *query) int {
+			s := reflect.ValueOf(q.sel).Elem()
+			return s.FieldByName("pool").Cap() + s.FieldByName("heap").Cap()
+		}
+		fill := func(q *query, candidates int) {
+			q.sel.Reset(sel, e.rngPolicy)
+			q.seen.reset()
+			for a := cache.PeerID(1); a <= cache.PeerID(candidates); a++ {
+				q.addCandidate(cache.Entry{Addr: a, NumFiles: int32(a)})
+			}
+		}
+		q := e.getQuery()
+		fill(q, maxRetainedCandidates/2) // append's growth stays under the bound
+		within := held(q)
+		if within < maxRetainedCandidates/2 || within > maxRetainedCandidates {
+			t.Fatalf("%v: %d candidates in buffers for %d entries", sel, maxRetainedCandidates/2, within)
+		}
+		e.putQuery(q)
+		if got := e.getQuery(); got != q || held(got) != within {
+			t.Fatalf("%v: buffers within the bound not retained: %d entries, had %d", sel, held(got), within)
+		}
+		fill(q, 100_000)
+		if held(q) < 100_000 {
+			t.Fatalf("%v: 100000 candidates in buffers for %d entries", sel, held(q))
+		}
+		e.putQuery(q)
+		if got := e.getQuery(); got != q || held(got) > maxRetainedCandidates {
+			t.Fatalf("%v: pooled query kept buffers for %d entries, bound %d", sel, held(got), maxRetainedCandidates)
+		}
 	}
 }
 

@@ -126,7 +126,8 @@ func TestScratchTopKExtremeScores(t *testing.T) {
 }
 
 // TestSelectorReset verifies a reused selector behaves exactly like a
-// fresh one: same emission order, same RNG consumption.
+// fresh one: same emission order, same RNG consumption, whether or not
+// Shed took its buffers in between.
 func TestSelectorReset(t *testing.T) {
 	gen := simrng.New(123)
 	for _, sel := range allSelections {
@@ -155,6 +156,17 @@ func TestSelectorReset(t *testing.T) {
 				}
 				if a != b {
 					t.Fatalf("%v trial %d: entry %+v != %+v", sel, trial, b, a)
+				}
+			}
+			// Shed between trials: a buffer grown past the bound goes, one
+			// within it stays, and either way the next trial must match a
+			// fresh selector.
+			const bound = 12
+			pool, heap := cap(reused.pool), cap(reused.heap)
+			reused.Shed(bound)
+			for _, c := range [][2]int{{pool, cap(reused.pool)}, {heap, cap(reused.heap)}} {
+				if before, after := c[0], c[1]; before > bound && after != 0 || before <= bound && after != before {
+					t.Fatalf("%v trial %d: Shed(%d) took a buffer of %d entries to %d", sel, trial, bound, before, after)
 				}
 			}
 		}

@@ -50,6 +50,18 @@ func (s *Selector) Reset(sel Selection, rng *simrng.RNG) {
 	s.seq = 0
 }
 
+// Shed drops a candidate buffer grown beyond max entries, so that a
+// selector kept in a pool after one exhaustive query does not carry that
+// query's footprint into every later one; the next Add allocates anew.
+func (s *Selector) Shed(max int) {
+	if cap(s.pool) > max {
+		s.pool = nil
+	}
+	if cap(s.heap) > max {
+		s.heap = nil
+	}
+}
+
 // Len reports the number of pending candidates.
 func (s *Selector) Len() int {
 	if s.sel == SelRandom {
