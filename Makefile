@@ -7,8 +7,11 @@ GO ?= go
 all: build vet lint test fuzz-smoke bench-smoke obs-smoke sweep-smoke cluster-smoke
 
 # The packages with hot-path microbenchmarks (b.ReportAllocs); see also
-# the top-level BenchmarkSingleRun in bench_test.go.
-BENCH_PKGS = ./internal/simrng ./internal/eventq ./internal/cache ./internal/policy ./internal/dist ./internal/content ./internal/overlay ./internal/core ./internal/gossip ./internal/dht ./internal/gnutella
+# the top-level BenchmarkSingleRun in bench_test.go. The last three are
+# the live path: node's BenchmarkServeQuery/ServePing/FleetQuery are
+# also what to profile it with (go test -run '^$' -bench FleetQuery
+# -cpuprofile cpu.pprof ./node).
+BENCH_PKGS = ./internal/simrng ./internal/eventq ./internal/cache ./internal/policy ./internal/dist ./internal/content ./internal/overlay ./internal/core ./internal/gossip ./internal/dht ./internal/gnutella ./internal/wire ./node/memnet ./node
 
 build:
 	$(GO) build ./...
@@ -124,7 +127,7 @@ bench-json:
 # machine-independent) grows past 110% of the baseline for either the
 # default-config run or the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261002_pr20.json
+BENCH_BASELINE ?= BENCH_20261002_pr22.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

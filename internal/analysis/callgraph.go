@@ -246,7 +246,7 @@ var globalRandConstructors = map[string]bool{
 
 // readMethods are the blocking-read method names charged as conn reads
 // when invoked on a net.Conn.
-var readMethods = map[string]bool{"Read": true, "ReadFrom": true, "ReadByte": true}
+var readMethods = map[string]bool{"Read": true, "ReadFrom": true, "ReadFromUDPAddrPort": true, "ReadByte": true}
 
 // ioReadFuncs are the io package functions that block reading their
 // first argument.
@@ -304,13 +304,16 @@ func buildProgram(pkgs []*Package, dirs map[string][]*directive) *Program {
 // Implements check would only work within one package. The address
 // method (RemoteAddr for stream conns, LocalAddr for packet conns) is
 // what keeps os.File out: it has Read/ReadFrom/Close/SetReadDeadline
-// but no addresses.
+// but no addresses. The third shape is the live node's transport
+// (node.Transport, and *net.UDPConn behind it): a datagram socket read
+// in netip form, with no deadline method in the interface at all.
 func (p *Program) isNetConn(t types.Type) bool {
 	if t == nil {
 		return false
 	}
 	return hasMethods(t, "Read", "Close", "RemoteAddr", "SetReadDeadline") ||
-		hasMethods(t, "ReadFrom", "Close", "LocalAddr", "SetReadDeadline")
+		hasMethods(t, "ReadFrom", "Close", "LocalAddr", "SetReadDeadline") ||
+		hasMethods(t, "ReadFromUDPAddrPort", "Close", "LocalAddr")
 }
 
 func hasMethods(t types.Type, names ...string) bool {

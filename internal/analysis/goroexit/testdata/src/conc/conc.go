@@ -6,6 +6,7 @@ package conc
 import (
 	"context"
 	"net"
+	"net/netip"
 	"time"
 )
 
@@ -104,6 +105,29 @@ func Serve(ctx context.Context, c net.Conn) {
 			}
 		}
 	}()
+}
+
+// transport is the live node's datagram socket: peers in netip form and
+// no deadline method, so only closing it can end a read.
+type transport interface {
+	ReadFromUDPAddrPort(b []byte) (int, netip.AddrPort, error)
+	LocalAddr() net.Addr
+	Close() error
+}
+
+// readDatagramsForever blocks on the transport's read.
+func readDatagramsForever(c transport) {
+	buf := make([]byte, 64)
+	for {
+		if _, _, err := c.ReadFromUDPAddrPort(buf); err != nil {
+			return
+		}
+	}
+}
+
+// ServeDatagrams: the netip-form read is a conn read like any other.
+func ServeDatagrams(c transport) {
+	go readDatagramsForever(c) // want `blocks on conn reads with no deadline`
 }
 
 // Dynamic spawns through a function value: outside the loaded program,

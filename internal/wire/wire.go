@@ -156,20 +156,31 @@ func (m *Busy) ID() uint64     { return m.MsgID }
 
 // Encode serializes a message into a fresh buffer.
 func Encode(m Message) ([]byte, error) {
-	buf := make([]byte, HeaderSize, 64)
-	buf[0], buf[1], buf[2] = Magic0, Magic1, Version
-	buf[3] = byte(m.Type())
-	binary.BigEndian.PutUint64(buf[4:12], m.ID())
-	buf, err := m.encodePayload(buf)
+	buf, err := AppendEncode(make([]byte, 0, 64), m)
 	if err != nil {
 		return nil, err
 	}
-	payloadLen := len(buf) - HeaderSize
-	if payloadLen > MaxPacket-HeaderSize {
-		return nil, fmt.Errorf("wire: %s payload %d bytes exceeds packet budget", m.Type(), payloadLen)
-	}
-	binary.BigEndian.PutUint16(buf[12:14], uint16(payloadLen))
 	return buf, nil
+}
+
+// AppendEncode appends the encoding of m to dst and returns the
+// extended slice, so a sender can reuse one buffer across messages. On
+// error it returns dst unextended.
+func AppendEncode(dst []byte, m Message) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, Magic0, Magic1, Version, byte(m.Type()))
+	dst = binary.BigEndian.AppendUint64(dst, m.ID())
+	dst = append(dst, 0, 0) // payload length, patched below
+	out, err := m.encodePayload(dst)
+	if err != nil {
+		return dst[:start], err
+	}
+	payloadLen := len(out) - start - HeaderSize
+	if payloadLen > MaxPacket-HeaderSize {
+		return dst[:start], fmt.Errorf("wire: %s payload %d bytes exceeds packet budget", m.Type(), payloadLen)
+	}
+	binary.BigEndian.PutUint16(out[start+12:start+14], uint16(payloadLen))
+	return out, nil
 }
 
 func (m *Ping) encodePayload(dst []byte) ([]byte, error) {

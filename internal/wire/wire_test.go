@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"net/netip"
 	"reflect"
@@ -104,6 +105,86 @@ func TestEncodeLimits(t *testing.T) {
 				t.Fatal("Encode accepted over-limit message")
 			}
 		})
+	}
+}
+
+// oneOfEach is one message of every type, shaped like the live node's
+// traffic: a full five-entry pong, a query hit with a result.
+func oneOfEach() []Message {
+	pong := []PongEntry{
+		entry("10.0.0.1", 6346, 100, 2),
+		entry("10.0.0.2", 6346, 3, 0),
+		entry("2001:db8::3", 6346, 88, 1),
+		entry("10.0.0.4", 6346, 12, 0),
+		entry("10.0.0.5", 6346, 0, 0),
+	}
+	return []Message{
+		&Ping{MsgID: 42, NumFiles: 1234},
+		&Pong{MsgID: 7, Entries: pong},
+		&Query{MsgID: 1, Desired: 3, NumFiles: 55, Keyword: "free bird"},
+		&QueryHit{MsgID: 9, Results: []string{"free bird.mp3"}, Pong: pong},
+		&Busy{MsgID: 1<<64 - 1},
+	}
+}
+
+func TestAppendEncode(t *testing.T) {
+	prefix := []byte("already here")
+	for _, m := range oneOfEach() {
+		want, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendEncode(append([]byte(nil), prefix...), m)
+		if err != nil {
+			t.Fatalf("AppendEncode(%v): %v", m.Type(), err)
+		}
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("AppendEncode(%v) = %x, want the prefix then %x", m.Type(), got, want)
+		}
+	}
+	// A message that does not encode leaves dst as it was, whether the
+	// payload or the packet budget refused it.
+	big := make([]string, MaxHits)
+	for i := range big {
+		big[i] = strings.Repeat("x", MaxNameLen)
+	}
+	for _, m := range []Message{&Pong{Entries: []PongEntry{{}}}, &QueryHit{Results: big}} {
+		got, err := AppendEncode(prefix, m)
+		if err == nil || !bytes.Equal(got, prefix) {
+			t.Fatalf("AppendEncode of an unencodable %v = %x, %v; want the prefix and an error", m.Type(), got, err)
+		}
+	}
+}
+
+// TestRoundTripAllocs pins what a datagram costs the heap: nothing to
+// encode into a buffer the sender already has, and to decode only what
+// the decoded message is made of.
+func TestRoundTripAllocs(t *testing.T) {
+	decodeAllocs := map[Type]float64{
+		TypePing:     1, // the message
+		TypePong:     2, // ... and its entries
+		TypeQuery:    2, // ... and its keyword
+		TypeQueryHit: 4, // ... its results, one name, its entries
+		TypeBusy:     1,
+	}
+	buf := make([]byte, 0, MaxPacket)
+	for _, m := range oneOfEach() {
+		var pkt []byte
+		if got := testing.AllocsPerRun(100, func() {
+			var err error
+			if pkt, err = AppendEncode(buf[:0], m); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("AppendEncode(%v) into a reused buffer: %.0f allocs, want 0", m.Type(), got)
+		}
+		if got, want := testing.AllocsPerRun(100, func() {
+			if _, err := Decode(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}), decodeAllocs[m.Type()]; got > want {
+			t.Errorf("Decode(%v): %.0f allocs, want at most %.0f", m.Type(), got, want)
+		}
 	}
 }
 
@@ -216,6 +297,17 @@ func BenchmarkEncodePong(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAppendEncodeQueryHit(b *testing.B) {
+	m := oneOfEach()[3]
+	buf := make([]byte, 0, MaxPacket)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := AppendEncode(buf[:0], m); err != nil {
 			b.Fatal(err)
 		}
 	}

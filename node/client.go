@@ -52,7 +52,7 @@ func (n *Node) pingOnce() {
 
 	n.met.PingsSent.Inc()
 	ping := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
-	reply, outcome := n.transact(context.Background(), ping, target, nil)
+	reply, outcome := n.transact(context.Background(), ping, target, nil, new(attemptTimer))
 	switch outcome {
 	case txTimeout:
 		// Every attempt unanswered: breaker or eviction.
@@ -72,15 +72,18 @@ func (n *Node) pingOnce() {
 // absorbPong runs cache replacement over received entries; callers
 // hold n.mu.
 func (n *Node) absorbPong(entries []wire.PongEntry) {
-	self := n.Addr()
+	ts := n.now()
 	for _, pe := range entries {
-		if pe.Addr == self || !pe.Addr.IsValid() {
+		if !pe.Addr.IsValid() {
 			continue
 		}
 		id := n.idFor(pe.Addr)
+		if id == n.selfID {
+			continue
+		}
 		policy.Insert(n.rng, n.cfg.CacheReplacement, n.link, cache.Entry{
 			Addr:     id,
-			TS:       n.now(),
+			TS:       ts,
 			NumFiles: int32(clampFiles(pe.NumFiles)),
 			NumRes:   int32(pe.NumRes),
 			Direct:   false,
@@ -104,16 +107,48 @@ const (
 	txAborted
 )
 
+// attemptTimer is one reply deadline re-armed for attempt after attempt
+// (the zero value is ready), instead of a time.NewTimer each.
+//
+// go.mod says go 1.22, so timer channels are buffered: a timer that
+// fired while its attempt was taking a reply out of the other channel
+// leaves its tick behind, and the next attempt would time out on
+// arrival. disarm therefore empties the channel whenever Stop reports
+// that the timer had already fired.
+type attemptTimer struct{ t *time.Timer }
+
+// arm starts the deadline d from now and returns its channel. The
+// timer must be disarmed (or never armed) when arm is called.
+func (a *attemptTimer) arm(d time.Duration) <-chan time.Time {
+	if a.t == nil {
+		a.t = time.NewTimer(d)
+	} else {
+		a.t.Reset(d)
+	}
+	return a.t.C
+}
+
+// disarm stops the deadline and discards its tick if it had fired,
+// whether or not the caller received it.
+func (a *attemptTimer) disarm() {
+	if !a.t.Stop() {
+		select {
+		case <-a.t.C:
+		default:
+		}
+	}
+}
+
 // transact sends req to target up to MaxProbeAttempts times, waiting
 // one attemptTimeout per transmission with exponential backoff between
 // attempts. It returns the first correlated reply, or nil with the
 // failure classification. Successful first-transmission RTTs feed the
 // adaptive-timeout estimator (Karn's rule: retransmitted exchanges are
 // ambiguous and never sampled). qs, when non-nil, accrues per-query
-// retry counts.
-func (n *Node) transact(ctx context.Context, req wire.Message, target netip.AddrPort, qs *QueryStats) (wire.Message, txOutcome) {
-	replies, cancel := n.await(req.ID())
-	defer cancel()
+// retry counts. timer is the caller's, disarmed on entry and on return.
+func (n *Node) transact(ctx context.Context, req wire.Message, target netip.AddrPort, qs *QueryStats, timer *attemptTimer) (wire.Message, txOutcome) {
+	replies := n.await(req.ID())
+	defer n.forget(req.ID())
 
 	backoff := n.cfg.RetryBackoff
 	for attempt := 1; ; attempt++ {
@@ -122,21 +157,21 @@ func (n *Node) transact(ctx context.Context, req wire.Message, target netip.Addr
 		if sendErr != nil {
 			n.logf("send %s to %v: %v", req.Type(), target, sendErr)
 		} else {
-			timer := time.NewTimer(n.attemptTimeout())
+			timeout := timer.arm(n.attemptTimeout())
 			select {
 			case <-ctx.Done():
-				timer.Stop()
+				timer.disarm()
 				return nil, txAborted
 			case <-n.closing:
-				timer.Stop()
+				timer.disarm()
 				return nil, txAborted
 			case reply := <-replies:
-				timer.Stop()
+				timer.disarm()
 				if attempt == 1 {
 					n.observeRTT(time.Since(sentAt))
 				}
 				return reply, txReply
-			case <-timer.C:
+			case <-timeout:
 			}
 		}
 		if attempt >= n.cfg.MaxProbeAttempts {
@@ -252,6 +287,60 @@ func (n *Node) demoteBusy(id cache.PeerID) {
 	}
 }
 
+// queryScratch is the working set of one Query — the candidates seen,
+// the selector over those still to probe, the reply deadline and the
+// request being sent — kept between queries so that a query allocates
+// none of it.
+type queryScratch struct {
+	qc    cache.QueryCache
+	sel   policy.Selector
+	timer attemptTimer
+	req   wire.Query
+}
+
+const (
+	// maxScratches bounds a node's idle scratches: enough for a few
+	// callers querying at once, the rest allocate and are collected.
+	maxScratches = 4
+	// maxScratchCandidates bounds what an idle scratch holds on to: one
+	// exhaustive query over a large network would otherwise leave its
+	// footprint (about 90 B a candidate) in the list for good.
+	maxScratchCandidates = 2048
+)
+
+// getScratch returns a scratch with the link cache snapshotted into
+// its candidate set (the node itself excluded); callers hold n.mu.
+func (n *Node) getScratch() *queryScratch {
+	var s *queryScratch
+	if last := len(n.scratches) - 1; last >= 0 {
+		s, n.scratches = n.scratches[last], n.scratches[:last]
+	} else {
+		s = new(queryScratch)
+	}
+	s.qc.Reset()
+	s.sel.Reset(n.cfg.QueryProbe, n.rng)
+	s.qc.Add(cache.Entry{Addr: n.selfID})
+	s.qc.Consume(n.selfID)
+	for _, e := range n.link.Entries() {
+		if s.qc.Add(e) {
+			s.sel.Add(e)
+		}
+	}
+	return s
+}
+
+// putScratch hands a finished query's scratch back.
+func (n *Node) putScratch(s *queryScratch) {
+	if s.qc.Len() > maxScratchCandidates {
+		return
+	}
+	n.mu.Lock()
+	if len(n.scratches) < maxScratches {
+		n.scratches = append(n.scratches, s)
+	}
+	n.mu.Unlock()
+}
+
 // Query runs a GUESS search: it serially probes peers from the link
 // cache and the growing query cache, under the QueryProbe policy,
 // until `desired` results arrive, the candidates are exhausted, or ctx
@@ -271,19 +360,10 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 	default:
 	}
 
-	// Snapshot the link cache into the candidate set.
 	n.mu.Lock()
-	sel := policy.NewSelector(n.cfg.QueryProbe, n.rng)
-	qc := cache.NewQueryCache()
-	selfID := n.idFor(n.Addr())
-	qc.Add(cache.Entry{Addr: selfID})
-	qc.Consume(selfID)
-	for _, e := range n.link.Entries() {
-		if qc.Add(e) {
-			sel.Add(e)
-		}
-	}
+	s := n.getScratch()
 	n.mu.Unlock()
+	defer n.putScratch(s)
 
 	var hits []Hit
 	for len(hits) < desired {
@@ -295,16 +375,16 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 		default:
 		}
 		n.mu.Lock()
-		entry, ok := sel.Next()
+		entry, ok := s.sel.Next()
 		// Busy-demoted peers sit out the query instead of wasting a
 		// probe on another refusal.
 		for ok && n.suppressedLocked(entry.Addr) {
-			qc.Consume(entry.Addr)
-			entry, ok = sel.Next()
+			s.qc.Consume(entry.Addr)
+			entry, ok = s.sel.Next()
 		}
 		var target netip.AddrPort
 		if ok {
-			qc.Consume(entry.Addr)
+			s.qc.Consume(entry.Addr)
 			target = n.addrs[entry.Addr]
 		}
 		n.mu.Unlock()
@@ -314,64 +394,65 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 		if !target.IsValid() {
 			continue
 		}
-		newHits := n.probe(ctx, target, entry.Addr, keyword, desired-len(hits), &stats, sel, qc)
-		hits = append(hits, newHits...)
+		hits = n.probe(ctx, s, target, entry.Addr, keyword, hits, desired-len(hits), &stats)
 	}
 	return hits, stats, nil
 }
 
-// probe runs one query probe (with retries) and processes the reply.
-func (n *Node) probe(ctx context.Context, target netip.AddrPort, id cache.PeerID,
-	keyword string, want int, stats *QueryStats,
-	sel *policy.Selector, qc *cache.QueryCache) []Hit {
+// probe runs one query probe (with retries), processes the reply and
+// returns hits with the probe's results appended.
+func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort, id cache.PeerID,
+	keyword string, hits []Hit, want int, stats *QueryStats) []Hit {
 
 	stats.Probes++
-	q := &wire.Query{
+	s.req = wire.Query{
 		MsgID:    n.msgID.Add(1),
 		Desired:  uint8(want),
 		NumFiles: uint32(len(n.cfg.Files)),
 		Keyword:  keyword,
 	}
-	reply, outcome := n.transact(ctx, q, target, stats)
+	reply, outcome := n.transact(ctx, &s.req, target, stats, &s.timer)
 	switch outcome {
 	case txAborted:
-		return nil
+		return hits
 	case txTimeout:
 		// Every attempt unanswered: presumed dead for this query;
 		// eviction vs breaker is the health layer's call.
 		stats.Dead++
 		n.peerTimedOut(id)
-		return nil
+		return hits
 	}
 
 	switch m := reply.(type) {
 	case *wire.Busy:
 		stats.Refused++
 		n.demoteBusy(id)
-		return nil
 	case *wire.QueryHit:
 		stats.Good++
 		n.mu.Lock()
-		n.link.Touch(id, n.now())
+		ts := n.now()
+		n.link.Touch(id, ts)
 		n.link.SetNumRes(id, int32(len(m.Results)))
 		n.health.onSuccess(id)
 		// Grow the query cache and the link cache from the
 		// piggy-backed pong.
-		self := n.Addr()
 		for _, pe := range m.Pong {
-			if pe.Addr == self || !pe.Addr.IsValid() {
+			if !pe.Addr.IsValid() {
 				continue
 			}
 			peID := n.idFor(pe.Addr)
+			if peID == n.selfID {
+				continue
+			}
 			entry := cache.Entry{
 				Addr:     peID,
-				TS:       n.now(),
+				TS:       ts,
 				NumFiles: int32(clampFiles(pe.NumFiles)),
 				NumRes:   int32(pe.NumRes),
 				Direct:   false,
 			}
-			if qc.Add(entry) {
-				sel.Add(entry)
+			if s.qc.Add(entry) {
+				s.sel.Add(entry)
 			}
 			policy.Insert(n.rng, n.cfg.CacheReplacement, n.link, entry)
 		}
@@ -379,14 +460,11 @@ func (n *Node) probe(ctx context.Context, target netip.AddrPort, id cache.PeerID
 		n.syncBreakerGauge()
 		n.syncCacheGauge()
 		n.mu.Unlock()
-		hits := make([]Hit, 0, len(m.Results))
 		for _, name := range m.Results {
 			hits = append(hits, Hit{From: target, Name: name})
 		}
-		return hits
-	default:
-		return nil
 	}
+	return hits
 }
 
 // PingPeer sends one explicit ping (bootstrap helper, with the same
@@ -400,7 +478,7 @@ func (n *Node) PingPeer(ctx context.Context, target netip.AddrPort) (bool, error
 	}
 	n.met.PingsSent.Inc()
 	ping := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
-	reply, outcome := n.transact(ctx, ping, target, nil)
+	reply, outcome := n.transact(ctx, ping, target, nil, new(attemptTimer))
 	switch outcome {
 	case txAborted:
 		if err := ctx.Err(); err != nil {

@@ -63,7 +63,7 @@ func TestCloseDuringQuery(t *testing.T) {
 	// Only dead peers: the query would walk all of them.
 	for i := 0; i < 20; i++ {
 		dead := nw.Listen()
-		addr := addrPortOf(dead.LocalAddr())
+		addr := dead.AddrPort()
 		dead.Close()
 		querier.AddPeer(addr, 1)
 	}
@@ -88,7 +88,7 @@ func TestContextCancelStopsQuery(t *testing.T) {
 	querier := startMemNode(t, nw, Config{ProbeTimeout: 100 * time.Millisecond})
 	for i := 0; i < 50; i++ {
 		dead := nw.Listen()
-		addr := addrPortOf(dead.LocalAddr())
+		addr := dead.AddrPort()
 		dead.Close()
 		querier.AddPeer(addr, 1)
 	}

@@ -1,0 +1,215 @@
+package node
+
+import (
+	"context"
+	"net"
+	"net/netip"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/dist"
+	"repro/internal/simrng"
+	"repro/internal/wire"
+	"repro/node/memnet"
+)
+
+// TestLoopbackFromMatchesAddr: over a real socket, the address the
+// serve loop reads a peer's datagram from is the address that peer's
+// Addr() reports, so introduction caches a peer under the name it goes
+// by, and a node recognises itself.
+func TestLoopbackFromMatchesAddr(t *testing.T) {
+	a := startNode(t, Config{IntroProb: 1})
+	b := startNode(t, Config{})
+	if ok, err := b.PingPeer(context.Background(), a.Addr()); err != nil || !ok {
+		t.Fatalf("ping: %v, %v", ok, err)
+	}
+	// a introduced the sender with certainty: what it cached is b.
+	if got := a.CacheAddrs(); !slices.Equal(got, []netip.AddrPort{b.Addr()}) {
+		t.Fatalf("a cached %v after a ping from %v", got, b.Addr())
+	}
+	// a pinging itself sees its own Addr() as the sender and, even at
+	// IntroProb 1, does not introduce itself to itself.
+	if ok, err := a.PingPeer(context.Background(), a.Addr()); err != nil || !ok {
+		t.Fatalf("self ping: %v, %v", ok, err)
+	}
+	if slices.Contains(a.CacheAddrs(), a.Addr()) {
+		t.Fatalf("a cached its own address %v", a.Addr())
+	}
+}
+
+// TestDualStackFromIsUnmapped: a dual-stack socket reports an IPv4 peer
+// as ::ffff:a.b.c.d; the node must see it under the plain IPv4 address
+// the peer itself reports, and be able to answer it.
+func TestDualStackFromIsUnmapped(t *testing.T) {
+	a, err := Listen("[::]:0", Config{IntroProb: 1})
+	if err != nil {
+		t.Skipf("no dual-stack socket here: %v", err)
+	}
+	t.Cleanup(func() { a.Close() })
+	b := startNode(t, Config{ProbeTimeout: 100 * time.Millisecond, MaxProbeAttempts: 1})
+	target := netip.AddrPortFrom(b.Addr().Addr(), a.Addr().Port()) // a, by its IPv4 loopback name
+	if ok, err := b.PingPeer(context.Background(), target); err != nil || !ok {
+		t.Skipf("the dual-stack socket takes no IPv4 here: %v, %v", ok, err)
+	}
+	if got := a.CacheAddrs(); !slices.Equal(got, []netip.AddrPort{b.Addr()}) {
+		t.Fatalf("a cached %v after a ping from %v", got, b.Addr())
+	}
+}
+
+// oddTransport is a memnet endpoint that claims a local address which
+// is no AddrPort.
+type oddTransport struct{ *memnet.Conn }
+
+func (oddTransport) LocalAddr() net.Addr {
+	return &net.UnixAddr{Name: "/tmp/guess.sock", Net: "unixgram"}
+}
+
+func TestNewRejectsTransportWithoutAddrPort(t *testing.T) {
+	conn := memnet.New(1).Listen()
+	defer conn.Close()
+	if n, err := New(oddTransport{conn}, Config{}); err == nil {
+		n.Close()
+		t.Fatal("New accepted a transport whose local address is not an AddrPort")
+	}
+}
+
+// TestAttemptTimerReuse: a deadline that fired while its attempt was
+// busy taking the reply leaves a tick in the (pre-Go-1.23, buffered)
+// timer channel; the next attempt on the same timer must not see it.
+func TestAttemptTimerReuse(t *testing.T) {
+	var timer attemptTimer
+	for round := 0; round < 3; round++ {
+		c := timer.arm(time.Millisecond)
+		time.Sleep(20 * time.Millisecond) // fired, and nobody received
+		timer.disarm()
+
+		c = timer.arm(time.Hour)
+		select {
+		case <-c:
+			t.Fatalf("round %d: an attempt with an hour to go timed out on its predecessor's tick", round)
+		default:
+		}
+		timer.disarm()
+
+		// Fired and received, the timeout path: nothing left to discard,
+		// and disarm must not wait for a tick that will not come.
+		c = timer.arm(time.Millisecond)
+		<-c
+		timer.disarm()
+
+		// And the timer still works.
+		c = timer.arm(time.Millisecond)
+		select {
+		case <-c:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: a reused timer never fired", round)
+		}
+	}
+}
+
+// TestQueryScratchBounded: concurrent queries each get a scratch of
+// their own, the node keeps at most maxScratches of them afterwards,
+// and a serial caller gets the same one back every time.
+func TestQueryScratchBounded(t *testing.T) {
+	nw := memnet.New(1)
+	sharer := startMemNode(t, nw, Config{Files: []string{"wanted.txt"}})
+	querier := startMemNode(t, nw, Config{PingInterval: time.Hour})
+	querier.AddPeer(sharer.Addr(), 1)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 3*maxScratches; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if hits, _, err := querier.Query(context.Background(), "wanted", 1); err != nil || len(hits) != 1 {
+				t.Errorf("hits=%v err=%v", hits, err)
+			}
+		}()
+	}
+	wg.Wait()
+	idle := func() []*queryScratch {
+		querier.mu.Lock()
+		defer querier.mu.Unlock()
+		return slices.Clone(querier.scratches)
+	}
+	before := idle()
+	if len(before) == 0 || len(before) > maxScratches {
+		t.Fatalf("%d idle scratches after %d concurrent queries, want 1..%d", len(before), 3*maxScratches, maxScratches)
+	}
+	for i := 0; i < 5; i++ {
+		if hits, _, err := querier.Query(context.Background(), "wanted", 1); err != nil || len(hits) != 1 {
+			t.Fatalf("hits=%v err=%v", hits, err)
+		}
+	}
+	if after := idle(); !slices.Equal(after, before) {
+		t.Fatal("serial queries did not reuse the idle scratches")
+	}
+
+	// A query that saw more candidates than an idle scratch may hold is
+	// not kept.
+	big := new(queryScratch)
+	for id := 1; id <= maxScratchCandidates+1; id++ {
+		big.qc.Add(cache.Entry{Addr: cache.PeerID(id)})
+	}
+	querier.mu.Lock()
+	querier.scratches = querier.scratches[:0]
+	querier.mu.Unlock()
+	querier.putScratch(big)
+	if got := idle(); len(got) != 0 {
+		t.Fatal("an oversized scratch was kept")
+	}
+}
+
+// The ceilings below pin the live path's garbage where scheduler noise
+// cannot reach it. Each is a little above what the path costs now and
+// far below what it cost with a boxed address per packet, a fresh
+// encode buffer, pong and timer per reply and a map per query; the
+// parent's figure is beside each. testing.AllocsPerRun counts every
+// goroutine's allocations, so the node's serve loop is included.
+
+func TestServeAllocCeilings(t *testing.T) {
+	nw := memnet.New(1)
+	srv := serveTarget(t, nw)
+	q := newRawRequester(nw, srv.Addr())
+	defer q.conn.Close()
+	query := &wire.Query{Desired: 1, Keyword: "hotfile"}
+	ping := &wire.Ping{}
+	for _, c := range []struct {
+		name    string
+		want    wire.Type
+		req     func() wire.Message
+		ceiling float64
+	}{
+		// Seven of these are the raw requester's own (encode, the packet
+		// copy, the boxed sender, decoding the reply).
+		{"query", wire.TypeQueryHit, func() wire.Message { q.next++; query.MsgID = q.next; return query }, 14}, // now 11, parent 29
+		{"ping", wire.TypePong, func() wire.Message { q.next++; ping.MsgID = q.next; return ping }, 14},        // now 11, parent 24
+	} {
+		got := testing.AllocsPerRun(500, func() {
+			if typ, err := q.roundTrip(c.req()); err != nil || typ != c.want {
+				t.Fatalf("%s: reply %v, %v", c.name, typ, err)
+			}
+		})
+		if got > c.ceiling {
+			t.Errorf("one served %s: %.1f allocs, ceiling %.0f", c.name, got, c.ceiling)
+		}
+	}
+}
+
+func TestQueryAllocCeiling(t *testing.T) {
+	f := newBenchFleet(t, 8, 10, 7)
+	rng := simrng.New(7)
+	pop := dist.MustZipf(len(f.keywords), 1)
+	for i := 0; i < 300; i++ { // warm: every origin has a scratch, caches are full
+		f.query(t, rng, pop)
+	}
+	// Seven of eight nodes are in every link cache, so a query is one
+	// probe (1.05 on average): the reply channel 2, a packet copy each
+	// way 2, the decoded query 2 and hit 4, the slice of hits 1.
+	if got := testing.AllocsPerRun(400, func() { f.query(t, rng, pop) }); got > 14 { // now 11, parent 53
+		t.Errorf("one Query on a warm 8-node fleet: %.1f allocs, ceiling 14", got)
+	}
+}

@@ -1,0 +1,35 @@
+package memnet
+
+import "testing"
+
+// benchDeliver times one datagram from WriteToUDPAddrPort to
+// ReadFromUDPAddrPort on one goroutine (an undelayed copy lands inside
+// the write), under the given default profile.
+func benchDeliver(b *testing.B, p LinkProfile) {
+	nw := New(1)
+	nw.SetDefaultProfile(p)
+	src, dst := nw.Listen(), nw.Listen()
+	defer src.Close()
+	defer dst.Close()
+	payload := make([]byte, 64)
+	buf := make([]byte, 2048)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.WriteToUDPAddrPort(payload, dst.AddrPort()); err != nil {
+			b.Fatal(err)
+		}
+		for len(dst.queue) > 0 {
+			if _, _, err := dst.ReadFromUDPAddrPort(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkDeliverPerfect is the fault-free path the node workloads
+// run on: no link stream, no profile lookup.
+func BenchmarkDeliverPerfect(b *testing.B) { benchDeliver(b, LinkProfile{}) }
+
+// BenchmarkDeliverFaulty draws loss and duplication for every packet.
+func BenchmarkDeliverFaulty(b *testing.B) { benchDeliver(b, LinkProfile{Loss: 0.1, DupProb: 0.1}) }

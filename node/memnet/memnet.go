@@ -108,8 +108,9 @@ type Network struct {
 	// met backs the Stats snapshot. Set once in New; its instruments
 	// are atomic.
 	met *obs.MemnetMetrics
-	// inFlight counts copies scheduled (possibly on a delay timer) but
-	// not yet enqueued or dropped; WaitIdle polls it.
+	// inFlight counts copies waiting on a delay timer, not yet enqueued
+	// or dropped; WaitIdle polls it. An undelayed copy lands inside the
+	// WriteTo that sent it and is never counted.
 	inFlight atomic.Int64
 }
 
@@ -261,7 +262,12 @@ func (n *Network) rngLocked(from, to netip.AddrPort) *simrng.RNG {
 	return r
 }
 
-// deliver routes a packet, applying the link's fault profile.
+// deliver routes a packet, applying the link's fault profile. A link
+// that cannot lose, duplicate, delay by a sampled amount or reorder
+// never draws, so its decision stream is not even derived; a stream is
+// a pure function of the network seed and the link's addresses, so
+// deriving it at the link's first draw instead of its first packet
+// changes no decision.
 func (n *Network) deliver(from, to netip.AddrPort, data []byte) {
 	n.mu.Lock()
 	met := n.met
@@ -278,30 +284,32 @@ func (n *Network) deliver(from, to netip.AddrPort, data []byte) {
 		met.Blocked.Inc()
 		return
 	}
-	r := n.rngLocked(from, to)
-	if p.Loss > 0 && r.Bool(p.Loss) {
-		n.mu.Unlock()
-		met.Dropped.Inc()
-		return
-	}
 	copies := 1
-	if p.DupProb > 0 && r.Bool(p.DupProb) {
-		copies = 2
-		met.Duplicated.Inc()
-	}
 	delay := p.Latency
-	if p.Jitter != nil {
-		if j := p.Jitter.Sample(r); j > 0 {
-			delay += time.Duration(j * float64(time.Second))
+	if p.Loss > 0 || p.DupProb > 0 || p.Jitter != nil || p.ReorderProb > 0 {
+		r := n.rngLocked(from, to)
+		if p.Loss > 0 && r.Bool(p.Loss) {
+			n.mu.Unlock()
+			met.Dropped.Inc()
+			return
 		}
-	}
-	if p.ReorderProb > 0 && r.Bool(p.ReorderProb) {
-		hold := p.ReorderDelay
-		if hold <= 0 {
-			hold = 4*p.Latency + time.Millisecond
+		if p.DupProb > 0 && r.Bool(p.DupProb) {
+			copies = 2
+			met.Duplicated.Inc()
 		}
-		delay += hold
-		met.Reordered.Inc()
+		if p.Jitter != nil {
+			if j := p.Jitter.Sample(r); j > 0 {
+				delay += time.Duration(j * float64(time.Second))
+			}
+		}
+		if p.ReorderProb > 0 && r.Bool(p.ReorderProb) {
+			hold := p.ReorderDelay
+			if hold <= 0 {
+				hold = 4*p.Latency + time.Millisecond
+			}
+			delay += hold
+			met.Reordered.Inc()
+		}
 	}
 	if p.MTU > 0 && len(data) > p.MTU {
 		data = data[:p.MTU]
@@ -309,29 +317,37 @@ func (n *Network) deliver(from, to netip.AddrPort, data []byte) {
 	}
 	n.mu.Unlock()
 
-	cp := append([]byte(nil), data...)
-	send := func() {
-		defer n.inFlight.Add(-1)
-		select {
-		case <-dst.done:
-			met.QueueDrop.Inc()
-			return
-		default:
+	pkt := packet{from: from, data: append([]byte(nil), data...)}
+	if delay <= 0 {
+		for i := 0; i < copies; i++ {
+			dst.enqueue(pkt)
 		}
-		select {
-		case dst.queue <- packet{from: from, data: cp}:
-			met.Delivered.Inc()
-		default: // queue full: drop, like a real NIC
-			met.QueueDrop.Inc()
-		}
+		return
 	}
 	n.inFlight.Add(int64(copies))
 	for i := 0; i < copies; i++ {
-		if delay > 0 {
-			time.AfterFunc(delay, send)
-		} else {
-			send()
-		}
+		time.AfterFunc(delay, func() {
+			defer n.inFlight.Add(-1)
+			dst.enqueue(pkt)
+		})
+	}
+}
+
+// enqueue lands one copy in c's receive queue, or drops it if c has
+// closed or the queue is full (like a real NIC).
+func (c *Conn) enqueue(pkt packet) {
+	met := c.net.met
+	select {
+	case <-c.done:
+		met.QueueDrop.Inc()
+		return
+	default:
+	}
+	select {
+	case c.queue <- pkt:
+		met.Delivered.Inc()
+	default:
+		met.QueueDrop.Inc()
 	}
 }
 
@@ -383,46 +399,95 @@ type Conn struct {
 
 	mu           sync.Mutex
 	readDeadline time.Time
+	// idleTimer is the deadline timer of the last read that had to wait,
+	// stopped and drained, for the next one to re-arm.
+	idleTimer atomic.Pointer[time.Timer]
 }
 
 var _ net.PacketConn = (*Conn)(nil)
 
 // ReadFrom implements net.PacketConn.
 func (c *Conn) ReadFrom(p []byte) (int, net.Addr, error) {
-	var timeout <-chan time.Time
-	c.mu.Lock()
-	if !c.readDeadline.IsZero() {
-		d := time.Until(c.readDeadline)
-		if d <= 0 {
-			c.mu.Unlock()
-			return 0, nil, os.ErrDeadlineExceeded
-		}
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timeout = t.C
+	n, from, err := c.ReadFromUDPAddrPort(p)
+	if err != nil {
+		return 0, nil, err
 	}
+	return n, net.UDPAddrFromAddrPort(from), nil
+}
+
+// ReadFromUDPAddrPort is ReadFrom with the sender's address in netip
+// form, as on *net.UDPConn. An expired deadline fails first; otherwise a
+// packet already queued is returned without arming a timer, and a read
+// that has to wait under a deadline re-arms the endpoint's one.
+func (c *Conn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
+	c.mu.Lock()
+	deadline := c.readDeadline
 	c.mu.Unlock()
+	var wait time.Duration
+	if !deadline.IsZero() {
+		if wait = time.Until(deadline); wait <= 0 {
+			return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
+		}
+	}
 	select {
 	case <-c.done:
-		return 0, nil, net.ErrClosed
-	case <-timeout:
-		return 0, nil, os.ErrDeadlineExceeded
+		return 0, netip.AddrPort{}, net.ErrClosed
+	default:
+	}
+	select {
 	case pkt := <-c.queue:
-		n := copy(p, pkt.data)
-		return n, net.UDPAddrFromAddrPort(pkt.from), nil
+		return copy(p, pkt.data), pkt.from, nil
+	default:
+	}
+	var timeout <-chan time.Time
+	if wait > 0 {
+		// The endpoint keeps one timer between reads; a second reader
+		// at the same moment finds none and makes its own.
+		t := c.idleTimer.Swap(nil)
+		if t == nil {
+			t = time.NewTimer(wait)
+		} else {
+			t.Reset(wait)
+		}
+		defer func() {
+			// go.mod says go 1.22: a fired timer's tick stays in its
+			// channel, and would expire the next read on arrival.
+			if !t.Stop() {
+				select {
+				case <-t.C:
+				default:
+				}
+			}
+			c.idleTimer.Store(t)
+		}()
+		timeout = t.C
+	}
+	select {
+	case <-c.done:
+		return 0, netip.AddrPort{}, net.ErrClosed
+	case <-timeout:
+		return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
+	case pkt := <-c.queue:
+		return copy(p, pkt.data), pkt.from, nil
 	}
 }
 
 // WriteTo implements net.PacketConn.
 func (c *Conn) WriteTo(p []byte, addr net.Addr) (int, error) {
+	to, err := toAddrPort(addr)
+	if err != nil {
+		return 0, err
+	}
+	return c.WriteToUDPAddrPort(p, to)
+}
+
+// WriteToUDPAddrPort is WriteTo with the destination in netip form, as
+// on *net.UDPConn.
+func (c *Conn) WriteToUDPAddrPort(p []byte, to netip.AddrPort) (int, error) {
 	select {
 	case <-c.done:
 		return 0, net.ErrClosed
 	default:
-	}
-	to, err := toAddrPort(addr)
-	if err != nil {
-		return 0, err
 	}
 	c.net.deliver(c.addr, to, p)
 	return len(p), nil

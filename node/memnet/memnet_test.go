@@ -468,3 +468,164 @@ func TestCrossLinkDeterminism(t *testing.T) {
 		t.Fatalf("a->b pattern depends on c->d traffic:\n%s\n%s", p0, p3)
 	}
 }
+
+// TestFaultScheduleIndependentOfSendOrder: a link's decision stream is
+// derived when the link first draws, not when it first carries a packet,
+// so the fate of every packet on two faulty links, and the network's
+// counters, must be the same whichever link sends first and whether or
+// not fault-free links carry traffic in between — and a fault-free link
+// must never get a stream at all.
+func TestFaultScheduleIndependentOfSendOrder(t *testing.T) {
+	const packets = 48
+	type fate struct{ inline, late int }
+	type outcome struct {
+		ab, cd [packets]fate
+		stats  Stats
+	}
+	run := func(cdFirst, interleave bool, noise int) outcome {
+		nw := New(29)
+		a, b := nw.Listen(), nw.Listen()
+		c, d := nw.Listen(), nw.Listen()
+		e, f := nw.Listen(), nw.Listen()
+		for _, conn := range []*Conn{a, b, c, d, e, f} {
+			defer conn.Close()
+		}
+		// Zero latency, so a copy that is not held back lands inside
+		// its WriteTo; a held one lands 30ms later, long after the
+		// sender has looked.
+		faulty := LinkProfile{Loss: 0.25, DupProb: 0.3, ReorderProb: 0.3, ReorderDelay: 30 * time.Millisecond}
+		nw.SetLink(a.AddrPort(), b.AddrPort(), faulty)
+		nw.SetLink(c.AddrPort(), d.AddrPort(), faulty)
+
+		var out outcome
+		buf := make([]byte, 8)
+		// drain counts what is queued at dst: copies of packet i are
+		// inline, copies of an earlier packet are held ones landing.
+		drain := func(dst *Conn, fates *[packets]fate, i int) {
+			for len(dst.queue) > 0 {
+				if _, _, err := dst.ReadFromUDPAddrPort(buf); err != nil {
+					t.Fatal(err)
+				}
+				if int(buf[0]) == i {
+					fates[buf[0]].inline++
+				} else {
+					fates[buf[0]].late++
+				}
+			}
+		}
+		send := func(src, dst *Conn, fates *[packets]fate, i int) {
+			for j := 0; j < noise; j++ {
+				if _, err := e.WriteToUDPAddrPort([]byte("noise"), f.AddrPort()); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := f.ReadFromUDPAddrPort(buf); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := src.WriteToUDPAddrPort([]byte{byte(i)}, dst.AddrPort()); err != nil {
+				t.Fatal(err)
+			}
+			drain(dst, fates, i)
+		}
+		first, second := func(i int) { send(a, b, &out.ab, i) }, func(i int) { send(c, d, &out.cd, i) }
+		if cdFirst {
+			first, second = second, first
+		}
+		if interleave {
+			for i := 0; i < packets; i++ {
+				first(i)
+				second(i)
+			}
+		} else {
+			for i := 0; i < packets; i++ {
+				first(i)
+			}
+			for i := 0; i < packets; i++ {
+				second(i)
+			}
+		}
+		if !nw.WaitIdle(2 * time.Second) {
+			t.Fatal("held copies never landed")
+		}
+		drain(b, &out.ab, -1)
+		drain(d, &out.cd, -1)
+
+		out.stats = nw.Stats()
+		if s := out.stats; s.Sent+s.Duplicated != s.Delivered+s.Dropped+s.Blocked+s.QueueDrop {
+			t.Fatalf("accounting broken: %+v", s)
+		}
+		// The fault-free traffic is the only difference allowed between
+		// runs; take it out so the counters compare.
+		out.stats.Sent -= int64(2 * packets * noise)
+		out.stats.Delivered -= int64(2 * packets * noise)
+		nw.mu.Lock()
+		streams := len(nw.rngs)
+		nw.mu.Unlock()
+		if streams != 2 {
+			t.Fatalf("%d link streams derived, want 2: only a→b and c→d can draw", streams)
+		}
+		return out
+	}
+
+	want := run(false, false, 0)
+	if s := want.stats; s.Dropped == 0 || s.Duplicated == 0 || s.Reordered == 0 {
+		t.Fatalf("faults never fired: %+v", s)
+	}
+	if want.ab == want.cd {
+		t.Fatal("both links drew the same fates (suspicious)")
+	}
+	for _, v := range []struct {
+		cdFirst, interleave bool
+		noise               int
+	}{
+		{true, false, 0}, {false, true, 0}, {true, true, 0},
+		{false, false, 2}, {true, true, 3},
+	} {
+		if got := run(v.cdFirst, v.interleave, v.noise); got != want {
+			t.Errorf("cdFirst=%v interleave=%v noise=%d changed the schedule:\n got  %+v\n want %+v",
+				v.cdFirst, v.interleave, v.noise, got, want)
+		}
+	}
+}
+
+// TestReadDeadlineTimerReuse: the endpoint re-arms one timer for every
+// read that waits under a deadline; neither an expired wait nor one cut
+// short by a packet may leak into the read after it.
+func TestReadDeadlineTimerReuse(t *testing.T) {
+	nw := New(1)
+	a, b := nw.Listen(), nw.Listen()
+	defer a.Close()
+	defer b.Close()
+	buf := make([]byte, 8)
+	for round := 0; round < 3; round++ {
+		// A wait that expires.
+		b.SetReadDeadline(time.Now().Add(5 * time.Millisecond))
+		if _, _, err := b.ReadFrom(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("round %d: err = %v, want deadline exceeded", round, err)
+		}
+		// A wait with time to spare must last until its packet comes.
+		b.SetReadDeadline(time.Now().Add(5 * time.Second))
+		sent := make(chan error, 1)
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			_, err := a.WriteTo([]byte("late"), b.LocalAddr())
+			sent <- err
+		}()
+		if n, _, err := b.ReadFrom(buf); err != nil || string(buf[:n]) != "late" {
+			t.Fatalf("round %d: read %q, %v; want the packet", round, buf[:n], err)
+		}
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+		// And after a wait cut short, a short deadline still takes its
+		// full time.
+		start := time.Now()
+		b.SetReadDeadline(start.Add(10 * time.Millisecond))
+		if _, _, err := b.ReadFrom(buf); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("round %d: err = %v, want deadline exceeded", round, err)
+		}
+		if waited := time.Since(start); waited < 10*time.Millisecond {
+			t.Fatalf("round %d: a 10ms deadline expired after %v", round, waited)
+		}
+	}
+}

@@ -1,5 +1,5 @@
 // Package node implements a live GUESS peer speaking the wire protocol
-// over UDP (or any net.PacketConn): the deployable counterpart of the
+// over UDP (or any other Transport): the deployable counterpart of the
 // simulator in internal/core.
 //
 // A Node maintains the paper's link cache with periodic pings, answers
@@ -320,18 +320,40 @@ type QueryStats struct {
 	Retries int
 }
 
+// Transport is the datagram socket a node runs on, with peers named
+// by netip.AddrPort so that no address is boxed per packet.
+// *net.UDPConn and *memnet.Conn implement it.
+type Transport interface {
+	ReadFromUDPAddrPort(b []byte) (n int, from netip.AddrPort, err error)
+	WriteToUDPAddrPort(b []byte, to netip.AddrPort) (int, error)
+	LocalAddr() net.Addr
+	Close() error
+}
+
 // Node is a live GUESS peer. Create with Listen or New; always Close.
 type Node struct {
 	cfg   Config
-	conn  net.PacketConn
+	conn  Transport
 	start time.Time
+	// self is conn's bound address, resolved once in New, and selfID
+	// the PeerID idFor gives it.
+	self   netip.AddrPort
+	selfID cache.PeerID
+	// filesLower is cfg.Files lower-cased, index for index: what a
+	// served query's keyword is matched against.
+	filesLower []string
 
-	mu    sync.Mutex
-	rng   *simrng.RNG
-	link  *cache.LinkCache
-	ids   map[netip.AddrPort]cache.PeerID
-	addrs map[cache.PeerID]netip.AddrPort
-	next  cache.PeerID
+	mu   sync.Mutex
+	rng  *simrng.RNG
+	link *cache.LinkCache
+	ids  map[netip.AddrPort]cache.PeerID
+	// addrs[id] is the address idFor numbered id; IDs are dense from 1,
+	// so addrs[0] is unused.
+	addrs []netip.AddrPort
+	// pick is the selection scratch pongs are built with.
+	pick policy.Scratch
+	// scratches are idle query candidate sets (at most maxScratches).
+	scratches []*queryScratch
 	// adm decides which inbound probes are served (flat window or fair
 	// SFB-style shedding); guarded by mu.
 	adm admitter
@@ -376,7 +398,11 @@ type Node struct {
 
 // Listen binds a UDP socket (e.g. "127.0.0.1:0") and starts the node.
 func Listen(addr string, cfg Config) (*Node, error) {
-	conn, err := net.ListenPacket("udp", addr)
+	laddr, err := net.ResolveUDPAddr("udp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("node: listen: %w", err)
+	}
+	conn, err := net.ListenUDP("udp", laddr)
 	if err != nil {
 		return nil, fmt.Errorf("node: listen: %w", err)
 	}
@@ -389,27 +415,36 @@ func Listen(addr string, cfg Config) (*Node, error) {
 }
 
 // New starts a node on an existing transport. The node owns conn and
-// closes it on Close.
-func New(conn net.PacketConn, cfg Config) (*Node, error) {
+// closes it on Close (but not when New fails).
+func New(conn Transport, cfg Config) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	local, err := netip.ParseAddrPort(conn.LocalAddr().String())
+	if err != nil {
+		return nil, fmt.Errorf("node: transport's local address: %w", err)
+	}
 	n := &Node{
-		cfg:     cfg,
-		conn:    conn,
-		start:   time.Now(),
-		rng:     simrng.New(cfg.Seed),
-		link:    cache.NewLinkCache(cfg.CacheSize),
-		ids:     make(map[netip.AddrPort]cache.PeerID),
-		addrs:   make(map[cache.PeerID]netip.AddrPort),
-		next:    1,
-		keySalt: saltFor(cfg),
-		health:  newPeerHealth(cfg),
-		pending: make(map[uint64]chan wire.Message),
-		met:     obs.NewNodeMetrics(cfg.Metrics),
-		closing: make(chan struct{}),
-		closed:  make(chan struct{}),
+		cfg:        cfg,
+		conn:       conn,
+		self:       unmap(local),
+		start:      time.Now(),
+		filesLower: make([]string, len(cfg.Files)),
+		rng:        simrng.New(cfg.Seed),
+		link:       cache.NewLinkCache(cfg.CacheSize),
+		ids:        make(map[netip.AddrPort]cache.PeerID),
+		addrs:      make([]netip.AddrPort, 1),
+		keySalt:    saltFor(cfg),
+		health:     newPeerHealth(cfg),
+		pending:    make(map[uint64]chan wire.Message),
+		met:        obs.NewNodeMetrics(cfg.Metrics),
+		closing:    make(chan struct{}),
+		closed:     make(chan struct{}),
+	}
+	n.selfID = n.idFor(n.self)
+	for i, name := range cfg.Files {
+		n.filesLower[i] = strings.ToLower(name)
 	}
 	switch cfg.Admission {
 	case AdmissionFair:
@@ -422,7 +457,7 @@ func New(conn net.PacketConn, cfg Config) (*Node, error) {
 		n.restoreSnapshot()
 	}
 	n.wg.Add(2)
-	//lint:goroexit-ok Close unblocks the ReadFrom: it closes n.conn after close(n.closed), and serveLoop exits on the read error
+	//lint:goroexit-ok Close unblocks the read: it closes n.conn after close(n.closed), and serveLoop exits on the read error
 	go n.serveLoop()
 	go n.pingLoop()
 	if cfg.SnapshotPath != "" {
@@ -437,9 +472,15 @@ func New(conn net.PacketConn, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// Addr returns the node's bound address.
-func (n *Node) Addr() netip.AddrPort {
-	return addrPortOf(n.conn.LocalAddr())
+// Addr returns the node's bound address, in the form the node sees a
+// peer's address in when that peer writes to it: an IPv4 address is
+// never left in its IPv4-mapped IPv6 form.
+func (n *Node) Addr() netip.AddrPort { return n.self }
+
+// unmap strips the IPv4-mapped IPv6 form a dual-stack socket reports
+// IPv4 peers in, so one peer has one address whichever socket saw it.
+func unmap(ap netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // Close stops the node. With DrainTimeout > 0 it drains first: the
@@ -586,17 +627,20 @@ func (n *Node) syncBreakerGauge() {
 }
 
 // now is seconds since node start (the TS clock).
-func (n *Node) now() float64 { return time.Since(n.start).Seconds() }
+func (n *Node) now() float64 { return n.clock(time.Now()) }
+
+// clock is t on the TS clock.
+func (n *Node) clock(t time.Time) float64 { return t.Sub(n.start).Seconds() }
 
 // idFor maps an address to its stable PeerID; callers hold n.mu.
 func (n *Node) idFor(addr netip.AddrPort) cache.PeerID {
+	addr = unmap(addr)
 	if id, ok := n.ids[addr]; ok {
 		return id
 	}
-	id := n.next
-	n.next++
+	id := cache.PeerID(len(n.addrs))
 	n.ids[addr] = id
-	n.addrs[id] = addr
+	n.addrs = append(n.addrs, addr)
 	return id
 }
 
@@ -613,41 +657,36 @@ func clampFiles(v uint32) uint32 {
 	return v
 }
 
-// addrPortOf converts a net.Addr to netip.AddrPort.
-func addrPortOf(a net.Addr) netip.AddrPort {
-	if u, ok := a.(*net.UDPAddr); ok {
-		return u.AddrPort()
-	}
-	ap, err := netip.ParseAddrPort(a.String())
-	if err != nil {
-		return netip.AddrPort{}
-	}
-	return ap
-}
-
 // errClosed reports a send attempted after Close.
 var errClosed = errors.New("node: closed")
 
-// send encodes and transmits a message.
+// sendBufs recycles encode buffers across every node in the process.
+// Each is wire.MaxPacket bytes for good: a message that would outgrow
+// it fails to encode, and whatever append allocated for it is dropped.
+var sendBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, wire.MaxPacket)
+	return &b
+}}
+
+// send encodes and transmits a message. It does not retain m.
 func (n *Node) send(m wire.Message, to netip.AddrPort) error {
 	select {
 	case <-n.closed:
 		return errClosed
 	default:
 	}
-	pkt, err := wire.Encode(m)
+	buf := sendBufs.Get().(*[]byte)
+	defer sendBufs.Put(buf)
+	pkt, err := wire.AppendEncode((*buf)[:0], m)
 	if err != nil {
 		return err
 	}
-	_, err = n.conn.WriteTo(pkt, net.UDPAddrFromAddrPort(to))
+	_, err = n.conn.WriteToUDPAddrPort(pkt, unmap(to))
 	return err
 }
 
-// matches reports whether name matches the query keyword
-// (case-insensitive substring; an empty keyword matches nothing).
-func matches(name, keyword string) bool {
-	if keyword == "" {
-		return false
-	}
-	return strings.Contains(strings.ToLower(name), strings.ToLower(keyword))
+// matches reports whether lowerName contains lowerKeyword (both already
+// lower-cased; an empty keyword matches nothing).
+func matches(lowerName, lowerKeyword string) bool {
+	return lowerKeyword != "" && strings.Contains(lowerName, lowerKeyword)
 }

@@ -2,6 +2,7 @@ package node
 
 import (
 	"net/netip"
+	"strings"
 	"time"
 
 	"repro/internal/cache"
@@ -9,12 +10,28 @@ import (
 	"repro/internal/wire"
 )
 
+// server is what the serve loop reuses from one datagram to the next:
+// the read buffer, the reply under construction and the slices it
+// points into. Only the serve loop's goroutine touches it, and send
+// retains nothing, so a reply is overwritten only after it has left.
+type server struct {
+	buf     []byte
+	entries []wire.PongEntry
+	results []string
+	pong    wire.Pong
+	hit     wire.QueryHit
+	busy    wire.Busy
+}
+
 // serveLoop reads datagrams and dispatches until the socket closes.
 func (n *Node) serveLoop() {
 	defer n.wg.Done()
-	buf := make([]byte, wire.MaxPacket)
+	sv := &server{
+		buf:     make([]byte, wire.MaxPacket),
+		entries: make([]wire.PongEntry, 0, n.cfg.PongSize),
+	}
 	for {
-		count, from, err := n.conn.ReadFrom(buf)
+		count, from, err := n.conn.ReadFromUDPAddrPort(sv.buf)
 		if err != nil {
 			select {
 			case <-n.closed:
@@ -26,34 +43,38 @@ func (n *Node) serveLoop() {
 			n.logf("read error: %v", err)
 			continue
 		}
-		n.lastInbound.Store(time.Now().UnixNano())
-		msg, err := wire.Decode(buf[:count])
+		// One clock reading per datagram: the drain loop's quiet
+		// detector, admission and the TS clock all see this arrival.
+		at := time.Now()
+		n.lastInbound.Store(at.UnixNano())
+		msg, err := wire.Decode(sv.buf[:count])
 		if err != nil {
 			n.met.MalformedDropped.Inc()
 			continue
 		}
-		n.dispatch(msg, addrPortOf(from))
+		n.dispatch(sv, msg, unmap(from), at)
 	}
 }
 
-// dispatch handles one inbound message. While draining, new probes are
-// refused with Busy (so requesters fail over fast) but replies still
-// flow to any probe served before the drain began.
-func (n *Node) dispatch(msg wire.Message, from netip.AddrPort) {
+// dispatch handles one inbound message that arrived at time at. While
+// draining, new probes are refused with Busy (so requesters fail over
+// fast) but replies still flow to any probe served before the drain
+// began.
+func (n *Node) dispatch(sv *server, msg wire.Message, from netip.AddrPort, at time.Time) {
 	switch m := msg.(type) {
 	case *wire.Ping:
 		n.met.PingsReceived.Inc()
 		if n.Draining() {
-			n.shed(shedDrain, m.MsgID, from)
+			n.shed(sv, shedDrain, m.MsgID, from)
 			return
 		}
-		n.handlePing(m, from)
+		n.handlePing(sv, m, from, at)
 	case *wire.Query:
 		if n.Draining() {
-			n.shed(shedDrain, m.MsgID, from)
+			n.shed(sv, shedDrain, m.MsgID, from)
 			return
 		}
-		n.handleQuery(m, from)
+		n.handleQuery(sv, m, from, at)
 	case *wire.Pong, *wire.QueryHit, *wire.Busy:
 		n.deliver(msg)
 	}
@@ -62,7 +83,7 @@ func (n *Node) dispatch(msg wire.Message, from netip.AddrPort) {
 // shed refuses a probe with Busy, accounting the refusal by tier.
 // Flat-window refusals (shedFlat) count only in ProbesRefused,
 // preserving the original counter semantics.
-func (n *Node) shed(tier shedTier, msgID uint64, from netip.AddrPort) {
+func (n *Node) shed(sv *server, tier shedTier, msgID uint64, from netip.AddrPort) {
 	n.met.ProbesRefused.Inc()
 	switch tier {
 	case shedPing:
@@ -72,30 +93,42 @@ func (n *Node) shed(tier shedTier, msgID uint64, from netip.AddrPort) {
 	case shedDrain:
 		n.met.ShedDrain.Inc()
 	}
-	if err := n.send(&wire.Busy{MsgID: msgID}, from); err != nil {
+	sv.busy = wire.Busy{MsgID: msgID}
+	if err := n.send(&sv.busy, from); err != nil {
 		n.logf("busy to %v: %v", from, err)
 	}
+}
+
+// admitLocked runs admission and, for an admitted probe, introduction
+// and the pong under sel, which it leaves in sv.entries; callers hold
+// n.mu.
+func (n *Node) admitLocked(sv *server, kind probeKind, sel policy.Selection, from netip.AddrPort, numFiles uint32, at time.Time) admitVerdict {
+	v := n.adm.admit(requesterKey(from, n.keySalt), kind, at)
+	if !v.ok {
+		return v
+	}
+	if v.skipCacheWrite {
+		n.met.CacheWriteSkips.Inc()
+	} else {
+		n.introduce(from, numFiles, n.clock(at))
+	}
+	sv.entries = n.appendPongEntries(sv.entries[:0], sel, from)
+	return v
 }
 
 // handlePing applies admission and introduction and replies with a
 // pong. Only the fair controller ever sheds pings (tier 1, under
 // pressure); the flat default admits every ping, as the paper does.
-func (n *Node) handlePing(m *wire.Ping, from netip.AddrPort) {
+func (n *Node) handlePing(sv *server, m *wire.Ping, from netip.AddrPort, at time.Time) {
 	n.mu.Lock()
-	v := n.adm.admit(requesterKey(from, n.keySalt), probePing, time.Now())
+	v := n.admitLocked(sv, probePing, n.cfg.PingPong, from, m.NumFiles, at)
+	n.mu.Unlock()
 	if !v.ok {
-		n.mu.Unlock()
-		n.shed(v.tier, m.MsgID, from)
+		n.shed(sv, v.tier, m.MsgID, from)
 		return
 	}
-	if v.skipCacheWrite {
-		n.met.CacheWriteSkips.Inc()
-	} else {
-		n.introduce(from, m.NumFiles)
-	}
-	entries := n.pongEntries(n.cfg.PingPong, from)
-	n.mu.Unlock()
-	if err := n.send(&wire.Pong{MsgID: m.MsgID, Entries: entries}, from); err != nil {
+	sv.pong = wire.Pong{MsgID: m.MsgID, Entries: sv.entries}
+	if err := n.send(&sv.pong, from); err != nil {
 		n.logf("pong to %v: %v", from, err)
 	}
 }
@@ -103,65 +136,57 @@ func (n *Node) handlePing(m *wire.Ping, from netip.AddrPort) {
 // handleQuery applies admission, matches shared files and replies with
 // a QueryHit carrying the piggy-backed pong — or Busy when the
 // admission controller sheds the probe.
-func (n *Node) handleQuery(m *wire.Query, from netip.AddrPort) {
+func (n *Node) handleQuery(sv *server, m *wire.Query, from netip.AddrPort, at time.Time) {
 	n.mu.Lock()
-	v := n.adm.admit(requesterKey(from, n.keySalt), probeQuery, time.Now())
+	v := n.admitLocked(sv, probeQuery, n.cfg.QueryPong, from, m.NumFiles, at)
+	n.mu.Unlock()
 	if !v.ok {
-		n.mu.Unlock()
-		n.shed(v.tier, m.MsgID, from)
+		n.shed(sv, v.tier, m.MsgID, from)
 		return
 	}
-	if v.skipCacheWrite {
-		n.met.CacheWriteSkips.Inc()
-	} else {
-		n.introduce(from, m.NumFiles)
-	}
-	entries := n.pongEntries(n.cfg.QueryPong, from)
-	n.mu.Unlock()
 	n.met.QueriesServed.Inc()
 
-	var results []string
-	for _, name := range n.cfg.Files {
-		if matches(name, m.Keyword) {
-			results = append(results, name)
-			if len(results) >= wire.MaxHits || len(results) >= int(m.Desired) {
+	sv.results = sv.results[:0]
+	keyword := strings.ToLower(m.Keyword)
+	for i, name := range n.filesLower {
+		if matches(name, keyword) {
+			sv.results = append(sv.results, n.cfg.Files[i])
+			if len(sv.results) >= wire.MaxHits || len(sv.results) >= int(m.Desired) {
 				break
 			}
 		}
 	}
-	hit := &wire.QueryHit{MsgID: m.MsgID, Results: results, Pong: entries}
-	if err := n.send(hit, from); err != nil {
+	sv.hit = wire.QueryHit{MsgID: m.MsgID, Results: sv.results, Pong: sv.entries}
+	if err := n.send(&sv.hit, from); err != nil {
 		n.logf("queryhit to %v: %v", from, err)
 	}
 }
 
 // introduce applies the introduction protocol for an interaction
-// initiated by from; callers hold n.mu.
-func (n *Node) introduce(from netip.AddrPort, numFiles uint32) {
-	if from == n.Addr() {
+// initiated by from at time ts on the TS clock; callers hold n.mu.
+func (n *Node) introduce(from netip.AddrPort, numFiles uint32, ts float64) {
+	if from == n.self {
 		return
 	}
 	id := n.idFor(from)
-	n.link.Touch(id, n.now())
+	n.link.Touch(id, ts)
 	if !n.rng.Bool(n.cfg.IntroProb) {
 		return
 	}
 	n.insertLocked(cache.Entry{
 		Addr:     id,
-		TS:       n.now(),
+		TS:       ts,
 		NumFiles: int32(clampFiles(numFiles)),
 		Direct:   true,
 	})
 	n.syncCacheGauge()
 }
 
-// pongEntries builds a pong under the given policy, excluding the
-// recipient's own address; callers hold n.mu.
-func (n *Node) pongEntries(sel policy.Selection, recipient netip.AddrPort) []wire.PongEntry {
+// appendPongEntries appends a pong built under the given policy,
+// excluding the recipient's own address, to out; callers hold n.mu.
+func (n *Node) appendPongEntries(out []wire.PongEntry, sel policy.Selection, recipient netip.AddrPort) []wire.PongEntry {
 	entries := n.link.Entries()
-	idx := policy.PickN(n.rng, sel, entries, n.cfg.PongSize+1)
-	out := make([]wire.PongEntry, 0, n.cfg.PongSize)
-	for _, i := range idx {
+	for _, i := range n.pick.PickN(n.rng, sel, entries, n.cfg.PongSize+1) {
 		e := entries[i]
 		addr := n.addrs[e.Addr]
 		if addr == recipient || !addr.IsValid() {
@@ -202,16 +227,19 @@ func (n *Node) deliver(msg wire.Message) {
 	}
 }
 
-// await registers interest in replies to msgID. The caller must call
-// the returned cancel function.
-func (n *Node) await(msgID uint64) (<-chan wire.Message, func()) {
+// await registers interest in replies to msgID. The caller must forget
+// msgID when done.
+func (n *Node) await(msgID uint64) <-chan wire.Message {
 	ch := make(chan wire.Message, 1)
 	n.pendingMu.Lock()
 	n.pending[msgID] = ch
 	n.pendingMu.Unlock()
-	return ch, func() {
-		n.pendingMu.Lock()
-		delete(n.pending, msgID)
-		n.pendingMu.Unlock()
-	}
+	return ch
+}
+
+// forget ends an await: later replies to msgID count as late.
+func (n *Node) forget(msgID uint64) {
+	n.pendingMu.Lock()
+	delete(n.pending, msgID)
+	n.pendingMu.Unlock()
 }

@@ -282,7 +282,7 @@ func (n *Node) verifySuspects(suspects []snapEntry) {
 func (n *Node) verifyOne(e snapEntry) {
 	n.met.PingsSent.Inc()
 	ping := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
-	reply, outcome := n.transact(context.Background(), ping, e.Addr, nil)
+	reply, outcome := n.transact(context.Background(), ping, e.Addr, nil, new(attemptTimer))
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.suspectsLeft > 0 {
