@@ -127,7 +127,7 @@ bench-json:
 # machine-independent) grows past 110% of the baseline for either the
 # default-config run or the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261002_pr22.json
+BENCH_BASELINE ?= BENCH_20261002_pr24.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

@@ -16,19 +16,24 @@ import (
 // PeerID is a peer's address. In the simulator it doubles as the
 // unique, monotonically increasing peer identifier; addresses of dead
 // peers are never reused, and fabricated addresses (used by malicious
-// peers to poison caches) come from a disjoint range.
-type PeerID int64
+// peers to poison caches) come from a disjoint range. It is 32 bits
+// wide because every table of them (cache entries, queued events, seen
+// sets) is sized by it; whoever numbers peers must stop at
+// math.MaxInt32 rather than wrap, and anything hashing one converts
+// through uint32 so that no ID sign-extends.
+type PeerID int32
 
 // Entry is a pointer to another peer, the unit stored in both caches.
+// The fields are ordered to pack into 24 bytes.
 type Entry struct {
 	// Addr is the target peer's address.
 	Addr PeerID
+	// NumFiles is the number of files the target advertises.
+	NumFiles int32
 	// TS is the virtual time of the owner's last interaction with the
 	// target (or the inherited timestamp, for entries learned from
 	// pongs; the protocol forbids rewriting fields on insert).
 	TS float64
-	// NumFiles is the number of files the target advertises.
-	NumFiles int32
 	// NumRes is the number of results the target returned for the
 	// owner's (or, if !Direct, some third party's) last query to it.
 	NumRes int32
@@ -50,7 +55,7 @@ type Entry struct {
 // standard library on amd64 and arm64), and every tag hit is verified
 // against entries[i].Addr, resuming after a false positive (a wrong
 // address shares the tag once per 256 slots scanned). One byte per
-// slot beside the 32-byte entry makes 33 bytes per cached pointer
+// slot beside the 24-byte entry makes 25 bytes per cached pointer
 // against roughly twice that with a map, the difference between a
 // million-peer simulation fitting in memory or not, since link caches
 // dominate the simulator's heap. Large caches (the paper's
@@ -82,10 +87,10 @@ const linearIndexMax = 128
 
 // tagOf is the one-byte fingerprint of addr kept in LinkCache.tags.
 // Simulator addresses are small consecutive integers (and fabricated
-// ones consecutive from 1<<40), so the tag is the top byte of a
+// ones consecutive from 1<<30), so the tag is the top byte of a
 // Fibonacci hash rather than any byte of the address itself.
 func tagOf(addr PeerID) byte {
-	return byte((uint64(addr) * 0x9E3779B97F4A7C15) >> 56)
+	return byte((uint64(uint32(addr)) * 0x9E3779B97F4A7C15) >> 56)
 }
 
 // NewLinkCache returns an empty link cache with the given capacity
@@ -184,8 +189,21 @@ func (c *LinkCache) Add(e Entry) bool {
 	} else {
 		c.tags = append(c.tags, tagOf(e.Addr))
 	}
+	if len(c.entries) == cap(c.entries) {
+		c.grow()
+	}
 	c.entries = append(c.entries, e)
 	return true
+}
+
+// grow doubles the backing array, stopping at the capacity: left to
+// append, a 300-entry cache would end on 512 slots and a 1000-entry one
+// well past 1000. Only caches above NewLinkCache's 256-entry start get
+// here, so the tags, allocated whole, never grow.
+func (c *LinkCache) grow() {
+	grown := make([]Entry, len(c.entries), min(2*len(c.entries), c.capacity))
+	copy(grown, c.entries)
+	c.entries = grown
 }
 
 // ReplaceAt evicts the entry at index i and installs e in its place.

@@ -1,7 +1,10 @@
 package cache
 
 import (
+	"math"
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"repro/internal/simrng"
 )
@@ -27,7 +30,7 @@ func newIndexed(capacity int, useMap bool) *LinkCache {
 // fabricatedBase is where internal/core starts fabricated addresses
 // (its fakeAddrBase; core imports this package, so the value is
 // repeated here).
-const fabricatedBase PeerID = 1 << 40
+const fabricatedBase PeerID = 1 << 30
 
 // sameTag returns the first n positive addresses whose tag is tag.
 func sameTag(tag byte, n int) []PeerID {
@@ -42,14 +45,16 @@ func sameTag(tag byte, n int) []PeerID {
 
 // scriptAddrs is the address pool op scripts draw from: more addresses
 // than any scripted capacity, mixing the simulator's consecutive peer
-// IDs, its fabricated range, and a run that all share one tag byte, so
-// false-positive tag hits are routine rather than 1-in-256.
+// IDs, its fabricated range, a run that all share one tag byte, so
+// false-positive tag hits are routine rather than 1-in-256, and the
+// last real ID and the last two values a PeerID holds.
 func scriptAddrs() []PeerID {
 	var pool []PeerID
 	for a := PeerID(1); a <= 24; a++ {
 		pool = append(pool, a, fabricatedBase+a)
 	}
-	return append(pool, sameTag(tagOf(1), 24)...)
+	pool = append(pool, sameTag(tagOf(1), 24)...)
+	return append(pool, fabricatedBase-1, math.MaxInt32-1, math.MaxInt32)
 }
 
 // runOpScript decodes script into LinkCache calls (two bytes each:
@@ -223,4 +228,105 @@ func TestLinkCacheSharedTag(t *testing.T) {
 		t.Fatal("replacement not found at its slot")
 	}
 	c.checkInvariants()
+}
+
+// TestEntryLayout pins the packed entry: a field added or widened
+// without thought moves a 32-entry cache out of the 768-byte size class.
+func TestEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Entry{}); got != 24 {
+		t.Fatalf("Entry is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(PeerID(0)); got != 4 {
+		t.Fatalf("PeerID is %d bytes, want 4", got)
+	}
+	c := NewLinkCache(32)
+	if got := cap(c.Entries()) * int(unsafe.Sizeof(Entry{})); got != 768 {
+		t.Fatalf("a 32-entry cache's backing array is %d bytes, want 768", got)
+	}
+}
+
+// TestLinkCacheGrowthStopsAtCapacity fills caches on both sides of
+// NewLinkCache's 256-entry starting allocation: the backing array never
+// outgrows the capacity, slot order is insertion order, and a cleared
+// cache refills without allocating.
+func TestLinkCacheGrowthStopsAtCapacity(t *testing.T) {
+	for _, capacity := range []int{5, 32, 128, 129, 300, 1000} {
+		c := NewLinkCache(capacity)
+		fill := func() {
+			for a := PeerID(1); int(a) <= capacity; a++ {
+				if !c.Add(Entry{Addr: a}) {
+					t.Fatalf("capacity %d: Add(%d) refused", capacity, a)
+				}
+				if cap(c.Entries()) > c.Cap() {
+					t.Fatalf("capacity %d: backing array of %d entries after %d adds",
+						capacity, cap(c.Entries()), a)
+				}
+			}
+		}
+		fill()
+		c.checkInvariants()
+		if !c.Full() || c.Add(Entry{Addr: PeerID(capacity + 1)}) {
+			t.Fatalf("capacity %d: not full after %d adds", capacity, capacity)
+		}
+		for i, e := range c.Entries() {
+			if e.Addr != PeerID(i+1) {
+				t.Fatalf("capacity %d: slot %d holds %d", capacity, i, e.Addr)
+			}
+		}
+		if c.tags != nil && cap(c.tags) != capacity {
+			t.Fatalf("capacity %d: %d tag bytes", capacity, cap(c.tags))
+		}
+		if allocs := testing.AllocsPerRun(3, func() { c.Clear(); fill() }); allocs != 0 {
+			t.Fatalf("capacity %d: Clear and refill allocated %v times", capacity, allocs)
+		}
+	}
+}
+
+// The 64-bit formulas the ID hashes replaced, kept as the reference: a
+// PeerID was an int64 and went into the multiply sign-extended.
+func tagOf64(addr int64) byte {
+	return byte((uint64(addr) * 0x9E3779B97F4A7C15) >> 56)
+}
+
+func probeStart64(addr int64, slots int) int {
+	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(slots-1)))
+}
+
+// eachRealID calls f with every ID a run of a million peers can assign,
+// then with strides up to the last real ID.
+func eachRealID(f func(PeerID)) {
+	for id := PeerID(1); id <= 1<<20; id++ {
+		f(id)
+	}
+	for id := PeerID(1<<20 + 1); id < fabricatedBase-1; id += 1<<18 - 3 {
+		f(id)
+	}
+	f(fabricatedBase - 1)
+}
+
+// TestRealIDsHashAsBefore checks, rather than argues, that narrowing the
+// ID left every real ID its tag and its QueryCache probe start (core's
+// TestSeenSetProbeStartAsBefore does the same for the seen set).
+func TestRealIDsHashAsBefore(t *testing.T) {
+	small, large := &QueryCache{keys: make([]PeerID, queryCacheMinSlots)}, &QueryCache{keys: make([]PeerID, 1<<16)}
+	eachRealID(func(id PeerID) {
+		if got, want := tagOf(id), tagOf64(int64(id)); got != want {
+			t.Fatalf("tagOf(%d) = %d, 64-bit formula %d", id, got, want)
+		}
+		for _, q := range []*QueryCache{small, large} {
+			// In an empty table the slot found is where probing starts.
+			if got, want := q.slot(id), probeStart64(int64(id), len(q.keys)); got != want {
+				t.Fatalf("QueryCache.slot(%d) of %d = %d, 64-bit formula %d", id, len(q.keys), got, want)
+			}
+		}
+	})
+	// A fabricated address hashes as its unsigned value, not sign-extended.
+	for _, id := range []PeerID{fabricatedBase, math.MaxInt32, -1, math.MinInt32} {
+		if got, want := tagOf(id), tagOf64(int64(uint32(id))); got != want {
+			t.Fatalf("tagOf(%d) = %d, want %d", id, got, want)
+		}
+		if got, want := small.slot(id), probeStart64(int64(uint32(id)), len(small.keys)); got != want {
+			t.Fatalf("QueryCache.slot(%d) = %d, want %d", id, got, want)
+		}
+	}
 }

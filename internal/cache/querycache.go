@@ -44,7 +44,7 @@ func (q *QueryCache) slot(addr PeerID) int {
 	// Probing starts at the top bits of a multiplicative hash, so runs
 	// of consecutive IDs spread over the whole table.
 	mask := len(q.keys) - 1
-	i := int(uint64(addr) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask)))
+	i := int(uint64(uint32(addr)) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask)))
 	for q.keys[i] != addr && q.keys[i] != 0 {
 		i = (i + 1) & mask
 	}

@@ -61,9 +61,9 @@ func queryScriptAddrs() []PeerID {
 	for a := PeerID(1); a <= 200; a++ {
 		pool = append(pool, a, fabricatedBase+a, -a)
 	}
-	for a := PeerID(1); len(pool) < 700; a++ {
-		if uint64(a)*0x9E3779B97F4A7C15>>56 == 0 {
-			pool = append(pool, a<<20)
+	for a := PeerID(1 << 20); len(pool) < 700; a++ {
+		if probeStart64(int64(a), queryCacheMinSlots) == 0 {
+			pool = append(pool, a)
 		}
 	}
 	return pool

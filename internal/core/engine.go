@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 
 	"repro/internal/cache"
@@ -17,12 +18,15 @@ import (
 	"repro/internal/workload"
 )
 
-// fakeAddrBase is the start of the address range used for fabricated
-// (never-live) addresses returned by malicious peers. Real peer IDs
-// grow upward from 1 and can never reach it; it is far beyond the
-// peerStore's dense index table, so fabricated addresses resolve to
-// "dead" by the same bounds check as any other unknown ID.
-const fakeAddrBase cache.PeerID = 1 << 40
+// fakeAddrBase splits the positive PeerID range in two: real peer IDs
+// count up from 1 through [1, fakeAddrBase), and the fabricated
+// (never-live) addresses malicious peers hand out count up through
+// [fakeAddrBase, math.MaxInt32). A fabricated address lies beyond the
+// peerStore's dense index table, so it resolves to "dead" by the same
+// bounds check as any other unknown ID. Neither counter wraps or
+// crosses into the other's half: a run that uses up either range stops
+// with an error (see Engine.exhausted; DESIGN.md §6 has the budget).
+const fakeAddrBase cache.PeerID = 1 << 30
 
 // event kinds dispatched by the simulation loop.
 type evKind uint8
@@ -88,6 +92,10 @@ type Engine struct {
 	// trace state
 	traceHeader bool
 	traceErr    error
+
+	// exhausted is set when nextID or nextFake runs out of addresses; the
+	// event loop stops on it and Run returns it instead of Results.
+	exhausted error
 
 	// Observability (all optional; see SetObserver/SetMetrics/
 	// SetProgress). observer receives trace events, met mirrors the
@@ -340,7 +348,7 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 	e.schedule(e.p.WarmupTime, event{kind: evSample})
 
 	var processed uint64
-	for {
+	for e.exhausted == nil {
 		if ctx != nil && processed%ctxCheckInterval == 0 {
 			if ctx.Err() != nil {
 				e.res.Interrupted = true
@@ -368,6 +376,9 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 			return nil, fmt.Errorf("core: unknown event kind %d", ev.kind)
 		}
 	}
+	if e.exhausted != nil {
+		return nil, fmt.Errorf("core: %w", e.exhausted)
+	}
 	e.finalize()
 	if e.traceErr != nil {
 		return nil, fmt.Errorf("core: trace writer: %w", e.traceErr)
@@ -391,7 +402,9 @@ func (e *Engine) bootstrap() {
 		selfishSlot[perm[i]] = true
 	}
 	for i := 0; i < n; i++ {
-		e.spawnPeer(badSlot[i], selfishSlot[i])
+		if _, ok := e.spawnPeer(badSlot[i], selfishSlot[i]); !ok {
+			return
+		}
 	}
 	// Seed link caches with live peers, as in the paper's time-zero
 	// setup (entries carry the target's true file count).
@@ -427,8 +440,13 @@ func (e *Engine) samplePeers(r *simrng.RNG, k int, exclude cache.PeerID) []int {
 
 // spawnPeer creates a peer at the current time, registers it in the
 // next free slot, and schedules its lifecycle events. Cache seeding is
-// the caller's job. Returns the new peer's slot.
-func (e *Engine) spawnPeer(malicious, selfish bool) int {
+// the caller's job. Returns the new peer's slot, or false with
+// e.exhausted set when every real ID has been assigned.
+func (e *Engine) spawnPeer(malicious, selfish bool) (int, bool) {
+	if e.nextID >= fakeAddrBase {
+		e.exhausted = fmt.Errorf("peer IDs exhausted: every ID in [1, %d) has been assigned", fakeAddrBase)
+		return -1, false
+	}
 	id := e.nextID
 	e.nextID++
 	libSize := e.universe.SampleLibrarySize(e.rngContent)
@@ -477,7 +495,7 @@ func (e *Engine) spawnPeer(malicious, selfish bool) int {
 		delay, _ := e.gen.NextBurst(e.rngWorkload)
 		e.schedule(e.now+delay, event{kind: evBurst, peer: id})
 	}
-	return slot
+	return slot, true
 }
 
 // handleDeath removes a peer and spawns its replacement, keeping the
@@ -522,7 +540,10 @@ func (e *Engine) handleDeath(id cache.PeerID) {
 	// Birth of the replacement, seeded by the random-friend policy:
 	// the newborn copies the link cache of one live "friend" and also
 	// remembers the friend itself.
-	np := e.spawnPeer(malicious, selfish)
+	np, ok := e.spawnPeer(malicious, selfish)
+	if !ok {
+		return
+	}
 	if e.ps.len() > 1 {
 		friend := np
 		for friend == np {
@@ -642,8 +663,8 @@ func (e *Engine) scanOverlay(connectivity bool) overlaySample {
 	// With no malicious peer alive every live entry is a good one, and
 	// the target's slot is never needed.
 	allGood := len(e.bad) == 0
-	// Range-checked as a PeerID first: a fabricated address need not
-	// fit the int the scratch is indexed by.
+	// One compare sorts out the fabricated and the not yet born: no
+	// cached address is negative, since neither ID counter ever wraps.
 	limit := cache.PeerID(len(byID))
 	var s overlaySample
 	for i, self := range e.ps.id {
@@ -871,9 +892,15 @@ func (e *Engine) buildBadPong(host int) []cache.Entry {
 // plausible fabricated stranger has none — which is why the paper
 // finds MR robust against this attack (the fakes never outrank
 // productive peers) while MFS collapses. Colluding attacks
-// (BadPongBad) do lie about NumRes; see buildBadPong.
+// (BadPongBad) do lie about NumRes; see buildBadPong. The pong is cut
+// short, with e.exhausted set, when the fabricated range runs out.
 func (e *Engine) fabricateDead(out []cache.Entry) []cache.Entry {
 	for i := 0; i < e.p.PongSize; i++ {
+		if e.nextFake == math.MaxInt32 {
+			e.exhausted = fmt.Errorf("fabricated addresses exhausted: every address in [%d, %d) has been handed out",
+				fakeAddrBase, math.MaxInt32)
+			return out
+		}
 		out = append(out, cache.Entry{
 			Addr:     e.nextFake,
 			TS:       e.now,

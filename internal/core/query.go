@@ -88,7 +88,7 @@ func (s *seenSet) add(addr cache.PeerID) bool {
 	// Probing starts at the top bits of a multiplicative hash, so runs
 	// of consecutive IDs spread over the whole table.
 	mask := len(s.tab) - 1
-	for i := int(uint64(addr) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask))); ; i = (i + 1) & mask {
+	for i := int(uint64(uint32(addr)) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask))); ; i = (i + 1) & mask {
 		switch s.tab[i] {
 		case addr:
 			return false

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -212,5 +214,40 @@ func TestOriginIsNeverACandidate(t *testing.T) {
 	e.startQuery(p, 0)
 	if probes < link.Len()-1 {
 		t.Fatalf("%d probes, want at least the %d other cache entries", probes, link.Len()-1)
+	}
+}
+
+// seenStart64 is where a 64-bit PeerID started probing a table of the
+// given length, kept as the reference for the narrowed hash.
+func seenStart64(addr int64, slots int) int {
+	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(slots-1)))
+}
+
+// TestSeenSetProbeStartAsBefore adds every ID a million-peer run can
+// assign, and strides up to the last real one, to an empty table: the
+// slot it lands in is where probing starts, and must be where the 64-bit
+// hash started (cache's TestRealIDsHashAsBefore covers the tag and the
+// query cache). A fabricated address must land where its unsigned value
+// hashes, not a sign-extended one.
+func TestSeenSetProbeStartAsBefore(t *testing.T) {
+	for _, slots := range []int{seenMinSlots, maxRetainedSeenSlots} {
+		s := seenSet{tab: make([]cache.PeerID, slots)}
+		check := func(id cache.PeerID) {
+			t.Helper()
+			want := seenStart64(int64(uint32(id)), slots)
+			if !s.add(id) || s.tab[want] != id {
+				t.Fatalf("add(%d) to %d empty slots did not land in slot %d", id, slots, want)
+			}
+			s.tab[want], s.n = 0, 0
+		}
+		for id := cache.PeerID(1); id <= 1<<20; id++ {
+			check(id)
+		}
+		for id := cache.PeerID(1<<20 + 1); id < fakeAddrBase; id += 1<<18 - 3 {
+			check(id)
+		}
+		for _, id := range []cache.PeerID{fakeAddrBase - 1, fakeAddrBase, math.MaxInt32 - 1, math.MaxInt32} {
+			check(id)
+		}
 	}
 }

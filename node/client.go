@@ -78,7 +78,7 @@ func (n *Node) absorbPong(entries []wire.PongEntry) {
 			continue
 		}
 		id := n.idFor(pe.Addr)
-		if id == n.selfID {
+		if id == 0 || id == n.selfID {
 			continue
 		}
 		policy.Insert(n.rng, n.cfg.CacheReplacement, n.link, cache.Entry{
@@ -441,7 +441,7 @@ func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort
 				continue
 			}
 			peID := n.idFor(pe.Addr)
-			if peID == n.selfID {
+			if peID == 0 || peID == n.selfID {
 				continue
 			}
 			entry := cache.Entry{

@@ -348,8 +348,10 @@ type Node struct {
 	link *cache.LinkCache
 	ids  map[netip.AddrPort]cache.PeerID
 	// addrs[id] is the address idFor numbered id; IDs are dense from 1,
-	// so addrs[0] is unused.
+	// so addrs[0] is unused. maxID is the last ID idFor hands out:
+	// math.MaxInt32, lower only in tests.
 	addrs []netip.AddrPort
+	maxID cache.PeerID
 	// pick is the selection scratch pongs are built with.
 	pick policy.Scratch
 	// scratches are idle query candidate sets (at most maxScratches).
@@ -435,6 +437,7 @@ func New(conn Transport, cfg Config) (*Node, error) {
 		link:       cache.NewLinkCache(cfg.CacheSize),
 		ids:        make(map[netip.AddrPort]cache.PeerID),
 		addrs:      make([]netip.AddrPort, 1),
+		maxID:      math.MaxInt32,
 		keySalt:    saltFor(cfg),
 		health:     newPeerHealth(cfg),
 		pending:    make(map[uint64]chan wire.Message),
@@ -606,6 +609,10 @@ func (n *Node) AddPeer(addr netip.AddrPort, numFiles uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	id := n.idFor(addr)
+	if id == 0 {
+		n.logf("peer %v not added: address table full", addr)
+		return
+	}
 	n.insertLocked(cache.Entry{
 		Addr:     id,
 		TS:       n.now(),
@@ -632,11 +639,17 @@ func (n *Node) now() float64 { return n.clock(time.Now()) }
 // clock is t on the TS clock.
 func (n *Node) clock(t time.Time) float64 { return t.Sub(n.start).Seconds() }
 
-// idFor maps an address to its stable PeerID; callers hold n.mu.
+// idFor maps an address to its stable PeerID, numbering it on first
+// sight; callers hold n.mu. Once maxID addresses are numbered a new one
+// gets 0, which names no address and is never in the link cache: the
+// caller must not cache it, and touching or forgetting it is a no-op.
 func (n *Node) idFor(addr netip.AddrPort) cache.PeerID {
 	addr = unmap(addr)
 	if id, ok := n.ids[addr]; ok {
 		return id
+	}
+	if len(n.addrs) > int(n.maxID) {
+		return 0
 	}
 	id := cache.PeerID(len(n.addrs))
 	n.ids[addr] = id

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/policy"
 )
 
@@ -311,4 +313,53 @@ func TestStatsSnapshot(t *testing.T) {
 	if got := a.Stats().PingsReceived; got != 1 {
 		t.Fatalf("PingsReceived = %d", got)
 	}
+}
+
+// TestFullAddressTableStopsCaching: a node that has numbered every
+// address a PeerID can hold keeps the peers it knows and treats a new
+// address as not cacheable on every path that would number one,
+// instead of truncating the table's length into an ID some other
+// address already has.
+func TestFullAddressTableStopsCaching(t *testing.T) {
+	sharer := startNode(t, Config{Files: []string{"rare groove.flac"}})
+	relay := startNode(t, Config{Files: []string{"rare groove (live).flac"}})
+	relay.AddPeer(sharer.Addr(), 1)
+	n := startNode(t, Config{IntroProb: 1})
+	n.AddPeer(relay.Addr(), 1)
+	n.mu.Lock()
+	n.maxID = cache.PeerID(len(n.addrs) - 1) // self and the relay: the table is full
+	n.mu.Unlock()
+	onlyRelay := func(after string) {
+		t.Helper()
+		if got := n.CacheAddrs(); !slices.Equal(got, []netip.AddrPort{relay.Addr()}) {
+			t.Fatalf("cache after %s: %v, want only the relay %v", after, got, relay.Addr())
+		}
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if len(n.addrs) != 3 || len(n.ids) != 2 {
+			t.Fatalf("after %s: %d addresses numbered, %d in the map", after, len(n.addrs)-1, len(n.ids))
+		}
+	}
+	ctx := context.Background()
+
+	n.AddPeer(netip.MustParseAddrPort("127.0.0.1:1"), 0)
+	onlyRelay("AddPeer")
+	// The relay's pong carries the sharer: a ping's pong, then a query's.
+	if ok, err := n.PingPeer(ctx, relay.Addr()); err != nil || !ok {
+		t.Fatalf("ping: %v, %v", ok, err)
+	}
+	onlyRelay("a pong")
+	hits, stats, err := n.Query(ctx, "rare groove", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(hits) != 1 || hits[0].From != relay.Addr() || stats.Probes != 1 {
+		t.Fatalf("query reached past the relay: hits=%v stats=%+v", hits, stats)
+	}
+	onlyRelay("a query's pong")
+	// A stranger's ping is answered, and the stranger not introduced.
+	if ok, err := sharer.PingPeer(ctx, n.Addr()); err != nil || !ok {
+		t.Fatalf("stranger's ping: %v, %v", ok, err)
+	}
+	onlyRelay("an introduction")
 }

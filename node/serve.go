@@ -170,7 +170,7 @@ func (n *Node) introduce(from netip.AddrPort, numFiles uint32, ts float64) {
 	}
 	id := n.idFor(from)
 	n.link.Touch(id, ts)
-	if !n.rng.Bool(n.cfg.IntroProb) {
+	if !n.rng.Bool(n.cfg.IntroProb) || id == 0 {
 		return
 	}
 	n.insertLocked(cache.Entry{

@@ -295,6 +295,10 @@ func (n *Node) verifyOne(e snapEntry) {
 	}
 	n.met.PongsReceived.Inc()
 	id := n.idFor(e.Addr)
+	if id == 0 {
+		n.met.SnapshotDiscarded.Inc()
+		return
+	}
 	n.insertLocked(cache.Entry{
 		Addr:     id,
 		TS:       n.now(),
