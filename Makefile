@@ -71,10 +71,13 @@ test-chaos:
 # The engine itself starts no goroutine; the core leg keeps the Renew
 # and sample-scan suites under the detector, since pooled Workers chain
 # engines through Renew. The gnutella leg floods one Topology from two
-# goroutines (TestConcurrentFloodsShareTopology).
+# goroutines (TestConcurrentFloodsShareTopology), and the content leg
+# draws libraries from one Universe's shared sampler bitmap on four
+# (TestLibrariesShareBitmapConcurrently).
 race:
 	$(GO) test -race -short -timeout 15m ./node/... ./internal/experiments \
-	  ./internal/gossip ./internal/dht ./internal/gnutella ./internal/orchestrate
+	  ./internal/gossip ./internal/dht ./internal/gnutella ./internal/orchestrate \
+	  ./internal/content
 	$(GO) test -race -short -timeout 15m \
 	  -run 'TestRenewMatchesFresh|TestScanOverlayMatchesReference' \
 	  ./internal/core
@@ -127,7 +130,7 @@ bench-json:
 # machine-independent) grows past 110% of the baseline for either the
 # default-config run or the 100k-peer scaling run. Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261002_pr24.json
+BENCH_BASELINE ?= BENCH_20261015_pr28.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \
@@ -138,11 +141,14 @@ bench-check:
 
 # The repository's end-to-end benchmark (bench/README.md): every
 # workload of BENCHMARK.json, five runs each, into a result set named
-# after the commit. bench-e2e-compare judges set B against set A on
-# BENCHMARK.json's bounds:
+# after the tree it measured, as `benchjson -revision` names it (the
+# commit, plus a hash of the diff when the tree is dirty).
+# bench-e2e-compare judges set B against set A on BENCHMARK.json's
+# bounds:
 #   make bench-e2e-compare A=bench/out/<parent>.json B=bench/out/<change>.json
 bench-e2e:
-	$(GO) run ./bench -out bench/out/$$(git rev-parse --short HEAD).json
+	rev=$$($(GO) run ./cmd/benchjson -revision) && \
+	  $(GO) run ./bench -out bench/out/$$rev.json
 
 bench-e2e-compare:
 	$(GO) run ./bench -compare $(A) $(B)

@@ -4,9 +4,12 @@
 //
 //	go test -run '^$' -bench BenchmarkSingleRun -benchmem . | benchjson -o BENCH_20260805.json
 //
-// The record carries the machine header (goos/goarch/cpu), the git
-// revision when available, and one entry per benchmark with ns/op,
-// B/op, and allocs/op. See "Profiling and benchmarking" in README.md.
+// The record carries the machine header (goos/goarch/cpu), the revision
+// of the tree it measured when git can say (see revision), and one entry
+// per benchmark with ns/op, B/op, and allocs/op. See "Profiling and
+// benchmarking" in README.md. With -revision it prints that revision
+// and reads nothing, so other recipes can name their output the same
+// way.
 //
 // With -check it compares fresh output against a recorded trajectory
 // point instead of writing one, failing when allocations drift:
@@ -19,6 +22,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -52,7 +57,16 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	check := fs.String("check", "", "baseline BENCH_<date>.json: compare instead of record")
 	benchmark := fs.String("benchmark", "BenchmarkSingleRun", "comma-separated benchmark names to compare with -check")
 	maxRatio := fs.Float64("max-ratio", 1.10, "fail -check when allocs/op or B/op exceeds baseline by this factor")
+	printRev := fs.Bool("revision", false, "print the working tree's revision and exit")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *printRev {
+		rev := revision("")
+		if rev == "" {
+			return fmt.Errorf("no git revision here")
+		}
+		_, err := fmt.Fprintln(stdout, rev)
 		return err
 	}
 
@@ -84,12 +98,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	rec := record{
-		Date:    time.Now().UTC().Format(time.RFC3339),
-		Header:  hdr,
-		Results: results,
-	}
-	if rev, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
-		rec.Revision = strings.TrimSpace(string(rev))
+		Date:     time.Now().UTC().Format(time.RFC3339),
+		Revision: revision(""),
+		Header:   hdr,
+		Results:  results,
 	}
 
 	b, err := json.MarshalIndent(rec, "", "  ")
@@ -102,6 +114,33 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	_, err = stdout.Write(b)
 	return err
+}
+
+// revision names the tree in dir ("" is the current directory):
+// `git describe --always --dirty`, and when the tree is dirty the first
+// 12 hex digits of the sha256 of its diff against HEAD after that, so a
+// point recorded before its commit names what it measured, not its
+// parent. It is empty where git or a repository is missing.
+func revision(dir string) string {
+	git := func(args ...string) ([]byte, error) {
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		return cmd.Output()
+	}
+	out, err := git("describe", "--always", "--dirty")
+	if err != nil {
+		return ""
+	}
+	rev := strings.TrimSpace(string(out))
+	if !strings.HasSuffix(rev, "-dirty") {
+		return rev
+	}
+	diff, err := git("diff", "--no-ext-diff", "--binary", "HEAD")
+	if err != nil {
+		return rev
+	}
+	sum := sha256.Sum256(diff)
+	return rev + "-" + hex.EncodeToString(sum[:])[:12]
 }
 
 // checkAgainst compares the named benchmark's allocs/op and B/op in

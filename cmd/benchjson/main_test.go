@@ -1,8 +1,11 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -93,5 +96,80 @@ func TestCheckGatesAllocsAndBytes(t *testing.T) {
 		if !strings.Contains(sb.String(), "BenchmarkSingleRun allocs/op: ") {
 			t.Fatalf("%s: no comparison line printed:\n%s", c.name, sb.String())
 		}
+	}
+}
+
+// TestRevisionNamesTheTree holds the revision stamp against a temporary
+// repository: a clean tree is its commit, a dirty one its commit plus a
+// hash of the diff against it (so two edits of one commit differ), and
+// no repository or no git gives no revision.
+func TestRevisionNamesTheTree(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	// Keep the parent directories, and the user's and the system's git
+	// configuration, out of the temporary repository.
+	t.Setenv("GIT_CEILING_DIRECTORIES", filepath.Dir(dir))
+	t.Setenv("GIT_CONFIG_GLOBAL", os.DevNull)
+	t.Setenv("GIT_CONFIG_NOSYSTEM", "1")
+	git := func(args ...string) []byte {
+		t.Helper()
+		cmd := exec.Command("git", args...)
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("git %v: %v", args, err)
+		}
+		return out
+	}
+	write := func(body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, "f.txt"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if rev := revision(dir); rev != "" {
+		t.Fatalf("revision outside a repository = %q, want none", rev)
+	}
+	git("init", "-q")
+	write("one\n")
+	git("add", "f.txt")
+	git("-c", "user.name=t", "-c", "user.email=t@example.com", "commit", "-q", "-m", "one")
+	head := strings.TrimSpace(string(git("rev-parse", "--short", "HEAD")))
+	if rev := revision(dir); rev != head {
+		t.Fatalf("clean tree: revision %q, want the commit %q", rev, head)
+	}
+
+	write("two\n")
+	sum := sha256.Sum256(git("diff", "--no-ext-diff", "--binary", "HEAD"))
+	want := head + "-dirty-" + hex.EncodeToString(sum[:])[:12]
+	dirty := revision(dir)
+	if dirty != want {
+		t.Fatalf("dirty tree: revision %q, want %q", dirty, want)
+	}
+	write("three\n")
+	if rev := revision(dir); rev == dirty || !strings.HasPrefix(rev, head+"-dirty-") {
+		t.Fatalf("another edit of the same commit: revision %q beside %q", rev, dirty)
+	}
+
+	// -revision prints the stamp of the directory it runs in.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+	var sb strings.Builder
+	if err := run([]string{"-revision"}, nil, &sb); err != nil || sb.String() != revision(dir)+"\n" {
+		t.Fatalf("-revision printed %q (error %v), want %q", sb.String(), err, revision(dir))
+	}
+
+	t.Setenv("PATH", "")
+	if rev := revision(dir); rev != "" {
+		t.Fatalf("revision without git = %q, want none", rev)
 	}
 }

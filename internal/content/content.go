@@ -22,19 +22,22 @@
 // The probability that a peer answers a query thus depends on the
 // number of files it shares, exactly as in the paper's model.
 //
-// A library is one open-addressed table of item IDs, and the table is
-// most of what a simulated peer weighs. Its slots are 16 bits wide in a
-// universe of at most 65 535 items (every ID+1 fits; the default is
-// 10 000) and 32 bits wide in a larger one. The width is a function of
-// Params.NumItems alone and shows in nothing but memory: an item has the
-// same slot, AppendItems the same order and the sampler the same draws
-// either way (TestNarrowLibraryMatchesWide).
+// A library is an ascending array of item IDs exactly as long as the
+// library, and the array is about a quarter of what a simulated peer
+// weighs. Its slots are 16 bits wide in a universe of at most 65 535
+// items (the default is 10 000) and 32 bits wide in a larger one. The
+// width is a function of Params.NumItems alone and shows in nothing but
+// memory: AppendItems gives the same items in the same order and the
+// sampler makes the same draws either way (TestNarrowLibraryMatchesWide).
+// The sampler dedups its draws in a bitmap of NumItems bits that the
+// universe keeps and reuses, empty between libraries.
 package content
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/simrng"
@@ -108,18 +111,25 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Universe is an immutable content universe shared by all peers in a
-// simulation. It is safe for concurrent reads once constructed.
+// Universe is the content universe shared by all peers in a simulation.
+// Its parameters and popularity tables are immutable once constructed.
+// The one thing it changes is the sampler's bitmap, which mu guards:
+// concurrent use is safe, and concurrent NewLibrary calls take turns.
+// Every engine builds a Universe of its own, so they never wait.
 type Universe struct {
 	params   Params
 	itemPop  *dist.Zipf // replication popularity
 	queryPop *dist.Zipf // query popularity
 	libSize  dist.Sampler
 	maxLib   int
-	// narrow is whether every item's ID+1 fits 16 bits, so that the
-	// universe's libraries keep uint16 tables: a function of NumItems
-	// alone.
+	// narrow is whether the universe's libraries hold uint16 slots: a
+	// function of NumItems alone.
 	narrow bool
+
+	mu sync.Mutex
+	// seen is fill's bitmap of NumItems bits, one per item: made by the
+	// first library that needs it and all clear between libraries.
+	seen []uint64
 }
 
 // New builds a Universe from params.
@@ -201,14 +211,13 @@ func (u *Universe) NewLibrary(r *simrng.RNG, size int) Library {
 }
 
 // NewLibraryInto is NewLibrary reusing recycle's storage: the recycled
-// library's table is resliced to the new size and emptied, so
-// simulators under churn can recycle dead peers' libraries instead of
-// allocating one per birth. It draws from r exactly as NewLibrary does
-// — the sampling loop depends only on the (emptied) set's contents — so
-// recycling never perturbs a seeded run. An empty library keeps the
-// storage too, so a loop can thread one Library through every call.
-// recycle must not be in use by any live peer; pass Library{} to
-// allocate fresh.
+// library's array is resliced to the new size, so simulators under churn
+// can recycle dead peers' libraries instead of allocating one per birth.
+// It draws from r exactly as NewLibrary does — the sampling loop depends
+// only on which items it has drawn so far — so recycling never perturbs
+// a seeded run. An empty library keeps the storage too, so a loop can
+// thread one Library through every call. recycle must not be in use by
+// any live peer; pass Library{} to allocate fresh.
 func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Library {
 	if size > u.maxLib {
 		size = u.maxLib
@@ -216,52 +225,57 @@ func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Libr
 	set := recycle.set
 	if size <= 0 {
 		if set != nil {
-			set.n, set.narrow, set.wide = 0, set.narrow[:0], set.wide[:0]
+			set.narrow, set.wide = set.narrow[:0], set.wide[:0]
 		}
 		return Library{set: set}
 	}
 	if set == nil {
 		set = new(itemSet)
 	}
-	// A set recycled from a universe of the other width gives that table
+	// A set recycled from a universe of the other width gives that array
 	// up: nothing of the dead library stays behind in it.
-	if n := tableLen(size); u.narrow {
+	if u.narrow {
 		set.wide = nil
-		set.narrow = resize(set.narrow, n)
-		fill(u, r, set.narrow, size)
+		set.narrow = resize(set.narrow, size)
+		fill(u, r, set.narrow)
 	} else {
 		set.narrow = nil
-		set.wide = resize(set.wide, n)
-		fill(u, r, set.wide, size)
+		set.wide = resize(set.wide, size)
+		fill(u, r, set.wide)
 	}
-	set.n = size
 	return Library{set: set}
 }
 
-// resize returns tab n slots long and empty, reallocated only when it
-// is too short.
-func resize[S slot](tab []S, n int) []S {
-	if cap(tab) < n {
+// resize returns items n long, reallocated only when it is too short.
+// What it holds is fill's to overwrite.
+func resize[S slot](items []S, n int) []S {
+	if cap(items) < n {
 		return make([]S, n)
 	}
-	tab = tab[:n]
-	clear(tab)
-	return tab
+	return items[:n]
 }
 
-// fill samples size distinct items into the empty table tab.
-func fill[S slot](u *Universe, r *simrng.RNG, tab []S, size int) {
+// fill samples len(dst) distinct items and writes them to dst in
+// ascending order.
+func fill[S slot](u *Universe, r *simrng.RNG, dst []S) {
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	if u.seen == nil {
+		u.seen = make([]uint64, (u.params.NumItems+63)/64)
+	}
+	seen, size := u.seen, len(dst)
 	// Popularity-weighted rejection sampling; popular items collide
 	// often for large libraries, so bound the attempts and top up with
 	// uniform unseen items (these late additions are tail items, which
-	// keeps the popularity weighting essentially intact).
+	// keeps the popularity weighting essentially intact). A draw adds
+	// its item exactly when the item's bit was clear.
 	//
 	// The draws come a block at a time: the uniforms and their ranks are
-	// computed together, where the table loads overlap, and only the
-	// inserts run one after another. A block is never longer than the
+	// computed together, where the Zipf table's loads overlap, and only
+	// the marks run one after another. A block is never longer than the
 	// items still missing, so every draw in it is one the loop that draws
-	// a rank per insert would have made too: same items, same table
-	// order, same state of r afterwards.
+	// a rank per item would have made too: same items, same state of r
+	// afterwards.
 	var (
 		uniform [libraryBlock]float64
 		ranks   [libraryBlock]int32
@@ -272,17 +286,38 @@ func fill[S slot](u *Universe, r *simrng.RNG, tab []S, size int) {
 		r.Float64s(uniform[:n])
 		u.itemPop.Ranks(ranks[:n], uniform[:n])
 		for _, k := range ranks[:n] {
-			if insert(tab, S(k)+1) {
+			if mark(seen, uint(k)) {
 				have++
 			}
 		}
 		budget -= n
 	}
 	for have < size {
-		if insert(tab, S(r.Intn(u.params.NumItems))+1) {
+		if mark(seen, uint(r.Intn(u.params.NumItems))) {
 			have++
 		}
 	}
+	// Exactly size bits are set: write them out in ascending order,
+	// clearing each word on the way, and stop at the last one.
+	i := 0
+	for w := 0; i < size; w++ {
+		word := seen[w]
+		if word == 0 {
+			continue
+		}
+		seen[w] = 0
+		for ; word != 0; word &= word - 1 {
+			dst[i] = S(w<<6 | bits.TrailingZeros64(word))
+			i++
+		}
+	}
+}
+
+// mark sets item k's bit in seen and reports whether it was clear.
+func mark(seen []uint64, k uint) bool {
+	word, bit := seen[k>>6], uint64(1)<<(k&63)
+	seen[k>>6] = word | bit
+	return word&bit == 0
 }
 
 // libraryBlock is the most popularity draws NewLibraryInto makes at a
@@ -310,57 +345,38 @@ type Library struct {
 	set *itemSet
 }
 
-// itemSet is an open-addressed set of item IDs sized to the library. It
-// serves the sampler's dedup as well as Contains.
+// itemSet holds a library's item IDs in ascending order, in an array
+// exactly as long as the library (its capacity may be a larger, recycled
+// library's). The array is narrow in a universe whose IDs fit it
+// (Universe.narrow) and wide in any other; the one not in use is nil or
+// empty.
 type itemSet struct {
-	n int // items held
-	// The table is narrow in a universe whose IDs fit it (Universe.narrow)
-	// and wide in any other; the one not in use is nil. It is a power of
-	// two long and at most 3/4 full (empty when n is 0); each slot is 0
-	// (empty) or an item's ID+1, found by find's linear probing.
 	narrow []uint16
 	wide   []int32
 }
 
-// slot is a table element: wide enough for every ID+1 of its universe.
+// slot is an array element: wide enough for every ID of its universe.
 type slot interface{ uint16 | int32 }
 
-// narrowMaxItems is the largest universe whose every ID+1 fits a uint16.
+// narrowMaxItems is the largest universe whose libraries hold uint16
+// slots.
 const narrowMaxItems = math.MaxUint16
 
-// tableLen returns the table length for size >= 1 items: the smallest
-// power of two that size fills to at most 3/4.
-func tableLen(size int) int {
-	return 1 << bits.Len(uint((4*size+2)/3-1))
-}
-
-// find returns the slot of tab that holds key, or the empty slot where
-// its probe sequence ends. Probing starts at the top bits of a
-// multiplicative hash, so that the dense run of small popular IDs every
-// library shares spreads over the whole table. The hash is of the key's
-// value, whatever the slot's width: an item has one slot in a table of
-// a given length.
-func find[S slot](tab []S, key S) int {
-	mask := len(tab) - 1
-	i := int((uint32(key) * 0x9E3779B1) >> bits.LeadingZeros32(uint32(mask)))
-	for tab[i] != key && tab[i] != 0 {
-		i = (i + 1) & mask
+// has reports whether the ascending items hold id. It is a binary search
+// with no branch on the items: a step keeps the upper half exactly when
+// items[mid] - id - 1 is negative, and the sign is a mask, not a jump,
+// so a lookup costs its loads and never a misprediction.
+func has[S slot](items []S, id S) bool {
+	if len(items) == 0 {
+		return false
 	}
-	return i
-}
-
-// insert adds key, an item's ID+1, to tab and reports whether it was
-// absent.
-func insert[S slot](tab []S, key S) bool {
-	i := find(tab, key)
-	absent := tab[i] == 0
-	tab[i] = key
-	return absent
-}
-
-// holds reports whether tab holds key, an item's ID+1.
-func holds[S slot](tab []S, key S) bool {
-	return tab[find(tab, key)] == key
+	base := 0
+	for n := len(items); n > 1; {
+		half := n >> 1
+		base += half & ((int(items[base+half]) - int(id) - 1) >> 63)
+		n -= half
+	}
+	return items[base] == id
 }
 
 // Size returns the number of files shared — the peer's NumFiles.
@@ -368,21 +384,21 @@ func (l Library) Size() int {
 	if l.set == nil {
 		return 0
 	}
-	return l.set.n
+	return len(l.set.narrow) + len(l.set.wide)
 }
 
 // Contains reports whether the library holds item id. It is always
 // false for NoItem.
 func (l Library) Contains(id ItemID) bool {
-	if id < 0 || l.Size() == 0 {
+	if id < 0 || l.set == nil {
 		return false
 	}
-	if tab := l.set.narrow; len(tab) > 0 {
+	if items := l.set.narrow; len(items) > 0 {
 		// An ID beyond the narrow range is in no narrow universe; as a
-		// uint16 it would be some other item's key.
-		return id < narrowMaxItems && holds(tab, uint16(id)+1)
+		// uint16 it would be some other item.
+		return id < narrowMaxItems && has(items, uint16(id))
 	}
-	return holds(l.set.wide, int32(id)+1)
+	return has(l.set.wide, int32(id))
 }
 
 // Results returns the number of results the peer returns for a query
@@ -395,23 +411,16 @@ func (l Library) Results(id ItemID) int {
 	return 0
 }
 
-// AppendItems appends the library's items to dst in table order, which
-// is a function of the seeded draws and nothing else.
+// AppendItems appends the library's items to dst in ascending order.
 func (l Library) AppendItems(dst []ItemID) []ItemID {
 	if l.set == nil {
 		return dst
 	}
-	if tab := l.set.narrow; len(tab) > 0 {
-		return appendItems(dst, tab)
+	for _, id := range l.set.narrow {
+		dst = append(dst, ItemID(id))
 	}
-	return appendItems(dst, l.set.wide)
-}
-
-func appendItems[S slot](dst []ItemID, tab []S) []ItemID {
-	for _, key := range tab {
-		if key != 0 {
-			dst = append(dst, ItemID(key-1))
-		}
+	for _, id := range l.set.wide {
+		dst = append(dst, ItemID(id))
 	}
 	return dst
 }

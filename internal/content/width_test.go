@@ -1,21 +1,19 @@
 package content
 
-// A library's table is uint16 in a universe whose IDs fit and int32 in
-// any other. The width must be invisible: same slot for every item, same
-// AppendItems order, same answers, same draws. These tests force one
-// universe through both widths and hold both against the int32-only
-// table the two replaced.
+// A library's array is uint16 in a universe whose IDs fit and int32 in
+// any other. The width must be invisible: same items in the same order,
+// same answers, same draws. These tests force one universe through both
+// widths and hold both against the table sampler the arrays replaced.
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"testing"
 
 	"repro/internal/simrng"
 )
 
-// newWide is MustNew with wide tables whatever NumItems is: the wide
+// newWide is MustNew with wide arrays whatever NumItems is: the wide
 // instantiation at sizes a narrow universe has too.
 func newWide(p Params) *Universe {
 	u := MustNew(p)
@@ -23,64 +21,15 @@ func newWide(p Params) *Universe {
 	return u
 }
 
-// referenceTable is the int32-only library table that NewLibraryInto
-// built before tables came in two widths, kept as the reference.
-func referenceTable(u *Universe, r *simrng.RNG, size int) []int32 {
-	find := func(tab []int32, key int32) int {
-		mask := len(tab) - 1
-		i := int((uint32(key) * 0x9E3779B1) >> bits.LeadingZeros32(uint32(mask)))
-		for tab[i] != key && tab[i] != 0 {
-			i = (i + 1) & mask
-		}
-		return i
-	}
-	insert := func(tab []int32, id ItemID) bool {
-		key := int32(id) + 1
-		i := find(tab, key)
-		absent := tab[i] == 0
-		tab[i] = key
-		return absent
-	}
-	if size > u.maxLib {
-		size = u.maxLib
-	}
-	if size <= 0 {
-		return nil
-	}
-	tab := make([]int32, tableLen(size))
-	var (
-		uniform [libraryBlock]float64
-		ranks   [libraryBlock]int32
-	)
-	have := 0
-	for budget := 10 * size; have < size && budget > 0; {
-		n := min(libraryBlock, budget, size-have)
-		r.Float64s(uniform[:n])
-		u.itemPop.Ranks(ranks[:n], uniform[:n])
-		for _, k := range ranks[:n] {
-			if insert(tab, ItemID(k)) {
-				have++
-			}
-		}
-		budget -= n
-	}
-	for have < size {
-		if insert(tab, ItemID(r.Intn(u.params.NumItems))) {
-			have++
-		}
-	}
-	return tab
-}
-
-// slots returns the library's table as int32 keys, whichever width
-// holds it, and fails if both do.
+// slots returns the library's array as int32 IDs, whichever width holds
+// it, and fails if both do.
 func slots(t *testing.T, lib Library) []int32 {
 	t.Helper()
 	if lib.set == nil {
 		return nil
 	}
 	if len(lib.set.narrow) > 0 && len(lib.set.wide) > 0 {
-		t.Fatal("library holds a table of each width")
+		t.Fatal("library holds an array of each width")
 	}
 	out := make([]int32, 0, len(lib.set.narrow)+len(lib.set.wide))
 	for _, k := range lib.set.narrow {
@@ -100,7 +49,8 @@ func TestNarrowLibraryMatchesWide(t *testing.T) {
 		params Params
 		sizes  []int
 	}{
-		// Around a table's 3/4 load: 192 items fill 256 slots, 193 need 512.
+		// Around where the table sampler's table doubled: 192 items filled
+		// 256 slots, 193 needed 512.
 		{"default", DefaultParams(), []int{0, 1, 2, 3, 191, 192, 193, DefaultParams().NumItems / 4}},
 		{"top-up", steep, []int{0, 1, 2, 3, 40}},
 	} {
@@ -113,15 +63,19 @@ func TestNarrowLibraryMatchesWide(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/size=%d/seed=%d", c.name, size, seed), func(t *testing.T) {
 					rN, rW, rRef := simrng.New(seed), simrng.New(seed), simrng.New(seed)
 					libN, libW := narrow.NewLibrary(rN, size), wide.NewLibrary(rW, size)
-					ref := referenceTable(wide, rRef, size)
+					var ref []int32
+					for _, id := range tableSampler(wide, rRef, size) {
+						ref = append(ref, int32(id))
+					}
+					slices.Sort(ref)
 					if size > 0 && (libN.set.wide != nil || libW.set.narrow != nil) {
-						t.Fatal("a library holds the other width's table")
+						t.Fatal("a library holds the other width's array")
 					}
 					if libN.Size() != size || libW.Size() != size {
 						t.Fatalf("sizes %d (narrow) and %d (wide), want %d", libN.Size(), libW.Size(), size)
 					}
 					if n, w := slots(t, libN), slots(t, libW); !slices.Equal(n, ref) || !slices.Equal(w, ref) {
-						t.Fatalf("tables differ slot for slot:\nnarrow %v\nwide   %v\nref    %v", n, w, ref)
+						t.Fatalf("arrays differ slot for slot:\nnarrow %v\nwide   %v\nref    %v", n, w, ref)
 					}
 					if n, w := libN.AppendItems(nil), libW.AppendItems(nil); !slices.Equal(n, w) || len(n) != size {
 						t.Fatalf("AppendItems differ, or are not %d long:\nnarrow %v\nwide   %v", size, n, w)
@@ -150,13 +104,12 @@ func fullLibrary(n int) Library {
 }
 
 func TestLibraryWidthBoundary(t *testing.T) {
-	// ID+1 of the last item is NumItems: 65 535 fits a uint16, 65 536 does not.
+	// A universe of 65 535 items is the largest with uint16 slots.
 	last := fullLibrary(narrowMaxItems)
 	if len(last.set.narrow) == 0 || last.set.wide != nil {
 		t.Fatalf("a universe of %d items is not narrow", narrowMaxItems)
 	}
 	items := last.AppendItems(nil)
-	slices.Sort(items)
 	for i, id := range items {
 		if int(id) != i {
 			t.Fatalf("the full narrow library lacks item %d", i)
@@ -165,7 +118,7 @@ func TestLibraryWidthBoundary(t *testing.T) {
 	if len(items) != narrowMaxItems || !last.Contains(narrowMaxItems-1) {
 		t.Fatalf("the full narrow library holds %d items, the last one: %v", len(items), last.Contains(narrowMaxItems-1))
 	}
-	// Every ID that a uint16 would fold onto a held key: no truncated hit.
+	// Every ID that a uint16 would fold onto a held item: no truncated hit.
 	for _, id := range []ItemID{narrowMaxItems, narrowMaxItems + 1, 1 << 16, 1<<16 + 5, 3<<16 + narrowMaxItems - 1, 1<<31 - 1} {
 		if last.Contains(id) || last.Results(id) != 0 {
 			t.Fatalf("narrow library answers for item %d, beyond its universe", id)
@@ -184,7 +137,7 @@ func TestLibraryWidthBoundary(t *testing.T) {
 // TestLibraryRecycledAcrossWidths hands one library's storage from a
 // wide universe to a narrow one and back, as core.Renew does between
 // two Content.NumItems: each time the same library as a fresh one, and
-// nothing left in the table of the other width.
+// nothing left in the array of the other width.
 func TestLibraryRecycledAcrossWidths(t *testing.T) {
 	wideP := DefaultParams()
 	wideP.NumItems = 70_000
@@ -207,7 +160,7 @@ func TestLibraryRecycledAcrossWidths(t *testing.T) {
 			t.Fatalf("step %d: AppendItems differ", i)
 		}
 		if c.size > 0 && (c.u.narrow && lib.set.wide != nil || !c.u.narrow && lib.set.narrow != nil) {
-			t.Fatalf("step %d: the table of the other width was kept", i)
+			t.Fatalf("step %d: the array of the other width was kept", i)
 		}
 		for id := ItemID(-1); int(id) <= wideP.NumItems; id += 7 {
 			if lib.Contains(id) != fresh.Contains(id) {

@@ -19,7 +19,7 @@ func FuzzDHTLookup(f *testing.F) {
 	f.Add(uint64(2), int16(2), int16(1), int16(0), int16(1), int16(1), 0.0, 0.0, 0.0, 0.0, 0.0, int32(500))
 	f.Add(uint64(3), int16(-9), int16(0), int16(-2), int16(0), int16(0), -0.5, 1.5, 2.0, -1.0, -2.0, int32(500))
 	f.Add(uint64(4), int16(100), int16(100), int16(64), int16(48), int16(12), 1.0, 1.0, 0.6, 0.3, 6.0, int32(500))
-	// More items than a 16-bit library slot holds: wide tables.
+	// More items than a 16-bit library slot holds: wide arrays.
 	f.Add(uint64(5), int16(64), int16(3), int16(16), int16(24), int16(20), 0.5, 0.05, 0.1, 0.05, 0.8, int32(70_000))
 
 	f.Fuzz(func(t *testing.T, seed uint64, n, replicas, cacheSize, maxHops, lookups int16, cacheProb, seedCache, dead, loss, queryExp float64, items int32) {

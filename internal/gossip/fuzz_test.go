@@ -18,7 +18,7 @@ func FuzzGossipParams(f *testing.F) {
 	f.Add(uint64(2), int16(2), int16(2), int16(1), int16(1), uint8(2), int16(1), 0.0, 0.0, 0.0, int32(500))
 	f.Add(uint64(3), int16(-5), int16(0), int16(-1), int16(0), uint8(0), int16(0), -1.0, 2.0, -3.0, int32(500))
 	f.Add(uint64(4), int16(100), int16(99), int16(30), int16(16), uint8(3), int16(10), 0.5, 0.5, 5.0, int32(500))
-	// More items than a 16-bit library slot holds: wide tables.
+	// More items than a 16-bit library slot holds: wide arrays.
 	f.Add(uint64(5), int16(60), int16(4), int16(2), int16(6), uint8(1), int16(20), 0.1, 0.05, 0.8, int32(70_000))
 
 	f.Fuzz(func(t *testing.T, seed uint64, n, deg, fanout, rounds int16, mode uint8, queries int16, dead, loss, queryExp float64, items int32) {

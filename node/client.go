@@ -264,8 +264,13 @@ func (n *Node) peerTimedOut(id cache.PeerID) {
 }
 
 // suppressedLocked reports whether a peer should sit out probe
-// selection (Busy demotion or an open breaker); callers hold n.mu.
+// selection (Busy demotion or an open breaker); callers hold n.mu. With
+// no health state held, which is every configuration without BusyBackoff
+// or BreakerThreshold, no peer is, and the clock is not read.
 func (n *Node) suppressedLocked(id cache.PeerID) bool {
+	if n.health.len() == 0 {
+		return false
+	}
 	return n.health.suppressed(id, time.Now())
 }
 
