@@ -26,14 +26,15 @@ GOVULNCHECK_VERSION ?= v1.1.4
 
 # The determinism/observability/concurrency linter (see README "Static
 # analysis"): the guess-lint multichecker (detrand, maporder, rngstream,
-# obsname, atomicfield, lockguard, goroexit, wirebound, plus the stale-
-# suppression sweep) over every package, then staticcheck when
-# available. staticcheck is skipped gracefully on machines without it
-# (it is a module dependency this stdlib-only repo does not vendor); CI
-# installs the pinned version so the full gate always runs there.
+# obsname; atomicfield, which asks for typed atomics instead of
+# sync/atomic function calls; lockguard, goroexit, wirebound; plus the
+# stale-suppression sweep) over every package as one program, then
+# staticcheck when available. staticcheck is skipped gracefully on
+# machines without it (it is a module dependency this stdlib-only repo
+# does not vendor); CI installs the pinned version so the full gate
+# always runs there.
 lint:
-	$(GO) build -o /tmp/guess-lint ./cmd/guess-lint
-	/tmp/guess-lint ./...
+	$(GO) run ./cmd/guess-lint ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 	  staticcheck ./...; \
 	else \

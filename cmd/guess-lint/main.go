@@ -5,31 +5,25 @@
 // wirebound over the concurrent node/cluster/orchestration packages).
 // See the README "Static analysis" section for what each analyzer
 // enforces and how to suppress a finding with a reasoned //lint:
-// annotation. The framework also reports stale suppressions: a //lint:
-// directive that no longer silences any finding is itself a finding
-// (standalone mode only — a single-package vet invocation cannot tell
-// stale from cross-package-needed).
+// annotation.
 //
-// Standalone usage (what `make lint` runs):
+// Every run loads the named packages as one program, so the
+// interprocedural summaries cross package boundaries, and it reports
+// stale suppressions: a //lint: directive that no longer silences any
+// finding is itself a finding.
 //
-//	guess-lint ./...
+// Usage (what `make lint` runs):
 //
-// It also speaks enough of the `go vet -vettool` protocol to run as a
-// vet tool:
+//	go run ./cmd/guess-lint ./...
 //
-//	go build -o /tmp/guess-lint ./cmd/guess-lint
-//	go vet -vettool=/tmp/guess-lint ./...
-//
-// Exit status: 0 clean, 1 findings, 2 usage or load error (standalone);
-// in vettool mode findings exit 2, matching vet convention.
+// Arguments are package patterns (default ./...). Exit status: 0
+// clean, 1 findings, 2 usage or load error.
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicfield"
@@ -42,15 +36,16 @@ import (
 	"repro/internal/analysis/wirebound"
 )
 
-// suite returns a fresh analyzer suite. obsname is stateful (its
+// suite returns a fresh analyzer suite; readme is obsname's README
+// setting (see obsname.New). obsname is stateful (its
 // duplicate-registration check spans packages), so every run gets its
 // own instance.
-func suite() []*analysis.Analyzer {
+func suite(readme string) []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detrand.Analyzer,
 		maporder.Analyzer,
 		rngstream.Analyzer,
-		obsname.New(""),
+		obsname.New(readme),
 		atomicfield.Analyzer,
 		lockguard.Analyzer,
 		goroexit.Analyzer,
@@ -63,20 +58,6 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			// The go command fingerprints vet tools for its build cache.
-			fmt.Fprintln(stdout, "guess-lint version v2")
-			return 0
-		case args[0] == "-flags" || args[0] == "--flags":
-			// The go command asks which analyzer flags the tool accepts.
-			fmt.Fprintln(stdout, "[]")
-			return 0
-		case filepath.Ext(args[0]) == ".cfg":
-			return runVet(args[0], stderr)
-		}
-	}
 	patterns := args
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -92,7 +73,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "guess-lint: %v\n", err)
 		return 2
 	}
-	findings, err := analysis.Run(pkgs, suite())
+	findings, err := analysis.Run(pkgs, suite(""))
 	if err != nil {
 		fmt.Fprintf(stderr, "guess-lint: %v\n", err)
 		return 2
@@ -105,76 +86,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// vetConfig mirrors the fields of the JSON file the go command hands a
-// vettool for each package (x/tools unitchecker.Config).
-type vetConfig struct {
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVet handles one `go vet -vettool` invocation: type-check the
-// package described by cfgFile against the export data the go command
-// prepared, run the suite, and report findings on stderr.
-func runVet(cfgFile string, stderr io.Writer) int {
-	data, err := os.ReadFile(cfgFile)
-	if err != nil {
-		fmt.Fprintf(stderr, "guess-lint: %v\n", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "guess-lint: parsing %s: %v\n", cfgFile, err)
-		return 2
-	}
-	// The go command always expects the facts output file to exist.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("guess-lint has no facts"), 0o666); err != nil {
-			fmt.Fprintf(stderr, "guess-lint: %v\n", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	pkg, err := analysis.LoadVet(basePath(cfg.ImportPath), cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(stderr, "guess-lint: %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-	// Vet mode sees one package at a time, so the stale-suppression
-	// sweep stays off: a directive whose finding needs cross-package
-	// summaries would be misreported as unused.
-	findings, err := analysis.RunWithoutSuppressionCheck([]*analysis.Package{pkg}, suite())
-	if err != nil {
-		fmt.Fprintf(stderr, "guess-lint: %v\n", err)
-		return 2
-	}
-	for _, f := range findings {
-		fmt.Fprintf(stderr, "%s: %s\n", f.Pos, f.Message)
-	}
-	if len(findings) > 0 {
-		return 2
-	}
-	return 0
-}
-
-// basePath strips the " [pkg.test]" variant suffix go list appends to
-// test-augmented packages.
-func basePath(importPath string) string {
-	for i := 0; i+1 < len(importPath); i++ {
-		if importPath[i] == ' ' && importPath[i+1] == '[' {
-			return importPath[:i]
-		}
-	}
-	return importPath
 }

@@ -6,12 +6,18 @@
 // pulling a module dependency into an otherwise stdlib-only repo; if
 // x/tools ever becomes available the analyzers port mechanically.
 //
-// The suite machine-enforces the conventions that keep seeded
-// simulation runs bit-deterministic (see DESIGN.md, "Determinism
-// rules"): no wall clock or global math/rand in simulation packages
-// (detrand), no map-iteration order reaching observable output
-// (maporder), simrng named-stream discipline (rngstream), and literal,
-// documented, once-registered obs metric names (obsname).
+// The suite machine-enforces two sets of conventions. In the
+// deterministic simulation packages, those that keep seeded runs
+// bit-deterministic (see DESIGN.md, "Determinism rules"): no wall clock
+// or global math/rand (detrand), no map-iteration order reaching
+// observable output (maporder), simrng named-stream discipline
+// (rngstream), and literal, documented, once-registered obs metric
+// names (obsname, which runs everywhere). In the concurrent node and
+// orchestration packages, the concurrency rules (DESIGN.md §5): typed
+// atomics instead of sync/atomic function calls (atomicfield), fields
+// accessed under the mutex that guards them (lockguard), a bounded exit
+// for every goroutine (goroexit), and wire-decoded lengths bounded
+// before allocation (wirebound).
 //
 // Findings are suppressed with an explicit, reasoned annotation:
 //
@@ -61,8 +67,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Prog is the interprocedural view over every package in the run
-	// (call graph and per-function summaries; see callgraph.go). Under
-	// `go vet -vettool` it spans only the single package being vetted.
+	// (call graph and per-function summaries; see callgraph.go).
 	Prog *Program
 
 	report      func(Finding)
@@ -190,9 +195,9 @@ func IsDeterministic(path string) bool {
 // concurrentPkgs are the packages bound by the concurrency-discipline
 // rules (atomicfield, lockguard, goroexit, wirebound): the live node
 // and everything it shares goroutines, mutexes, and wire decoders with.
-// The simulation stack is single-goroutine by construction (the sharded
-// engine's workers are proven by TestShardCountInvariance under -race)
-// and stays out; cmd/ mains are thin wiring over these layers.
+// The simulation stack is single-goroutine (internal/core starts no
+// goroutine) and stays out; cmd/ mains are thin wiring over these
+// layers.
 var concurrentPkgs = map[string]bool{
 	"repro/node":                 true,
 	"repro/node/cluster":         true,
@@ -234,21 +239,8 @@ const SuppressionCheck = "suppression"
 // package set is folded into one Program (call graph + per-function
 // summaries) shared by every Pass. After all analyzers have run,
 // directives that suppressed nothing are reported (see
-// SuppressionCheck). reportUnused exists because vet mode analyzes one
-// package at a time and would misreport suppressions whose findings
-// need cross-package summaries; the standalone runner passes true.
+// SuppressionCheck).
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return run(pkgs, analyzers, true)
-}
-
-// RunWithoutSuppressionCheck is Run minus the stale-suppression sweep,
-// for `go vet -vettool` mode: a single-package view cannot tell a stale
-// suppression from one whose finding requires cross-package summaries.
-func RunWithoutSuppressionCheck(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	return run(pkgs, analyzers, false)
-}
-
-func run(pkgs []*Package, analyzers []*Analyzer, reportUnused bool) ([]Finding, error) {
 	var findings []Finding
 	suppression := make(map[string][]*directive)
 	for _, pkg := range pkgs {
@@ -276,20 +268,18 @@ func run(pkgs []*Package, analyzers []*Analyzer, reportUnused bool) ([]Finding, 
 			}
 		}
 	}
-	if reportUnused {
-		for _, dirs := range suppression {
-			for _, d := range dirs {
-				if d.used || d.reported {
-					continue
-				}
-				findings = append(findings, Finding{
-					Analyzer: SuppressionCheck,
-					Pos:      d.pos,
-					Message: fmt.Sprintf(
-						"unused suppression //lint:%s: no finding here to suppress; delete the stale annotation",
-						d.name),
-				})
+	for _, dirs := range suppression {
+		for _, d := range dirs {
+			if d.used || d.reported {
+				continue
 			}
+			findings = append(findings, Finding{
+				Analyzer: SuppressionCheck,
+				Pos:      d.pos,
+				Message: fmt.Sprintf(
+					"unused suppression //lint:%s: no finding here to suppress; delete the stale annotation",
+					d.name),
+			})
 		}
 	}
 	sortFindings(findings)

@@ -48,7 +48,7 @@ func Run(t *testing.T, dir, importPath string, analyzers ...*analysis.Analyzer) 
 // package.
 func RunDirs(t *testing.T, specs []analysis.DirSpec, analyzers ...*analysis.Analyzer) {
 	t.Helper()
-	pkgs, err := analysis.LoadDirs(specs)
+	pkgs, err := analysis.LoadDirs(".", specs)
 	if err != nil {
 		t.Fatalf("loading fixtures: %v", err)
 	}

@@ -1,23 +1,25 @@
-// Package atomicfield implements the guess-lint check that a struct
-// field touched through sync/atomic anywhere in the program is accessed
-// atomically everywhere. Mixing atomic and plain access to the same
-// word is a latent data race: the plain access is invisible to the
+// Package atomicfield implements the guess-lint check that the
+// concurrent packages use typed atomics (atomic.Int64, atomic.Uint64,
+// atomic.Bool, atomic.Pointer, ...) rather than the sync/atomic
+// package-level functions (atomic.AddInt64, atomic.LoadUint64,
+// atomic.StoreUint64, atomic.CompareAndSwapInt32, ...).
+//
+// The functions operate on a plain word that other code can still read
+// or write without sync/atomic, and mixing atomic and plain access to
+// one word is a latent data race: the plain access is invisible to the
 // atomic one, the race detector only catches it on the schedules tests
 // happen to take, and on weaker memory models a torn or stale read is a
-// real outcome. The clean states are "all atomic" (or an atomic.Int64-
-// style typed field, which makes plain access impossible) and "all
-// plain under a lock" — this analyzer pins code to one or the other.
+// real outcome. A typed atomic makes plain access a compile error, so
+// flagging every function call keeps the guarantee — no word is
+// accessed both atomically and plainly — with a local rule instead of a
+// program-wide inventory of atomic call sites.
 //
-// The atomic-access inventory comes from the interprocedural Program
-// (every `&x.f` argument to a sync/atomic function, across all loaded
-// packages), so a field atomically updated in node/ and plainly read in
-// node/cluster is still caught in standalone mode. Under `go vet
-// -vettool` the inventory shrinks to the package being vetted.
+// Escape hatch: //lint:atomicfield-ok <reason>.
 package atomicfield
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 
 	"repro/internal/analysis"
 )
@@ -25,12 +27,11 @@ import (
 // Suppress is the //lint: directive that silences a finding.
 const Suppress = "atomicfield-ok"
 
-// Analyzer flags plain accesses to struct fields that are elsewhere
-// accessed through sync/atomic.
+// Analyzer flags calls to sync/atomic's package-level functions.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicfield",
-	Doc: "flag plain reads/writes of struct fields that are accessed " +
-		"with sync/atomic anywhere else (mixed access is a data race)",
+	Doc: "flag sync/atomic function calls in concurrent packages: a typed " +
+		"atomic makes the plain access that would race with them impossible",
 	Run: run,
 }
 
@@ -38,60 +39,27 @@ func run(pass *analysis.Pass) error {
 	if !analysis.IsConcurrent(pass.Path) {
 		return nil
 	}
-	fields := pass.Prog.AtomicFields()
-	if len(fields) == 0 {
-		return nil
-	}
 	for _, file := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, file) {
 			continue
 		}
-		checkFile(pass, file, fields)
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := analysis.CalleeOf(pass.TypesInfo, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+				fn.Type().(*types.Signature).Recv() != nil {
+				return true // not a sync/atomic function; typed-atomic methods are the fix
+			}
+			if !pass.Suppressed(call.Pos(), Suppress) {
+				pass.Reportf(call.Pos(),
+					"atomic.%s operates on a plain word that other code can read or write without sync/atomic, which races; declare it as a typed atomic (atomic.Int64, atomic.Uint64, ...) so plain access does not compile, or //lint:%s with a reason",
+					fn.Name(), Suppress)
+			}
+			return true
+		})
 	}
 	return nil
-}
-
-func checkFile(pass *analysis.Pass, file *ast.File, fields map[string]token.Position) {
-	// The atomic call sites themselves pass &x.f — collect those
-	// selectors first so they are not flagged as plain accesses.
-	atomicArgs := make(map[*ast.SelectorExpr]bool)
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := analysis.CalleeOf(pass.TypesInfo, call)
-		if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() != "sync/atomic" {
-			return true
-		}
-		for _, arg := range call.Args {
-			if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-				if sel, ok := ast.Unparen(u.X).(*ast.SelectorExpr); ok {
-					atomicArgs[sel] = true
-				}
-			}
-		}
-		return true
-	})
-	ast.Inspect(file, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok || atomicArgs[sel] {
-			return true
-		}
-		key, ok := analysis.FieldKey(pass.TypesInfo, sel)
-		if !ok {
-			return true
-		}
-		site, isAtomic := fields[key]
-		if !isAtomic {
-			return true
-		}
-		if pass.Suppressed(sel.Pos(), Suppress) {
-			return true
-		}
-		pass.Reportf(sel.Pos(),
-			"field %s is accessed with sync/atomic (at %s) but read/written plainly here; mixed access races — use the atomic API everywhere or //lint:%s with a reason",
-			sel.Sel.Name, site, Suppress)
-		return true
-	})
 }

@@ -3,26 +3,15 @@ package atomicfield_test
 import (
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/atomicfield"
 )
 
-// TestFindings checks that plain accesses to atomically-maintained
-// fields are flagged within one package, while all-atomic fields,
-// plain-only fields, typed atomics, and reasoned suppressions pass.
+// TestFindings checks that sync/atomic function calls are flagged in a
+// concurrent package, while typed atomics and reasoned suppressions
+// pass.
 func TestFindings(t *testing.T) {
 	analysistest.Run(t, "testdata/src/conc", "repro/node", atomicfield.Analyzer)
-}
-
-// TestCrossPackage checks that the atomic inventory spans packages: a
-// field updated atomically in repro/node and read plainly in
-// repro/node/cluster is still caught.
-func TestCrossPackage(t *testing.T) {
-	analysistest.RunDirs(t, []analysis.DirSpec{
-		{Dir: "testdata/src/conc_a", ImportPath: "repro/node"},
-		{Dir: "testdata/src/conc_b", ImportPath: "repro/node/cluster"},
-	}, atomicfield.Analyzer)
 }
 
 // TestExemptPackage checks that packages outside the concurrent set

@@ -1,61 +1,45 @@
 // Package conc poses as repro/node to exercise the atomicfield
-// analyzer: a field touched through sync/atomic anywhere must be
-// accessed atomically everywhere.
+// analyzer: every sync/atomic function call is flagged, and typed
+// atomics pass.
 package conc
 
 import "sync/atomic"
 
-// Counter mixes atomic and plain access to hits; total stays clean.
+// Counter keeps its counters in plain words behind sync/atomic calls.
 type Counter struct {
 	hits  int64
 	total int64
-	plain int64
+	flag  uint32
 }
 
-// Inc is the atomic access that puts hits and total in the inventory.
 func (c *Counter) Inc() {
-	atomic.AddInt64(&c.hits, 1)
-	atomic.AddInt64(&c.total, 1)
+	atomic.AddInt64(&c.hits, 1) // want `atomic.AddInt64 operates on a plain word .* typed atomic`
 }
 
-// Snapshot reads hits plainly in a different method: the cross-function
-// mix the analyzer exists for.
-func (c *Counter) Snapshot() int64 {
-	return c.hits // want `accessed with sync/atomic .* but read/written plainly here`
+func (c *Counter) Hits() int64 {
+	return atomic.LoadInt64(&c.hits) // want `atomic.LoadInt64 operates on a plain word`
 }
 
-// Reset writes hits plainly.
-func (c *Counter) Reset() {
-	c.hits = 0 // want `accessed with sync/atomic .* but read/written plainly here`
+func (c *Counter) Set() bool {
+	return atomic.CompareAndSwapUint32(&c.flag, 0, 1) // want `atomic.CompareAndSwapUint32 operates on a plain word`
 }
 
-// Total stays on the atomic API: no finding.
-func (c *Counter) Total() int64 {
-	return atomic.LoadInt64(&c.total)
-}
-
-// Bump touches a field that is never accessed atomically: plain access
-// to a plain field is fine.
-func (c *Counter) Bump() {
-	c.plain++
-}
-
-// Sealed carries a reasoned suppression for a single-threaded phase.
-func (c *Counter) Sealed() int64 {
-	//lint:atomicfield-ok read during construction before any goroutine starts
-	return c.total
+// Sealed carries a reasoned suppression.
+func (c *Counter) Sealed(n int64) {
+	//lint:atomicfield-ok fixture demonstrating a reasoned suppression
+	atomic.StoreInt64(&c.total, n)
 }
 
 // Typed uses the typed atomic wrappers, which make plain access
-// impossible; calls through the field are not plain accesses.
+// impossible: their methods are the fix, not a finding.
 type Typed struct {
-	n atomic.Int64
+	n    atomic.Int64
+	seen atomic.Bool
+	last atomic.Pointer[Counter]
 }
 
-func (t *Typed) Inc() {
-	t.n.Add(1)
-}
-
-func (t *Typed) Load() int64 {
-	return t.n.Load()
+func (t *Typed) Inc(c *Counter) int64 {
+	t.seen.Store(true)
+	t.last.Store(c)
+	return t.n.Add(1)
 }

@@ -6,15 +6,10 @@ package analysis
 // connected-component order. The summaries let analyzers reason one or
 // more calls deep without x/tools: detrand and maporder use the taint
 // facts to catch helpers that launder wall-clock reads or map-iteration
-// order across a call boundary, and the concurrency analyzers
-// (atomicfield, lockguard, goroexit, wirebound) use the structural
-// facts (receives, conn reads, deadlines, decoded-length returns).
-//
-// In standalone mode the Program spans every package guess-lint loaded,
-// so summaries cross package boundaries; under `go vet -vettool` only
-// one package's syntax is available per invocation, so cross-package
-// facts degrade gracefully to same-package ones (vet-mode findings are
-// a subset of standalone findings, never a superset).
+// order across a call boundary, and goroexit and wirebound use the
+// structural facts (receives, conn reads, deadlines, decoded-length
+// returns). The Program spans every package of the run, so summaries
+// cross package boundaries.
 
 import (
 	"go/ast"
@@ -28,19 +23,13 @@ import (
 // call-site diagnostics can point at the root cause; structural facts
 // are plain booleans.
 type FuncFacts struct {
-	// WallClock is a wall-clock-reading call reachable from this
-	// function (time.Now and friends), token.NoPos if none. Sites
+	// Nondet[k] is a source of nondeterministic input k (see
+	// NondetSource) reachable from this function, token.NoPos if none,
+	// and NondetDesc[k] describes it ("time.Now via Stamp"). Sites
 	// carrying a reasoned //lint:wallclock-ok suppression do not taint:
 	// the annotation vouches that the nondeterminism stays contained.
-	WallClock     token.Pos
-	WallClockDesc string
-	// GlobalRand is a draw from the hidden auto-seeded math/rand(/v2)
-	// globals reachable from this function.
-	GlobalRand     token.Pos
-	GlobalRandDesc string
-	// CryptoRand is a crypto/rand use reachable from this function.
-	CryptoRand     token.Pos
-	CryptoRandDesc string
+	Nondet     [numNondet]token.Pos
+	NondetDesc [numNondet]string
 
 	// MapOrderedReturn reports that the function returns a value whose
 	// element order derives from map iteration (unsorted keys/values
@@ -139,13 +128,6 @@ type Program struct {
 	lits  map[*ast.FuncLit]*FuncNode
 	all   []*FuncNode
 
-	// atomicFields maps struct fields passed by address to sync/atomic
-	// functions to the first such call site, keyed by FieldKey. String
-	// keys, not *types.Var: every package is type-checked with its own
-	// importer, so two packages' views of the same field are distinct
-	// objects that must still collide here.
-	atomicFields map[string]token.Position
-
 	// dirs are the run's //lint: directives; fact computation consults
 	// them so a reasoned suppression at a taint source stops the taint
 	// instead of resurfacing it at every caller.
@@ -154,7 +136,7 @@ type Program struct {
 
 // suppressedAt reports a reasoned directive at pos (same line or the
 // line above) and marks it used, mirroring Pass.Suppressed for fact
-// computation.
+// computation: a vouched-for site does not taint its callers.
 func (p *Program) suppressedAt(fset *token.FileSet, pos token.Pos, name string) bool {
 	position := fset.Position(pos)
 	for _, d := range p.dirs[position.Filename] {
@@ -183,53 +165,8 @@ func (p *Program) FuncOf(obj *types.Func) *FuncNode { return p.funcs[funcKey(obj
 // file.
 func (p *Program) LitOf(lit *ast.FuncLit) *FuncNode { return p.lits[lit] }
 
-// FieldKey is the cross-package-stable identity of a struct field
-// access x.f: "pkgpath.Type.field" derived from the base expression's
-// named type. ok is false when the selector is not a named struct's
-// field (anonymous structs, package selectors, methods).
-func FieldKey(info *types.Info, sel *ast.SelectorExpr) (string, bool) {
-	v, ok := info.Uses[sel.Sel].(*types.Var)
-	if !ok || !v.IsField() {
-		return "", false
-	}
-	tv, ok := info.Types[sel.X]
-	if !ok || tv.Type == nil {
-		return "", false
-	}
-	t := tv.Type
-	for {
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-			continue
-		}
-		break
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Origin().Obj()
-	pkgPath := ""
-	if obj.Pkg() != nil {
-		pkgPath = obj.Pkg().Path()
-	}
-	return pkgPath + "." + obj.Name() + "." + v.Name(), true
-}
-
-// AtomicFieldSite returns the first sync/atomic access site recorded
-// for a field key, if any.
-func (p *Program) AtomicFieldSite(key string) (token.Position, bool) {
-	pos, ok := p.atomicFields[key]
-	return pos, ok
-}
-
-// AtomicFields returns the fields accessed through sync/atomic anywhere
-// in the program, keyed by FieldKey.
-func (p *Program) AtomicFields() map[string]token.Position { return p.atomicFields }
-
-// wallClockFuncs mirrors detrand's inventory of time functions that
-// read or schedule on the real clock (duplicated here because detrand
-// imports this package, not the reverse).
+// wallClockFuncs are the time package functions that read the real
+// clock or schedule on it.
 var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
@@ -242,6 +179,51 @@ var wallClockFuncs = map[string]bool{
 var globalRandConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true,
+}
+
+// A Nondet is a kind of nondeterministic input that a seeded run must
+// not read: what detrand forbids in the deterministic packages, and
+// what the taint facts carry across calls.
+type Nondet int
+
+const (
+	Deterministic Nondet = iota
+	WallClock            // time.Now, time.Sleep, and the timers
+	GlobalRand           // the hidden auto-seeded math/rand(/v2) globals
+	CryptoRand           // crypto/rand, nondeterministic by design
+	numNondet
+)
+
+// NondetSource classifies a package-qualified selector: which
+// nondeterministic input it reads, if any, and a description such as
+// "time.Now" or "math/rand.Intn". Types and constants (time.Duration,
+// time.Second) are Deterministic, and so are the math/rand
+// constructors, which build explicitly seeded local state; every other
+// math/rand function (the draws, Seed, Read) touches the globals.
+func NondetSource(info *types.Info, sel *ast.SelectorExpr) (Nondet, string) {
+	ident, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return Deterministic, ""
+	}
+	pkgName, ok := info.Uses[ident].(*types.PkgName)
+	if !ok {
+		return Deterministic, ""
+	}
+	path := pkgName.Imported().Path()
+	desc := path + "." + sel.Sel.Name
+	switch path {
+	case "time":
+		if wallClockFuncs[sel.Sel.Name] {
+			return WallClock, desc
+		}
+	case "math/rand", "math/rand/v2":
+		if _, isFunc := info.Uses[sel.Sel].(*types.Func); isFunc && !globalRandConstructors[sel.Sel.Name] {
+			return GlobalRand, desc
+		}
+	case "crypto/rand":
+		return CryptoRand, desc
+	}
+	return Deterministic, ""
 }
 
 // readMethods are the blocking-read method names charged as conn reads
@@ -262,10 +244,9 @@ var deadlineMethods = map[string]bool{"SetDeadline": true, "SetReadDeadline": tr
 // work).
 func buildProgram(pkgs []*Package, dirs map[string][]*directive) *Program {
 	p := &Program{
-		funcs:        make(map[string]*FuncNode),
-		lits:         make(map[*ast.FuncLit]*FuncNode),
-		atomicFields: make(map[string]token.Position),
-		dirs:         dirs,
+		funcs: make(map[string]*FuncNode),
+		lits:  make(map[*ast.FuncLit]*FuncNode),
+		dirs:  dirs,
 	}
 
 	// Index every declared function first, so call resolution during
@@ -289,7 +270,7 @@ func buildProgram(pkgs []*Package, dirs map[string][]*directive) *Program {
 	}
 	for _, n := range p.all {
 		if n.Decl != nil {
-			p.walk(n, dirs)
+			p.walk(n)
 		}
 	}
 	p.propagate()
@@ -346,22 +327,8 @@ func CalleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 // descending into its function literals (each literal gets its own node
 // with its own facts; literal facts also fold into the enclosing
 // declaration, since its code runs under the declaration's name).
-func (p *Program) walk(root *FuncNode, dirs map[string][]*directive) {
+func (p *Program) walk(root *FuncNode) {
 	info := root.Pkg.TypesInfo
-	fset := root.Pkg.Fset
-
-	// suppressedTaint reports a reasoned suppression directive at pos
-	// and marks it used: a vouched-for site does not taint callers.
-	suppressedTaint := func(pos token.Pos, name string) bool {
-		position := fset.Position(pos)
-		for _, d := range dirs[position.Filename] {
-			if d.name == name && d.reason != "" && (d.line == position.Line || d.line == position.Line-1) {
-				d.used = true
-				return true
-			}
-		}
-		return false
-	}
 
 	// stack[0] is root; the top is the innermost function literal.
 	var visit func(node *FuncNode, body ast.Node, stack []*FuncNode)
@@ -414,7 +381,7 @@ func (p *Program) walk(root *FuncNode, dirs map[string][]*directive) {
 					record(func(f *FuncFacts) { f.HasUnboundedLoop = true })
 				}
 			case *ast.SelectorExpr:
-				p.selectorFacts(node, n, record, suppressedTaint)
+				p.selectorFacts(node, n, record)
 			case *ast.CallExpr:
 				p.callFacts(stack, n, record)
 			}
@@ -424,57 +391,23 @@ func (p *Program) walk(root *FuncNode, dirs map[string][]*directive) {
 	visit(root, root.Decl.Body, nil)
 }
 
-// selectorFacts records package-qualified taint sources (time,
-// math/rand, crypto/rand) at a selector expression.
-func (p *Program) selectorFacts(node *FuncNode, sel *ast.SelectorExpr, record func(func(*FuncFacts)), suppressed func(token.Pos, string) bool) {
-	info := node.Pkg.TypesInfo
-	ident, ok := sel.X.(*ast.Ident)
-	if !ok {
+// selectorFacts records a package-qualified taint source (see
+// NondetSource) at a selector expression.
+func (p *Program) selectorFacts(node *FuncNode, sel *ast.SelectorExpr, record func(func(*FuncFacts))) {
+	kind, desc := NondetSource(node.Pkg.TypesInfo, sel)
+	if kind == Deterministic || p.suppressedAt(node.Pkg.Fset, sel.Pos(), "wallclock-ok") {
 		return
 	}
-	pkgName, ok := info.Uses[ident].(*types.PkgName)
-	if !ok {
-		return
-	}
-	path := pkgName.Imported().Path()
-	switch path {
-	case "time":
-		if wallClockFuncs[sel.Sel.Name] && !suppressed(sel.Pos(), "wallclock-ok") {
-			record(func(f *FuncFacts) {
-				if f.WallClock == token.NoPos {
-					f.WallClock, f.WallClockDesc = sel.Pos(), "time."+sel.Sel.Name
-				}
-			})
+	record(func(f *FuncFacts) {
+		if f.Nondet[kind] == token.NoPos {
+			f.Nondet[kind], f.NondetDesc[kind] = sel.Pos(), desc
 		}
-	case "math/rand", "math/rand/v2":
-		fn, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok {
-			return
-		}
-		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
-			return
-		}
-		if !globalRandConstructors[fn.Name()] && !suppressed(sel.Pos(), "wallclock-ok") {
-			record(func(f *FuncFacts) {
-				if f.GlobalRand == token.NoPos {
-					f.GlobalRand, f.GlobalRandDesc = sel.Pos(), path+"."+sel.Sel.Name
-				}
-			})
-		}
-	case "crypto/rand":
-		if !suppressed(sel.Pos(), "wallclock-ok") {
-			record(func(f *FuncFacts) {
-				if f.CryptoRand == token.NoPos {
-					f.CryptoRand, f.CryptoRandDesc = sel.Pos(), "crypto/rand."+sel.Sel.Name
-				}
-			})
-		}
-	}
+	})
 }
 
-// callFacts records call edges, atomic field collection, conn reads,
-// deadline sets, and context.AfterFunc at a call expression. stack is
-// the enclosing function chain; the innermost element owns the call.
+// callFacts records call edges, conn reads, deadline sets, and
+// context.AfterFunc at a call expression. stack is the enclosing
+// function chain; the innermost element owns the call.
 func (p *Program) callFacts(stack []*FuncNode, call *ast.CallExpr, record func(func(*FuncFacts))) {
 	node := stack[len(stack)-1]
 	info := node.Pkg.TypesInfo
@@ -499,8 +432,6 @@ func (p *Program) callFacts(stack []*FuncNode, call *ast.CallExpr, record func(f
 		node.Calls = append(node.Calls, CallEdge{Callee: target, Pos: call.Pos(), PassesConn: passesConn, PassesReader: passesReader})
 	}
 	switch pkg := calleePkgPath(callee); {
-	case pkg == "sync/atomic":
-		p.collectAtomicFields(node, call)
 	case pkg == "io" && ioReadFuncs[callee.Name()] && len(call.Args) > 0:
 		// io.Copy reads its second argument; the others read their
 		// first. Checking both ends covers every shape.
@@ -556,30 +487,6 @@ func calleePkgPath(fn *types.Func) string {
 		return ""
 	}
 	return fn.Pkg().Path()
-}
-
-// collectAtomicFields records struct fields whose address is passed to
-// a sync/atomic function: those fields must be accessed atomically
-// everywhere.
-func (p *Program) collectAtomicFields(node *FuncNode, call *ast.CallExpr) {
-	info := node.Pkg.TypesInfo
-	for _, arg := range call.Args {
-		unary, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-		if !ok || unary.Op != token.AND {
-			continue
-		}
-		sel, ok := ast.Unparen(unary.X).(*ast.SelectorExpr)
-		if !ok {
-			continue
-		}
-		key, ok := FieldKey(info, sel)
-		if !ok {
-			continue
-		}
-		if _, seen := p.atomicFields[key]; !seen {
-			p.atomicFields[key] = node.Pkg.Fset.Position(arg.Pos())
-		}
-	}
 }
 
 // propagate folds callee facts into callers bottom-up over Tarjan SCC
@@ -638,17 +545,10 @@ func (p *Program) propagate() {
 
 // merge folds a callee's summary into f at a call site.
 func (f *FuncFacts) merge(callee *FuncFacts, node *FuncNode, edge CallEdge) {
-	if f.WallClock == token.NoPos && callee.WallClock != token.NoPos {
-		f.WallClock = callee.WallClock
-		f.WallClockDesc = callee.WallClockDesc + " via " + node.Name()
-	}
-	if f.GlobalRand == token.NoPos && callee.GlobalRand != token.NoPos {
-		f.GlobalRand = callee.GlobalRand
-		f.GlobalRandDesc = callee.GlobalRandDesc + " via " + node.Name()
-	}
-	if f.CryptoRand == token.NoPos && callee.CryptoRand != token.NoPos {
-		f.CryptoRand = callee.CryptoRand
-		f.CryptoRandDesc = callee.CryptoRandDesc + " via " + node.Name()
+	for k, pos := range callee.Nondet {
+		if f.Nondet[k] == token.NoPos && pos != token.NoPos {
+			f.Nondet[k], f.NondetDesc[k] = pos, callee.NondetDesc[k]+" via "+node.Name()
+		}
 	}
 	f.HasReceive = f.HasReceive || callee.HasReceive
 	f.HasAfterFunc = f.HasAfterFunc || callee.HasAfterFunc
@@ -702,10 +602,10 @@ func (p *Program) returnFacts(node *FuncNode) {
 	ordered := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
-		if !ok || !p.rangesMapOrdered(info, rng.X) {
+		if !ok {
 			return true
 		}
-		if p.suppressedAt(node.Pkg.Fset, rng.Pos(), "maporder-ok") {
+		if _, mapOrder := p.MapOrderedSource(info, rng.X); !mapOrder || p.suppressedAt(node.Pkg.Fset, rng.Pos(), "maporder-ok") {
 			return true
 		}
 		ast.Inspect(rng.Body, func(inner ast.Node) bool {
@@ -817,10 +717,10 @@ func litYieldsMapOrder(p *Program, fset *token.FileSet, info *types.Info, lit *a
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
-		if !ok || !p.rangesMapOrdered(info, rng.X) {
+		if !ok {
 			return true
 		}
-		if p.suppressedAt(fset, rng.Pos(), "maporder-ok") {
+		if _, mapOrder := p.MapOrderedSource(info, rng.X); !mapOrder || p.suppressedAt(fset, rng.Pos(), "maporder-ok") {
 			return true
 		}
 		ast.Inspect(rng.Body, func(inner ast.Node) bool {
@@ -833,21 +733,6 @@ func litYieldsMapOrder(p *Program, fset *token.FileSet, info *types.Info, lit *a
 		return !found
 	})
 	return found
-}
-
-// rangesMapOrdered reports whether ranging over e visits elements in
-// map-iteration order: e is a map, or a call returning map-derived
-// order.
-func (p *Program) rangesMapOrdered(info *types.Info, e ast.Expr) bool {
-	if tv, ok := info.Types[e]; ok && tv.Type != nil {
-		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-			return true
-		}
-	}
-	if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
-		return p.callReturnsMapOrder(info, call)
-	}
-	return false
 }
 
 // callReturnsMapOrder reports whether a call's result order derives
@@ -878,8 +763,9 @@ func (p *Program) callReturnsMapOrder(info *types.Info, call *ast.CallExpr) bool
 }
 
 // MapOrderedSource reports whether ranging over e in the context of
-// info visits elements in map-iteration order, with a description of
-// the source for diagnostics.
+// info visits elements in map-iteration order — e is a map, or a call
+// returning map-derived order — with a description of the source for
+// diagnostics: "map", "maps.Keys", or the laundering function's name.
 func (p *Program) MapOrderedSource(info *types.Info, e ast.Expr) (string, bool) {
 	if tv, ok := info.Types[e]; ok && tv.Type != nil {
 		if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
@@ -887,16 +773,10 @@ func (p *Program) MapOrderedSource(info *types.Info, e ast.Expr) (string, bool) 
 		}
 	}
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
+	if !ok || !p.callReturnsMapOrder(info, call) {
 		return "", false
 	}
-	callee := CalleeOf(info, call)
-	if callee == nil {
-		return "", false
-	}
-	if !p.callReturnsMapOrder(info, call) {
-		return "", false
-	}
+	callee := CalleeOf(info, call) // non-nil: callReturnsMapOrder resolved it
 	if pkg := calleePkgPath(callee); pkg == "maps" || pkg == "slices" {
 		return pkg + "." + callee.Name(), true
 	}
@@ -921,7 +801,7 @@ func returnsWireInt(p *Program, info *types.Info, e ast.Expr) bool {
 				return false
 			}
 		case *ast.IndexExpr:
-			if tv, ok := info.Types[n.X]; ok && isByteSlice(tv.Type) {
+			if tv, ok := info.Types[n.X]; ok && IsByteSlice(tv.Type) {
 				found = true
 				return false
 			}
@@ -951,7 +831,12 @@ func IsWireDecodeCall(p *Program, info *types.Info, call *ast.CallExpr) bool {
 	return false
 }
 
-func isByteSlice(t types.Type) bool {
+// IsByteSlice reports whether t is a byte slice or array: indexing one
+// reads raw wire bytes.
+func IsByteSlice(t types.Type) bool {
+	if t == nil {
+		return false
+	}
 	var elem types.Type
 	switch u := t.Underlying().(type) {
 	case *types.Slice:

@@ -32,29 +32,12 @@ package detrand
 
 import (
 	"go/ast"
-	"go/types"
 
 	"repro/internal/analysis"
 )
 
 // Suppress is the //lint: directive that silences this analyzer.
 const Suppress = "wallclock-ok"
-
-// wallClock are the time package functions that read the real clock or
-// schedule on it.
-var wallClock = map[string]bool{
-	"Now": true, "Since": true, "Until": true, "Sleep": true,
-	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
-	"AfterFunc": true,
-}
-
-// randConstructors are the math/rand(/v2) package-level functions that
-// build explicitly seeded local state rather than drawing from the
-// hidden globals.
-var randConstructors = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
-	"NewPCG": true, "NewChaCha8": true,
-}
 
 // Analyzer is the detrand analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -69,100 +52,74 @@ func run(pass *analysis.Pass) error {
 	}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			ident, ok := sel.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			pkgName, ok := pass.TypesInfo.Uses[ident].(*types.PkgName)
-			if !ok {
-				return true
-			}
-			switch pkgName.Imported().Path() {
-			case "time":
-				if wallClock[sel.Sel.Name] && !pass.Suppressed(sel.Pos(), Suppress) {
-					pass.Reportf(sel.Pos(),
-						"time.%s reads the wall clock, which desynchronizes seeded runs; use the event queue's virtual time, or annotate //lint:%s <reason>",
-						sel.Sel.Name, Suppress)
-				}
-			case "math/rand", "math/rand/v2":
-				if isGlobalRandFunc(pass, sel) && !pass.Suppressed(sel.Pos(), Suppress) {
-					pass.Reportf(sel.Pos(),
-						"global %s.%s draws from hidden auto-seeded state; draw from a named simrng stream (or a locally seeded generator), or annotate //lint:%s <reason>",
-						pkgName.Imported().Path(), sel.Sel.Name, Suppress)
-				}
-			case "crypto/rand":
-				if !pass.Suppressed(sel.Pos(), Suppress) {
-					pass.Reportf(sel.Pos(),
-						"crypto/rand is nondeterministic by design and must not reach simulation code; use simrng, or annotate //lint:%s <reason>",
-						Suppress)
-				}
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				checkSource(pass, n)
+			case *ast.CallExpr:
+				checkTaintedCall(pass, n)
 			}
 			return true
 		})
-		checkTaintedCalls(pass, file)
 	}
 	return nil
 }
 
-// checkTaintedCalls reports calls whose callee lives outside the
-// deterministic set but whose interprocedural summary reaches a
-// nondeterministic source. Callees inside the deterministic set are
-// skipped: their source lines are reported directly by the walk above.
-func checkTaintedCalls(pass *analysis.Pass, file *ast.File) {
-	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		callee := analysis.CalleeOf(pass.TypesInfo, call)
-		if callee == nil {
-			return true
-		}
-		node := pass.Prog.FuncOf(callee)
-		if node == nil || analysis.IsDeterministic(node.Pkg.Path) {
-			return true
-		}
-		f := node.Facts
-		switch {
-		case f.WallClock.IsValid():
-			if !pass.Suppressed(call.Pos(), Suppress) {
-				pass.Reportf(call.Pos(),
-					"call reaches the wall clock (%s), which desynchronizes seeded runs; use the event queue's virtual time, or annotate //lint:%s <reason>",
-					f.WallClockDesc, Suppress)
-			}
-		case f.GlobalRand.IsValid():
-			if !pass.Suppressed(call.Pos(), Suppress) {
-				pass.Reportf(call.Pos(),
-					"call reaches the global math/rand state (%s); draw from a named simrng stream, or annotate //lint:%s <reason>",
-					f.GlobalRandDesc, Suppress)
-			}
-		case f.CryptoRand.IsValid():
-			if !pass.Suppressed(call.Pos(), Suppress) {
-				pass.Reportf(call.Pos(),
-					"call reaches crypto/rand (%s), which is nondeterministic by design; use simrng, or annotate //lint:%s <reason>",
-					f.CryptoRandDesc, Suppress)
-			}
-		}
-		return true
-	})
+// checkSource reports a selector that reads a nondeterministic input
+// directly (see analysis.NondetSource).
+func checkSource(pass *analysis.Pass, sel *ast.SelectorExpr) {
+	kind, desc := analysis.NondetSource(pass.TypesInfo, sel)
+	if kind == analysis.Deterministic || pass.Suppressed(sel.Pos(), Suppress) {
+		return
+	}
+	switch kind {
+	case analysis.WallClock:
+		pass.Reportf(sel.Pos(),
+			"%s reads the wall clock, which desynchronizes seeded runs; use the event queue's virtual time, or annotate //lint:%s <reason>",
+			desc, Suppress)
+	case analysis.GlobalRand:
+		pass.Reportf(sel.Pos(),
+			"global %s draws from hidden auto-seeded state; draw from a named simrng stream (or a locally seeded generator), or annotate //lint:%s <reason>",
+			desc, Suppress)
+	case analysis.CryptoRand:
+		pass.Reportf(sel.Pos(),
+			"crypto/rand is nondeterministic by design and must not reach simulation code; use simrng, or annotate //lint:%s <reason>",
+			Suppress)
+	}
 }
 
-// isGlobalRandFunc reports whether sel names a package-level function
-// of math/rand(/v2) that touches the shared global generator. Anything
-// that is not a constructor does: the draw functions (Intn, Float64,
-// Perm, Shuffle, ...), Seed, and Read.
-func isGlobalRandFunc(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok {
-		return false // a type such as rand.Rand or rand.Source
+// checkTaintedCall reports a call whose callee lives outside the
+// deterministic set but whose interprocedural summary reaches a
+// nondeterministic input. Callees inside the deterministic set are
+// skipped: their source lines are reported directly by checkSource.
+func checkTaintedCall(pass *analysis.Pass, call *ast.CallExpr) {
+	callee := analysis.CalleeOf(pass.TypesInfo, call)
+	if callee == nil {
+		return
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return false
+	node := pass.Prog.FuncOf(callee)
+	if node == nil || analysis.IsDeterministic(node.Pkg.Path) {
+		return
 	}
-	return !randConstructors[fn.Name()]
+	f := &node.Facts
+	kind := analysis.WallClock
+	for kind < analysis.CryptoRand && !f.Nondet[kind].IsValid() {
+		kind++
+	}
+	if !f.Nondet[kind].IsValid() || pass.Suppressed(call.Pos(), Suppress) {
+		return
+	}
+	switch kind {
+	case analysis.WallClock:
+		pass.Reportf(call.Pos(),
+			"call reaches the wall clock (%s), which desynchronizes seeded runs; use the event queue's virtual time, or annotate //lint:%s <reason>",
+			f.NondetDesc[kind], Suppress)
+	case analysis.GlobalRand:
+		pass.Reportf(call.Pos(),
+			"call reaches the global math/rand state (%s); draw from a named simrng stream, or annotate //lint:%s <reason>",
+			f.NondetDesc[kind], Suppress)
+	case analysis.CryptoRand:
+		pass.Reportf(call.Pos(),
+			"call reaches crypto/rand (%s), which is nondeterministic by design; use simrng, or annotate //lint:%s <reason>",
+			f.NondetDesc[kind], Suppress)
+	}
 }

@@ -193,17 +193,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadVet type-checks the single package a `go vet -vettool`
-// invocation describes: an explicit file list plus the export-data
-// files the go command already built for every import.
-func LoadVet(importPath string, goFiles []string, importMap, packageFile map[string]string) (*Package, error) {
-	dir := ""
-	if len(goFiles) > 0 {
-		dir = filepath.Dir(goFiles[0])
-	}
-	return typecheck(importPath, dir, goFiles, importMap, packageFile, nil)
-}
-
 // moduleRoot walks up from dir to the directory containing go.mod.
 func moduleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
@@ -257,30 +246,6 @@ func primeTestdataExports(dir string) error {
 	return testdataExports.err
 }
 
-// LoadDir type-checks the single package of Go files in dir as if its
-// import path were importPath. It exists for analyzer tests: fixture
-// packages under testdata/ are invisible to go list, but can claim a
-// deterministic package's import path so path-scoped analyzers fire.
-func LoadDir(dir, importPath string) (*Package, error) {
-	if err := primeTestdataExports(dir); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var fileNames []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			fileNames = append(fileNames, e.Name())
-		}
-	}
-	if len(fileNames) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	return typecheck(importPath, dir, fileNames, nil, testdataExports.m, nil)
-}
-
 // A DirSpec names one fixture directory and the import path it claims.
 type DirSpec struct {
 	Dir        string
@@ -289,16 +254,19 @@ type DirSpec struct {
 
 // LoadDirs type-checks several fixture directories as one program, in
 // order, letting later fixtures import earlier ones by their claimed
-// paths. It exists for interprocedural analyzer tests: cross-package
-// facts (a deterministic package calling an exempt package's helper)
-// need at least two packages in the Program.
-func LoadDirs(specs []DirSpec) ([]*Package, error) {
+// paths. Every other import resolves to export data from the module
+// that contains the directory module; the fixtures themselves may live
+// anywhere, a temporary directory included. It exists for
+// analyzer tests: cross-package facts (a deterministic package calling
+// an exempt package's helper) need at least two packages in the
+// Program.
+func LoadDirs(module string, specs []DirSpec) ([]*Package, error) {
+	if err := primeTestdataExports(module); err != nil {
+		return nil, err
+	}
 	mem := make(map[string]*types.Package)
 	var pkgs []*Package
 	for _, spec := range specs {
-		if err := primeTestdataExports(spec.Dir); err != nil {
-			return nil, err
-		}
 		entries, err := os.ReadDir(spec.Dir)
 		if err != nil {
 			return nil, err

@@ -73,7 +73,7 @@ func run(pass *analysis.Pass) error {
 				if !ok {
 					continue
 				}
-				source, ordered := mapOrderedSource(pass, rng.X)
+				source, ordered := pass.Prog.MapOrderedSource(pass.TypesInfo, rng.X)
 				if !ordered {
 					continue
 				}
@@ -98,15 +98,6 @@ func run(pass *analysis.Pass) error {
 		})
 	}
 	return nil
-}
-
-// mapOrderedSource reports whether ranging over e visits elements in
-// map-iteration order — directly (e is a map), via stdlib iterators
-// (maps.Keys and friends, slices.Collect of them), or via a call to a
-// function the interprocedural summaries mark as returning map-derived
-// order (the helper-launders-the-keys evasion).
-func mapOrderedSource(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	return pass.Prog.MapOrderedSource(pass.TypesInfo, e)
 }
 
 // orderInsensitive reports whether every statement in body commutes

@@ -81,7 +81,7 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 					found = true
 				}
 			case *ast.IndexExpr:
-				if tv, ok := info.Types[n.X]; ok && isByteSlice(tv.Type) {
+				if tv, ok := info.Types[n.X]; ok && analysis.IsByteSlice(tv.Type) {
 					found = true
 				}
 			}
@@ -221,21 +221,4 @@ func setTaint(info *types.Info, lhs ast.Expr, taint bool, tainted map[types.Obje
 		delete(tainted, obj)
 	}
 	return true
-}
-
-func isByteSlice(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	var elem types.Type
-	switch u := t.Underlying().(type) {
-	case *types.Slice:
-		elem = u.Elem()
-	case *types.Array:
-		elem = u.Elem()
-	default:
-		return false
-	}
-	basic, ok := elem.Underlying().(*types.Basic)
-	return ok && basic.Kind() == types.Uint8
 }

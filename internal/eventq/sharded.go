@@ -4,26 +4,21 @@ import "fmt"
 
 // Sharded is a K-way sharded event queue: K independent binary heaps
 // plus one global sequence counter. Callers route each event to a
-// shard of their choosing (the simulator shards by peer ID) and Pop
-// merges the shard heads on the same (time, seq) key the single queue
-// uses.
+// shard of their choosing and Pop merges the shard heads on the same
+// (time, seq) key the single queue uses.
 //
 // Because the sequence counter is global — assigned at Push time, in
 // push order, regardless of shard — the merged pop order is exactly
-// the total order a single Queue would produce for the same pushes.
-// That identity is what lets the simulator offer Shards=1..K with
-// byte-identical results: sharding changes where events wait, never
-// when they run. TestShardedMatchesQueue locks the equivalence.
+// the total order a single Queue would produce for the same pushes:
+// sharding changes where events wait, never when they run.
+// TestShardedMatchesQueue locks the equivalence.
 //
-// The win is locality and cheaper heap maintenance: each shard's heap
-// holds ~1/K of the pending events, so Push and Pop sift through
-// log(N/K) levels of a heap that stays resident in cache, while the
-// head merge is a linear scan of K cached keys (K is small, single
-// digits to a few dozen).
+// No simulator uses it: the simulation stack is single-goroutine and
+// runs on Queue. Sharded is kept only for the
+// eventq.sharded_pushpop_ns.100k bench probe, until ROADMAP item 1(a)
+// deletes both.
 //
-// Sharded is not safe for concurrent use: the simulator's event loop
-// is serialized by design (see internal/core's shard documentation),
-// and worker parallelism lives inside event handlers, not the queue.
+// Sharded is not safe for concurrent use.
 type Sharded[T any] struct {
 	shards []Queue[T]
 	seq    uint64
