@@ -16,8 +16,11 @@ BENCH_PKGS = ./internal/simrng ./internal/eventq ./internal/cache ./internal/pol
 build:
 	$(GO) build ./...
 
+# go vet, and gofmt: any file gofmt would change fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "vet: gofmt would reformat:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 # Pinned so CI lint runs are reproducible; bump deliberately, together
 # with any new-check fallout, not as a side effect of a CI image change.
@@ -85,10 +88,11 @@ race:
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
 # the stream framing, the snapshot decoder, the gossip/DHT parameter
-# spaces, and link-cache operation scripts: cheap insurance that no
-# datagram, frame, or snapshot can panic a live node, no parameter
-# corner breaks the substrate engines' conservation invariants or
-# determinism, and the link cache's two indexes never disagree.
+# spaces, and link-cache and query-cache operation scripts: cheap
+# insurance that no datagram, frame, or snapshot can panic a live node,
+# no parameter corner breaks the substrate engines' conservation
+# invariants or determinism, the link cache's two indexes never
+# disagree, and the query cache never departs from its map reference.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/frame
@@ -97,6 +101,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzGossipParams -fuzztime=10s ./internal/gossip
 	$(GO) test -run='^$$' -fuzz=FuzzDHTLookup -fuzztime=10s ./internal/dht
 	$(GO) test -run='^$$' -fuzz=FuzzLinkCacheOps -fuzztime=10s ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzQueryCacheOps -fuzztime=10s ./internal/policy
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -179,48 +179,6 @@ func TestLinkCacheProperty(t *testing.T) {
 	}
 }
 
-func TestQueryCacheDedup(t *testing.T) {
-	q := NewQueryCache()
-	if !q.Add(Entry{Addr: 1}) {
-		t.Fatal("first Add failed")
-	}
-	if q.Add(Entry{Addr: 1}) {
-		t.Fatal("duplicate Add succeeded")
-	}
-	if !q.Seen(1) || q.Seen(2) {
-		t.Fatal("Seen wrong")
-	}
-	if q.Len() != 1 {
-		t.Fatalf("Len = %d", q.Len())
-	}
-}
-
-func TestQueryCacheConsume(t *testing.T) {
-	q := NewQueryCache()
-	q.Add(Entry{Addr: 1})
-	q.Add(Entry{Addr: 2})
-	q.Add(Entry{Addr: 3})
-	q.Consume(2)
-	if got := q.PendingCount(); got != 2 {
-		t.Fatalf("PendingCount = %d, want 2", got)
-	}
-	pending := q.Pending()
-	for _, e := range pending {
-		if e.Addr == 2 {
-			t.Fatal("consumed entry still pending")
-		}
-	}
-	// Consumed addresses remain seen, so they can never be re-added.
-	if q.Add(Entry{Addr: 2}) {
-		t.Fatal("consumed address re-added")
-	}
-	// Consuming an unknown address is a no-op.
-	q.Consume(99)
-	if q.PendingCount() != 2 {
-		t.Fatal("Consume(unknown) changed state")
-	}
-}
-
 func TestAppendEntriesSnapshot(t *testing.T) {
 	c := NewLinkCache(4)
 	for i := 1; i <= 4; i++ {

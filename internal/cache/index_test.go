@@ -2,7 +2,6 @@ package cache
 
 import (
 	"math"
-	"math/bits"
 	"testing"
 	"unsafe"
 
@@ -282,14 +281,11 @@ func TestLinkCacheGrowthStopsAtCapacity(t *testing.T) {
 	}
 }
 
-// The 64-bit formulas the ID hashes replaced, kept as the reference: a
-// PeerID was an int64 and went into the multiply sign-extended.
+// tagOf64 is the 64-bit formula the tag hash replaced, kept as the
+// reference: a PeerID was an int64 and went into the multiply
+// sign-extended.
 func tagOf64(addr int64) byte {
 	return byte((uint64(addr) * 0x9E3779B97F4A7C15) >> 56)
-}
-
-func probeStart64(addr int64, slots int) int {
-	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(slots-1)))
 }
 
 // eachRealID calls f with every ID a run of a million peers can assign,
@@ -305,28 +301,18 @@ func eachRealID(f func(PeerID)) {
 }
 
 // TestRealIDsHashAsBefore checks, rather than argues, that narrowing the
-// ID left every real ID its tag and its QueryCache probe start (core's
-// TestSeenSetProbeStartAsBefore does the same for the seen set).
+// ID left every real ID its tag (policy's TestQueryCacheProbeStartAsBefore
+// does the same for the query cache's seen set).
 func TestRealIDsHashAsBefore(t *testing.T) {
-	small, large := &QueryCache{keys: make([]PeerID, queryCacheMinSlots)}, &QueryCache{keys: make([]PeerID, 1<<16)}
 	eachRealID(func(id PeerID) {
 		if got, want := tagOf(id), tagOf64(int64(id)); got != want {
 			t.Fatalf("tagOf(%d) = %d, 64-bit formula %d", id, got, want)
-		}
-		for _, q := range []*QueryCache{small, large} {
-			// In an empty table the slot found is where probing starts.
-			if got, want := q.slot(id), probeStart64(int64(id), len(q.keys)); got != want {
-				t.Fatalf("QueryCache.slot(%d) of %d = %d, 64-bit formula %d", id, len(q.keys), got, want)
-			}
 		}
 	})
 	// A fabricated address hashes as its unsigned value, not sign-extended.
 	for _, id := range []PeerID{fabricatedBase, math.MaxInt32, -1, math.MinInt32} {
 		if got, want := tagOf(id), tagOf64(int64(uint32(id))); got != want {
 			t.Fatalf("tagOf(%d) = %d, want %d", id, got, want)
-		}
-		if got, want := small.slot(id), probeStart64(int64(uint32(id)), len(small.keys)); got != want {
-			t.Fatalf("QueryCache.slot(%d) = %d, want %d", id, got, want)
 		}
 	}
 }

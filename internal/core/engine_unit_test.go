@@ -239,15 +239,16 @@ func TestLargestWCCOnFreshNetwork(t *testing.T) {
 }
 
 func TestQueryAddCandidateDedups(t *testing.T) {
-	q := &query{sel: policy.NewSelector(policy.SelMFS, nil)}
+	q := &query{}
+	q.qc.Reset(policy.SelMFS, nil, 1)
 	e := cache.Entry{Addr: 5, NumFiles: 3}
-	if !q.addCandidate(e) {
+	if !q.qc.Add(e) {
 		t.Fatal("first add rejected")
 	}
-	if q.addCandidate(e) {
+	if q.qc.Add(e) {
 		t.Fatal("duplicate accepted")
 	}
-	if q.sel.Len() != 1 {
-		t.Fatalf("selector len %d", q.sel.Len())
+	if q.qc.Pending() != 1 {
+		t.Fatalf("%d candidates pending", q.qc.Pending())
 	}
 }

@@ -107,7 +107,8 @@ func TestPoisoningRunsMatchParentTree(t *testing.T) {
 			// Every fabricated address left in a cache is in the
 			// fabricated range, resolves to no slot and can be a query
 			// candidate.
-			var seen seenSet
+			var qc policy.QueryCache
+			qc.Reset(policy.SelMFS, nil, 1)
 			fabricated := 0
 			for i := range e.ps.id {
 				for _, entry := range e.ps.link[i].Entries() {
@@ -124,9 +125,9 @@ func TestPoisoningRunsMatchParentTree(t *testing.T) {
 					if slot := e.ps.slotOf(entry.Addr); slot != -1 {
 						t.Fatalf("fabricated address %d resolves to slot %d", entry.Addr, slot)
 					}
-					seen.add(entry.Addr)
-					if seen.add(entry.Addr) {
-						t.Fatalf("seenSet forgot fabricated address %d", entry.Addr)
+					qc.Add(entry)
+					if qc.Add(entry) {
+						t.Fatalf("query cache forgot fabricated address %d", entry.Addr)
 					}
 				}
 			}

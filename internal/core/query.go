@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/content"
 	"repro/internal/obs"
@@ -43,90 +40,11 @@ type query struct {
 	k            int
 	lastProgress float64
 
-	sel *policy.Selector
-	// seen is the query cache's dedup set: every address ever added as
-	// a candidate. (The full cache.QueryCache bookkeeping is not needed
-	// here — the selector holds the pending entries — and exhaustive
-	// queries make per-candidate memory the simulator's footprint
-	// ceiling.)
-	seen seenSet
-}
-
-// seenSet is a set of peer addresses in one open-addressed table:
-// power-of-two length, linear probing, load at most 1/2. The zero value
-// is an empty set. Zero marks an empty slot, so only positive addresses
-// can be members (peer IDs start at 1 and fabricated addresses at
-// fakeAddrBase); add panics on anything else rather than lose it.
-type seenSet struct {
-	tab []cache.PeerID
-	n   int
-}
-
-const (
-	// seenMinSlots holds the paper's default CacheSize of candidates, the
-	// least a query starts with, without growing.
-	seenMinSlots = 256
-	// maxRetainedCandidates bounds what a pooled query keeps: a seen table
-	// of 32 KiB and selector buffers of as many entries. startQuery clears
-	// the whole table, and the free list holds the buffers for the rest of
-	// a Renew chain, so without a bound one exhaustive query (up to the
-	// whole population) would tax every later query served by the same
-	// pooled object; above it the storage is dropped on release and the
-	// next query grows its own.
-	maxRetainedCandidates = 2048
-	maxRetainedSeenSlots  = 2 * maxRetainedCandidates
-)
-
-// add inserts addr, reporting whether it was absent.
-func (s *seenSet) add(addr cache.PeerID) bool {
-	if addr <= 0 {
-		panic(fmt.Sprintf("core: non-positive address %d as a query candidate", addr))
-	}
-	if 2*(s.n+1) > len(s.tab) {
-		s.grow()
-	}
-	// Probing starts at the top bits of a multiplicative hash, so runs
-	// of consecutive IDs spread over the whole table.
-	mask := len(s.tab) - 1
-	for i := int(uint64(uint32(addr)) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(mask))); ; i = (i + 1) & mask {
-		switch s.tab[i] {
-		case addr:
-			return false
-		case 0:
-			s.tab[i] = addr
-			s.n++
-			return true
-		}
-	}
-}
-
-// grow doubles the table (or allocates the first one) and re-inserts
-// the members.
-func (s *seenSet) grow() {
-	old := s.tab
-	s.tab = make([]cache.PeerID, max(2*len(old), seenMinSlots))
-	s.n = 0
-	for _, addr := range old {
-		if addr != 0 {
-			s.add(addr)
-		}
-	}
-}
-
-// reset empties the set, keeping its storage.
-func (s *seenSet) reset() {
-	clear(s.tab)
-	s.n = 0
-}
-
-// addCandidate records addr as seen and, if new, feeds the entry to
-// the selector. It reports whether the entry was new.
-func (q *query) addCandidate(e cache.Entry) bool {
-	if !q.seen.add(e.Addr) {
-		return false
-	}
-	q.sel.Add(e)
-	return true
+	// qc is the query cache: the candidates not yet probed, and every
+	// address ever offered, so none is probed twice. Peer IDs start at 1
+	// and fabricated addresses at fakeAddrBase, so every address is one
+	// it accepts.
+	qc policy.QueryCache
 }
 
 // getQuery pops a recycled query (or makes a fresh one). The caller
@@ -135,7 +53,7 @@ func (e *Engine) getQuery() *query {
 	if q, ok := pop(&e.freeQueries); ok {
 		return q
 	}
-	return &query{sel: policy.NewSelector(e.p.QueryProbe, e.rngPolicy)}
+	return new(query)
 }
 
 // putQuery returns a finished query to the free list. Safe because a
@@ -146,10 +64,7 @@ func (e *Engine) putQuery(q *query) {
 	if e.noReuse {
 		return
 	}
-	if len(q.seen.tab) > maxRetainedSeenSlots {
-		q.seen = seenSet{}
-	}
-	q.sel.Shed(maxRetainedCandidates)
+	q.qc.Shed()
 	e.freeQueries = append(e.freeQueries, q)
 }
 
@@ -169,13 +84,9 @@ func (e *Engine) startQuery(p int, burstRemaining int) {
 	q.results, q.probes, q.good, q.dead, q.refused = 0, 0, 0, 0, 0
 	q.k = e.queryParallelism(p)
 	q.lastProgress = e.now
-	q.sel.Reset(e.p.QueryProbe, e.rngPolicy)
-	q.seen.reset()
-	// Never probe yourself.
-	q.seen.add(q.origin)
-
+	q.qc.Reset(e.p.QueryProbe, e.rngPolicy, q.origin)
 	for _, entry := range e.ps.link[p].Entries() {
-		q.addCandidate(entry)
+		q.qc.Add(entry)
 	}
 	if q.counted {
 		e.inFlightCounted++
@@ -250,7 +161,7 @@ func (e *Engine) handleProbeStep(q *query) {
 	switch {
 	case q.results >= e.p.NumDesiredResults:
 		e.completeQuery(origin, q, true)
-	case q.sel.Len() == 0:
+	case q.qc.Pending() == 0:
 		e.completeQuery(origin, q, false)
 	case e.p.MaxProbesPerQuery > 0 && q.probes >= e.p.MaxProbesPerQuery:
 		e.completeQuery(origin, q, false)
@@ -263,7 +174,7 @@ func (e *Engine) handleProbeStep(q *query) {
 // origin is currently backing off from.
 func (e *Engine) nextCandidate(origin int, q *query) (cache.Entry, bool) {
 	for {
-		entry, ok := q.sel.Next()
+		entry, ok := q.qc.Next()
 		if !ok {
 			return cache.Entry{}, false
 		}
@@ -373,7 +284,7 @@ func (e *Engine) probeOne(origin int, q *query, entry cache.Entry) {
 			pe.NumRes = 0
 		}
 		e.recordSupplied(origin, addr, pe.Addr)
-		q.addCandidate(pe)
+		q.qc.Add(pe)
 		e.insertEntry(origin, pe, targetBad)
 	}
 	if e.observer != nil && len(pong) > 0 {

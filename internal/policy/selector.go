@@ -71,7 +71,7 @@ func (s *Selector) Len() int {
 }
 
 // Add inserts a candidate. The caller is responsible for deduplication
-// (see cache.QueryCache).
+// (see QueryCache).
 func (s *Selector) Add(e cache.Entry) {
 	if s.sel == SelRandom {
 		s.pool = append(s.pool, e)

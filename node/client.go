@@ -50,29 +50,40 @@ func (n *Node) pingOnce() {
 		return
 	}
 
-	n.met.PingsSent.Inc()
-	ping := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
-	reply, outcome := n.transact(context.Background(), ping, target, nil, new(attemptTimer))
-	switch outcome {
-	case txTimeout:
+	pong, outcome := n.ping(context.Background(), target)
+	if outcome == txTimeout {
 		// Every attempt unanswered: breaker or eviction.
 		n.peerTimedOut(id)
-	case txReply:
-		if pong, ok := reply.(*wire.Pong); ok {
-			n.met.PongsReceived.Inc()
-			n.mu.Lock()
-			n.link.Touch(id, n.now())
-			n.health.onSuccess(id)
-			n.absorbPong(pong.Entries)
-			n.mu.Unlock()
-		}
 	}
+	if pong == nil {
+		return
+	}
+	n.mu.Lock()
+	ts := n.now()
+	n.link.Touch(id, ts)
+	n.health.onSuccess(id)
+	n.absorbPong(pong.Entries, ts, nil)
+	n.mu.Unlock()
 }
 
-// absorbPong runs cache replacement over received entries; callers
-// hold n.mu.
-func (n *Node) absorbPong(entries []wire.PongEntry) {
-	ts := n.now()
+// ping sends target one ping, with the retry schedule of every probe,
+// and returns its pong: nil if the reply was something else or none
+// came.
+func (n *Node) ping(ctx context.Context, target netip.AddrPort) (*wire.Pong, txOutcome) {
+	n.met.PingsSent.Inc()
+	req := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
+	reply, outcome := n.transact(ctx, req, target, nil, new(attemptTimer))
+	pong, ok := reply.(*wire.Pong)
+	if ok {
+		n.met.PongsReceived.Inc()
+	}
+	return pong, outcome
+}
+
+// absorbPong runs cache replacement over received entries, stamped ts,
+// first offering each to qc, the cache of the query the pong answered,
+// if there is one; callers hold n.mu.
+func (n *Node) absorbPong(entries []wire.PongEntry, ts float64, qc *policy.QueryCache) {
 	for _, pe := range entries {
 		if !pe.Addr.IsValid() {
 			continue
@@ -81,13 +92,17 @@ func (n *Node) absorbPong(entries []wire.PongEntry) {
 		if id == 0 || id == n.selfID {
 			continue
 		}
-		policy.Insert(n.rng, n.cfg.CacheReplacement, n.link, cache.Entry{
+		e := cache.Entry{
 			Addr:     id,
 			TS:       ts,
 			NumFiles: int32(clampFiles(pe.NumFiles)),
 			NumRes:   int32(pe.NumRes),
 			Direct:   false,
-		})
+		}
+		if qc != nil {
+			qc.Add(e)
+		}
+		policy.Insert(n.rng, n.cfg.CacheReplacement, n.link, e)
 	}
 	n.health.pruneTo(n.link)
 	n.syncBreakerGauge()
@@ -181,25 +196,19 @@ func (n *Node) transact(ctx context.Context, req wire.Message, target netip.Addr
 		if qs != nil {
 			qs.Retries++
 		}
-		if !n.sleep(ctx, backoff) {
+		// The timer is idle here: its tick was just received, or it was
+		// not armed for a send that failed.
+		pause := timer.arm(backoff)
+		select {
+		case <-ctx.Done():
+			timer.disarm()
 			return nil, txAborted
+		case <-n.closing:
+			timer.disarm()
+			return nil, txAborted
+		case <-pause:
 		}
 		backoff = min(2*backoff, n.cfg.RetryBackoffMax)
-	}
-}
-
-// sleep pauses for d, aborting early on ctx cancellation or node
-// close; it reports whether the full pause elapsed.
-func (n *Node) sleep(ctx context.Context, d time.Duration) bool {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-n.closing:
-		return false
-	case <-timer.C:
-		return true
 	}
 }
 
@@ -292,29 +301,21 @@ func (n *Node) demoteBusy(id cache.PeerID) {
 	}
 }
 
-// queryScratch is the working set of one Query — the candidates seen,
-// the selector over those still to probe, the reply deadline and the
-// request being sent — kept between queries so that a query allocates
-// none of it.
+// queryScratch is the working set of one Query — the query cache, the
+// reply deadline and the request being sent — kept between queries so
+// that a query allocates none of it.
 type queryScratch struct {
-	qc    cache.QueryCache
-	sel   policy.Selector
+	qc    policy.QueryCache
 	timer attemptTimer
 	req   wire.Query
 }
 
-const (
-	// maxScratches bounds a node's idle scratches: enough for a few
-	// callers querying at once, the rest allocate and are collected.
-	maxScratches = 4
-	// maxScratchCandidates bounds what an idle scratch holds on to: one
-	// exhaustive query over a large network would otherwise leave its
-	// footprint (about 90 B a candidate) in the list for good.
-	maxScratchCandidates = 2048
-)
+// maxScratches bounds a node's idle scratches: enough for a few callers
+// querying at once, the rest allocate and are collected.
+const maxScratches = 4
 
 // getScratch returns a scratch with the link cache snapshotted into
-// its candidate set (the node itself excluded); callers hold n.mu.
+// its query cache (the node itself excluded); callers hold n.mu.
 func (n *Node) getScratch() *queryScratch {
 	var s *queryScratch
 	if last := len(n.scratches) - 1; last >= 0 {
@@ -322,23 +323,17 @@ func (n *Node) getScratch() *queryScratch {
 	} else {
 		s = new(queryScratch)
 	}
-	s.qc.Reset()
-	s.sel.Reset(n.cfg.QueryProbe, n.rng)
-	s.qc.Add(cache.Entry{Addr: n.selfID})
-	s.qc.Consume(n.selfID)
+	s.qc.Reset(n.cfg.QueryProbe, n.rng, n.selfID)
 	for _, e := range n.link.Entries() {
-		if s.qc.Add(e) {
-			s.sel.Add(e)
-		}
+		s.qc.Add(e)
 	}
 	return s
 }
 
-// putScratch hands a finished query's scratch back.
+// putScratch hands a finished query's scratch back, without the storage
+// of an exhaustive query over a large network.
 func (n *Node) putScratch(s *queryScratch) {
-	if s.qc.Len() > maxScratchCandidates {
-		return
-	}
+	s.qc.Shed()
 	n.mu.Lock()
 	if len(n.scratches) < maxScratches {
 		n.scratches = append(n.scratches, s)
@@ -380,16 +375,14 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 		default:
 		}
 		n.mu.Lock()
-		entry, ok := s.sel.Next()
+		entry, ok := s.qc.Next()
 		// Busy-demoted peers sit out the query instead of wasting a
 		// probe on another refusal.
 		for ok && n.suppressedLocked(entry.Addr) {
-			s.qc.Consume(entry.Addr)
-			entry, ok = s.sel.Next()
+			entry, ok = s.qc.Next()
 		}
 		var target netip.AddrPort
 		if ok {
-			s.qc.Consume(entry.Addr)
 			target = n.addrs[entry.Addr]
 		}
 		n.mu.Unlock()
@@ -441,29 +434,7 @@ func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort
 		n.health.onSuccess(id)
 		// Grow the query cache and the link cache from the
 		// piggy-backed pong.
-		for _, pe := range m.Pong {
-			if !pe.Addr.IsValid() {
-				continue
-			}
-			peID := n.idFor(pe.Addr)
-			if peID == 0 || peID == n.selfID {
-				continue
-			}
-			entry := cache.Entry{
-				Addr:     peID,
-				TS:       ts,
-				NumFiles: int32(clampFiles(pe.NumFiles)),
-				NumRes:   int32(pe.NumRes),
-				Direct:   false,
-			}
-			if s.qc.Add(entry) {
-				s.sel.Add(entry)
-			}
-			policy.Insert(n.rng, n.cfg.CacheReplacement, n.link, entry)
-		}
-		n.health.pruneTo(n.link)
-		n.syncBreakerGauge()
-		n.syncCacheGauge()
+		n.absorbPong(m.Pong, ts, &s.qc)
 		n.mu.Unlock()
 		for _, name := range m.Results {
 			hits = append(hits, Hit{From: target, Name: name})
@@ -481,28 +452,22 @@ func (n *Node) PingPeer(ctx context.Context, target netip.AddrPort) (bool, error
 		return false, errClosed
 	default:
 	}
-	n.met.PingsSent.Inc()
-	ping := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
-	reply, outcome := n.transact(ctx, ping, target, nil, new(attemptTimer))
-	switch outcome {
-	case txAborted:
+	pong, outcome := n.ping(ctx, target)
+	if outcome == txAborted {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
 		return false, errClosed
-	case txTimeout:
+	}
+	if pong == nil {
 		return false, nil
 	}
-	pong, ok := reply.(*wire.Pong)
-	if !ok {
-		return false, nil
-	}
-	n.met.PongsReceived.Inc()
 	n.mu.Lock()
 	id := n.idFor(target)
-	n.link.Touch(id, n.now())
+	ts := n.now()
+	n.link.Touch(id, ts)
 	n.health.onSuccess(id)
-	n.absorbPong(pong.Entries)
+	n.absorbPong(pong.Entries, ts, nil)
 	n.mu.Unlock()
 	return true, nil
 }

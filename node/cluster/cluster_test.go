@@ -148,13 +148,13 @@ func TestSyncMsgRoundTrip(t *testing.T) {
 // missing their type's required payload.
 func TestDecodeSyncMsgRejectsMalformed(t *testing.T) {
 	bad := []string{
-		`{"type":"hello"}`,                      // no node name
-		`{"type":"push","seq":3}`,               // seq without delta
-		`{"type":"push","epoch":-1}`,            // negative epoch
-		`{"type":"agg","epoch":1}`,              // no aggregate
-		`{"type":"agg","agg":{}}`,               // no epoch
-		`{"type":"reject"}`,                     // no epoch
-		`{"type":"bogus"}`,                      // unknown type
+		`{"type":"hello"}`,           // no node name
+		`{"type":"push","seq":3}`,    // seq without delta
+		`{"type":"push","epoch":-1}`, // negative epoch
+		`{"type":"agg","epoch":1}`,   // no aggregate
+		`{"type":"agg","agg":{}}`,    // no epoch
+		`{"type":"reject"}`,          // no epoch
+		`{"type":"bogus"}`,           // unknown type
 		`{"type":"hello","node":"` + string(make([]byte, 200)) + `"}`, // name too long
 		`not json`,
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/netip"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/dist"
+	"repro/internal/policy"
 	"repro/internal/simrng"
 	"repro/internal/wire"
 	"repro/node/memnet"
@@ -112,7 +114,8 @@ func TestAttemptTimerReuse(t *testing.T) {
 
 // TestQueryScratchBounded: concurrent queries each get a scratch of
 // their own, the node keeps at most maxScratches of them afterwards,
-// and a serial caller gets the same one back every time.
+// a serial caller gets the same one back every time, and none keeps
+// more candidate storage than the query cache's retention bound.
 func TestQueryScratchBounded(t *testing.T) {
 	nw := memnet.New(1)
 	sharer := startMemNode(t, nw, Config{Files: []string{"wanted.txt"}})
@@ -148,18 +151,33 @@ func TestQueryScratchBounded(t *testing.T) {
 		t.Fatal("serial queries did not reuse the idle scratches")
 	}
 
-	// A query that saw more candidates than an idle scratch may hold is
-	// not kept.
+	// A query that saw more candidates than an idle scratch may hold on
+	// to is kept without them.
+	const bound = policy.MaxRetainedCandidates
 	big := new(queryScratch)
-	for id := 1; id <= maxScratchCandidates+1; id++ {
+	big.qc.Reset(policy.SelRandom, simrng.New(1), 1)
+	for id := 2; id <= bound+2; id++ {
 		big.qc.Add(cache.Entry{Addr: cache.PeerID(id)})
+	}
+	// held is the candidates big has room for: in its seen table, at
+	// most half full, and in its selector's buffers.
+	held := func() (seen, buffered int) {
+		qc := reflect.ValueOf(&big.qc).Elem()
+		sel := qc.FieldByName("sel")
+		return qc.FieldByName("tab").Len() / 2, sel.FieldByName("pool").Cap() + sel.FieldByName("heap").Cap()
+	}
+	if seen, buffered := held(); seen <= bound || buffered <= bound {
+		t.Fatalf("%d candidates in room for %d seen, %d buffered", bound+1, seen, buffered)
 	}
 	querier.mu.Lock()
 	querier.scratches = querier.scratches[:0]
 	querier.mu.Unlock()
 	querier.putScratch(big)
-	if got := idle(); len(got) != 0 {
-		t.Fatal("an oversized scratch was kept")
+	if got := idle(); len(got) != 1 || got[0] != big {
+		t.Fatal("an oversized scratch was not kept")
+	}
+	if seen, buffered := held(); seen > bound || buffered > bound {
+		t.Fatalf("the kept scratch has room for %d seen, %d buffered candidates, bound %d", seen, buffered, bound)
 	}
 }
 

@@ -31,7 +31,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/frame"
 	"repro/internal/policy"
-	"repro/internal/wire"
 )
 
 // snapshot format constants.
@@ -280,20 +279,16 @@ func (n *Node) verifySuspects(suspects []snapEntry) {
 
 // verifyOne probes one suspect; a pong installs it in the link cache.
 func (n *Node) verifyOne(e snapEntry) {
-	n.met.PingsSent.Inc()
-	ping := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
-	reply, outcome := n.transact(context.Background(), ping, e.Addr, nil, new(attemptTimer))
+	pong, _ := n.ping(context.Background(), e.Addr)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.suspectsLeft > 0 {
 		n.suspectsLeft--
 	}
-	_, ok := reply.(*wire.Pong)
-	if outcome != txReply || !ok {
+	if pong == nil {
 		n.met.SnapshotDiscarded.Inc()
 		return
 	}
-	n.met.PongsReceived.Inc()
 	id := n.idFor(e.Addr)
 	if id == 0 {
 		n.met.SnapshotDiscarded.Inc()
