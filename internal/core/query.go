@@ -29,21 +29,15 @@ type query struct {
 	// completes (the bursty workload's "succession").
 	burstRemaining int
 
-	results int
-	probes  int
-	good    int
-	dead    int
-	refused int
-
 	// k is the current per-round fan-out; lastProgress is when the
 	// query last gained a result (both drive AdaptiveParallel).
 	k            int
 	lastProgress float64
 
-	// qc is the query cache: the candidates not yet probed, and every
-	// address ever offered, so none is probed twice. Peer IDs start at 1
-	// and fabricated addresses at fakeAddrBase, so every address is one
-	// it accepts.
+	// qc is the query's record: the candidates not yet probed, every
+	// address ever offered (so none is probed twice), the probe counts
+	// and the stop rule. Peer IDs start at 1 and fabricated addresses at
+	// fakeAddrBase, so every address is one it accepts.
 	qc policy.QueryCache
 }
 
@@ -81,24 +75,17 @@ func (e *Engine) startQuery(p int, burstRemaining int) {
 	q.counted = e.now >= e.p.WarmupTime
 	q.burstRemaining = burstRemaining
 	q.round = 0
-	q.results, q.probes, q.good, q.dead, q.refused = 0, 0, 0, 0, 0
 	q.k = e.queryParallelism(p)
 	q.lastProgress = e.now
 	q.qc.Reset(e.p.QueryProbe, e.rngPolicy, q.origin)
+	q.qc.Limit(e.p.NumDesiredResults, e.p.MaxProbesPerQuery)
 	for _, entry := range e.ps.link[p].Entries() {
 		q.qc.Add(entry)
 	}
 	if q.counted {
 		e.inFlightCounted++
 	}
-	if e.observer != nil {
-		e.observer.Observe(obs.Event{
-			Kind:  obs.EvQueryIssued,
-			Time:  e.now,
-			Query: q.id,
-			Peer:  uint64(q.origin),
-		})
-	}
+	e.observe(q, obs.Event{Kind: obs.EvQueryIssued})
 	e.handleProbeStep(q)
 }
 
@@ -116,72 +103,31 @@ func (e *Engine) handleProbeStep(q *query) {
 				e.met.Aborted.Inc()
 			}
 		}
-		if e.observer != nil {
-			e.observer.Observe(obs.Event{
-				Kind:    obs.EvQueryDone,
-				Time:    e.now,
-				Query:   q.id,
-				Peer:    uint64(q.origin),
-				Outcome: obs.OutcomeAborted,
-				Probes:  q.probes,
-				Results: q.results,
-			})
-		}
+		e.observeQueryDone(q, obs.OutcomeAborted)
 		e.putQuery(q)
 		return
 	}
 
 	q.round++
-	if e.observer != nil {
-		e.observer.Observe(obs.Event{
-			Kind:   obs.EvProbeRound,
-			Time:   e.now,
-			Query:  q.id,
-			Peer:   uint64(q.origin),
-			Round:  q.round,
-			Probes: q.probes,
-		})
-	}
+	e.observe(q, obs.Event{Kind: obs.EvProbeRound, Round: q.round, Probes: q.qc.Counts().Probes})
 
 	// All probes of a round are in flight before any replies arrive, so
 	// a round is sent in full even if an early probe already satisfies
 	// the query (the paper's "at most k-1 wasted probes").
 	e.maybeGrowParallelism(q)
+	// Targets the origin is backing off from sit out the query.
+	suppressed := func(addr cache.PeerID) bool { return e.suppressedNow(origin, addr, e.now) }
 	for i := 0; i < q.k; i++ {
-		entry, ok := e.nextCandidate(origin, q)
+		entry, ok := q.qc.Next(suppressed)
 		if !ok {
 			break
 		}
 		e.probeOne(origin, q, entry)
-		if e.p.MaxProbesPerQuery > 0 && q.probes >= e.p.MaxProbesPerQuery {
-			break
-		}
 	}
-
-	switch {
-	case q.results >= e.p.NumDesiredResults:
-		e.completeQuery(origin, q, true)
-	case q.qc.Pending() == 0:
-		e.completeQuery(origin, q, false)
-	case e.p.MaxProbesPerQuery > 0 && q.probes >= e.p.MaxProbesPerQuery:
-		e.completeQuery(origin, q, false)
-	default:
+	if satisfied, done := q.qc.Done(); done {
+		e.completeQuery(origin, q, satisfied)
+	} else {
 		e.schedule(e.now+e.p.ProbeSpacing, event{kind: evProbeStep, q: q})
-	}
-}
-
-// nextCandidate pulls the best unprobed candidate, skipping targets the
-// origin is currently backing off from.
-func (e *Engine) nextCandidate(origin int, q *query) (cache.Entry, bool) {
-	for {
-		entry, ok := q.qc.Next()
-		if !ok {
-			return cache.Entry{}, false
-		}
-		if e.suppressedNow(origin, entry.Addr, e.now) {
-			continue
-		}
-		return entry, true
 	}
 }
 
@@ -190,24 +136,13 @@ func (e *Engine) nextCandidate(origin int, q *query) (cache.Entry, bool) {
 // cache bookkeeping).
 func (e *Engine) probeOne(origin int, q *query, entry cache.Entry) {
 	addr := entry.Addr
-	q.probes++
-
 	target := e.ps.slotOf(addr)
 	if target < 0 {
 		// Timeout: the peer is presumed dead and evicted.
-		q.dead++
+		q.qc.Dead()
 		e.ps.link[origin].Remove(addr)
 		e.blameDeadAddress(origin, addr)
-		if e.observer != nil {
-			e.observer.Observe(obs.Event{
-				Kind:    obs.EvProbe,
-				Time:    e.now,
-				Query:   q.id,
-				Peer:    uint64(q.origin),
-				Target:  uint64(addr),
-				Outcome: obs.OutcomeDead,
-			})
-		}
+		e.observeProbe(q, addr, obs.OutcomeDead, 0)
 		return
 	}
 
@@ -219,47 +154,26 @@ func (e *Engine) probeOne(origin int, q *query, entry cache.Entry) {
 		// back-off the prober treats it like a dead peer (the
 		// protocol's inherent throttling); with back-off the entry is
 		// kept but suppressed for a while.
-		q.refused++
+		q.qc.Refused()
 		if e.p.DoBackoff {
 			e.suppress(origin, addr, e.now+e.p.BackoffPeriod)
 		} else {
 			e.ps.link[origin].Remove(addr)
 		}
-		if e.observer != nil {
-			e.observer.Observe(obs.Event{
-				Kind:    obs.EvProbe,
-				Time:    e.now,
-				Query:   q.id,
-				Peer:    uint64(q.origin),
-				Target:  uint64(addr),
-				Outcome: obs.OutcomeRefused,
-			})
-		}
+		e.observeProbe(q, addr, obs.OutcomeRefused, 0)
 		return
 	}
 
-	q.good++
 	e.maybeIntroduce(target, origin)
-
 	res := 0
 	if !e.ps.malicious[target] {
 		res = e.ps.lib[target].Results(q.item)
 	}
-	q.results += res
+	q.qc.Good(res)
 	if res > 0 {
 		q.lastProgress = e.now
 	}
-	if e.observer != nil {
-		e.observer.Observe(obs.Event{
-			Kind:    obs.EvProbe,
-			Time:    e.now,
-			Query:   q.id,
-			Peer:    uint64(q.origin),
-			Target:  uint64(addr),
-			Outcome: obs.OutcomeGood,
-			Results: res,
-		})
-	}
+	e.observeProbe(q, addr, obs.OutcomeGood, res)
 
 	// Both sides record the interaction; the prober also refreshes its
 	// direct NumRes experience with the target.
@@ -287,21 +201,15 @@ func (e *Engine) probeOne(origin int, q *query, entry cache.Entry) {
 		q.qc.Add(pe)
 		e.insertEntry(origin, pe, targetBad)
 	}
-	if e.observer != nil && len(pong) > 0 {
-		e.observer.Observe(obs.Event{
-			Kind:    obs.EvPong,
-			Time:    e.now,
-			Query:   q.id,
-			Peer:    uint64(q.origin),
-			Target:  uint64(addr),
-			Entries: len(pong),
-		})
+	if len(pong) > 0 {
+		e.observe(q, obs.Event{Kind: obs.EvPong, Target: uint64(addr), Entries: len(pong)})
 	}
 }
 
 // completeQuery records metrics and chains the next query of the burst.
 func (e *Engine) completeQuery(origin int, q *query, satisfied bool) {
 	if q.counted {
+		c := q.qc.Counts()
 		e.inFlightCounted--
 		e.res.Queries++
 		if satisfied {
@@ -309,10 +217,10 @@ func (e *Engine) completeQuery(origin int, q *query, satisfied bool) {
 		} else {
 			e.res.Unsatisfied++
 		}
-		e.res.ProbesTotal += int64(q.probes)
-		e.res.GoodProbes += int64(q.good)
-		e.res.DeadProbes += int64(q.dead)
-		e.res.RefusedProbes += int64(q.refused)
+		e.res.ProbesTotal += int64(c.Probes)
+		e.res.GoodProbes += int64(c.Good)
+		e.res.DeadProbes += int64(c.Dead)
+		e.res.RefusedProbes += int64(c.Refused)
 		e.res.ResponseTimeSum += e.now - q.started
 		if e.met != nil {
 			e.met.Queries.Inc()
@@ -321,28 +229,18 @@ func (e *Engine) completeQuery(origin int, q *query, satisfied bool) {
 			} else {
 				e.met.Unsatisfied.Inc()
 			}
-			e.met.Probes.Add(uint64(q.probes))
-			e.met.GoodProbes.Add(uint64(q.good))
-			e.met.DeadProbes.Add(uint64(q.dead))
-			e.met.RefusedProbes.Add(uint64(q.refused))
-			e.met.QueryProbesHist.Observe(float64(q.probes))
+			e.met.Probes.Add(uint64(c.Probes))
+			e.met.GoodProbes.Add(uint64(c.Good))
+			e.met.DeadProbes.Add(uint64(c.Dead))
+			e.met.RefusedProbes.Add(uint64(c.Refused))
+			e.met.QueryProbesHist.Observe(float64(c.Probes))
 			e.met.ResponseTime.Observe(e.now - q.started)
 		}
 	}
-	if e.observer != nil {
-		outcome := obs.OutcomeExhausted
-		if satisfied {
-			outcome = obs.OutcomeSatisfied
-		}
-		e.observer.Observe(obs.Event{
-			Kind:    obs.EvQueryDone,
-			Time:    e.now,
-			Query:   q.id,
-			Peer:    uint64(q.origin),
-			Outcome: outcome,
-			Probes:  q.probes,
-			Results: q.results,
-		})
+	if satisfied {
+		e.observeQueryDone(q, obs.OutcomeSatisfied)
+	} else {
+		e.observeQueryDone(q, obs.OutcomeExhausted)
 	}
 	// Recycle before chaining so the burst's next query can reuse this
 	// one's storage immediately.
@@ -351,4 +249,26 @@ func (e *Engine) completeQuery(origin int, q *query, satisfied bool) {
 	if burst > 0 {
 		e.startQuery(origin, burst-1)
 	}
+}
+
+// observe emits ev, one step of q, stamped with the time, the query
+// and its origin.
+func (e *Engine) observe(q *query, ev obs.Event) {
+	if e.observer != nil {
+		ev.Time, ev.Query, ev.Peer = e.now, q.id, uint64(q.origin)
+		e.observer.Observe(ev)
+	}
+}
+
+// observeProbe emits the trace event for one probe of q to addr, which
+// ended in outcome with res results.
+func (e *Engine) observeProbe(q *query, addr cache.PeerID, outcome obs.Outcome, res int) {
+	e.observe(q, obs.Event{Kind: obs.EvProbe, Target: uint64(addr), Outcome: outcome, Results: res})
+}
+
+// observeQueryDone emits the trace event for q ending in outcome, with
+// the probes it sent and the results it got.
+func (e *Engine) observeQueryDone(q *query, outcome obs.Outcome) {
+	c := q.qc.Counts()
+	e.observe(q, obs.Event{Kind: obs.EvQueryDone, Outcome: outcome, Probes: c.Probes, Results: c.Results})
 }

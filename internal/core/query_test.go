@@ -92,7 +92,7 @@ func TestSeenSetGrowthKeepsMembers(t *testing.T) {
 		t.Fatalf("%d pending, want %d", q.qc.Pending(), members)
 	}
 	returned := map[cache.PeerID]bool{}
-	for c, ok := q.qc.Next(); ok; c, ok = q.qc.Next() {
+	for c, ok := q.qc.Next(nil); ok; c, ok = q.qc.Next(nil) {
 		if !want[c.Addr] || c.Addr == origin || returned[c.Addr] {
 			t.Fatalf("Next returned %d: added %v, already returned %v", c.Addr, want[c.Addr], returned[c.Addr])
 		}
@@ -131,8 +131,8 @@ func TestSeenSetResetEqualsFresh(t *testing.T) {
 			}
 		}
 		for {
-			a, okA := used.qc.Next()
-			b, okB := fresh.qc.Next()
+			a, okA := used.qc.Next(nil)
+			b, okB := fresh.qc.Next(nil)
 			if a != b || okA != okB {
 				t.Fatalf("%v: Next = %+v, %v from the pooled query; %+v, %v fresh", sel, a, okA, b, okB)
 			}

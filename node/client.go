@@ -35,20 +35,13 @@ func (n *Node) pingOnce() {
 	n.mu.Lock()
 	entries := n.link.Entries()
 	i := policy.Pick(n.rng, n.cfg.PingProbe, entries)
-	var target netip.AddrPort
-	var id cache.PeerID
-	if i >= 0 {
-		id = entries[i].Addr
-		if n.suppressedLocked(id) {
-			i = -1 // demoted this round; try again next tick
-		} else {
-			target = n.addrs[id]
-		}
-	}
-	n.mu.Unlock()
-	if i < 0 || !target.IsValid() {
+	if i < 0 || n.suppressedLocked(entries[i].Addr) {
+		n.mu.Unlock() // nothing to ping, or demoted this round: try again next tick
 		return
 	}
+	id := entries[i].Addr
+	target := n.addrs[id]
+	n.mu.Unlock()
 
 	pong, outcome := n.ping(context.Background(), target)
 	if outcome == txTimeout {
@@ -301,9 +294,9 @@ func (n *Node) demoteBusy(id cache.PeerID) {
 	}
 }
 
-// queryScratch is the working set of one Query — the query cache, the
-// reply deadline and the request being sent — kept between queries so
-// that a query allocates none of it.
+// queryScratch is the working set of one Query — the query's record,
+// the reply deadline and the request being sent — kept between queries
+// so that a query allocates none of it.
 type queryScratch struct {
 	qc    policy.QueryCache
 	timer attemptTimer
@@ -314,9 +307,10 @@ type queryScratch struct {
 // querying at once, the rest allocate and are collected.
 const maxScratches = 4
 
-// getScratch returns a scratch with the link cache snapshotted into
-// its query cache (the node itself excluded); callers hold n.mu.
-func (n *Node) getScratch() *queryScratch {
+// getScratch returns a scratch whose query record wants desired
+// results, with no probe cap, and holds the link cache snapshot (the
+// node itself excluded); callers hold n.mu.
+func (n *Node) getScratch(desired int) *queryScratch {
 	var s *queryScratch
 	if last := len(n.scratches) - 1; last >= 0 {
 		s, n.scratches = n.scratches[last], n.scratches[:last]
@@ -324,6 +318,7 @@ func (n *Node) getScratch() *queryScratch {
 		s = new(queryScratch)
 	}
 	s.qc.Reset(n.cfg.QueryProbe, n.rng, n.selfID)
+	s.qc.Limit(desired, 0)
 	for _, e := range n.link.Entries() {
 		s.qc.Add(e)
 	}
@@ -354,55 +349,45 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 	if desired < 1 || desired > 255 {
 		return nil, stats, fmt.Errorf("node: desired results %d outside [1,255]", desired)
 	}
-	select {
-	case <-n.closing:
+	if n.Draining() {
 		return nil, stats, errClosed
-	default:
 	}
 
 	n.mu.Lock()
-	s := n.getScratch()
+	s := n.getScratch(desired)
 	n.mu.Unlock()
 	defer n.putScratch(s)
 
 	var hits []Hit
-	for len(hits) < desired {
-		select {
-		case <-ctx.Done():
-			return hits, stats, nil
-		case <-n.closing:
-			return hits, stats, nil
-		default:
-		}
+	for n.querying(ctx, &s.qc) {
 		n.mu.Lock()
-		entry, ok := s.qc.Next()
 		// Busy-demoted peers sit out the query instead of wasting a
 		// probe on another refusal.
-		for ok && n.suppressedLocked(entry.Addr) {
-			entry, ok = s.qc.Next()
-		}
-		var target netip.AddrPort
-		if ok {
-			target = n.addrs[entry.Addr]
-		}
+		entry, ok := s.qc.Next(n.suppressedLocked)
+		target := n.addrs[entry.Addr]
 		n.mu.Unlock()
 		if !ok {
 			break // exhausted
 		}
-		if !target.IsValid() {
-			continue
-		}
 		hits = n.probe(ctx, s, target, entry.Addr, keyword, hits, desired-len(hits), &stats)
 	}
+	c := s.qc.Counts()
+	stats.Probes, stats.Good, stats.Dead, stats.Refused = c.Probes, c.Good, c.Dead, c.Refused
 	return hits, stats, nil
 }
 
-// probe runs one query probe (with retries), processes the reply and
-// returns hits with the probe's results appended.
+// querying reports whether a query should send another probe: its
+// record is not done, and neither ctx nor the node is.
+func (n *Node) querying(ctx context.Context, qc *policy.QueryCache) bool {
+	_, done := qc.Done()
+	return !done && ctx.Err() == nil && !n.Draining()
+}
+
+// probe runs one query probe (with retries), records its outcome in the
+// query's record and returns hits with the probe's results appended.
 func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort, id cache.PeerID,
 	keyword string, hits []Hit, want int, stats *QueryStats) []Hit {
 
-	stats.Probes++
 	s.req = wire.Query{
 		MsgID:    n.msgID.Add(1),
 		Desired:  uint8(want),
@@ -416,17 +401,17 @@ func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort
 	case txTimeout:
 		// Every attempt unanswered: presumed dead for this query;
 		// eviction vs breaker is the health layer's call.
-		stats.Dead++
+		s.qc.Dead()
 		n.peerTimedOut(id)
 		return hits
 	}
 
 	switch m := reply.(type) {
 	case *wire.Busy:
-		stats.Refused++
+		s.qc.Refused()
 		n.demoteBusy(id)
 	case *wire.QueryHit:
-		stats.Good++
+		s.qc.Good(len(m.Results))
 		n.mu.Lock()
 		ts := n.now()
 		n.link.Touch(id, ts)
@@ -447,10 +432,8 @@ func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort
 // retry schedule as other probes) and reports whether the peer
 // answered.
 func (n *Node) PingPeer(ctx context.Context, target netip.AddrPort) (bool, error) {
-	select {
-	case <-n.closing:
+	if n.Draining() {
 		return false, errClosed
-	default:
 	}
 	pong, outcome := n.ping(ctx, target)
 	if outcome == txAborted {

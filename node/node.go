@@ -309,9 +309,10 @@ type Hit struct {
 	Name string
 }
 
-// QueryStats reports one query's cost, mirroring the simulator's
-// per-query metrics. Probes counts distinct targets tried; Retries
-// counts extra transmissions beyond each target's first.
+// QueryStats reports one query's cost. Probes (distinct targets tried),
+// Good, Dead and Refused are the counts of its policy.QueryCache, the
+// record that holds the simulator's query counts too; Retries counts
+// extra transmissions beyond each target's first.
 type QueryStats struct {
 	Probes  int
 	Good    int
@@ -606,6 +607,10 @@ func (n *Node) CacheAddrs() []netip.AddrPort {
 
 // AddPeer seeds the link cache with a known peer (bootstrap).
 func (n *Node) AddPeer(addr netip.AddrPort, numFiles uint32) {
+	if !addr.IsValid() {
+		n.logf("peer %v not added: invalid address", addr)
+		return
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	id := n.idFor(addr)

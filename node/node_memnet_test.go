@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -31,6 +32,21 @@ func TestMemnetQuery(t *testing.T) {
 	}
 	if len(hits) != 1 || stats.Good != 1 {
 		t.Fatalf("hits=%v stats=%+v", hits, stats)
+	}
+}
+
+// TestMemnetAddPeerRejectsZeroAddress: the zero address never enters
+// the link cache, so a query has nothing to probe and reports no probes.
+func TestMemnetAddPeerRejectsZeroAddress(t *testing.T) {
+	nw := memnet.New(1)
+	querier := startMemNode(t, nw, Config{})
+	querier.AddPeer(netip.AddrPort{}, 5)
+	if n := querier.CacheLen(); n != 0 {
+		t.Fatalf("%d entries cached after adding the zero address", n)
+	}
+	hits, stats, err := querier.Query(context.Background(), "anything", 1)
+	if err != nil || len(hits) != 0 || stats.Probes != 0 {
+		t.Fatalf("hits=%v stats=%+v err=%v", hits, stats, err)
 	}
 }
 
