@@ -36,8 +36,11 @@ func fuzzSeeds(t testing.TB) [][]byte {
 
 // FuzzDecode asserts the decoder never panics on arbitrary bytes and
 // that anything it accepts round-trips: re-encoding an accepted
-// message and decoding it again must reproduce the message exactly.
+// message and decoding it again must reproduce the message exactly. A
+// Decoder shared across every input must agree with a fresh Decode on
+// each, so nothing one message leaves behind shows in the next.
 func FuzzDecode(f *testing.F) {
+	var shared Decoder
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
@@ -50,6 +53,10 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data) // must never panic
+		reused, reusedErr := shared.Decode(data)
+		if (err == nil) != (reusedErr == nil) || !reflect.DeepEqual(m, reused) {
+			t.Fatalf("a shared Decoder gave %#v, %v; Decode gave %#v, %v\ninput: %x", reused, reusedErr, m, err, data)
+		}
 		if err != nil {
 			if m != nil {
 				t.Fatalf("Decode returned both a message and error %v", err)

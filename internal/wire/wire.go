@@ -245,9 +245,35 @@ func appendEntries(dst []byte, entries []PongEntry) ([]byte, error) {
 	return dst, nil
 }
 
-// Decode parses a datagram. It returns ErrMalformed (wrapped with
-// detail) for anything that does not parse exactly.
-func Decode(pkt []byte) (Message, error) {
+// Decode parses a datagram into a message of its own. It returns
+// ErrMalformed (wrapped with detail) for anything that does not parse
+// exactly.
+func Decode(pkt []byte) (Message, error) { return new(Decoder).Decode(pkt) }
+
+// Decoder decodes datagram after datagram into messages it owns, one of
+// each type, made on first use, so that a reader that is done with each
+// message before the next read allocates only the strings a message
+// carries. The zero value is ready to use.
+type Decoder struct {
+	ping  *Ping
+	pong  *Pong
+	query *Query
+	hit   *QueryHit
+	busy  *Busy
+}
+
+// reuse returns *m, made first if it is nil.
+func reuse[T any](m **T) *T {
+	if *m == nil {
+		*m = new(T)
+	}
+	return *m
+}
+
+// Decode parses a datagram like the package's Decode, into the
+// decoder's message of its type: the result, its slices included, is
+// valid until the next call. The strings in it are the caller's to keep.
+func (d *Decoder) Decode(pkt []byte) (Message, error) {
 	if len(pkt) < HeaderSize {
 		return nil, fmt.Errorf("%w: %d bytes < header", ErrMalformed, len(pkt))
 	}
@@ -274,16 +300,20 @@ func Decode(pkt []byte) (Message, error) {
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		return &Ping{MsgID: msgID, NumFiles: numFiles}, nil
+		m := reuse(&d.ping)
+		*m = Ping{MsgID: msgID, NumFiles: numFiles}
+		return m, nil
 	case TypePong:
-		entries, err := r.entries()
+		entries, err := r.entries(reuse(&d.pong).Entries)
 		if err != nil {
 			return nil, err
 		}
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		return &Pong{MsgID: msgID, Entries: entries}, nil
+		m := reuse(&d.pong)
+		*m = Pong{MsgID: msgID, Entries: entries}
+		return m, nil
 	case TypeQuery:
 		desired, err := r.byte()
 		if err != nil {
@@ -300,7 +330,9 @@ func Decode(pkt []byte) (Message, error) {
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		return &Query{MsgID: msgID, Desired: desired, NumFiles: numFiles, Keyword: keyword}, nil
+		m := reuse(&d.query)
+		*m = Query{MsgID: msgID, Desired: desired, NumFiles: numFiles, Keyword: keyword}
+		return m, nil
 	case TypeQueryHit:
 		count, err := r.byte()
 		if err != nil {
@@ -309,7 +341,10 @@ func Decode(pkt []byte) (Message, error) {
 		if int(count) > MaxHits {
 			return nil, fmt.Errorf("%w: %d hits exceed %d", ErrMalformed, count, MaxHits)
 		}
-		results := make([]string, 0, count)
+		results := reuse(&d.hit).Results[:0]
+		if results == nil || cap(results) < int(count) {
+			results = make([]string, 0, count)
+		}
 		for i := 0; i < int(count); i++ {
 			name, err := r.shortString()
 			if err != nil {
@@ -317,19 +352,23 @@ func Decode(pkt []byte) (Message, error) {
 			}
 			results = append(results, name)
 		}
-		entries, err := r.entries()
+		entries, err := r.entries(d.hit.Pong)
 		if err != nil {
 			return nil, err
 		}
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		return &QueryHit{MsgID: msgID, Results: results, Pong: entries}, nil
+		m := reuse(&d.hit)
+		*m = QueryHit{MsgID: msgID, Results: results, Pong: entries}
+		return m, nil
 	case TypeBusy:
 		if err := r.done(); err != nil {
 			return nil, err
 		}
-		return &Busy{MsgID: msgID}, nil
+		m := reuse(&d.busy)
+		*m = Busy{MsgID: msgID}
+		return m, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown type %d", ErrMalformed, pkt[3])
 	}
@@ -386,7 +425,10 @@ func (r *reader) shortString() (string, error) {
 	return string(b), nil
 }
 
-func (r *reader) entries() ([]PongEntry, error) {
+// entries reads a count-prefixed pong entry list into dst's storage,
+// or, when there is none or too little, into a slice of exactly the
+// entries; either way an empty list is an empty slice, not nil.
+func (r *reader) entries(dst []PongEntry) ([]PongEntry, error) {
 	count, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -394,7 +436,10 @@ func (r *reader) entries() ([]PongEntry, error) {
 	if int(count) > MaxPongEntries {
 		return nil, fmt.Errorf("%w: %d pong entries exceed %d", ErrMalformed, count, MaxPongEntries)
 	}
-	entries := make([]PongEntry, 0, count)
+	entries := dst[:0]
+	if entries == nil || cap(entries) < int(count) {
+		entries = make([]PongEntry, 0, count)
+	}
 	for i := 0; i < int(count); i++ {
 		size, err := r.byte()
 		if err != nil {

@@ -79,6 +79,54 @@ func normalize(m Message) Message {
 	return m
 }
 
+// TestDecoderReuse: a Decoder's messages are overwritten in full, so a
+// smaller message decoded after a larger one of the same type shows
+// nothing of it.
+func TestDecoderReuse(t *testing.T) {
+	five := []PongEntry{
+		entry("10.0.0.1", 6346, 100, 2),
+		entry("10.0.0.2", 6346, 3, 0),
+		entry("2001:db8::3", 6346, 88, 1),
+		entry("10.0.0.4", 6346, 12, 0),
+		entry("10.0.0.5", 6346, 0, 0),
+	}
+	for _, tc := range []struct {
+		name        string
+		first, then Message
+	}{
+		{"hit after a bigger hit",
+			&QueryHit{MsgID: 1, Results: []string{"a.mp3", "b.mp3", "c.mp3"}, Pong: five},
+			&QueryHit{MsgID: 2, Results: []string{"d.ogg"}}},
+		{"empty hit after a hit", &QueryHit{MsgID: 1, Results: []string{"a"}, Pong: five[:1]}, &QueryHit{MsgID: 2}},
+		{"pong after a bigger pong", &Pong{MsgID: 1, Entries: five}, &Pong{MsgID: 2, Entries: five[3:]}},
+		{"empty pong after a pong", &Pong{MsgID: 1, Entries: five}, &Pong{MsgID: 2}},
+		{"query after a query",
+			&Query{MsgID: 1, Desired: 9, NumFiles: 4, Keyword: "free bird"},
+			&Query{MsgID: 2, Desired: 1, Keyword: "x"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var d Decoder
+			for _, m := range []Message{tc.first, tc.then} {
+				pkt, err := Encode(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Decode(pkt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := d.Decode(pkt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(normalize(got), normalize(m)) {
+					t.Fatalf("reused Decoder gave %#v, want %#v", got, want)
+				}
+			}
+		})
+	}
+}
+
 func TestEncodeLimits(t *testing.T) {
 	longName := strings.Repeat("x", MaxNameLen+1)
 	manyEntries := make([]PongEntry, MaxPongEntries+1)
@@ -157,8 +205,9 @@ func TestAppendEncode(t *testing.T) {
 }
 
 // TestRoundTripAllocs pins what a datagram costs the heap: nothing to
-// encode into a buffer the sender already has, and to decode only what
-// the decoded message is made of.
+// encode into a buffer the sender already has, to decode only what the
+// decoded message is made of, and into a Decoder that has decoded one
+// before only the strings it carries.
 func TestRoundTripAllocs(t *testing.T) {
 	decodeAllocs := map[Type]float64{
 		TypePing:     1, // the message
@@ -167,6 +216,8 @@ func TestRoundTripAllocs(t *testing.T) {
 		TypeQueryHit: 4, // ... its results, one name, its entries
 		TypeBusy:     1,
 	}
+	reusedAllocs := map[Type]float64{TypeQuery: 1, TypeQueryHit: 1}
+	var d Decoder
 	buf := make([]byte, 0, MaxPacket)
 	for _, m := range oneOfEach() {
 		var pkt []byte
@@ -184,6 +235,13 @@ func TestRoundTripAllocs(t *testing.T) {
 			}
 		}), decodeAllocs[m.Type()]; got > want {
 			t.Errorf("Decode(%v): %.0f allocs, want at most %.0f", m.Type(), got, want)
+		}
+		if got, want := testing.AllocsPerRun(100, func() {
+			if _, err := d.Decode(pkt); err != nil {
+				t.Fatal(err)
+			}
+		}), reusedAllocs[m.Type()]; got > want {
+			t.Errorf("Decoder.Decode(%v) reused: %.0f allocs, want at most %.0f", m.Type(), got, want)
 		}
 	}
 }

@@ -226,6 +226,38 @@ func TestChaosDuplicationReorder(t *testing.T) {
 	}
 }
 
+// TestChaosDuplicatedRepliesCounted: on a link that delivers every
+// reply twice, each query takes one copy and the node counts the other
+// as a duplicate, query after query, so no copy goes unaccounted for.
+func TestChaosDuplicatedRepliesCounted(t *testing.T) {
+	leakCheck(t)
+	nw := memnet.New(5)
+	sharer := startMemNode(t, nw, Config{Files: []string{"twice.dat"}, PingInterval: time.Hour})
+	querier := startMemNode(t, nw, Config{MaxProbeAttempts: 1, PingInterval: time.Hour})
+	querier.AddPeer(sharer.Addr(), 1)
+	nw.SetLink(sharer.Addr(), querier.Addr(), memnet.LinkProfile{DupProb: 1})
+
+	const queries = 2000
+	good := 0
+	for i := 0; i < queries; i++ {
+		_, qs, err := querier.Query(context.Background(), "twice", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireQueryAccounting(t, qs)
+		good += qs.Good
+	}
+	// The last duplicate may still be on its way to the serve loop.
+	deadline := time.Now().Add(2 * time.Second)
+	for querier.Stats().DupReplies < queries && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := querier.Stats(); good != queries || st.DupReplies != queries || st.LateReplies != 0 {
+		t.Fatalf("%d queries: %d good, %d duplicate and %d late replies; want %d, %d and 0",
+			queries, good, st.DupReplies, st.LateReplies, queries, queries)
+	}
+}
+
 // Scenario 3: an asymmetric partition — the sharer hears the querier
 // but its replies vanish — that later heals. The sharer must look
 // dead and be evicted during the partition, and be usable again after

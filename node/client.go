@@ -3,8 +3,8 @@ package node
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/netip"
+	"slices"
 	"time"
 
 	"repro/internal/cache"
@@ -43,7 +43,7 @@ func (n *Node) pingOnce() {
 	target := n.addrs[id]
 	n.mu.Unlock()
 
-	pong, outcome := n.ping(context.Background(), target)
+	pong, at, outcome := n.ping(context.Background(), target)
 	if outcome == txTimeout {
 		// Every attempt unanswered: breaker or eviction.
 		n.peerTimedOut(id)
@@ -52,25 +52,53 @@ func (n *Node) pingOnce() {
 		return
 	}
 	n.mu.Lock()
-	ts := n.now()
+	ts := n.clock(at)
 	n.link.Touch(id, ts)
 	n.health.onSuccess(id)
 	n.absorbPong(pong.Entries, ts, nil)
 	n.mu.Unlock()
 }
 
+// pingCall is one ping on the flight path, and the blocking wrapper a
+// pinging goroutine waits in.
+type pingCall struct {
+	f    flight
+	req  wire.Ping
+	done chan struct{}
+	// What finish left: how the flight ended, when a reply arrived, and
+	// a copy of it if it was a pong (the decoded one is the serve
+	// loop's, reused for the next datagram).
+	out  txOutcome
+	at   time.Time
+	pong *wire.Pong
+}
+
+func (c *pingCall) finish(reply wire.Message, out txOutcome, at time.Time) {
+	c.out, c.at = out, at
+	if p, ok := reply.(*wire.Pong); ok {
+		c.pong = &wire.Pong{MsgID: p.MsgID, Entries: slices.Clone(p.Entries)}
+	}
+	c.done <- struct{}{}
+}
+
 // ping sends target one ping, with the retry schedule of every probe,
-// and returns its pong: nil if the reply was something else or none
-// came.
-func (n *Node) ping(ctx context.Context, target netip.AddrPort) (*wire.Pong, txOutcome) {
+// and returns its pong, nil if the reply was something else or none
+// came, with the time the reply arrived.
+func (n *Node) ping(ctx context.Context, target netip.AddrPort) (*wire.Pong, time.Time, txOutcome) {
 	n.met.PingsSent.Inc()
-	req := &wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))}
-	reply, outcome := n.transact(ctx, req, target, nil, new(attemptTimer))
-	pong, ok := reply.(*wire.Pong)
-	if ok {
+	c := &pingCall{
+		req:  wire.Ping{MsgID: n.msgID.Add(1), NumFiles: uint32(len(n.cfg.Files))},
+		done: make(chan struct{}, 1),
+	}
+	c.f = flight{n: n, owner: c, req: &c.req, target: target}
+	if out, ended := n.launch(&c.f); ended {
+		c.finish(nil, out, time.Time{})
+	}
+	n.wait(ctx, &c.f, c.done)
+	if c.pong != nil {
 		n.met.PongsReceived.Inc()
 	}
-	return pong, outcome
+	return c.pong, c.at, c.out
 }
 
 // absorbPong runs cache replacement over received entries, stamped ts,
@@ -100,147 +128,6 @@ func (n *Node) absorbPong(entries []wire.PongEntry, ts float64, qc *policy.Query
 	n.health.pruneTo(n.link)
 	n.syncBreakerGauge()
 	n.syncCacheGauge()
-}
-
-// txOutcome classifies one transact run.
-type txOutcome int
-
-const (
-	// txReply: a correlated reply arrived.
-	txReply txOutcome = iota
-	// txTimeout: every attempt timed out or failed to send; the target
-	// is presumed dead.
-	txTimeout
-	// txAborted: the context was cancelled or the node closed.
-	txAborted
-)
-
-// attemptTimer is one reply deadline re-armed for attempt after attempt
-// (the zero value is ready), instead of a time.NewTimer each.
-//
-// go.mod says go 1.22, so timer channels are buffered: a timer that
-// fired while its attempt was taking a reply out of the other channel
-// leaves its tick behind, and the next attempt would time out on
-// arrival. disarm therefore empties the channel whenever Stop reports
-// that the timer had already fired.
-type attemptTimer struct{ t *time.Timer }
-
-// arm starts the deadline d from now and returns its channel. The
-// timer must be disarmed (or never armed) when arm is called.
-func (a *attemptTimer) arm(d time.Duration) <-chan time.Time {
-	if a.t == nil {
-		a.t = time.NewTimer(d)
-	} else {
-		a.t.Reset(d)
-	}
-	return a.t.C
-}
-
-// disarm stops the deadline and discards its tick if it had fired,
-// whether or not the caller received it.
-func (a *attemptTimer) disarm() {
-	if !a.t.Stop() {
-		select {
-		case <-a.t.C:
-		default:
-		}
-	}
-}
-
-// transact sends req to target up to MaxProbeAttempts times, waiting
-// one attemptTimeout per transmission with exponential backoff between
-// attempts. It returns the first correlated reply, or nil with the
-// failure classification. Successful first-transmission RTTs feed the
-// adaptive-timeout estimator (Karn's rule: retransmitted exchanges are
-// ambiguous and never sampled). qs, when non-nil, accrues per-query
-// retry counts. timer is the caller's, disarmed on entry and on return.
-func (n *Node) transact(ctx context.Context, req wire.Message, target netip.AddrPort, qs *QueryStats, timer *attemptTimer) (wire.Message, txOutcome) {
-	replies := n.await(req.ID())
-	defer n.forget(req.ID())
-
-	backoff := n.cfg.RetryBackoff
-	for attempt := 1; ; attempt++ {
-		sentAt := time.Now()
-		sendErr := n.send(req, target)
-		if sendErr != nil {
-			n.logf("send %s to %v: %v", req.Type(), target, sendErr)
-		} else {
-			timeout := timer.arm(n.attemptTimeout())
-			select {
-			case <-ctx.Done():
-				timer.disarm()
-				return nil, txAborted
-			case <-n.closing:
-				timer.disarm()
-				return nil, txAborted
-			case reply := <-replies:
-				timer.disarm()
-				if attempt == 1 {
-					n.observeRTT(time.Since(sentAt))
-				}
-				return reply, txReply
-			case <-timeout:
-			}
-		}
-		if attempt >= n.cfg.MaxProbeAttempts {
-			return nil, txTimeout
-		}
-		n.met.Retries.Inc()
-		if qs != nil {
-			qs.Retries++
-		}
-		// The timer is idle here: its tick was just received, or it was
-		// not armed for a send that failed.
-		pause := timer.arm(backoff)
-		select {
-		case <-ctx.Done():
-			timer.disarm()
-			return nil, txAborted
-		case <-n.closing:
-			timer.disarm()
-			return nil, txAborted
-		case <-pause:
-		}
-		backoff = min(2*backoff, n.cfg.RetryBackoffMax)
-	}
-}
-
-// attemptTimeout returns the per-transmission reply deadline: the
-// configured ProbeTimeout, or with AdaptiveTimeout an RTO from the RTT
-// EWMA (srtt + 4*rttvar) clamped to [ProbeTimeout/8, 2*ProbeTimeout].
-func (n *Node) attemptTimeout() time.Duration {
-	if !n.cfg.AdaptiveTimeout {
-		return n.cfg.ProbeTimeout
-	}
-	n.mu.Lock()
-	srtt, rttvar := n.srtt, n.rttvar
-	n.mu.Unlock()
-	if srtt == 0 {
-		return n.cfg.ProbeTimeout
-	}
-	rto := time.Duration((srtt + 4*rttvar) * float64(time.Second))
-	if lo := n.cfg.ProbeTimeout / 8; rto < lo {
-		return lo
-	}
-	if hi := 2 * n.cfg.ProbeTimeout; rto > hi {
-		return hi
-	}
-	return rto
-}
-
-// observeRTT feeds one unambiguous RTT sample into the Jacobson/Karels
-// estimator behind adaptive timeouts, and into the RTT histogram.
-func (n *Node) observeRTT(rtt time.Duration) {
-	s := rtt.Seconds()
-	n.met.RTT.Observe(s)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.srtt == 0 {
-		n.srtt, n.rttvar = s, s/2
-		return
-	}
-	n.rttvar = 0.75*n.rttvar + 0.25*math.Abs(n.srtt-s)
-	n.srtt = 0.875*n.srtt + 0.125*s
 }
 
 // peerTimedOut handles a peer whose probe exhausted every attempt:
@@ -294,13 +181,24 @@ func (n *Node) demoteBusy(id cache.PeerID) {
 	}
 }
 
-// queryScratch is the working set of one Query — the query's record,
-// the reply deadline and the request being sent — kept between queries
-// so that a query allocates none of it.
+// queryScratch is one Query in progress — its record, its flight and
+// the request in the air, the hits so far — kept between queries so that
+// a query allocates none of it but its hits. The query's steps run on
+// whichever goroutine its probes end on; the goroutine that called Query
+// waits once, for done.
 type queryScratch struct {
-	qc    policy.QueryCache
-	timer attemptTimer
-	req   wire.Query
+	n    *Node
+	qc   policy.QueryCache
+	f    flight
+	req  wire.Query
+	done chan struct{}
+
+	ctx     context.Context
+	keyword string
+	desired int
+	// probed is the peer the request in the air went to.
+	probed cache.PeerID
+	hits   []Hit
 }
 
 // maxScratches bounds a node's idle scratches: enough for a few callers
@@ -315,7 +213,8 @@ func (n *Node) getScratch(desired int) *queryScratch {
 	if last := len(n.scratches) - 1; last >= 0 {
 		s, n.scratches = n.scratches[last], n.scratches[:last]
 	} else {
-		s = new(queryScratch)
+		s = &queryScratch{n: n, done: make(chan struct{}, 1)}
+		s.f = flight{n: n, owner: s, req: &s.req}
 	}
 	s.qc.Reset(n.cfg.QueryProbe, n.rng, n.selfID)
 	s.qc.Limit(desired, 0)
@@ -329,6 +228,7 @@ func (n *Node) getScratch(desired int) *queryScratch {
 // of an exhaustive query over a large network.
 func (n *Node) putScratch(s *queryScratch) {
 	s.qc.Shed()
+	s.ctx, s.hits = nil, nil
 	n.mu.Lock()
 	if len(n.scratches) < maxScratches {
 		n.scratches = append(n.scratches, s)
@@ -357,55 +257,85 @@ func (n *Node) Query(ctx context.Context, keyword string, desired int) ([]Hit, Q
 	s := n.getScratch(desired)
 	n.mu.Unlock()
 	defer n.putScratch(s)
+	s.ctx, s.keyword, s.desired = ctx, keyword, desired
+	s.f.retries, s.f.aborted = 0, false
 
-	var hits []Hit
-	for n.querying(ctx, &s.qc) {
-		n.mu.Lock()
-		// Busy-demoted peers sit out the query instead of wasting a
-		// probe on another refusal.
-		entry, ok := s.qc.Next(n.suppressedLocked)
-		target := n.addrs[entry.Addr]
-		n.mu.Unlock()
-		if !ok {
-			break // exhausted
-		}
-		hits = n.probe(ctx, s, target, entry.Addr, keyword, hits, desired-len(hits), &stats)
+	if s.advance() {
+		n.wait(ctx, &s.f, s.done)
 	}
 	c := s.qc.Counts()
-	stats.Probes, stats.Good, stats.Dead, stats.Refused = c.Probes, c.Good, c.Dead, c.Refused
-	return hits, stats, nil
+	stats = QueryStats{Probes: c.Probes, Good: c.Good, Dead: c.Dead, Refused: c.Refused, Retries: s.f.retries}
+	return s.hits, stats, nil
 }
 
-// querying reports whether a query should send another probe: its
-// record is not done, and neither ctx nor the node is.
-func (n *Node) querying(ctx context.Context, qc *policy.QueryCache) bool {
-	_, done := qc.Done()
-	return !done && ctx.Err() == nil && !n.Draining()
+// finish is the query's step: it records how its probe ended and sends
+// the next one, or, when the query is over, wakes Query.
+func (s *queryScratch) finish(reply wire.Message, out txOutcome, at time.Time) {
+	if out != txAborted {
+		s.record(reply, out, at)
+		if s.advance() {
+			return
+		}
+	}
+	s.done <- struct{}{}
 }
 
-// probe runs one query probe (with retries), records its outcome in the
-// query's record and returns hits with the probe's results appended.
-func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort, id cache.PeerID,
-	keyword string, hits []Hit, want int, stats *QueryStats) []Hit {
+// advance sends the query's next probe, recording any that ends before
+// it leaves, and reports whether one is in the air; when none is, the
+// query is over.
+func (s *queryScratch) advance() bool {
+	for s.next() {
+		out, ended := s.n.launch(&s.f)
+		if !ended {
+			return true
+		}
+		if out == txAborted {
+			return false
+		}
+		s.record(nil, out, time.Time{})
+	}
+	return false
+}
 
+// next picks the query's next probe and makes it the flight's request,
+// unless the query is done, or ctx or the node is, or the candidates
+// are exhausted.
+func (s *queryScratch) next() bool {
+	n := s.n
+	if _, done := s.qc.Done(); done || s.ctx.Err() != nil || n.Draining() {
+		return false
+	}
+	n.mu.Lock()
+	// Busy-demoted peers sit out the query instead of wasting a probe
+	// on another refusal.
+	entry, ok := s.qc.Next(n.suppressedLocked)
+	target := n.addrs[entry.Addr]
+	n.mu.Unlock()
+	if !ok {
+		return false
+	}
+	s.probed, s.f.target = entry.Addr, target
 	s.req = wire.Query{
 		MsgID:    n.msgID.Add(1),
-		Desired:  uint8(want),
+		Desired:  uint8(s.desired - len(s.hits)),
 		NumFiles: uint32(len(n.cfg.Files)),
-		Keyword:  keyword,
+		Keyword:  s.keyword,
 	}
-	reply, outcome := n.transact(ctx, &s.req, target, stats, &s.timer)
-	switch outcome {
-	case txAborted:
-		return hits
-	case txTimeout:
+	return true
+}
+
+// record applies how a probe ended to the query's record and to the
+// node: the peer's health and cache entry, stamped with the reply's
+// arrival, the pong it carried, and the hits.
+func (s *queryScratch) record(reply wire.Message, out txOutcome, at time.Time) {
+	n, id := s.n, s.probed
+	if out == txTimeout {
 		// Every attempt unanswered: presumed dead for this query;
 		// eviction vs breaker is the health layer's call.
 		s.qc.Dead()
 		n.peerTimedOut(id)
-		return hits
+		return
 	}
-
 	switch m := reply.(type) {
 	case *wire.Busy:
 		s.qc.Refused()
@@ -413,7 +343,7 @@ func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort
 	case *wire.QueryHit:
 		s.qc.Good(len(m.Results))
 		n.mu.Lock()
-		ts := n.now()
+		ts := n.clock(at)
 		n.link.Touch(id, ts)
 		n.link.SetNumRes(id, int32(len(m.Results)))
 		n.health.onSuccess(id)
@@ -422,10 +352,9 @@ func (n *Node) probe(ctx context.Context, s *queryScratch, target netip.AddrPort
 		n.absorbPong(m.Pong, ts, &s.qc)
 		n.mu.Unlock()
 		for _, name := range m.Results {
-			hits = append(hits, Hit{From: target, Name: name})
+			s.hits = append(s.hits, Hit{From: s.f.target, Name: name})
 		}
 	}
-	return hits
 }
 
 // PingPeer sends one explicit ping (bootstrap helper, with the same
@@ -435,7 +364,7 @@ func (n *Node) PingPeer(ctx context.Context, target netip.AddrPort) (bool, error
 	if n.Draining() {
 		return false, errClosed
 	}
-	pong, outcome := n.ping(ctx, target)
+	pong, at, outcome := n.ping(ctx, target)
 	if outcome == txAborted {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -447,7 +376,7 @@ func (n *Node) PingPeer(ctx context.Context, target netip.AddrPort) (bool, error
 	}
 	n.mu.Lock()
 	id := n.idFor(target)
-	ts := n.now()
+	ts := n.clock(at)
 	n.link.Touch(id, ts)
 	n.health.onSuccess(id)
 	n.absorbPong(pong.Entries, ts, nil)

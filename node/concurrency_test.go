@@ -2,11 +2,14 @@ package node
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/node/memnet"
 )
 
@@ -104,5 +107,90 @@ func TestContextCancelStopsQuery(t *testing.T) {
 	}
 	if stats.Probes >= 50 {
 		t.Fatal("cancellation did not stop the walk early")
+	}
+}
+
+// TestQueryAbortStress: many queries whose deadlines, and a Close
+// halfway through, land anywhere in the probe cycle — while a request
+// is out, during a retry pause, or as its reply is being taken. Every
+// call returns, every probe is accounted for but the one an abort cut
+// short, idle scratches stay bounded, and no goroutine is left.
+func TestQueryAbortStress(t *testing.T) {
+	leakCheck(t)
+	nw := memnet.New(17)
+	nw.SetDefaultProfile(memnet.LinkProfile{
+		Loss:    0.2,
+		Latency: 500 * time.Microsecond,
+		Jitter:  dist.Uniform{Lo: 0, Hi: 0.002},
+	})
+	querier := startMemNode(t, nw, Config{
+		ProbeTimeout:     4 * time.Millisecond,
+		MaxProbeAttempts: 2,
+		RetryBackoff:     time.Millisecond,
+		RetryBackoffMax:  2 * time.Millisecond,
+		PingInterval:     5 * time.Millisecond,
+		// Timeouts feed a breaker that never opens, instead of evicting:
+		// the candidates stay the same all run.
+		BreakerThreshold: 64,
+		Seed:             3,
+	})
+	for i := 0; i < 12; i++ {
+		s := startMemNode(t, nw, Config{
+			Files:        []string{fmt.Sprintf("file-%d.dat", i)},
+			PingInterval: time.Hour,
+			Seed:         uint64(i + 4),
+		})
+		querier.AddPeer(s.Addr(), 1)
+	}
+	for i := 0; i < 4; i++ {
+		deadCachedPeer(t, nw, querier)
+	}
+
+	const callers = 8
+	var wg sync.WaitGroup
+	var queries, cut atomic.Int64
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; !querier.Draining(); i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Duration(1+(c*7+i*3)%15)*time.Millisecond)
+				_, qs, err := querier.Query(ctx, "file", 1+i%3)
+				aborted := ctx.Err() != nil || querier.Draining()
+				cancel()
+				if err != nil {
+					if !errors.Is(err, errClosed) {
+						t.Errorf("query: %v", err)
+					}
+					return
+				}
+				open := qs.Probes - (qs.Good + qs.Dead + qs.Refused)
+				if open < 0 || open > 1 || open == 1 && !aborted {
+					t.Errorf("query stats %+v (aborted %v): %d probes unaccounted for", qs, aborted, open)
+					return
+				}
+				queries.Add(1)
+				cut.Add(int64(open))
+			}
+		}(c)
+	}
+	time.Sleep(150 * time.Millisecond)
+	querier.Close()
+	returned := make(chan struct{})
+	go func() { wg.Wait(); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("queries did not return after Close")
+	}
+	t.Logf("%d queries, %d cut short by an abort", queries.Load(), cut.Load())
+	if cut.Load() == 0 {
+		t.Fatal("no abort landed while a probe was in the air")
+	}
+	querier.mu.Lock()
+	idle := len(querier.scratches)
+	querier.mu.Unlock()
+	if idle > maxScratches {
+		t.Fatalf("%d idle scratches, at most %d allowed", idle, maxScratches)
 	}
 }

@@ -78,37 +78,123 @@ func TestNewRejectsTransportWithoutAddrPort(t *testing.T) {
 	}
 }
 
-// TestAttemptTimerReuse: a deadline that fired while its attempt was
-// busy taking the reply leaves a tick in the (pre-Go-1.23, buffered)
-// timer channel; the next attempt on the same timer must not see it.
-func TestAttemptTimerReuse(t *testing.T) {
-	var timer attemptTimer
-	for round := 0; round < 3; round++ {
-		c := timer.arm(time.Millisecond)
-		time.Sleep(20 * time.Millisecond) // fired, and nobody received
-		timer.disarm()
+// flightLog is a flight owner that reports each finish on a channel.
+type flightLog chan txOutcome
 
-		c = timer.arm(time.Hour)
-		select {
-		case <-c:
-			t.Fatalf("round %d: an attempt with an hour to go timed out on its predecessor's tick", round)
-		default:
+func (l flightLog) finish(_ wire.Message, out txOutcome, _ time.Time) { l <- out }
+
+// TestFlightTimerReuse: one flight carries request after request on one
+// timer. A deadline that fired while its reply was being taken must not
+// time out the next request, and a backoff that ends must still send
+// the next transmission.
+func TestFlightTimerReuse(t *testing.T) {
+	nw := memnet.New(1)
+	n := startMemNode(t, nw, Config{
+		// Long enough that the test's own steps between a launch and
+		// its checks never outlast a deadline.
+		ProbeTimeout:     250 * time.Millisecond,
+		MaxProbeAttempts: 2,
+		RetryBackoff:     10 * time.Millisecond,
+		PingInterval:     time.Hour,
+	})
+	peer := nw.Listen() // answers only when the test says so
+	defer peer.Close()
+	heard := func() uint64 {
+		t.Helper()
+		buf := make([]byte, wire.MaxPacket)
+		peer.SetReadDeadline(time.Now().Add(2 * time.Second))
+		c, _, err := peer.ReadFromUDPAddrPort(buf)
+		if err != nil {
+			t.Fatalf("the peer heard nothing: %v", err)
 		}
-		timer.disarm()
-
-		// Fired and received, the timeout path: nothing left to discard,
-		// and disarm must not wait for a tick that will not come.
-		c = timer.arm(time.Millisecond)
-		<-c
-		timer.disarm()
-
-		// And the timer still works.
-		c = timer.arm(time.Millisecond)
-		select {
-		case <-c:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("round %d: a reused timer never fired", round)
+		m, err := wire.Decode(buf[:c])
+		if err != nil {
+			t.Fatal(err)
 		}
+		return m.ID()
+	}
+	held := func(f *flight) bool {
+		n.pendingMu.Lock()
+		defer n.pendingMu.Unlock()
+		return n.pending[f.id] == f
+	}
+	// awaiting reports whether f is pending on its first transmission's
+	// reply: not timed out, not pausing for a retry.
+	awaiting := func(f *flight) bool {
+		n.pendingMu.Lock()
+		defer n.pendingMu.Unlock()
+		return n.pending[f.id] == f && f.attempt == 1 && !f.pausing
+	}
+
+	log := make(flightLog, 4)
+	req := &wire.Ping{}
+	f := &flight{n: n, owner: log, req: req, target: peer.AddrPort()}
+	for round := 0; round < 2; round++ {
+		req.MsgID = n.msgID.Add(1)
+		if _, ended := n.launch(f); ended {
+			t.Fatal("launch ended the flight")
+		}
+		if id := heard(); id != req.MsgID {
+			t.Fatalf("round %d: the peer heard %d, want %d", round, id, req.MsgID)
+		}
+		n.deliver(&wire.Pong{MsgID: req.MsgID}, time.Now())
+		if out := <-log; out != txReply {
+			t.Fatalf("round %d: finished %v, want the reply", round, out)
+		}
+		// The deadline's fire, had it begun while the reply was being
+		// taken, finds the flight held: it does nothing.
+		f.expire()
+		if len(log) != 0 || held(f) {
+			t.Fatalf("round %d: a leftover fire acted on a taken flight", round)
+		}
+		// The same timer now carries the next request; the old fire,
+		// if it only gets the lock now, must leave it alone.
+		req.MsgID = n.msgID.Add(1)
+		if _, ended := n.launch(f); ended {
+			t.Fatal("launch ended the flight")
+		}
+		first := heard()
+		f.expire()
+		if len(log) != 0 || !awaiting(f) {
+			t.Fatalf("round %d: the next request timed out on its predecessor's deadline", round)
+		}
+		// Unanswered, it times out, pauses, and is sent again with the
+		// same ID; unanswered again, it ends timed out.
+		if again := heard(); again != first {
+			t.Fatalf("round %d: the retransmission carried %d, want %d", round, again, first)
+		}
+		if out := <-log; out != txTimeout {
+			t.Fatalf("round %d: finished %v, want a timeout", round, out)
+		}
+		if f.retries != round+1 {
+			t.Fatalf("round %d: %d retries, want %d", round, f.retries, round+1)
+		}
+	}
+	if st := n.Stats(); st.Retries != 2 || st.LateReplies != 0 || st.DupReplies != 0 {
+		t.Fatalf("stats %+v, want 2 retries and no stray reply", st)
+	}
+}
+
+// TestAbortWhileHeld: an abort that finds the flight held by the
+// goroutine stepping it ends the flight at that goroutine's next
+// launch, which sends nothing.
+func TestAbortWhileHeld(t *testing.T) {
+	nw := memnet.New(1)
+	n := startMemNode(t, nw, Config{PingInterval: time.Hour})
+	peer := nw.Listen()
+	defer peer.Close()
+	log := make(flightLog, 1)
+	f := &flight{n: n, owner: log, req: &wire.Ping{MsgID: n.msgID.Add(1)}, target: peer.AddrPort()}
+	n.abort(f)
+	if len(log) != 0 {
+		t.Fatal("an abort finished a flight it did not take")
+	}
+	if out, ended := n.launch(f); !ended || out != txAborted {
+		t.Fatalf("launch after an abort: %v, ended %v; want aborted", out, ended)
+	}
+	peer.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	if _, _, err := peer.ReadFromUDPAddrPort(make([]byte, wire.MaxPacket)); err == nil {
+		t.Fatal("an aborted flight was sent")
 	}
 }
 
@@ -183,10 +269,10 @@ func TestQueryScratchBounded(t *testing.T) {
 
 // The ceilings below pin the live path's garbage where scheduler noise
 // cannot reach it. Each is a little above what the path costs now and
-// far below what it cost with a boxed address per packet, a fresh
-// encode buffer, pong and timer per reply and a map per query; the
-// parent's figure is beside each. testing.AllocsPerRun counts every
-// goroutine's allocations, so the node's serve loop is included.
+// below what it cost with a reply channel per probe and a fresh message
+// per decoded datagram; that figure is beside each. testing.AllocsPerRun
+// counts every goroutine's allocations, so the node's serve loop is
+// included.
 
 func TestServeAllocCeilings(t *testing.T) {
 	nw := memnet.New(1)
@@ -201,10 +287,11 @@ func TestServeAllocCeilings(t *testing.T) {
 		req     func() wire.Message
 		ceiling float64
 	}{
-		// Seven of these are the raw requester's own (encode, the packet
-		// copy, the boxed sender, decoding the reply).
-		{"query", wire.TypeQueryHit, func() wire.Message { q.next++; query.MsgID = q.next; return query }, 14}, // now 11, parent 29
-		{"ping", wire.TypePong, func() wire.Message { q.next++; ping.MsgID = q.next; return ping }, 14},        // now 11, parent 24
+		// Most of these are the raw requester's own (encode, the packet
+		// copy, the boxed sender, decoding the reply); the node decodes
+		// into its serve loop's Decoder, so a query costs it the keyword.
+		{"query", wire.TypeQueryHit, func() wire.Message { q.next++; query.MsgID = q.next; return query }, 11}, // now 10, before 11
+		{"ping", wire.TypePong, func() wire.Message { q.next++; ping.MsgID = q.next; return ping }, 8},         // now 7, before 8
 	} {
 		got := testing.AllocsPerRun(500, func() {
 			if typ, err := q.roundTrip(c.req()); err != nil || typ != c.want {
@@ -225,9 +312,9 @@ func TestQueryAllocCeiling(t *testing.T) {
 		f.query(t, rng, pop)
 	}
 	// Seven of eight nodes are in every link cache, so a query is one
-	// probe (1.05 on average): the reply channel 2, a packet copy each
-	// way 2, the decoded query 2 and hit 4, the slice of hits 1.
-	if got := testing.AllocsPerRun(400, func() { f.query(t, rng, pop) }); got > 14 { // now 11, parent 53
-		t.Errorf("one Query on a warm 8-node fleet: %.1f allocs, ceiling 14", got)
+	// probe (1.05 on average): a packet copy each way 2, the decoded
+	// query's keyword 1 and the hit's result name 1, the slice of hits 1.
+	if got := testing.AllocsPerRun(400, func() { f.query(t, rng, pop) }); got > 7 { // now 5, before 11
+		t.Errorf("one Query on a warm 8-node fleet: %.1f allocs, ceiling 7", got)
 	}
 }

@@ -362,9 +362,6 @@ type Node struct {
 	adm admitter
 	// keySalt salts requester hashing for the fair admitter.
 	keySalt uint64
-	// RTT estimator for adaptive timeouts (seconds; srtt == 0 means no
-	// sample yet)
-	srtt, rttvar float64
 	// health owns per-peer demotion and circuit-breaker state; guarded
 	// by mu.
 	health *peerHealth
@@ -374,8 +371,13 @@ type Node struct {
 	suspects     []snapEntry
 	suspectsLeft int
 
-	pendingMu sync.Mutex
-	pending   map[uint64]chan wire.Message
+	// pendingMu guards pending, the flights in it (see flight), the
+	// IDs of recently answered ones, and the RTT estimator behind
+	// adaptive timeouts (seconds; srtt == 0 means no sample yet).
+	pendingMu    sync.Mutex
+	pending      map[uint64]*flight
+	answered     idRing
+	srtt, rttvar float64
 
 	msgID atomic.Uint64
 
@@ -441,7 +443,7 @@ func New(conn Transport, cfg Config) (*Node, error) {
 		maxID:      math.MaxInt32,
 		keySalt:    saltFor(cfg),
 		health:     newPeerHealth(cfg),
-		pending:    make(map[uint64]chan wire.Message),
+		pending:    make(map[uint64]*flight),
 		met:        obs.NewNodeMetrics(cfg.Metrics),
 		closing:    make(chan struct{}),
 		closed:     make(chan struct{}),
@@ -688,18 +690,23 @@ var sendBufs = sync.Pool{New: func() any {
 
 // send encodes and transmits a message. It does not retain m.
 func (n *Node) send(m wire.Message, to netip.AddrPort) error {
-	select {
-	case <-n.closed:
-		return errClosed
-	default:
-	}
 	buf := sendBufs.Get().(*[]byte)
 	defer sendBufs.Put(buf)
 	pkt, err := wire.AppendEncode((*buf)[:0], m)
 	if err != nil {
 		return err
 	}
-	_, err = n.conn.WriteToUDPAddrPort(pkt, unmap(to))
+	return n.write(pkt, to)
+}
+
+// write transmits an encoded message, unless the node has closed.
+func (n *Node) write(pkt []byte, to netip.AddrPort) error {
+	select {
+	case <-n.closed:
+		return errClosed
+	default:
+	}
+	_, err := n.conn.WriteToUDPAddrPort(pkt, unmap(to))
 	return err
 }
 

@@ -11,11 +11,14 @@ import (
 )
 
 // server is what the serve loop reuses from one datagram to the next:
-// the read buffer, the reply under construction and the slices it
-// points into. Only the serve loop's goroutine touches it, and send
-// retains nothing, so a reply is overwritten only after it has left.
+// the read buffer, the decoder, the reply under construction and the
+// slices it points into. Only the serve loop's goroutine touches it, and
+// send retains nothing, so a reply is overwritten only after it has
+// left; a decoded message is consumed, by dispatch or by the finish step
+// of the flight it answers, before the next read.
 type server struct {
 	buf     []byte
+	dec     wire.Decoder
 	entries []wire.PongEntry
 	results []string
 	pong    wire.Pong
@@ -44,10 +47,11 @@ func (n *Node) serveLoop() {
 			continue
 		}
 		// One clock reading per datagram: the drain loop's quiet
-		// detector, admission and the TS clock all see this arrival.
+		// detector, admission, the TS clock and the RTT of a reply all
+		// see this arrival.
 		at := time.Now()
 		n.lastInbound.Store(at.UnixNano())
-		msg, err := wire.Decode(sv.buf[:count])
+		msg, err := sv.dec.Decode(sv.buf[:count])
 		if err != nil {
 			n.met.MalformedDropped.Inc()
 			continue
@@ -76,7 +80,7 @@ func (n *Node) dispatch(sv *server, msg wire.Message, from netip.AddrPort, at ti
 		}
 		n.handleQuery(sv, m, from, at)
 	case *wire.Pong, *wire.QueryHit, *wire.Busy:
-		n.deliver(msg)
+		n.deliver(msg, at)
 	}
 }
 
@@ -206,40 +210,4 @@ func (n *Node) appendPongEntries(out []wire.PongEntry, sel policy.Selection, rec
 		}
 	}
 	return out
-}
-
-// deliver routes a response to the waiting request, if any. Replies
-// without a pending probe (timed out, completed, or never solicited)
-// and redundant copies from duplicating networks are counted and
-// dropped so chaos tests can account for every packet.
-func (n *Node) deliver(msg wire.Message) {
-	n.pendingMu.Lock()
-	ch, ok := n.pending[msg.ID()]
-	n.pendingMu.Unlock()
-	if !ok {
-		n.met.LateReplies.Inc()
-		return
-	}
-	select {
-	case ch <- msg:
-	default:
-		n.met.DupReplies.Inc()
-	}
-}
-
-// await registers interest in replies to msgID. The caller must forget
-// msgID when done.
-func (n *Node) await(msgID uint64) <-chan wire.Message {
-	ch := make(chan wire.Message, 1)
-	n.pendingMu.Lock()
-	n.pending[msgID] = ch
-	n.pendingMu.Unlock()
-	return ch
-}
-
-// forget ends an await: later replies to msgID count as late.
-func (n *Node) forget(msgID uint64) {
-	n.pendingMu.Lock()
-	delete(n.pending, msgID)
-	n.pendingMu.Unlock()
 }

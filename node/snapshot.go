@@ -279,7 +279,7 @@ func (n *Node) verifySuspects(suspects []snapEntry) {
 
 // verifyOne probes one suspect; a pong installs it in the link cache.
 func (n *Node) verifyOne(e snapEntry) {
-	pong, _ := n.ping(context.Background(), e.Addr)
+	pong, _, _ := n.ping(context.Background(), e.Addr)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.suspectsLeft > 0 {
