@@ -9,7 +9,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +21,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/orchestrate"
 )
 
 func main() {
@@ -39,7 +37,6 @@ func run(args []string) error {
 	scaleName := fs.String("scale", "quick", `fidelity: "quick" or "full" (paper scale)`)
 	seed := fs.Uint64("seed", 1, "random seed")
 	parallel := fs.Int("parallel", 0, "max concurrent simulations (0 = all cores)")
-	workers := fs.Int("workers", 0, "run sweeps on this many in-process workers over the wire protocol instead of the direct pool (0 = direct)")
 	replications := fs.Int("replications", 1, "independently seeded runs pooled per sweep point")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	svgDir := fs.String("svg", "", "also render each figure chart as SVG into this directory")
@@ -125,14 +122,7 @@ func run(args []string) error {
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
-		if *workers > 0 {
-			// Distributed sweeps merge the workers' per-unit metric
-			// snapshots into the registry instead of sharing live
-			// instruments; pre-register so help text is present.
-			obs.NewSimMetrics(reg)
-		} else {
-			opts.Metrics = obs.NewSimMetrics(reg)
-		}
+		opts.Metrics = obs.NewSimMetrics(reg)
 		defer func() {
 			out := os.Stdout
 			if *metricsOut != "-" {
@@ -148,23 +138,6 @@ func run(args []string) error {
 				fmt.Fprintln(os.Stderr, "guess-experiments: -metrics-out:", err)
 			}
 		}()
-	}
-
-	var dash *orchestrate.Dashboard
-	if *workers > 0 {
-		if *traceQueries != "" {
-			return errors.New("-workers is incompatible with -trace-queries: workers do not stream trace events")
-		}
-		if !*quiet {
-			dash = orchestrate.NewDashboard(os.Stderr, false)
-		}
-		pool, err := orchestrate.NewLocalPool(*workers, orchestrate.Config{Metrics: reg, Dashboard: dash})
-		if err != nil {
-			return err
-		}
-		defer pool.Close()
-		opts.Executor = pool
-		opts.Progress = nil // per-run lines come from the dashboard instead
 	}
 
 	ids := experiments.IDs()

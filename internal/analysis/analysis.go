@@ -148,8 +148,8 @@ func parseDirectives(fset *token.FileSet, f *ast.File) []*directive {
 // function of Params.Seed: the simulation engine and every substrate
 // it draws on, plus the observability layer whose exposition must stay
 // byte-stable. Wall-clock time, global RNGs, and map-iteration order
-// reaching output are forbidden here. node/, cmd/, and examples/ are
-// exempt: a live peer legitimately reads the wall clock.
+// reaching output are forbidden here. node/ and cmd/ are exempt: a
+// live peer legitimately reads the wall clock.
 // internal/simrng is also exempt — it is the RNG these rules point
 // everyone else at.
 var deterministicPkgs = map[string]bool{

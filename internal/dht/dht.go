@@ -14,8 +14,8 @@
 // The engine consumes the shared content substrate, draws from named
 // simrng streams so runs are byte-identical per seed, drives the
 // internal/eventq queue (one event per hop attempt), and emits
-// internal/obs metrics and trace events like the GUESS and Gnutella
-// paths. Churn is modeled as a static DeadFraction of offline peers.
+// internal/obs trace events like the GUESS and Gnutella paths. Churn
+// is modeled as a static DeadFraction of offline peers.
 package dht
 
 import (
@@ -270,7 +270,6 @@ type Engine struct {
 	loads []int64
 
 	observer obs.Observer
-	met      *obs.DHTMetrics
 
 	nextLookupID uint64
 	freeQ        []*lookup
@@ -445,10 +444,6 @@ func (e *Engine) recordAt(v int, item content.ItemID) (providers int32, cached, 
 // leaves Results byte-identical.
 func (e *Engine) SetObserver(o obs.Observer) { e.observer = o }
 
-// SetMetrics attaches a metric set (nil disables metrics). Like
-// observers, metrics never perturb the run.
-func (e *Engine) SetMetrics(m *obs.DHTMetrics) { e.met = m }
-
 // ctxCheckInterval matches the core engine's cancellation granularity,
 // scaled down because round and hop events are far coarser than core's
 // per-probe events.
@@ -610,9 +605,6 @@ func (e *Engine) handleHop(q *lookup) {
 	}
 	q.hops++
 	e.res.HopsTotal++
-	if e.met != nil {
-		e.met.Hops.Inc()
-	}
 	delivered := e.send(q, cand)
 	if e.observer != nil {
 		outcome := obs.OutcomeDead
@@ -649,21 +641,12 @@ func (e *Engine) handleHop(q *lookup) {
 func (e *Engine) send(q *lookup, dst int) bool {
 	q.messages++
 	e.res.MessagesSent++
-	if e.met != nil {
-		e.met.Messages.Inc()
-	}
 	if e.rngNet.Bool(e.p.LossProb) || e.dead[dst] {
 		e.res.MessagesDropped++
-		if e.met != nil {
-			e.met.Dropped.Inc()
-		}
 		return false
 	}
 	e.res.MessagesDelivered++
 	e.loads[dst]++
-	if e.met != nil {
-		e.met.Delivered.Inc()
-	}
 	return true
 }
 
@@ -673,9 +656,6 @@ func (e *Engine) send(q *lookup, dst int) bool {
 func (e *Engine) finishFound(q *lookup, providers int32, cached bool) {
 	if cached {
 		e.res.CacheHits++
-		if e.met != nil {
-			e.met.CacheHits.Inc()
-		}
 	}
 	responseOK := true
 	if q.current != q.origin {
@@ -717,15 +697,6 @@ func (e *Engine) finish(q *lookup, satisfied bool, results int) {
 		e.res.MaxHopsUsed = q.hops
 	}
 	e.res.ResponseTimeSum += e.now - q.start
-	if e.met != nil {
-		e.met.Lookups.Inc()
-		if satisfied {
-			e.met.Satisfied.Inc()
-		} else {
-			e.met.Unsatisfied.Inc()
-		}
-		e.met.LookupHops.Observe(float64(q.hops))
-	}
 	if e.observer != nil {
 		e.observer.Observe(obs.Event{
 			Kind: obs.EvQueryDone, Time: e.now,

@@ -156,43 +156,22 @@ func TestObservabilityDoesNotPerturbRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	e.SetMetrics(obs.NewDHTMetrics(reg))
-	var events int
-	e.SetObserver(obs.ObserverFunc(func(obs.Event) { events++ }))
+	var done int
+	e.SetObserver(obs.ObserverFunc(func(ev obs.Event) {
+		if ev.Kind == obs.EvQueryDone {
+			done++
+		}
+	}))
 	instr, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	if got, want := marshal(t, instr), marshal(t, bare); got != want {
-		t.Fatalf("attaching metrics+observer changed Results:\ngot:\n%s\nwant:\n%s", got, want)
+		t.Fatalf("attaching an observer changed Results:\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	if events == 0 {
-		t.Fatal("observer saw no events")
-	}
-
-	s := reg.Snapshot()
-	mirror := []struct {
-		metric string
-		want   uint64
-	}{
-		{"guess_dht_lookups_total", uint64(bare.Lookups)},
-		{"guess_dht_lookups_satisfied_total", uint64(bare.Satisfied)},
-		{"guess_dht_lookups_unsatisfied_total", uint64(bare.Unsatisfied)},
-		{"guess_dht_messages_total", uint64(bare.MessagesSent)},
-		{"guess_dht_messages_delivered_total", uint64(bare.MessagesDelivered)},
-		{"guess_dht_messages_dropped_total", uint64(bare.MessagesDropped)},
-		{"guess_dht_hops_total", uint64(bare.HopsTotal)},
-		{"guess_dht_cache_hits_total", uint64(bare.CacheHits)},
-	}
-	for _, m := range mirror {
-		if got := s.Counters[m.metric]; got != m.want {
-			t.Errorf("%s = %d, Results say %d", m.metric, got, m.want)
-		}
-	}
-	if h := s.Histograms["guess_dht_lookup_hops"]; h.Count != uint64(bare.Lookups) {
-		t.Errorf("lookup-hops histogram count = %d, want %d", h.Count, bare.Lookups)
+	if done != bare.Lookups {
+		t.Errorf("observer saw %d query_done events, Results say %d", done, bare.Lookups)
 	}
 }
 

@@ -38,8 +38,6 @@ func TestGoldenRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	e.SetMetrics(obs.NewDHTMetrics(reg))
 	e.SetObserver(tw)
 	res, err := e.Run(context.Background())
 	if err != nil {
@@ -48,14 +46,9 @@ func TestGoldenRun(t *testing.T) {
 	if err := tw.Err(); err != nil {
 		t.Fatal(err)
 	}
-	var prom strings.Builder
-	if err := reg.WritePrometheus(&prom); err != nil {
-		t.Fatal(err)
-	}
 
 	checkGolden(t, "golden_results.json", marshal(t, res)+"\n")
 	checkGolden(t, "golden_query_trace.jsonl", jsonl.String())
-	checkGolden(t, "golden_metrics.prom", prom.String())
 }
 
 func checkGolden(t *testing.T, name, got string) {

@@ -198,64 +198,6 @@ func (s Scaled) Sample(r *simrng.RNG) float64 { return s.Factor * s.S.Sample(r) 
 // Mean returns Factor times the underlying mean.
 func (s Scaled) Mean() float64 { return s.Factor * s.S.Mean() }
 
-// Mixture draws from one of several component samplers with the given
-// weights.
-type Mixture struct {
-	components []Sampler
-	cum        []float64 // cumulative normalized weights
-}
-
-// NewMixture builds a mixture distribution. weights must be
-// non-negative, the same length as components, and sum to a positive
-// value.
-func NewMixture(components []Sampler, weights []float64) (*Mixture, error) {
-	if len(components) == 0 || len(components) != len(weights) {
-		return nil, fmt.Errorf("dist: mixture needs matching non-empty components and weights")
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("dist: mixture weight %d is negative", i)
-		}
-		total += w
-	}
-	if total <= 0 {
-		return nil, fmt.Errorf("dist: mixture weights sum to zero")
-	}
-	cum := make([]float64, len(weights))
-	acc := 0.0
-	for i, w := range weights {
-		acc += w / total
-		cum[i] = acc
-	}
-	cum[len(cum)-1] = 1 // guard against rounding
-	return &Mixture{components: append([]Sampler(nil), components...), cum: cum}, nil
-}
-
-var _ Sampler = (*Mixture)(nil)
-
-// Sample picks a component by weight and draws from it.
-func (m *Mixture) Sample(r *simrng.RNG) float64 {
-	u := r.Float64()
-	i := sort.SearchFloat64s(m.cum, u)
-	if i >= len(m.components) {
-		i = len(m.components) - 1
-	}
-	return m.components[i].Sample(r)
-}
-
-// Mean returns the weighted mean of the component means.
-func (m *Mixture) Mean() float64 {
-	mean := 0.0
-	prev := 0.0
-	for i, c := range m.components {
-		w := m.cum[i] - prev
-		prev = m.cum[i]
-		mean += w * c.Mean()
-	}
-	return mean
-}
-
 // Constant always returns V.
 type Constant struct {
 	V float64

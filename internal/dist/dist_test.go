@@ -142,43 +142,6 @@ func TestScaled(t *testing.T) {
 	}
 }
 
-func TestMixtureValidation(t *testing.T) {
-	c := []Sampler{Constant{1}, Constant{2}}
-	if _, err := NewMixture(nil, nil); err == nil {
-		t.Fatal("empty mixture accepted")
-	}
-	if _, err := NewMixture(c, []float64{1}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-	if _, err := NewMixture(c, []float64{-1, 2}); err == nil {
-		t.Fatal("negative weight accepted")
-	}
-	if _, err := NewMixture(c, []float64{0, 0}); err == nil {
-		t.Fatal("zero total weight accepted")
-	}
-}
-
-func TestMixtureWeights(t *testing.T) {
-	m, err := NewMixture([]Sampler{Constant{0}, Constant{1}}, []float64{3, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := simrng.New(5)
-	ones := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if m.Sample(r) == 1 {
-			ones++
-		}
-	}
-	if got := float64(ones) / n; math.Abs(got-0.25) > 0.01 {
-		t.Fatalf("second component drawn %v of the time, want ~0.25", got)
-	}
-	if got := m.Mean(); math.Abs(got-0.25) > 1e-12 {
-		t.Fatalf("mixture mean = %v, want 0.25", got)
-	}
-}
-
 func TestZipfValidation(t *testing.T) {
 	if _, err := NewZipf(0, 1); err == nil {
 		t.Fatal("NewZipf(0,...) accepted")

@@ -11,11 +11,11 @@
 //
 // The engine consumes the shared content substrate, draws from named
 // simrng streams so runs are byte-identical per seed, drives the
-// internal/eventq queue, and emits internal/obs metrics and trace
-// events exactly like the GUESS and Gnutella paths. Churn is modeled
-// as a static DeadFraction of peers that never answer: gossip rounds
-// are fast relative to session lifetimes, so within one query the dead
-// set is effectively frozen.
+// internal/eventq queue, and emits internal/obs trace events exactly
+// like the GUESS and Gnutella paths. Churn is modeled as a static
+// DeadFraction of peers that never answer: gossip rounds are fast
+// relative to session lifetimes, so within one query the dead set is
+// effectively frozen.
 package gossip
 
 import (
@@ -284,7 +284,6 @@ type Engine struct {
 	loads []int64
 
 	observer obs.Observer
-	met      *obs.GossipMetrics
 
 	nextQueryID uint64
 	// pick and moved are fanoutTargets' scratch: the neighbors drawn,
@@ -345,10 +344,6 @@ func New(params Params) (*Engine, error) {
 // never consume randomness or influence control flow, so attaching one
 // leaves Results byte-identical.
 func (e *Engine) SetObserver(o obs.Observer) { e.observer = o }
-
-// SetMetrics attaches a metric set (nil disables metrics). Like
-// observers, metrics never perturb the run.
-func (e *Engine) SetMetrics(m *obs.GossipMetrics) { e.met = m }
 
 // ctxCheckInterval matches the core engine's cancellation granularity,
 // scaled down because round and hop events are far coarser than core's
@@ -477,9 +472,6 @@ func (e *Engine) startQuery() {
 // finishes the query or schedules the next round.
 func (e *Engine) runRound(q *query) {
 	q.round++
-	if e.met != nil {
-		e.met.Rounds.Inc()
-	}
 	if e.observer != nil {
 		e.observer.Observe(obs.Event{
 			Kind: obs.EvProbeRound, Time: e.now,
@@ -565,21 +557,12 @@ func (e *Engine) fanoutTargets(v int) []int {
 func (e *Engine) send(q *query, dst int) bool {
 	q.messages++
 	e.res.MessagesSent++
-	if e.met != nil {
-		e.met.Messages.Inc()
-	}
 	if e.rngNet.Bool(e.p.LossProb) || e.dead[dst] {
 		e.res.MessagesDropped++
-		if e.met != nil {
-			e.met.Dropped.Inc()
-		}
 		return false
 	}
 	e.res.MessagesDelivered++
 	e.loads[dst]++
-	if e.met != nil {
-		e.met.Delivered.Inc()
-	}
 	return true
 }
 
@@ -655,16 +638,6 @@ func (e *Engine) finishQuery(q *query, satisfied bool) {
 	e.res.PeersInformed += int64(len(q.spreaders))
 	e.res.ResultsFound += int64(q.results)
 	e.res.ResponseTimeSum += e.now - q.start
-	if e.met != nil {
-		e.met.Queries.Inc()
-		if satisfied {
-			e.met.Satisfied.Inc()
-		} else {
-			e.met.Unsatisfied.Inc()
-		}
-		e.met.QueryRounds.Observe(float64(q.round))
-		e.met.QueryMessages.Observe(float64(q.messages))
-	}
 	if e.observer != nil {
 		e.observer.Observe(obs.Event{
 			Kind: obs.EvQueryDone, Time: e.now,

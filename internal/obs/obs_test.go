@@ -212,14 +212,3 @@ func TestTraceWriterMask(t *testing.T) {
 		t.Fatalf("unmasked kind missing:\n%s", got)
 	}
 }
-
-func TestTeeFansOut(t *testing.T) {
-	var a, b int
-	Tee(
-		ObserverFunc(func(Event) { a++ }),
-		ObserverFunc(func(Event) { b++ }),
-	).Observe(Event{Kind: EvQueryIssued})
-	if a != 1 || b != 1 {
-		t.Fatalf("tee delivered (%d,%d), want (1,1)", a, b)
-	}
-}

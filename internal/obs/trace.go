@@ -137,15 +137,6 @@ type ObserverFunc func(Event)
 // Observe calls f.
 func (f ObserverFunc) Observe(ev Event) { f(ev) }
 
-// Tee fans events out to several observers in order.
-func Tee(observers ...Observer) Observer {
-	return ObserverFunc(func(ev Event) {
-		for _, o := range observers {
-			o.Observe(ev)
-		}
-	})
-}
-
 // QueryEventMask selects the per-query trace kinds (issued, rounds,
 // probes, pongs, done) — the -trace-queries dump.
 const QueryEventMask = 1<<EvQueryIssued | 1<<EvProbeRound | 1<<EvProbe |

@@ -9,7 +9,7 @@
 // guarantees: every Point is a pure function of its parameters, so a
 // result computed by any worker — or by a prior run feeding a shared
 // cache — is interchangeable with a locally computed one, and a sweep
-// run with -workers 2 over the wire is byte-identical to the
+// run on two workers over the wire is byte-identical to the
 // single-process path. That also makes fault handling simple: a worker
 // that crashes or stalls mid-unit just has its unit reassigned to
 // another worker (bounded by Config.MaxRetries), with no risk of
@@ -22,7 +22,7 @@
 //   - RunWorker turns any net.Conn into a worker serving units.
 //   - LocalPool wires a coordinator and K in-process workers over
 //     node/memnet streams — the full wire path without sockets; this
-//     backs the guess-experiments -workers flag.
+//     backs guess-sweep -smoke and the benchmark's sweep workload.
 //   - Cache (memory or disk) shares computed points across workers and
 //     runs.
 //   - Dashboard renders live progress, event-driven and clock-free.

@@ -12,8 +12,8 @@ import (
 // LocalPool is a coordinator plus K in-process workers wired over
 // node/memnet streams — the complete wire path (framing, checksums,
 // dispatch, reassembly) without sockets or extra processes. It backs
-// the guess-experiments -workers flag and is the reference executor
-// the distributed byte-identity tests compare against.
+// guess-sweep -smoke and is the reference executor the distributed
+// byte-identity tests compare against.
 type LocalPool struct {
 	coord  *Coordinator
 	cancel context.CancelFunc

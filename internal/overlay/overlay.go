@@ -8,14 +8,12 @@
 // Connectivity here means weak connectivity: a peer belongs to the
 // network if information can circulate between it and the rest of the
 // overlay ignoring edge direction, which is the sense in which a
-// fragmented overlay "cannot heal". Strongly connected components are
-// also provided for finer-grained analysis.
+// fragmented overlay "cannot heal".
 package overlay
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cache"
 )
@@ -26,8 +24,6 @@ type Graph struct {
 	index map[cache.PeerID]int
 	// adj[i] lists indices of nodes that node i points at.
 	adj [][]int
-	// edges counts total directed edges (to live nodes only).
-	edges int
 }
 
 // Builder accumulates a snapshot. Add all nodes first, then edges;
@@ -74,7 +70,6 @@ func (b *Builder) AddEdge(from, to cache.PeerID) error {
 		return nil
 	}
 	b.g.adj[fi] = append(b.g.adj[fi], ti)
-	b.g.edges++
 	return nil
 }
 
@@ -86,14 +81,6 @@ func (b *Builder) Graph() (*Graph, int) {
 
 // NumNodes returns the number of live peers in the snapshot.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NumEdges returns the number of live directed edges.
-func (g *Graph) NumEdges() int { return g.edges }
-
-// Nodes returns the node IDs in insertion order.
-func (g *Graph) Nodes() []cache.PeerID {
-	return append([]cache.PeerID(nil), g.nodes...)
-}
 
 // LargestWCC returns the size of the largest weakly connected
 // component (0 for an empty graph), computed with a union-find over
@@ -112,149 +99,6 @@ func (g *Graph) components() *WCCScratch {
 		}
 	}
 	return &s
-}
-
-// WCCSizes returns the sizes of all weakly connected components in
-// descending order.
-func (g *Graph) WCCSizes() []int {
-	s := g.components()
-	var sizes []int
-	for i, p := range s.parent {
-		if int(p) == i {
-			sizes = append(sizes, int(s.size[i]))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	return sizes
-}
-
-// LargestSCC returns the size of the largest strongly connected
-// component, using Tarjan's algorithm (iterative, to avoid deep
-// recursion on large overlays).
-func (g *Graph) LargestSCC() int {
-	n := len(g.nodes)
-	if n == 0 {
-		return 0
-	}
-	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack   []int // Tarjan stack
-		next    = 0
-		largest = 0
-	)
-	type frame struct {
-		v, childIdx int
-	}
-	for start := 0; start < n; start++ {
-		if index[start] != unvisited {
-			continue
-		}
-		call := []frame{{v: start}}
-		for len(call) > 0 {
-			f := &call[len(call)-1]
-			v := f.v
-			if f.childIdx == 0 {
-				index[v] = next
-				low[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for f.childIdx < len(g.adj[v]) {
-				w := g.adj[v][f.childIdx]
-				f.childIdx++
-				if index[w] == unvisited {
-					call = append(call, frame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// v is finished: pop an SCC if v is a root.
-			if low[v] == index[v] {
-				size := 0
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					size++
-					if w == v {
-						break
-					}
-				}
-				if size > largest {
-					largest = size
-				}
-			}
-			call = call[:len(call)-1]
-			if len(call) > 0 {
-				parent := call[len(call)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-		}
-	}
-	return largest
-}
-
-// OutDegrees returns each node's out-degree (live edges only), aligned
-// with Nodes().
-func (g *Graph) OutDegrees() []int {
-	out := make([]int, len(g.adj))
-	for i, targets := range g.adj {
-		out[i] = len(targets)
-	}
-	return out
-}
-
-// InDegrees returns each node's in-degree, aligned with Nodes().
-func (g *Graph) InDegrees() []int {
-	in := make([]int, len(g.adj))
-	for _, targets := range g.adj {
-		for _, to := range targets {
-			in[to]++
-		}
-	}
-	return in
-}
-
-// ReachableFrom returns how many nodes are reachable from id following
-// directed edges (including id itself). It returns 0 if id is not in
-// the snapshot.
-func (g *Graph) ReachableFrom(id cache.PeerID) int {
-	start, ok := g.index[id]
-	if !ok {
-		return 0
-	}
-	seen := make([]bool, len(g.nodes))
-	seen[start] = true
-	queue := []int{start}
-	count := 1
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				queue = append(queue, w)
-			}
-		}
-	}
-	return count
 }
 
 // WCCScratch is a reusable union-find for repeated largest-WCC

@@ -74,11 +74,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Uint64n returns a uniformly distributed uint64 in [0, n). It panics
 // if n == 0. It is modulo reduction with a rejection step that removes
 // the bias: draws at or above the largest multiple of n that fits in 64

@@ -1,91 +1,13 @@
-// Package stats provides the small statistical toolkit used by the
-// experiment harness and result analysis: online moments, quantiles,
-// histograms, and inequality measures for load-fairness analysis
-// (Section 6.3 of the paper ranks per-peer loads; the Gini coefficient
-// and top-share summarize the same distributions as single numbers).
+// Package stats provides the inequality measures the experiment
+// harness uses for load-fairness analysis (Section 6.3 of the paper
+// ranks per-peer loads; the Gini coefficient and top-share summarize
+// the same distributions as single numbers).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Online accumulates count, mean and variance in one pass using
-// Welford's algorithm. The zero value is ready to use.
-type Online struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (o *Online) Add(x float64) {
-	o.n++
-	delta := x - o.mean
-	o.mean += delta / float64(o.n)
-	o.m2 += delta * (x - o.mean)
-}
-
-// N returns the number of observations.
-func (o *Online) N() int64 { return o.n }
-
-// Mean returns the running mean (0 with no observations).
-func (o *Online) Mean() float64 { return o.mean }
-
-// Variance returns the unbiased sample variance (0 with < 2
-// observations).
-func (o *Online) Variance() float64 {
-	if o.n < 2 {
-		return 0
-	}
-	return o.m2 / float64(o.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (o *Online) StdDev() float64 { return math.Sqrt(o.Variance()) }
-
-// Merge combines another accumulator into o (parallel aggregation).
-func (o *Online) Merge(other Online) {
-	if other.n == 0 {
-		return
-	}
-	if o.n == 0 {
-		*o = other
-		return
-	}
-	n1, n2 := float64(o.n), float64(other.n)
-	delta := other.mean - o.mean
-	total := n1 + n2
-	o.mean += delta * n2 / total
-	o.m2 += other.m2 + delta*delta*n1*n2/total
-	o.n += other.n
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of values using linear
-// interpolation between order statistics. It returns an error on an
-// empty slice or out-of-range q. values need not be sorted.
-func Quantile(values []float64, q float64) (float64, error) {
-	if len(values) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, fmt.Errorf("stats: quantile %v outside [0,1]", q)
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
 
 // Gini returns the Gini coefficient of a non-negative load
 // distribution: 0 for perfectly even, approaching 1 when one peer
@@ -137,60 +59,4 @@ func TopShare(values []float64, fraction float64) float64 {
 		return 0
 	}
 	return top / total
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi);
-// out-of-range observations go to the under/overflow counters.
-type Histogram struct {
-	lo, hi    float64
-	bins      []int64
-	under     int64
-	over      int64
-	observers int64
-}
-
-// NewHistogram builds a histogram with the given bounds and bin count.
-func NewHistogram(lo, hi float64, bins int) (*Histogram, error) {
-	if bins < 1 {
-		return nil, fmt.Errorf("stats: histogram needs >= 1 bin, got %d", bins)
-	}
-	if !(lo < hi) {
-		return nil, fmt.Errorf("stats: histogram bounds [%v, %v) invalid", lo, hi)
-	}
-	return &Histogram{lo: lo, hi: hi, bins: make([]int64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	h.observers++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		i := int((x - h.lo) / (h.hi - h.lo) * float64(len(h.bins)))
-		if i == len(h.bins) { // guard against float rounding at hi
-			i--
-		}
-		h.bins[i]++
-	}
-}
-
-// Count returns the bin counts (a copy).
-func (h *Histogram) Count() []int64 { return append([]int64(nil), h.bins...) }
-
-// Under and Over return the out-of-range counts.
-func (h *Histogram) Under() int64 { return h.under }
-
-// Over returns the count of observations >= the upper bound.
-func (h *Histogram) Over() int64 { return h.over }
-
-// N returns the total observations.
-func (h *Histogram) N() int64 { return h.observers }
-
-// BinBounds returns the [lo, hi) interval of bin i.
-func (h *Histogram) BinBounds(i int) (lo, hi float64) {
-	width := (h.hi - h.lo) / float64(len(h.bins))
-	return h.lo + float64(i)*width, h.lo + float64(i+1)*width
 }

@@ -3,128 +3,9 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/simrng"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestOnlineBasics(t *testing.T) {
-	var o Online
-	if o.N() != 0 || o.Mean() != 0 || o.Variance() != 0 {
-		t.Fatal("zero value not empty")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		o.Add(x)
-	}
-	if o.N() != 8 {
-		t.Fatalf("N = %d", o.N())
-	}
-	if !almost(o.Mean(), 5, 1e-12) {
-		t.Fatalf("mean = %v", o.Mean())
-	}
-	// Sample variance of this classic set is 32/7.
-	if !almost(o.Variance(), 32.0/7, 1e-12) {
-		t.Fatalf("variance = %v", o.Variance())
-	}
-	if !almost(o.StdDev(), math.Sqrt(32.0/7), 1e-12) {
-		t.Fatalf("stddev = %v", o.StdDev())
-	}
-}
-
-func TestOnlineSingleObservation(t *testing.T) {
-	var o Online
-	o.Add(42)
-	if o.Variance() != 0 {
-		t.Fatal("variance of one observation not 0")
-	}
-}
-
-// TestOnlineMergeMatchesSequential: merging two halves equals adding
-// everything to one accumulator.
-func TestOnlineMergeMatchesSequential(t *testing.T) {
-	r := simrng.New(1)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw) + 2
-		var all, a, b Online
-		for i := 0; i < n; i++ {
-			x := r.NormFloat64() * 10
-			all.Add(x)
-			if i%2 == 0 {
-				a.Add(x)
-			} else {
-				b.Add(x)
-			}
-		}
-		a.Merge(b)
-		return a.N() == all.N() &&
-			almost(a.Mean(), all.Mean(), 1e-9) &&
-			almost(a.Variance(), all.Variance(), 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOnlineMergeEmpty(t *testing.T) {
-	var a, b Online
-	a.Add(3)
-	a.Merge(b) // merging empty is a no-op
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge with empty changed state")
-	}
-	b.Merge(a) // merging into empty copies
-	if b.N() != 1 || b.Mean() != 3 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	vals := []float64{3, 1, 2, 4, 5} // unsorted on purpose
-	tests := []struct {
-		q, want float64
-	}{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {0.75, 4}, {1, 5}, {0.125, 1.5},
-	}
-	for _, tt := range tests {
-		got, err := Quantile(vals, tt.q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almost(got, tt.want, 1e-12) {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Fatal("empty slice accepted")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Fatal("q < 0 accepted")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Fatal("q > 1 accepted")
-	}
-	if _, err := Quantile([]float64{1}, math.NaN()); err == nil {
-		t.Fatal("NaN accepted")
-	}
-	if got, err := Quantile([]float64{7}, 0.9); err != nil || got != 7 {
-		t.Fatal("single-element quantile broken")
-	}
-}
-
-func TestQuantileDoesNotMutate(t *testing.T) {
-	vals := []float64{3, 1, 2}
-	if _, err := Quantile(vals, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] != 3 || vals[1] != 1 || vals[2] != 2 {
-		t.Fatal("Quantile sorted the caller's slice")
-	}
-}
 
 func TestGini(t *testing.T) {
 	tests := []struct {
@@ -171,64 +52,5 @@ func TestTopShare(t *testing.T) {
 	}
 	if TopShare(loads, 0) != 0 {
 		t.Fatal("zero fraction not 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{-1, 0, 1.9, 2, 9.999, 10, 15} {
-		h.Add(x)
-	}
-	counts := h.Count()
-	want := []int64{2, 1, 0, 0, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
-	}
-	if h.Under() != 1 || h.Over() != 2 {
-		t.Fatalf("under/over = %d/%d", h.Under(), h.Over())
-	}
-	if h.N() != 7 {
-		t.Fatalf("N = %d", h.N())
-	}
-	lo, hi := h.BinBounds(1)
-	if lo != 2 || hi != 4 {
-		t.Fatalf("BinBounds(1) = [%v, %v)", lo, hi)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins accepted")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if _, err := NewHistogram(10, 0, 3); err == nil {
-		t.Fatal("inverted range accepted")
-	}
-}
-
-// TestHistogramTotalInvariant: every observation lands somewhere.
-func TestHistogramTotalInvariant(t *testing.T) {
-	h, err := NewHistogram(-5, 5, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := simrng.New(4)
-	const n = 10000
-	for i := 0; i < n; i++ {
-		h.Add(r.NormFloat64() * 4)
-	}
-	var sum int64
-	for _, c := range h.Count() {
-		sum += c
-	}
-	if sum+h.Under()+h.Over() != n {
-		t.Fatal("histogram lost observations")
 	}
 }
