@@ -186,8 +186,8 @@ obs-smoke:
 
 # End-to-end smoke of distributed sweep orchestration: a 2-worker
 # in-process pool (coordinator + workers over the full wire protocol)
-# must render every smoke experiment byte-identical to the
-# single-process path.
+# must render every smoke experiment, tables and metrics text,
+# byte-identical to the single-process path.
 sweep-smoke:
 	$(GO) build -o /tmp/guess-sweep ./cmd/guess-sweep
 	/tmp/guess-sweep -smoke

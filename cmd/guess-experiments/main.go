@@ -122,7 +122,7 @@ func run(args []string) error {
 	var reg *obs.Registry
 	if *metricsOut != "" {
 		reg = obs.NewRegistry()
-		opts.Metrics = obs.NewSimMetrics(reg)
+		opts.Metrics = reg
 		defer func() {
 			out := os.Stdout
 			if *metricsOut != "-" {

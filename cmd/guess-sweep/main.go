@@ -5,8 +5,8 @@
 // content-addressed work units, serves them to workers over TCP,
 // assembles results in spec order, and renders the same tables
 // guess-experiments does. Any number of processes work: they connect,
-// execute units, and stream results (and metric snapshots) back. The
-// determinism guarantees make the output byte-identical to a
+// execute units, and stream results back. The determinism guarantees
+// make the output, metrics included, byte-identical to a
 // single-process run.
 //
 // Examples:
@@ -64,7 +64,7 @@ func run(args []string) error {
 	minWorkers := fs.Int("min-workers", 1, "wait for this many workers before dispatching")
 	retries := fs.Int("retries", 0, "reassignments per unit after worker failure (0 = default 2, negative = none)")
 	unitTimeout := fs.Duration("unit-timeout", 0, "per-unit worker deadline before reassignment (0 = default 2m)")
-	metricsOut := fs.String("metrics-out", "", "write merged Prometheus-text metrics at exit to this file (\"-\" = stdout)")
+	metricsOut := fs.String("metrics-out", "", "write Prometheus-text sweep metrics at exit to this file (\"-\" = stdout)")
 	quiet := fs.Bool("quiet", false, "suppress the progress dashboard")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -112,11 +112,8 @@ func run(args []string) error {
 		}
 		cfg.Cache = cache
 	}
-	var reg *obs.Registry
 	if *metricsOut != "" {
-		reg = obs.NewRegistry()
-		obs.NewSimMetrics(reg)
-		cfg.Metrics = reg
+		opts.Metrics = obs.NewRegistry()
 	}
 	var dash *orchestrate.Dashboard
 	if !*quiet {
@@ -143,8 +140,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if reg != nil {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
+	if opts.Metrics != nil {
+		if err := writeMetrics(*metricsOut, opts.Metrics); err != nil {
 			return err
 		}
 	}
@@ -177,7 +174,8 @@ func runWorker(ctx context.Context, addr, name string) error {
 
 // runSmoke runs the experiment twice — in-process, and distributed
 // over a 2-worker in-memory pool — and fails unless the rendered
-// output is byte-identical. CI's make sweep-smoke target runs this.
+// output and the guess_sim_* metrics text are byte-identical. CI's
+// make sweep-smoke target runs this.
 func runSmoke(ctx context.Context, experiment string, quiet bool) error {
 	if experiment == "all" {
 		experiment = "fig6"
@@ -193,34 +191,48 @@ func runSmoke(ctx context.Context, experiment string, quiet bool) error {
 		if err != nil {
 			return err
 		}
-		local, err := exp.Run(experiments.Options{Scale: experiments.Quick, Context: ctx})
+		localTables, localMetrics, err := smokeRun(exp, experiments.Options{Scale: experiments.Quick, Context: ctx})
 		if err != nil {
 			return fmt.Errorf("%s local: %w", id, err)
 		}
-		dist, err := exp.Run(experiments.Options{Scale: experiments.Quick, Context: ctx, Executor: pool})
+		distTables, distMetrics, err := smokeRun(exp, experiments.Options{Scale: experiments.Quick, Context: ctx, Executor: pool})
 		if err != nil {
 			return fmt.Errorf("%s distributed: %w", id, err)
 		}
-		var a, b strings.Builder
-		if _, err := local.WriteTo(&a); err != nil {
-			return err
-		}
-		if _, err := dist.WriteTo(&b); err != nil {
-			return err
-		}
-		if a.String() != b.String() {
+		if localTables != distTables {
 			return fmt.Errorf("%s: 2-worker output differs from single-process output", id)
+		}
+		if localMetrics != distMetrics {
+			return fmt.Errorf("%s: 2-worker metrics differ from single-process metrics", id)
 		}
 		s := pool.Stats()
 		if s.Executed == 0 {
 			return fmt.Errorf("%s: the worker pool executed no units", id)
 		}
 		if !quiet {
-			fmt.Fprintf(os.Stderr, "smoke %s: byte-identical across 2 workers (%d units executed)\n", id, s.Executed)
+			fmt.Fprintf(os.Stderr, "smoke %s: tables and metrics byte-identical across 2 workers (%d units executed)\n", id, s.Executed)
 		}
 	}
 	fmt.Println("sweep smoke OK")
 	return nil
+}
+
+// smokeRun runs one smoke leg and returns its rendered tables and
+// metrics text.
+func smokeRun(exp experiments.Experiment, opts experiments.Options) (tables, metrics string, err error) {
+	opts.Metrics = obs.NewRegistry()
+	res, err := exp.Run(opts)
+	if err != nil {
+		return "", "", err
+	}
+	var t, m strings.Builder
+	if _, err := res.WriteTo(&t); err != nil {
+		return "", "", err
+	}
+	if err := opts.Metrics.WritePrometheus(&m); err != nil {
+		return "", "", err
+	}
+	return t.String(), m.String(), nil
 }
 
 // runExperiments coordinates each requested experiment and renders its

@@ -116,8 +116,9 @@ func WithObserver(o Observer) Option {
 	return func(ro *runOptions) { ro.observer = o }
 }
 
-// WithMetrics registers the simulator metric set (guess_sim_*) in reg
-// and updates it during the run. Metrics never perturb the simulation.
+// WithMetrics records the simulator metric set (guess_sim_*) into reg
+// once the run has finished, from its Results (partial Results too, on
+// cancellation). Metrics never perturb the simulation.
 func WithMetrics(reg *MetricsRegistry) Option {
 	return func(ro *runOptions) { ro.metrics = reg }
 }
@@ -144,13 +145,15 @@ func Run(ctx context.Context, cfg Config, opts ...Option) (*Results, error) {
 	if ro.observer != nil {
 		engine.SetObserver(ro.observer)
 	}
-	if ro.metrics != nil {
-		engine.SetMetrics(obs.NewSimMetrics(ro.metrics))
-	}
 	if ro.progress != nil {
 		engine.SetProgress(ro.progress)
 	}
-	return engine.Run(ctx)
+	res, err := engine.Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	res.Record(ro.metrics)
+	return res, nil
 }
 
 // Selection orders cache entries for probing and pong construction

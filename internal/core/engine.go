@@ -97,15 +97,14 @@ type Engine struct {
 	// event loop stops on it and Run returns it instead of Results.
 	exhausted error
 
-	// Observability (all optional; see SetObserver/SetMetrics/
-	// SetProgress). observer receives trace events, met mirrors the
-	// Results counters into a shared registry, progress gets one line
-	// per sample. None of them consume randomness or alter control
-	// flow, so attaching them leaves a seeded run byte-identical; with
-	// all nil the instrumentation is a handful of predictable branches
-	// (BenchmarkSingleRun pins the cost).
+	// Observability (both optional; see SetObserver/SetProgress).
+	// observer receives trace events, progress gets one line per
+	// sample. Neither consumes randomness or alters control flow, so
+	// attaching them leaves a seeded run byte-identical; with both nil
+	// the instrumentation is a handful of predictable branches
+	// (BenchmarkSingleRun pins the cost). Metrics are not counted here:
+	// Results.Record derives them from a finished run.
 	observer    obs.Observer
-	met         *obs.SimMetrics
 	progress    io.Writer
 	nextQueryID uint64
 
@@ -317,11 +316,6 @@ func (e *Engine) schedule(t float64, ev event) {
 // in parallel (sweeps) must be safe for concurrent use.
 func (e *Engine) SetObserver(o obs.Observer) { e.observer = o }
 
-// SetMetrics attaches pre-resolved registry instruments that mirror the
-// Results counters as the run progresses. Must be called before Run.
-// Engines may share one SimMetrics; the counters then aggregate.
-func (e *Engine) SetMetrics(m *obs.SimMetrics) { e.met = m }
-
 // SetProgress attaches a writer receiving one short status line per
 // sample interval. Must be called before Run. Write errors are
 // ignored (progress is best-effort, unlike Params.Trace).
@@ -482,9 +476,6 @@ func (e *Engine) spawnPeer(malicious, selfish bool) (int, bool) {
 		e.bad = append(e.bad, id)
 	}
 	e.res.Births++
-	if e.met != nil {
-		e.met.Births.Inc()
-	}
 	if e.observer != nil {
 		e.observer.Observe(obs.Event{Kind: obs.EvPeerBirth, Time: e.now, Peer: uint64(id)})
 	}
@@ -527,9 +518,6 @@ func (e *Engine) handleDeath(id cache.PeerID) {
 		}
 	}
 	e.res.Deaths++
-	if e.met != nil {
-		e.met.Deaths.Inc()
-	}
 	if e.observer != nil {
 		e.observer.Observe(obs.Event{Kind: obs.EvPeerDeath, Time: e.now, Peer: uint64(id)})
 	}
@@ -589,10 +577,6 @@ func (e *Engine) handlePing(id cache.PeerID) {
 		if measuring {
 			e.res.Pings++
 			e.res.DeadPings++
-			if e.met != nil {
-				e.met.Pings.Inc()
-				e.met.DeadPings.Inc()
-			}
 		}
 		if e.observer != nil {
 			e.observer.Observe(obs.Event{Kind: obs.EvPing, Time: e.now,
@@ -602,9 +586,6 @@ func (e *Engine) handlePing(id cache.PeerID) {
 	}
 	if measuring {
 		e.res.Pings++
-		if e.met != nil {
-			e.met.Pings.Inc()
-		}
 	}
 	if e.observer != nil {
 		e.observer.Observe(obs.Event{Kind: obs.EvPing, Time: e.now,
@@ -720,14 +701,6 @@ func (e *Engine) handleSample() {
 		e.sumGood += s.goodSum / float64(s.goodPeers)
 	}
 	e.res.CacheSamples++
-
-	if e.met != nil {
-		e.met.SimTime.Set(e.now)
-		if nf > 0 {
-			e.met.AvgCacheEntries.Set(s.held / nf)
-			e.met.AvgLiveEntries.Set(s.live / nf)
-		}
-	}
 	if e.progress != nil {
 		fmt.Fprintf(e.progress, "t=%.0f/%.0f queries=%d satisfied=%d births=%d deaths=%d\n",
 			e.now, e.end, e.res.Queries, e.res.Satisfied, e.res.Births, e.res.Deaths)
@@ -793,32 +766,12 @@ func (e *Engine) maybeIntroduce(host, initiator int) {
 		TS:       e.now,
 		NumFiles: e.ps.advertisedFiles[initiator],
 		Direct:   true,
-	}, false)
+	})
 }
 
-// insertEntry runs the receiver's cache-replacement policy and keeps
-// the observability counters: an insertion into a full cache displaced
-// a resident (an eviction), and fromBad marks entries supplied by a
-// malicious peer (cache poisoning). With metrics off this is exactly
-// policy.Insert — the Full pre-check runs only when counting. Either
-// way the policy's randomness consumption is untouched, so attaching
-// metrics cannot perturb a seeded run.
-func (e *Engine) insertEntry(receiver int, entry cache.Entry, fromBad bool) {
-	link := &e.ps.link[receiver]
-	if e.met == nil {
-		policy.Insert(e.rngPolicy, e.p.CacheReplacement, link, entry)
-		return
-	}
-	full := link.Full()
-	if !policy.Insert(e.rngPolicy, e.p.CacheReplacement, link, entry) {
-		return
-	}
-	if full {
-		e.met.CacheEvictions.Inc()
-	}
-	if fromBad {
-		e.met.PoisonedEntries.Inc()
-	}
+// insertEntry runs the receiver's cache-replacement policy.
+func (e *Engine) insertEntry(receiver int, entry cache.Entry) {
+	policy.Insert(e.rngPolicy, e.p.CacheReplacement, &e.ps.link[receiver], entry)
 }
 
 // buildPong constructs the host's pong under the given selection
@@ -926,7 +879,6 @@ func (e *Engine) acceptPong(receiver, source int, pong []cache.Entry) {
 		e.observer.Observe(obs.Event{Kind: obs.EvPong, Time: e.now,
 			Peer: uint64(receiverID), Target: uint64(sourceID), Entries: len(pong)})
 	}
-	sourceBad := e.ps.malicious[source]
 	for _, entry := range pong {
 		if entry.Addr == receiverID {
 			continue
@@ -936,7 +888,7 @@ func (e *Engine) acceptPong(receiver, source int, pong []cache.Entry) {
 			entry.NumRes = 0
 		}
 		e.recordSupplied(receiver, sourceID, entry.Addr)
-		e.insertEntry(receiver, entry, sourceBad)
+		e.insertEntry(receiver, entry)
 	}
 }
 
@@ -948,9 +900,6 @@ func (e *Engine) finalize() {
 	}
 	e.res.PeerLoads = e.loads
 	e.res.Aborted += e.inFlightCounted
-	if e.met != nil {
-		e.met.Aborted.Add(uint64(e.inFlightCounted))
-	}
 
 	if s := float64(e.res.CacheSamples); s > 0 {
 		e.res.AvgCacheEntries = e.sumHeld / s

@@ -141,8 +141,5 @@ func (e *Engine) blameDeadAddress(victim int, deadAddr cache.PeerID) {
 		r.blacklist[source] = true
 		e.ps.link[victim].Remove(source)
 		e.res.BlacklistEvents++
-		if e.met != nil {
-			e.met.Blacklists.Inc()
-		}
 	}
 }

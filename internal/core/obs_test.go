@@ -1,9 +1,9 @@
 package core
 
-// Observability must be read-only: attaching a metrics registry and an
-// observer to a seeded run may not change a single byte of its Results
-// or its CSV trace, and the counters it fills must agree with the
-// Results the engine returns. Golden files under testdata/ pin the
+// Observability must be read-only: attaching an observer to a seeded
+// run may not change a single byte of its Results or its CSV trace, and
+// the metrics Results.Record fills must agree with those Results.
+// Golden files under testdata/ pin the
 // Prometheus exposition and the JSONL query trace of one fixed-seed
 // run; regenerate them with `go test ./internal/core -run Golden -update`
 // after an intentional schema change.
@@ -21,10 +21,9 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
 
-// runInstrumented runs p with a CSV trace, a metrics registry, and an
-// observer attached, returning the results, the CSV trace, the
-// registry, and the observer event count.
-func runInstrumented(t *testing.T, p Params, o obs.Observer) (*Results, string, *obs.Registry) {
+// runObserved runs p with a CSV trace and observer o attached,
+// returning the results and the CSV trace.
+func runObserved(t *testing.T, p Params, o obs.Observer) (*Results, string) {
 	t.Helper()
 	var trace strings.Builder
 	p.Trace = &trace
@@ -32,16 +31,12 @@ func runInstrumented(t *testing.T, p Params, o obs.Observer) (*Results, string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	e.SetMetrics(obs.NewSimMetrics(reg))
-	if o != nil {
-		e.SetObserver(o)
-	}
+	e.SetObserver(o)
 	res, err := e.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, trace.String(), reg
+	return res, trace.String()
 }
 
 func TestObservabilityDoesNotPerturbRun(t *testing.T) {
@@ -50,20 +45,22 @@ func TestObservabilityDoesNotPerturbRun(t *testing.T) {
 	bareRes, bareTrace := runWithTrace(t, p)
 
 	var events int
-	obsRes, obsTrace, reg := runInstrumented(t, p, obs.ObserverFunc(func(obs.Event) { events++ }))
+	obsRes, obsTrace := runObserved(t, p, obs.ObserverFunc(func(obs.Event) { events++ }))
 
 	if got, want := marshalResults(t, obsRes), marshalResults(t, bareRes); got != want {
-		t.Fatalf("attaching metrics+observer changed Results:\n%s\n%s", got, want)
+		t.Fatalf("attaching an observer changed Results:\n%s\n%s", got, want)
 	}
 	if obsTrace != bareTrace {
-		t.Fatal("attaching metrics+observer changed the CSV trace")
+		t.Fatal("attaching an observer changed the CSV trace")
 	}
 	if events == 0 {
 		t.Fatal("observer saw no events")
 	}
 
-	// The counters mirror Results exactly — a scrape and the returned
+	// The metrics mirror Results exactly — a scrape and the returned
 	// struct must never disagree.
+	reg := obs.NewRegistry()
+	bareRes.Record(reg)
 	s := reg.Snapshot()
 	mirror := []struct {
 		metric string
@@ -81,30 +78,22 @@ func TestObservabilityDoesNotPerturbRun(t *testing.T) {
 		{"guess_sim_pings_dead_total", uint64(bareRes.DeadPings)},
 		{"guess_sim_births_total", uint64(bareRes.Births)},
 		{"guess_sim_deaths_total", uint64(bareRes.Deaths)},
+		{"guess_sim_blacklists_total", uint64(bareRes.BlacklistEvents)},
 	}
 	for _, m := range mirror {
 		if got := s.Counters[m.metric]; got != m.want {
 			t.Errorf("%s = %d, Results say %d", m.metric, got, m.want)
 		}
 	}
+	if got, want := s.Gauges["guess_sim_cache_entries_avg"], bareRes.AvgCacheEntries; got != want {
+		t.Errorf("guess_sim_cache_entries_avg = %v, Results say %v", got, want)
+	}
+	if got, want := s.Gauges["guess_sim_cache_live_entries_avg"], bareRes.AvgLiveEntries; got != want {
+		t.Errorf("guess_sim_cache_live_entries_avg = %v, Results say %v", got, want)
+	}
 	if bareRes.Queries == 0 {
 		t.Fatal("fixture produced no queries; the mirror check is vacuous")
 	}
-	h := s.Histograms["guess_sim_query_probes"]
-	if h.Count != uint64(bareRes.Queries) {
-		t.Errorf("query-probes histogram count = %d, want %d", h.Count, bareRes.Queries)
-	}
-	if got, want := s.Histograms["guess_sim_query_response_seconds"].Sum, bareRes.ResponseTimeSum; !closeTo(got, want) {
-		t.Errorf("response-time histogram sum = %v, Results say %v", got, want)
-	}
-}
-
-func closeTo(a, b float64) bool {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-6*(1+b)
 }
 
 // goldenParams is a deliberately tiny fixed-seed run so the JSONL
@@ -128,12 +117,13 @@ func TestGoldenObservabilityOutputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := obs.NewRegistry()
-	e.SetMetrics(obs.NewSimMetrics(reg))
 	e.SetObserver(tw)
-	if _, err := e.Run(context.Background()); err != nil {
+	res, err := e.Run(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	res.Record(reg)
 	if err := tw.Err(); err != nil {
 		t.Fatal(err)
 	}

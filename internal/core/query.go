@@ -99,9 +99,6 @@ func (e *Engine) handleProbeStep(q *query) {
 		if q.counted {
 			e.res.Aborted++
 			e.inFlightCounted--
-			if e.met != nil {
-				e.met.Aborted.Inc()
-			}
 		}
 		e.observeQueryDone(q, obs.OutcomeAborted)
 		e.putQuery(q)
@@ -188,7 +185,6 @@ func (e *Engine) probeOne(origin int, q *query, entry cache.Entry) {
 		return
 	}
 	pong := e.buildPong(target, e.p.QueryPong)
-	targetBad := e.ps.malicious[target]
 	for _, pe := range pong {
 		if pe.Addr == q.origin {
 			continue
@@ -199,7 +195,7 @@ func (e *Engine) probeOne(origin int, q *query, entry cache.Entry) {
 		}
 		e.recordSupplied(origin, addr, pe.Addr)
 		q.qc.Add(pe)
-		e.insertEntry(origin, pe, targetBad)
+		e.insertEntry(origin, pe)
 	}
 	if len(pong) > 0 {
 		e.observe(q, obs.Event{Kind: obs.EvPong, Target: uint64(addr), Entries: len(pong)})
@@ -222,20 +218,6 @@ func (e *Engine) completeQuery(origin int, q *query, satisfied bool) {
 		e.res.DeadProbes += int64(c.Dead)
 		e.res.RefusedProbes += int64(c.Refused)
 		e.res.ResponseTimeSum += e.now - q.started
-		if e.met != nil {
-			e.met.Queries.Inc()
-			if satisfied {
-				e.met.Satisfied.Inc()
-			} else {
-				e.met.Unsatisfied.Inc()
-			}
-			e.met.Probes.Add(uint64(c.Probes))
-			e.met.GoodProbes.Add(uint64(c.Good))
-			e.met.DeadProbes.Add(uint64(c.Dead))
-			e.met.RefusedProbes.Add(uint64(c.Refused))
-			e.met.QueryProbesHist.Observe(float64(c.Probes))
-			e.met.ResponseTime.Observe(e.now - q.started)
-		}
 	}
 	if satisfied {
 		e.observeQueryDone(q, obs.OutcomeSatisfied)

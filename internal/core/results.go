@@ -1,6 +1,10 @@
 package core
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/obs"
+)
 
 // Results aggregates everything measured during a run's measurement
 // window. Query counters cover queries that both started and completed
@@ -54,6 +58,32 @@ type Results struct {
 	// the configured duration elapsed. The other fields still hold
 	// everything measured up to the interruption point.
 	Interrupted bool
+}
+
+// Record adds r's counters to the simulator metric set (guess_sim_*,
+// see README.md, "Observability") in reg and sets its cache gauges to
+// r's window means. Metrics are a view of a finished run's Results, so
+// the two cannot disagree; recording runs in a fixed order gives the
+// same registry however they were executed. A nil reg records nothing.
+func (r *Results) Record(reg *obs.Registry) {
+	if reg == nil {
+		return
+	}
+	reg.Counter("guess_sim_queries_total", "Completed counted queries.").Add(uint64(r.Queries))
+	reg.Counter("guess_sim_queries_satisfied_total", "Counted queries that reached NumDesiredResults.").Add(uint64(r.Satisfied))
+	reg.Counter("guess_sim_queries_unsatisfied_total", "Counted queries that exhausted candidates unsatisfied.").Add(uint64(r.Unsatisfied))
+	reg.Counter("guess_sim_queries_aborted_total", "Counted queries whose originator died or that outlived the run.").Add(uint64(r.Aborted))
+	reg.Counter("guess_sim_probes_total", "Query probes sent by counted queries.").Add(uint64(r.ProbesTotal))
+	reg.Counter("guess_sim_probes_good_total", "Probes answered by live peers.").Add(uint64(r.GoodProbes))
+	reg.Counter("guess_sim_probes_dead_total", "Probes wasted on dead addresses.").Add(uint64(r.DeadProbes))
+	reg.Counter("guess_sim_probes_refused_total", "Probes refused by overloaded peers.").Add(uint64(r.RefusedProbes))
+	reg.Counter("guess_sim_pings_total", "Maintenance pings sent in the measurement window.").Add(uint64(r.Pings))
+	reg.Counter("guess_sim_pings_dead_total", "Maintenance pings that hit dead addresses.").Add(uint64(r.DeadPings))
+	reg.Counter("guess_sim_births_total", "Peer births (whole run).").Add(uint64(r.Births))
+	reg.Counter("guess_sim_deaths_total", "Peer deaths (whole run).").Add(uint64(r.Deaths))
+	reg.Counter("guess_sim_blacklists_total", "Poison-detection convictions.").Add(uint64(r.BlacklistEvents))
+	reg.Gauge("guess_sim_cache_entries_avg", "Mean link-cache entries held per peer over the last recorded run's measurement window.").Set(r.AvgCacheEntries)
+	reg.Gauge("guess_sim_cache_live_entries_avg", "Mean live link-cache entries per peer over the last recorded run's measurement window.").Set(r.AvgLiveEntries)
 }
 
 // ProbesPerQuery returns the average number of probes per counted

@@ -79,17 +79,22 @@ type Options struct {
 	// safe for concurrent use (TraceWriter is). Sweeps served from the
 	// in-process memo cache do not re-run and emit no events.
 	Observer obs.Observer
-	// Metrics, when non-nil, is shared by every simulation in the
-	// sweep; counters aggregate across runs. Memo-cached sweeps do not
-	// re-run and leave it untouched.
-	Metrics *obs.SimMetrics
+	// Metrics, when non-nil, receives the simulator metric set
+	// (guess_sim_*): once each sweep's executor returns, every GUESS
+	// run's Results are recorded into it in point order, before
+	// replications are merged. Counters add across runs and the cache
+	// gauges hold the last run's values, so the text depends on neither
+	// Parallelism, the Executor, nor its cache. Sweeps served from the
+	// in-process memo are not recorded again.
+	Metrics *obs.Registry
 	// Executor, when non-nil, executes expanded sweep points instead of
 	// the built-in in-process pool — the seam internal/orchestrate's
-	// coordinator and worker pool plug into. Observer and Metrics still
-	// apply only where the executor chooses to attach them: the
-	// in-process pool forwards both, a TCP coordinator forwards
-	// neither (workers stream progress frames instead). Results are
-	// byte-identical either way; only event delivery differs.
+	// coordinator and worker pool plug into. Observer applies only
+	// where the executor chooses to attach it: the in-process pool
+	// forwards it, a TCP coordinator does not (workers stream progress
+	// frames instead). Results and Metrics are byte-identical either
+	// way; only event delivery differs. The memo is kept per executor,
+	// so a sweep run on one executor is never served to another.
 	Executor Executor
 }
 
@@ -309,8 +314,15 @@ func Run(id string, opts Options) (*Result, error) {
 // are different projections of the same sweep (Figures 3-5 share the
 // cache-size sweep; Figures 16-18 and 19-21 share the poisoning
 // sweeps); on a small machine re-running them would dominate the
-// suite's cost. Keys include every input that affects the runs.
-var sweepMemo sync.Map // string -> []PointResult
+// suite's cost. Keys include every input that affects the runs, and
+// the executor that ran them (nil for the in-process pool), so a
+// comparison of two executors in one process runs the sweep on both.
+var sweepMemo sync.Map // memoSlot -> []PointResult
+
+type memoSlot struct {
+	exec Executor
+	key  string
+}
 
 // memoKey builds a cache key from the protocol family, the options, a
 // sweep label, and a digest of the parameter sets themselves. The
@@ -353,18 +365,18 @@ func paramsDigest[T any](params []T) string {
 //
 // This is the single memoized executor behind every sweep: a labeled
 // spec is cached process-wide under its family-discriminated memoKey
-// (an empty Label disables memoization), GUESS points expand
-// Options.Replications independently seeded runs per point and merge
-// them back, and execution goes to Options.Executor when set,
+// and its executor (an empty Label disables memoization), GUESS points
+// expand Options.Replications independently seeded runs per point and
+// merge them back, and execution goes to Options.Executor when set,
 // otherwise to the bounded in-process pool.
 func RunSpec(opts Options, spec Spec) ([]PointResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	memoize := spec.Label != ""
-	var key string
+	var key memoSlot
 	if memoize {
-		key = memoKey(string(spec.Family), opts, spec.Label, spec.digest())
+		key = memoSlot{opts.Executor, memoKey(string(spec.Family), opts, spec.Label, spec.digest())}
 		if v, ok := sweepMemo.Load(key); ok {
 			return v.([]PointResult), nil
 		}
@@ -441,6 +453,11 @@ func runSpec(opts Options, spec Spec) ([]PointResult, error) {
 			return nil, fmt.Errorf("experiments: point %d: result family %q for a %q sweep", i, pr.Family, spec.Family)
 		}
 	}
+	if spec.Family == FamilyGUESS {
+		for _, pr := range prs {
+			pr.Core.Record(opts.Metrics)
+		}
+	}
 	if reps == 1 {
 		return prs, nil
 	}
@@ -473,7 +490,7 @@ var progressMu sync.Mutex
 // runPool return the context's error.
 func runPool(opts Options, pts []Point) ([]PointResult, error) {
 	ctx := opts.ctx()
-	o := Observation{Observer: opts.Observer, Metrics: opts.Metrics}
+	o := Observation{Observer: opts.Observer}
 	results := make([]PointResult, len(pts))
 	errs := make([]error, len(pts))
 	work := make(chan int)

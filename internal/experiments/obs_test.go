@@ -53,8 +53,8 @@ func TestRunSpecContextCancel(t *testing.T) {
 	}
 }
 
-// TestRunSpecForwardsObserverAndMetrics checks that sweep options reach
-// the engines: the observer sees events from every run and the metrics
+// TestRunSpecForwardsObserverAndMetrics checks that sweep options take
+// effect: the observer sees events from every run and the metrics
 // counters aggregate across runs.
 func TestRunSpecForwardsObserverAndMetrics(t *testing.T) {
 	params := []core.Params{tinyParams(1), tinyParams(2)}
@@ -63,7 +63,7 @@ func TestRunSpecForwardsObserverAndMetrics(t *testing.T) {
 	births := 0
 	opts := Options{
 		Parallelism: 2,
-		Metrics:     obs.NewSimMetrics(reg),
+		Metrics:     reg,
 		Observer: obs.ObserverFunc(func(ev obs.Event) {
 			if ev.Kind == obs.EvPeerBirth {
 				mu.Lock()

@@ -13,15 +13,13 @@ import (
 	"repro/internal/simrng"
 )
 
-// Observation carries the per-run observability attachments a Worker
-// threads into its engine. Either field may be nil. Metrics applies to
-// GUESS runs only (the other families expose their own metric sets,
-// which sweeps do not currently attach). Flood points ignore both:
-// runFlood is a query replay over a static overlay, with no engine to
-// attach an Observer to.
+// Observation carries the per-run observability attachment a Worker
+// threads into its engine. Observer may be nil. Flood points ignore
+// it: runFlood is a query replay over a static overlay, with no engine
+// to attach an Observer to. Metrics are not attached per run: RunSpec
+// records them from the finished Results (core.Results.Record).
 type Observation struct {
 	Observer obs.Observer
-	Metrics  *obs.SimMetrics
 }
 
 // Worker executes sweep points of any family, one at a time: the
@@ -110,7 +108,6 @@ func (w *Worker) runGUESS(ctx context.Context, p core.Params, o Observation) (Po
 		return PointResult{}, err
 	}
 	engine.SetObserver(o.Observer)
-	engine.SetMetrics(o.Metrics)
 	res, err := engine.Run(ctx)
 	if err != nil {
 		return PointResult{}, err

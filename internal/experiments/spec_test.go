@@ -319,6 +319,26 @@ func TestRunSpecExecutorSeam(t *testing.T) {
 	}
 }
 
+// TestMemoIsPerExecutor checks that a labelled sweep memoized on one
+// executor is run again on another, and memoized on each: a local
+// pass must not answer a distributed one.
+func TestMemoIsPerExecutor(t *testing.T) {
+	spec := tinySpec([]core.Params{tinyParams(31)})
+	spec.Label = "memo-per-executor"
+	if _, err := RunSpec(Options{}, spec); err != nil {
+		t.Fatal(err)
+	}
+	exec := &recordingExecutor{}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := RunSpec(Options{Executor: exec}, spec); err != nil {
+			t.Fatal(err)
+		}
+		if len(exec.pts) != 1 {
+			t.Fatalf("after pass %d the executor saw %d points, want 1", pass, len(exec.pts))
+		}
+	}
+}
+
 // TestRunSpecReplicationsMerge checks the generic executor merges
 // replication groups exactly as merging the individually-run points.
 func TestRunSpecReplicationsMerge(t *testing.T) {

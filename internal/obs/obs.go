@@ -20,8 +20,9 @@
 //     tests rely on this).
 //
 // Metrics never perturb what they measure: no instrument consumes
-// randomness or changes control flow, so enabling a registry leaves a
-// seeded simulation byte-identical (TestObservabilityDoesNotPerturbRun).
+// randomness or changes control flow. The simulator holds no
+// instruments at all; core.Results.Record fills its metric set from a
+// finished run.
 package obs
 
 import (

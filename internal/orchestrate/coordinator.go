@@ -9,12 +9,11 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 // Config configures a Coordinator. The zero value is usable: two
 // reassignments per unit, a two-minute unit timeout, no cache, no
-// metrics, no dashboard.
+// dashboard.
 type Config struct {
 	// MaxRetries bounds how many times one unit may be reassigned
 	// after a worker failure before the run fails. 0 means the default
@@ -28,9 +27,6 @@ type Config struct {
 	// computed result, sharing points across runs and with the sweep
 	// memo's disk form.
 	Cache Cache
-	// Metrics, when non-nil, receives the workers' per-unit metric
-	// snapshots, folded in unit order after a run completes.
-	Metrics *obs.Registry
 	// Dashboard, when non-nil, is updated on every state change.
 	Dashboard *Dashboard
 }
@@ -70,7 +66,6 @@ type unit struct {
 	indices []int // positions in the input batch this unit fills
 	state   int
 	retries int
-	snap    *obs.Snapshot
 }
 
 // runState is one RunPoints invocation in flight.
@@ -254,20 +249,6 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point) ([
 	if r.failed != nil {
 		return nil, r.failed
 	}
-	// Fold the workers' metric snapshots in unit order — deterministic
-	// regardless of which worker finished which unit when. Cached units
-	// carry no snapshot (their run's metrics were folded when they were
-	// first computed), matching the in-process memo's semantics.
-	if c.cfg.Metrics != nil {
-		for _, u := range r.units {
-			if u.snap == nil {
-				continue
-			}
-			if err := c.cfg.Metrics.Merge(*u.snap); err != nil {
-				return nil, fmt.Errorf("orchestrate: merging unit %d metrics: %w", u.id, err)
-			}
-		}
-	}
 	return r.results, nil
 }
 
@@ -318,7 +299,6 @@ func (c *Coordinator) complete(r *runState, u *unit, res *unitResult) {
 		return
 	}
 	u.state = unitDone
-	u.snap = res.Metrics
 	for _, i := range u.indices {
 		r.results[i] = res.Result
 	}

@@ -119,91 +119,73 @@ func TestDistributedExperimentByteIdentity(t *testing.T) {
 	}
 }
 
-// TestDistributedMetricsMatchSerial checks metric aggregation: the
-// coordinator's merged registry reproduces a serial single-process
-// run's registry — exactly for every integer-valued series (counters,
-// histogram bucket counts and counts) and gauges, and to within float
-// summation reassociation for histogram sums. Byte-stability across
-// worker counts is exact: 1-worker and 4-worker runs must render
-// identical Prometheus text.
-func TestDistributedMetricsMatchSerial(t *testing.T) {
-	spec := tinySweepSpec(5)
-
-	// Serial single-process reference: one shared registry.
-	serialReg := obs.NewRegistry()
-	if _, err := experiments.RunSpec(experiments.Options{Parallelism: 1, Metrics: obs.NewSimMetrics(serialReg)}, spec); err != nil {
+// sweepMetrics runs spec with a fresh metrics registry and returns its
+// Prometheus text, failing if it recorded no queries (a comparison of
+// empty texts would prove nothing).
+func sweepMetrics(t *testing.T, opts experiments.Options, spec experiments.Spec) string {
+	t.Helper()
+	opts.Metrics = obs.NewRegistry()
+	if _, err := experiments.RunSpec(opts, spec); err != nil {
 		t.Fatal(err)
 	}
-	serial := serialReg.Snapshot()
+	if opts.Metrics.Snapshot().Counters["guess_sim_queries_total"] == 0 {
+		t.Fatal("the sweep recorded no queries")
+	}
+	var sb strings.Builder
+	if err := opts.Metrics.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
 
-	distSnap := func(workers int) (snap obs.Snapshot, prom string) {
-		reg := obs.NewRegistry()
-		obs.NewSimMetrics(reg) // pre-register, as the CLI does
-		pool, err := NewLocalPool(workers, Config{Metrics: reg})
+// TestDistributedMetricsMatchSerial checks that a sweep's metrics do not
+// depend on how it ran: serial and 4-way in-process pools, and 1- and
+// 4-worker distributed pools, must render the same Prometheus text,
+// byte for byte.
+func TestDistributedMetricsMatchSerial(t *testing.T) {
+	spec := tinySweepSpec(5)
+	serial := sweepMetrics(t, experiments.Options{Parallelism: 1}, spec)
+	if got := sweepMetrics(t, experiments.Options{Parallelism: 4}, spec); got != serial {
+		t.Fatalf("metrics differ between Parallelism 1 and 4:\n%s\n%s", serial, got)
+	}
+	for _, workers := range []int{1, 4} {
+		pool, err := NewLocalPool(workers, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := sweepMetrics(t, experiments.Options{Executor: pool}, spec)
+		pool.Close()
+		if got != serial {
+			t.Fatalf("metrics differ between the serial run and %d workers:\n%s\n%s", workers, serial, got)
+		}
+	}
+}
+
+// TestWarmCacheMetricsMatchCold reruns a sweep on a fresh pool sharing
+// the first pool's result cache: every unit is a cache hit, and the
+// metrics, recorded from the results whatever their source, are those
+// of the cold run.
+func TestWarmCacheMetricsMatchCold(t *testing.T) {
+	spec := tinySweepSpec(3)
+	cache := NewMemoryCache()
+	run := func() (string, Stats) {
+		pool, err := NewLocalPool(2, Config{Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer pool.Close()
-		if _, err := experiments.RunSpec(experiments.Options{Executor: pool}, spec); err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		if err := reg.WritePrometheus(&sb); err != nil {
-			t.Fatal(err)
-		}
-		return reg.Snapshot(), sb.String()
+		return sweepMetrics(t, experiments.Options{Executor: pool}, spec), pool.Stats()
 	}
-
-	one, prom1 := distSnap(1)
-	_, prom4 := distSnap(4)
-
-	// Worker count must not change a single byte.
-	if prom1 != prom4 {
-		t.Fatalf("metrics differ between 1-worker and 4-worker runs:\n%s\n%s", prom1, prom4)
+	cold, coldStats := run()
+	if coldStats.Executed != spec.NumPoints() {
+		t.Fatalf("cold run executed %d units, want %d", coldStats.Executed, spec.NumPoints())
 	}
-
-	// Counters: exact.
-	//lint:maporder-ok per-name equality checks; order affects nothing but failure order
-	for name, want := range serial.Counters {
-		if got := one.Counters[name]; got != want {
-			t.Errorf("counter %s = %d, want %d", name, got, want)
-		}
+	warm, warmStats := run()
+	if warmStats.Executed != 0 || warmStats.CacheHits != spec.NumPoints() {
+		t.Fatalf("warm run executed %d units with %d cache hits, want 0 and %d", warmStats.Executed, warmStats.CacheHits, spec.NumPoints())
 	}
-	// Gauges: exact (unit-order fold ends on the last unit's sample,
-	// same as a serial run).
-	//lint:maporder-ok per-name equality checks; order affects nothing but failure order
-	for name, want := range serial.Gauges {
-		if got := one.Gauges[name]; got != want {
-			t.Errorf("gauge %s = %v, want %v", name, got, want)
-		}
-	}
-	// Histograms: counts and buckets exact; sums may reassociate.
-	//lint:maporder-ok per-name equality checks; order affects nothing but failure order
-	for name, want := range serial.Histograms {
-		got, ok := one.Histograms[name]
-		if !ok {
-			t.Errorf("histogram %s missing from merged registry", name)
-			continue
-		}
-		if got.Count != want.Count {
-			t.Errorf("histogram %s count = %d, want %d", name, got.Count, want.Count)
-		}
-		for i := range want.Buckets {
-			if got.Buckets[i] != want.Buckets[i] {
-				t.Errorf("histogram %s bucket %d = %+v, want %+v", name, i, got.Buckets[i], want.Buckets[i])
-			}
-		}
-		diff := got.Sum - want.Sum
-		if diff < 0 {
-			diff = -diff
-		}
-		tol := 1e-9 * (1 + want.Sum)
-		if tol < 0 {
-			tol = -tol
-		}
-		if diff > tol {
-			t.Errorf("histogram %s sum = %v, want %v (beyond reassociation tolerance)", name, got.Sum, want.Sum)
-		}
+	if warm != cold {
+		t.Fatalf("warm-cache metrics differ from the cold run:\n%s\n%s", cold, warm)
 	}
 }
 

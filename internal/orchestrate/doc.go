@@ -27,10 +27,8 @@
 //     runs.
 //   - Dashboard renders live progress, event-driven and clock-free.
 //
-// Metrics: each worker runs every unit against a private obs.Registry
-// and streams the snapshot back with the result; after a run completes
-// the coordinator folds the snapshots into Config.Metrics in unit
-// order (obs.Registry.Merge), so integer-valued metrics reproduce a
-// serial local run exactly and repeated distributed runs are
-// byte-stable at any worker count.
+// Metrics: the orchestrator carries none. Units return Results only;
+// experiments.Options.Metrics records every sweep's Results once its
+// executor returns, so a distributed sweep's metrics equal a local
+// run's byte for byte, at any worker count and whatever the cache held.
 package orchestrate

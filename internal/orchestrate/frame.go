@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/frame"
-	"repro/internal/obs"
 )
 
 // maxFramePayload bounds a frame payload. Results carry per-peer load
@@ -84,14 +83,11 @@ type workUnit struct {
 	Point experiments.Point `json:"point"`
 }
 
-// unitResult is one completed unit. Metrics is the snapshot of the
-// private registry the worker ran the unit against; the coordinator
-// folds snapshots in unit order once the run completes.
+// unitResult is one completed unit.
 type unitResult struct {
-	ID      int                     `json:"id"`
-	Key     string                  `json:"key"`
-	Result  experiments.PointResult `json:"result"`
-	Metrics *obs.Snapshot           `json:"metrics,omitempty"`
+	ID     int                     `json:"id"`
+	Key    string                  `json:"key"`
+	Result experiments.PointResult `json:"result"`
 }
 
 // sendMsg marshals and frames one message.

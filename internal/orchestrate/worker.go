@@ -8,14 +8,10 @@ import (
 	"net"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 )
 
 // RunWorker serves one coordinator connection: announce the worker's
-// name, then execute units until the coordinator hangs up. Every unit
-// runs against a private metrics registry whose snapshot rides back
-// with the result, so the coordinator can aggregate run metrics
-// deterministically.
+// name, then execute units until the coordinator hangs up.
 //
 // Returns nil when the coordinator closes the connection cleanly, and
 // ctx.Err() when the context ends (the connection is closed to unblock
@@ -72,29 +68,15 @@ func executeUnit(ctx context.Context, wu *workUnit) message {
 	if key := wu.Point.Key(); key != wu.Key {
 		return fail(fmt.Errorf("unit %d key mismatch: computed %s, dispatched %s", wu.ID, key, wu.Key))
 	}
-	// Metrics apply to GUESS runs only (Observation's contract); other
-	// families would snapshot all-zero instruments, and merging those
-	// would zero gauges a local run leaves untouched.
-	var o experiments.Observation
-	var reg *obs.Registry
-	if wu.Point.Family == experiments.FamilyGUESS {
-		reg = obs.NewRegistry()
-		o.Metrics = obs.NewSimMetrics(reg)
-	}
 	// A fresh engine per unit, not an experiments.Worker per connection:
 	// a Worker keeps its last engine's arenas reachable, and a
 	// connection outlives a sweep, so every idle pool worker would pin
 	// one engine's worth of heap between sweeps (bench's
 	// sweep-quick/live_heap_mb is read with the pool still open and
 	// measures exactly that). A Worker lives for one in-process batch.
-	pr, err := experiments.RunPoint(ctx, wu.Point, o)
+	pr, err := experiments.RunPoint(ctx, wu.Point, experiments.Observation{})
 	if err != nil {
 		return fail(err)
 	}
-	res := &unitResult{ID: wu.ID, Key: wu.Key, Result: pr}
-	if reg != nil {
-		snap := reg.Snapshot()
-		res.Metrics = &snap
-	}
-	return message{Type: msgResult, Result: res}
+	return message{Type: msgResult, Result: &unitResult{ID: wu.ID, Key: wu.Key, Result: pr}}
 }
