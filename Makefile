@@ -138,7 +138,7 @@ bench-json:
 # over memnet (BenchmarkFleetQuery, at a fixed iteration count: a
 # closure or scratch that escapes per probe shows up there). Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261017_pr33.json
+BENCH_BASELINE ?= BENCH_20261017_pr36.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

@@ -1,6 +1,10 @@
-// Package cache implements the two peer-local address stores of the
-// GUESS protocol: the bounded link cache (the peer's "neighbor list")
-// and the unbounded per-query query cache ("scratch space").
+// Package cache implements the bounded link cache of the GUESS
+// protocol (the peer's "neighbor list") and the pointer format that it
+// and the per-query query cache ("scratch space") hold. The query cache
+// is policy.QueryCache, which keeps of a pointer only what its
+// decisions read: the address, as a bit in a sparse block bitmap of
+// the addresses seen and as a bare candidate in its selector (beside
+// the score, under a scored policy).
 //
 // A cache entry is the paper's pointer format
 // {IP address, TS, NumFiles, NumRes} plus a Direct flag recording

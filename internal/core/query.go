@@ -115,11 +115,11 @@ func (e *Engine) handleProbeStep(q *query) {
 	// Targets the origin is backing off from sit out the query.
 	suppressed := func(addr cache.PeerID) bool { return e.suppressedNow(origin, addr, e.now) }
 	for i := 0; i < q.k; i++ {
-		entry, ok := q.qc.Next(suppressed)
+		addr, ok := q.qc.Next(suppressed)
 		if !ok {
 			break
 		}
-		e.probeOne(origin, q, entry)
+		e.probeOne(origin, q, addr)
 	}
 	if satisfied, done := q.qc.Done(); done {
 		e.completeQuery(origin, q, satisfied)
@@ -128,11 +128,10 @@ func (e *Engine) handleProbeStep(q *query) {
 	}
 }
 
-// probeOne delivers a single query probe from origin to the peer named
-// by entry and processes the outcome (results, pong, introduction,
-// cache bookkeeping).
-func (e *Engine) probeOne(origin int, q *query, entry cache.Entry) {
-	addr := entry.Addr
+// probeOne delivers a single query probe from origin to the peer at
+// addr and processes the outcome (results, pong, introduction, cache
+// bookkeeping).
+func (e *Engine) probeOne(origin int, q *query, addr cache.PeerID) {
 	target := e.ps.slotOf(addr)
 	if target < 0 {
 		// Timeout: the peer is presumed dead and evicted.

@@ -59,7 +59,7 @@ func TestSeenSetRejectsNonPositive(t *testing.T) {
 }
 
 // TestSeenSetGrowthKeepsMembers has a query's cache learn of enough
-// real and fabricated addresses to grow its seen table several times:
+// real and fabricated addresses to grow its seen set several times:
 // afterwards every one is still refused as a duplicate, and Next hands
 // each back exactly once.
 func TestSeenSetGrowthKeepsMembers(t *testing.T) {
@@ -92,11 +92,11 @@ func TestSeenSetGrowthKeepsMembers(t *testing.T) {
 		t.Fatalf("%d pending, want %d", q.qc.Pending(), members)
 	}
 	returned := map[cache.PeerID]bool{}
-	for c, ok := q.qc.Next(nil); ok; c, ok = q.qc.Next(nil) {
-		if !want[c.Addr] || c.Addr == origin || returned[c.Addr] {
-			t.Fatalf("Next returned %d: added %v, already returned %v", c.Addr, want[c.Addr], returned[c.Addr])
+	for a, ok := q.qc.Next(nil); ok; a, ok = q.qc.Next(nil) {
+		if !want[a] || a == origin || returned[a] {
+			t.Fatalf("Next returned %d: added %v, already returned %v", a, want[a], returned[a])
 		}
-		returned[c.Addr] = true
+		returned[a] = true
 	}
 	if len(returned) != members {
 		t.Fatalf("Next returned %d candidates, want %d", len(returned), members)
@@ -144,47 +144,49 @@ func TestSeenSetResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// queryStorage reports the candidate storage a query holds: the slots
-// of its query cache's seen table and the entries its selector buffers
-// have room for.
-func queryStorage(q *query) (slots, buffered int) {
+// queryStorage reports the candidate storage a query holds: the bytes
+// of its query cache's seen-set bitmap (its slab of blocks) and the
+// entries its selector buffers have room for.
+func queryStorage(q *query) (seenBytes, buffered int) {
 	qc := reflect.ValueOf(&q.qc).Elem()
 	sel := qc.FieldByName("sel")
-	return qc.FieldByName("tab").Len(), sel.FieldByName("pool").Cap() + sel.FieldByName("heap").Cap()
+	blocks := qc.FieldByName("blocks")
+	return blocks.Cap() * int(blocks.Type().Elem().Size()), sel.FieldByName("pool").Cap() + sel.FieldByName("heap").Cap()
 }
 
 // TestPutQueryDropsOversizedSeen pins the retention bound: a pooled
-// query keeps a seen table of up to 2*policy.MaxRetainedCandidates
-// slots and gives it up beyond, so one exhaustive query does not make
-// every later startQuery clear a table its own candidates do not need.
+// query keeps a seen-set bitmap of up to 16 KiB, 256 blocks of 512
+// addresses, and gives it up beyond, so one exhaustive query does not
+// make every later startQuery clear blocks its own candidates do not
+// need.
 func TestPutQueryDropsOversizedSeen(t *testing.T) {
-	const maxSlots = 2 * policy.MaxRetainedCandidates
+	const maxBytes, blockBytes, blockAddrs = 16 << 10, 64, 512
 	e := newBootstrapped(t, nil)
-	// fill leaves members addresses seen: the origin and members-1
-	// candidates.
-	fill := func(q *query, members int) {
+	// fill has the query see one address in each of its first blocks
+	// blocks, the origin's included.
+	fill := func(q *query, blocks int) {
 		q.qc.Reset(policy.SelRandom, e.rngPolicy, 1)
-		for a := cache.PeerID(2); a <= cache.PeerID(members); a++ {
-			q.qc.Add(cache.Entry{Addr: a})
+		for k := 1; k < blocks; k++ {
+			q.qc.Add(cache.Entry{Addr: cache.PeerID(k * blockAddrs)})
 		}
 	}
 	q := e.getQuery()
-	fill(q, maxSlots/2)
-	if slots, _ := queryStorage(q); slots != maxSlots {
-		t.Fatalf("%d slots for %d members", slots, maxSlots/2)
+	fill(q, maxBytes/blockBytes)
+	if seen, _ := queryStorage(q); seen != maxBytes {
+		t.Fatalf("a %d-byte bitmap for %d blocks", seen, maxBytes/blockBytes)
 	}
 	e.putQuery(q)
 	if got := e.getQuery(); got != q {
 		t.Fatal("the pooled query was not reused")
-	} else if slots, _ := queryStorage(got); slots != maxSlots {
-		t.Fatalf("table at the bound not retained: %d slots", slots)
+	} else if seen, _ := queryStorage(got); seen != maxBytes {
+		t.Fatalf("bitmap at the bound not retained: %d bytes", seen)
 	}
-	fill(q, maxSlots/2+1)
+	fill(q, maxBytes/blockBytes+1)
 	e.putQuery(q)
 	if got := e.getQuery(); got != q {
 		t.Fatal("the pooled query was not reused")
-	} else if slots, _ := queryStorage(got); slots != 0 {
-		t.Fatalf("table above the bound retained: %d slots", slots)
+	} else if seen, _ := queryStorage(got); seen != 0 {
+		t.Fatalf("bitmap above the bound retained: %d bytes", seen)
 	}
 }
 

@@ -1,6 +1,6 @@
 package core
 
-// The hot-path optimizations (pooled queries, open-addressed seen
+// The hot-path optimizations (pooled queries, block-bitmap seen
 // sets, selection scratch, recycled link caches and libraries, buffered
 // traces) must not change a single simulated outcome. These tests run
 // the engine with its free lists in use against the same engine with

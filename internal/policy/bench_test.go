@@ -98,3 +98,54 @@ func BenchmarkSelector(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQueryCacheInterleaved measures the query record in the shape
+// the paper-default run (N=1000, 250+500 simulated s) drives it: 128
+// queries in flight over 2 400 peer IDs, stepped round-robin, each step
+// adding a 5-address pong and taking one Next, so a query comes back to
+// its seen set only after 127 others have had theirs. A query starts
+// from a 100-entry link-cache snapshot and is replaced by a fresh one
+// after 72 probes (the run's mean) or when its candidates run out. One
+// op is one step.
+func BenchmarkQueryCacheInterleaved(b *testing.B) {
+	const inFlight, ids, snapshot, pong, probes = 128, 2400, 100, 5, 72
+	for _, sel := range []Selection{SelRandom, SelMFS} {
+		b.Run(sel.String(), func(b *testing.B) {
+			r := simrng.New(5)
+			// The candidates come from a pre-drawn ring, so the RNG the
+			// benchmark spends is the selector's alone.
+			ring := make([]cache.Entry, 1<<16)
+			for i := range ring {
+				ring[i] = cache.Entry{Addr: cache.PeerID(r.Intn(ids) + 1), NumFiles: int32(r.Intn(200))}
+			}
+			next := 0
+			draw := func() cache.Entry {
+				next = (next + 1) % len(ring)
+				return ring[next]
+			}
+			start := func(q *QueryCache) {
+				q.Reset(sel, r, draw().Addr)
+				q.Limit(1, probes)
+				for range snapshot {
+					q.Add(draw())
+				}
+			}
+			queries := make([]QueryCache, inFlight)
+			for i := range queries {
+				start(&queries[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q := &queries[i%inFlight]
+				for range pong {
+					q.Add(draw())
+				}
+				q.Next(nil)
+				if _, done := q.Done(); done {
+					start(q)
+				}
+			}
+		})
+	}
+}

@@ -255,11 +255,11 @@ func TestSelectorScoredOrder(t *testing.T) {
 	}
 	var got []int32
 	for {
-		e, ok := s.Next()
+		addr, ok := s.Next()
 		if !ok {
 			break
 		}
-		got = append(got, e.NumFiles)
+		got = append(got, int32(addr))
 	}
 	want := []int32{40, 40, 10, 5, 1}
 	if len(got) != len(want) {
@@ -272,15 +272,18 @@ func TestSelectorScoredOrder(t *testing.T) {
 	}
 }
 
+// TestSelectorFIFOOnTies: equal scores come out in the order they were
+// added, over more Adds than a 16-bit arrival counter could number.
 func TestSelectorFIFOOnTies(t *testing.T) {
+	const n = 1<<16 + 50
 	s := NewSelector(SelMFS, nil)
-	for i := 1; i <= 50; i++ {
+	for i := 1; i <= n; i++ {
 		s.Add(cache.Entry{Addr: cache.PeerID(i), NumFiles: 7})
 	}
-	for i := 1; i <= 50; i++ {
-		e, ok := s.Next()
-		if !ok || e.Addr != cache.PeerID(i) {
-			t.Fatalf("tie order broken at %d: got %d", i, e.Addr)
+	for i := 1; i <= n; i++ {
+		addr, ok := s.Next()
+		if !ok || addr != cache.PeerID(i) {
+			t.Fatalf("tie order broken at %d: got %d", i, addr)
 		}
 	}
 }
@@ -296,11 +299,11 @@ func TestSelectorRandomDrainsAll(t *testing.T) {
 		t.Fatalf("Len = %d", s.Len())
 	}
 	for i := 0; i < 30; i++ {
-		e, ok := s.Next()
-		if !ok || !want[e.Addr] {
-			t.Fatalf("unexpected entry %v, ok=%v", e.Addr, ok)
+		addr, ok := s.Next()
+		if !ok || !want[addr] {
+			t.Fatalf("unexpected entry %v, ok=%v", addr, ok)
 		}
-		delete(want, e.Addr)
+		delete(want, addr)
 	}
 	if _, ok := s.Next(); ok {
 		t.Fatal("Next on empty selector returned an entry")
@@ -324,8 +327,8 @@ func TestSelectorMatchesSort(t *testing.T) {
 		}
 		sort.SliceStable(recs, func(a, b int) bool { return recs[a].files > recs[b].files })
 		for _, r := range recs {
-			e, ok := s.Next()
-			if !ok || e.NumFiles != r.files {
+			addr, ok := s.Next()
+			if !ok || int32(files[addr]) != r.files {
 				return false
 			}
 		}

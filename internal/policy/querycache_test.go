@@ -33,18 +33,18 @@ func (r *refQueryCache) Reset(sel Selection, rng *simrng.RNG, self cache.PeerID)
 
 // Next hands out the best candidate skip does not reject, while the
 // probe cap allows one.
-func (r *refQueryCache) Next(skip func(cache.PeerID) bool) (cache.Entry, bool) {
+func (r *refQueryCache) Next(skip func(cache.PeerID) bool) (cache.PeerID, bool) {
 	if r.maxProbes > 0 && r.counts.Probes >= r.maxProbes {
-		return cache.Entry{}, false
+		return 0, false
 	}
-	e, ok := r.sel.Next()
-	for ok && skip != nil && skip(e.Addr) {
-		e, ok = r.sel.Next()
+	addr, ok := r.sel.Next()
+	for ok && skip != nil && skip(addr) {
+		addr, ok = r.sel.Next()
 	}
 	if ok {
 		r.counts.Probes++
 	}
-	return e, ok
+	return addr, ok
 }
 
 func (r *refQueryCache) Done() (satisfied, done bool) {
@@ -63,20 +63,30 @@ func (r *refQueryCache) Add(e cache.Entry) bool {
 }
 
 // queryScriptAddrs is the address pool query-cache scripts draw from:
-// enough addresses to grow the table past queryMinSlots twice, mixing
-// consecutive peer IDs, the simulator's fabricated range, the largest
-// address, and a run whose hashes all start probing at slot 0 of the
-// initial table, so long collision chains are routine.
+// consecutive peer IDs and the simulator's fabricated range, each
+// within one block; the addresses either side of block edges, k*512-1
+// and k*512, in both ranges; the largest address; and the first and
+// last address of blocks whose keys all start the directory search at
+// slot 0 of the initial directory, so long collision chains are
+// routine. Between them they touch enough blocks to grow the directory
+// past dirMinSlots twice.
 var queryScriptAddrs = func() []cache.PeerID {
 	// Built once: the fuzzer runs a script per input.
 	var pool []cache.PeerID
 	for a := cache.PeerID(1); a <= 300; a++ {
 		pool = append(pool, a, fabricatedBase+a)
 	}
+	for k := cache.PeerID(1); k <= 24; k++ {
+		edge := k << blockShift
+		pool = append(pool, edge-1, edge)
+		if k <= 4 {
+			pool = append(pool, fabricatedBase+edge-1, fabricatedBase+edge)
+		}
+	}
 	pool = append(pool, math.MaxInt32)
-	for a := cache.PeerID(1 << 20); len(pool) < 700; a++ {
-		if probeStart64(int64(a), queryMinSlots) == 0 {
-			pool = append(pool, a)
+	for key := int64(1 << 12); len(pool) < 760; key++ {
+		if probeStart64(key, dirMinSlots) == 0 {
+			pool = append(pool, cache.PeerID(key<<blockShift), cache.PeerID(key<<blockShift|(1<<blockShift-1)))
 		}
 	}
 	return pool
@@ -126,7 +136,7 @@ func runQueryCacheScript(t *testing.T, q *QueryCache, sel Selection, seed uint64
 		addr := pool[arg%len(pool)]
 		e := cache.Entry{Addr: addr, TS: float64(arg % 5), NumFiles: int32(arg % 7), NumRes: int32(op >> 5), Direct: op&8 != 0}
 		switch op % 8 {
-		case 0, 1, 2, 3, 4: // the most weight: scripts should grow the table
+		case 0, 1, 2, 3, 4: // the most weight: scripts should grow the directory
 			if got, want := q.Add(e), ref.Add(e); got != want {
 				t.Fatalf("step %d: Add(%d) = %v, reference %v", step, addr, got, want)
 			}
@@ -152,7 +162,7 @@ func runQueryCacheScript(t *testing.T, q *QueryCache, sel Selection, seed uint64
 			}
 		case 7:
 			switch {
-			case arg%512 == 0: // rare, or no script ever grows the table
+			case arg%512 == 0: // rare, or no script ever grows the directory
 				// Between queries: shed, then start the next one under a
 				// policy and origin the script picks.
 				sel = allSelections[int(op>>3)%len(allSelections)]
@@ -203,8 +213,8 @@ func TestQueryCacheDedup(t *testing.T) {
 	if q.Pending() != 1 {
 		t.Fatalf("Pending = %d", q.Pending())
 	}
-	if e, ok := q.Next(nil); !ok || e.Addr != 1 {
-		t.Fatalf("Next = %+v, %v", e, ok)
+	if addr, ok := q.Next(nil); !ok || addr != 1 {
+		t.Fatalf("Next = %d, %v", addr, ok)
 	}
 	if q.Add(cache.Entry{Addr: 1}) || q.Pending() != 0 {
 		t.Fatal("a returned candidate was added again")
@@ -214,8 +224,8 @@ func TestQueryCacheDedup(t *testing.T) {
 // TestQueryCacheMatchesMapReference runs a few thousand seeded scripts
 // through one QueryCache, under every policy in turn, so every script
 // after the first runs on recycled storage of whatever size its
-// predecessors grew; the long ones grow past the initial table more
-// than once.
+// predecessors grew; the long ones grow the directory past its initial
+// size more than once.
 func TestQueryCacheMatchesMapReference(t *testing.T) {
 	r := simrng.New(23)
 	var q QueryCache
@@ -230,10 +240,10 @@ func TestQueryCacheMatchesMapReference(t *testing.T) {
 			script[i] = byte(r.Intn(256))
 		}
 		runQueryCacheScript(t, &q, allSelections[n%len(allSelections)], uint64(n+1), script)
-		grew = grew || len(q.tab) > queryMinSlots
+		grew = grew || len(q.dir) > 2*dirMinSlots
 	}
 	if !grew {
-		t.Fatal("no script grew the table past its initial size")
+		t.Fatal("no script grew the directory past twice its initial size")
 	}
 }
 
@@ -296,9 +306,9 @@ func TestQueryCacheRecord(t *testing.T) {
 				q.Add(cache.Entry{Addr: cache.PeerID(a)})
 			}
 			for i, res := range tc.outcomes {
-				e, ok := q.Next(tc.skip)
-				if !ok || tc.skip != nil && tc.skip(e.Addr) {
-					t.Fatalf("probe %d: Next = %+v, %v", i, e, ok)
+				addr, ok := q.Next(tc.skip)
+				if !ok || tc.skip != nil && tc.skip(addr) {
+					t.Fatalf("probe %d: Next = %d, %v", i, addr, ok)
 				}
 				switch res {
 				case dead:
@@ -340,10 +350,47 @@ func TestQueryCacheRecord(t *testing.T) {
 	}
 }
 
+// seenMembers lists the seen set's members, read back through the
+// directory, and fails unless the directory and slab agree: a
+// power-of-two directory at most half full, each slot naming its own
+// slab block, every block named once, and no block empty.
+func seenMembers(t *testing.T, q *QueryCache) []cache.PeerID {
+	t.Helper()
+	n := len(q.dir)
+	if n&(n-1) != 0 || 2*len(q.blocks) > n {
+		t.Fatalf("%d blocks under a directory of %d slots", len(q.blocks), n)
+	}
+	named := make([]bool, len(q.blocks))
+	var members []cache.PeerID
+	for _, slot := range q.dir {
+		if slot == 0 {
+			continue
+		}
+		key, i := uint32(slot>>32)-1, uint32(slot)
+		if int(i) >= len(q.blocks) || named[i] {
+			t.Fatalf("directory slot %#x: block %d of %d, named before: %v", slot, i, len(q.blocks), int(i) < len(named) && named[i])
+		}
+		named[i] = true
+		before := len(members)
+		for w, word := range q.blocks[i] {
+			for ; word != 0; word &= word - 1 {
+				members = append(members, cache.PeerID(key<<blockShift|uint32(w*64+bits.TrailingZeros64(word))))
+			}
+		}
+		if len(members) == before {
+			t.Fatalf("block %d (key %d) is empty", i, key)
+		}
+	}
+	if slices.Contains(named, false) {
+		t.Fatalf("a slab block has no directory slot: %v", named)
+	}
+	return members
+}
+
 // TestQueryCacheRejectsNonPositive pins the choice the type's comment
-// states: zero is the empty-slot mark, so zero and negative addresses
-// are refused loudly instead of being forgotten, and a refused call
-// leaves the cache as it was.
+// states: the seen set holds positive addresses only, so zero and
+// negative addresses are refused loudly instead of being forgotten, and
+// a refused call leaves the cache as it was.
 func TestQueryCacheRejectsNonPositive(t *testing.T) {
 	var q QueryCache
 	q.Reset(SelMFS, nil, 1)
@@ -357,8 +404,8 @@ func TestQueryCacheRejectsNonPositive(t *testing.T) {
 			}()
 			q.Add(cache.Entry{Addr: a})
 		}()
-		if q.Pending() != 1 || q.n != 2 || q.Add(cache.Entry{Addr: 7}) {
-			t.Fatalf("after the refused Add(%d): %d pending, %d seen", a, q.Pending(), q.n)
+		if seen := seenMembers(t, &q); q.Pending() != 1 || !slices.Equal(seen, []cache.PeerID{1, 7}) || q.Add(cache.Entry{Addr: 7}) {
+			t.Fatalf("after the refused Add(%d): %d pending, seen %v", a, q.Pending(), seen)
 		}
 	}
 	defer func() {
@@ -369,20 +416,22 @@ func TestQueryCacheRejectsNonPositive(t *testing.T) {
 	q.Reset(SelMFS, nil, 0)
 }
 
-// TestQueryCacheGrowthKeepsMembers adds enough addresses for five
-// doublings, checking after each add that the load bound holds, and at
-// the end that every member is still a member and nothing else is.
+// TestQueryCacheGrowthKeepsMembers adds addresses from 258 blocks, real
+// and fabricated, until 256 of them are touched: five doublings of the
+// directory. After each add the directory and slab must agree and the
+// load bound hold; at the end every member must still be a member and
+// nothing else be one.
 func TestQueryCacheGrowthKeepsMembers(t *testing.T) {
-	const members = queryMinSlots / 2 << 5
+	const blocks = dirMinSlots / 2 << 5
 	const self = cache.PeerID(1)
 	var q QueryCache
 	q.Reset(SelMFS, nil, self)
 	r := simrng.New(3)
 	want := map[cache.PeerID]bool{self: true}
 	added := []cache.PeerID{self}
-	for len(want) < members {
-		a := cache.PeerID(r.Intn(1<<20) + 1)
-		if r.Intn(8) == 0 {
+	for len(q.blocks) < blocks {
+		a := cache.PeerID(r.Intn(1<<16) + 1)
+		if r.Intn(4) == 0 {
 			a += fabricatedBase
 		}
 		if q.Add(cache.Entry{Addr: a}) == want[a] {
@@ -392,24 +441,21 @@ func TestQueryCacheGrowthKeepsMembers(t *testing.T) {
 			want[a] = true
 			added = append(added, a)
 		}
-		if n := len(q.tab); n&(n-1) != 0 || 2*q.n > n {
-			t.Fatalf("%d members in %d slots", q.n, n)
+		if n := len(q.dir); n&(n-1) != 0 || 2*len(q.blocks) > n {
+			t.Fatalf("%d blocks under %d directory slots", len(q.blocks), n)
 		}
 	}
-	if len(q.tab) != queryMinSlots<<5 {
-		t.Fatalf("table has %d slots after %d adds, want %d", len(q.tab), members, queryMinSlots<<5)
+	if len(q.dir) != dirMinSlots<<5 {
+		t.Fatalf("directory has %d slots for %d blocks, want %d", len(q.dir), blocks, dirMinSlots<<5)
 	}
-	stored := 0
-	for _, a := range q.tab {
-		if a != 0 {
-			stored++
-			if !want[a] {
-				t.Fatalf("table holds %d, never added", a)
-			}
+	stored := seenMembers(t, &q)
+	for _, a := range stored {
+		if !want[a] {
+			t.Fatalf("seen set holds %d, never added", a)
 		}
 	}
-	if stored != members || q.n != members || q.Pending() != members-1 {
-		t.Fatalf("stored %d, n %d, %d pending; want %d members, the origin not pending", stored, q.n, q.Pending(), members)
+	if len(stored) != len(want) || q.Pending() != len(want)-1 {
+		t.Fatalf("stored %d, %d pending; want %d members, the origin not pending", len(stored), q.Pending(), len(want))
 	}
 	for _, a := range added {
 		if q.Add(cache.Entry{Addr: a}) {
@@ -419,26 +465,30 @@ func TestQueryCacheGrowthKeepsMembers(t *testing.T) {
 }
 
 // TestQueryCacheResetEqualsFresh feeds one add sequence to a fresh
-// cache and to a reset one that had grown and been shed: Add's answers
-// and the Next order must match.
+// cache and to a reset one that had grown its directory and been shed:
+// Add's answers and the Next order must match.
 func TestQueryCacheResetEqualsFresh(t *testing.T) {
+	const span = 4 * dirMinSlots << blockShift // blocks enough for two doublings
 	for _, sel := range allSelections {
 		var used QueryCache
 		used.Reset(sel, simrng.New(1), 1)
-		for a := cache.PeerID(2); a <= 3*queryMinSlots; a++ {
+		for a := cache.PeerID(2); a <= span; a += 7 {
 			used.Add(cache.Entry{Addr: a})
 		}
-		slots := len(used.tab)
+		slots := len(used.dir)
+		if slots <= dirMinSlots {
+			t.Fatalf("%v: every seventh address up to %d did not grow the directory", sel, span)
+		}
 		used.Shed()
 		used.Reset(sel, simrng.New(5), 2)
-		if used.n != 1 || len(used.tab) != slots || used.Pending() != 0 {
-			t.Fatalf("%v: reset left n=%d, %d slots (had %d), %d pending", sel, used.n, len(used.tab), slots, used.Pending())
+		if seen := seenMembers(t, &used); !slices.Equal(seen, []cache.PeerID{2}) || len(used.dir) != slots || used.Pending() != 0 {
+			t.Fatalf("%v: reset left seen %v, %d slots (had %d), %d pending", sel, seen, len(used.dir), slots, used.Pending())
 		}
 		var fresh QueryCache
 		fresh.Reset(sel, simrng.New(5), 2)
 		r := simrng.New(5)
-		for i := 0; i < 4*queryMinSlots; i++ {
-			e := cache.Entry{Addr: cache.PeerID(r.Intn(2*queryMinSlots) + 1), NumFiles: int32(r.Intn(9))}
+		for i := 0; i < 2*span; i++ {
+			e := cache.Entry{Addr: cache.PeerID(r.Intn(2*span) + 1), NumFiles: int32(r.Intn(9))}
 			if got, want := used.Add(e), fresh.Add(e); got != want {
 				t.Fatalf("%v: Add(%d) (#%d): reset cache says %v, fresh cache %v", sel, e.Addr, i, got, want)
 			}
@@ -447,7 +497,7 @@ func TestQueryCacheResetEqualsFresh(t *testing.T) {
 			a, okA := used.Next(nil)
 			b, okB := fresh.Next(nil)
 			if a != b || okA != okB {
-				t.Fatalf("%v: Next = %+v, %v after reset; %+v, %v fresh", sel, a, okA, b, okB)
+				t.Fatalf("%v: Next = %d, %v after reset; %d, %v fresh", sel, a, okA, b, okB)
 			}
 			if !okA {
 				break
@@ -479,28 +529,30 @@ func TestQueryCacheResetReuse(t *testing.T) {
 	}
 }
 
-// probeStart64 is where a 64-bit PeerID started probing a table of the
-// given length, kept as the reference for the narrowed hash.
-func probeStart64(addr int64, slots int) int {
-	return int(uint64(addr) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(slots-1)))
+// probeStart64 is where a 64-bit multiplicative hash of key starts
+// probing a table of the given length: the directory's reference.
+func probeStart64(key int64, slots int) int {
+	return int(uint64(key) * 0x9E3779B97F4A7C15 >> bits.LeadingZeros64(uint64(slots-1)))
 }
 
 // TestQueryCacheProbeStartAsBefore adds every ID a million-peer run can
-// assign, and strides up to the last real one, to an empty table: the
-// slot it lands in is where probing starts, and must be where the
-// 64-bit hash started (cache's TestRealIDsHashAsBefore covers the tag).
-// A fabricated address must land where its unsigned value hashes, not
-// a sign-extended one.
+// assign, and strides up to the last real one, to a query with an empty
+// directory: the slot its block lands in is where the directory search
+// starts, and must be where the 64-bit hash of the block key starts
+// (cache's TestRealIDsHashAsBefore covers the link cache's tag). A
+// fabricated address's key must be its unsigned value's top bits, not a
+// sign-extended one's.
 func TestQueryCacheProbeStartAsBefore(t *testing.T) {
-	for _, slots := range []int{queryMinSlots, 2 * MaxRetainedCandidates} {
-		q := QueryCache{tab: make([]cache.PeerID, slots)}
+	for _, slots := range []int{dirMinSlots, 512} {
+		q := QueryCache{dir: make([]uint64, slots)}
 		check := func(id cache.PeerID) {
 			t.Helper()
-			want := probeStart64(int64(uint32(id)), slots)
-			if !q.see(id) || q.tab[want] != id {
+			key := uint32(id) >> blockShift
+			want := probeStart64(int64(key), slots)
+			if !q.see(id) || q.dir[want] != uint64(key+1)<<32 {
 				t.Fatalf("see(%d) in %d empty slots did not land in slot %d", id, slots, want)
 			}
-			q.tab[want], q.n = 0, 0
+			q.dir[want], q.blocks = 0, q.blocks[:0]
 		}
 		for id := cache.PeerID(1); id <= 1<<20; id++ {
 			check(id)

@@ -5,31 +5,35 @@ import (
 	"repro/internal/simrng"
 )
 
-// Selector yields candidate entries one at a time in policy order. It
-// is the QueryProbe engine: a query feeds it the link-cache snapshot
+// Selector yields candidate addresses one at a time in policy order.
+// It is the QueryProbe engine: a query feeds it the link-cache snapshot
 // and every pong entry received, and pulls the next peer to probe.
 //
 // Scores are computed when a candidate is added, matching a real
 // implementation (a querying peer orders candidates by the metadata it
-// had when it learned of them). SelRandom uses O(1) random extraction;
-// scored policies use a max-heap with FIFO tie-breaking so runs are
+// had when it learned of them), so a candidate is kept as no more than
+// what it is ordered by: its address, and under a scored policy its
+// score and arrival. SelRandom uses O(1) random extraction; scored
+// policies use a max-heap with FIFO tie-breaking so runs are
 // deterministic.
 type Selector struct {
 	sel Selection
 	rng *simrng.RNG
 
 	// random mode
-	pool []cache.Entry
+	pool []cache.PeerID
 
 	// scored mode
-	heap []scoredEntry
-	seq  uint64
+	heap []scoredAddr
+	seq  uint32
 }
 
-type scoredEntry struct {
+// scoredAddr is a heap node, 16 bytes. seq counts the Adds since Reset:
+// one query's candidates, each a distinct address, so fewer than 2^31.
+type scoredAddr struct {
 	score float64
-	seq   uint64
-	e     cache.Entry
+	seq   uint32
+	addr  cache.PeerID
 }
 
 // NewSelector returns a Selector for sel. rng is used by SelRandom and
@@ -74,31 +78,31 @@ func (s *Selector) Len() int {
 // (see QueryCache).
 func (s *Selector) Add(e cache.Entry) {
 	if s.sel == SelRandom {
-		s.pool = append(s.pool, e)
+		s.pool = append(s.pool, e.Addr)
 		return
 	}
 	s.seq++
-	s.heap = append(s.heap, scoredEntry{score: s.sel.Score(e), seq: s.seq, e: e})
+	s.heap = append(s.heap, scoredAddr{score: s.sel.Score(e), seq: s.seq, addr: e.Addr})
 	s.up(len(s.heap) - 1)
 }
 
-// Next removes and returns the best pending candidate.
-func (s *Selector) Next() (cache.Entry, bool) {
+// Next removes the best pending candidate and returns its address.
+func (s *Selector) Next() (cache.PeerID, bool) {
 	if s.sel == SelRandom {
 		n := len(s.pool)
 		if n == 0 {
-			return cache.Entry{}, false
+			return 0, false
 		}
 		i := s.rng.Intn(n)
-		e := s.pool[i]
+		addr := s.pool[i]
 		s.pool[i] = s.pool[n-1]
 		s.pool = s.pool[:n-1]
-		return e, true
+		return addr, true
 	}
 	if len(s.heap) == 0 {
-		return cache.Entry{}, false
+		return 0, false
 	}
-	top := s.heap[0].e
+	top := s.heap[0].addr
 	last := len(s.heap) - 1
 	s.heap[0] = s.heap[last]
 	s.heap = s.heap[:last]

@@ -308,13 +308,14 @@ func (s *queryScratch) next() bool {
 	n.mu.Lock()
 	// Busy-demoted peers sit out the query instead of wasting a probe
 	// on another refusal.
-	entry, ok := s.qc.Next(n.suppressedLocked)
-	target := n.addrs[entry.Addr]
-	n.mu.Unlock()
+	addr, ok := s.qc.Next(n.suppressedLocked)
 	if !ok {
+		n.mu.Unlock()
 		return false
 	}
-	s.probed, s.f.target = entry.Addr, target
+	target := n.addrs[addr]
+	n.mu.Unlock()
+	s.probed, s.f.target = addr, target
 	s.req = wire.Query{
 		MsgID:    n.msgID.Add(1),
 		Desired:  uint8(s.desired - len(s.hits)),

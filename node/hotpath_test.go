@@ -239,21 +239,25 @@ func TestQueryScratchBounded(t *testing.T) {
 
 	// A query that saw more candidates than an idle scratch may hold on
 	// to is kept without them.
-	const bound = policy.MaxRetainedCandidates
+	// An idle scratch keeps room for MaxRetainedCandidates candidates
+	// and a seen-set bitmap of 16 KiB. big's candidates are 512 apart,
+	// one to a bitmap block, so they overflow both.
+	const bound, seenBound = policy.MaxRetainedCandidates, 16 << 10
 	big := new(queryScratch)
 	big.qc.Reset(policy.SelRandom, simrng.New(1), 1)
 	for id := 2; id <= bound+2; id++ {
-		big.qc.Add(cache.Entry{Addr: cache.PeerID(id)})
+		big.qc.Add(cache.Entry{Addr: cache.PeerID(id * 512)})
 	}
-	// held is the candidates big has room for: in its seen table, at
-	// most half full, and in its selector's buffers.
+	// held is what big has room for: bytes of seen-set bitmap, and
+	// candidates in its selector's buffers.
 	held := func() (seen, buffered int) {
 		qc := reflect.ValueOf(&big.qc).Elem()
 		sel := qc.FieldByName("sel")
-		return qc.FieldByName("tab").Len() / 2, sel.FieldByName("pool").Cap() + sel.FieldByName("heap").Cap()
+		blocks := qc.FieldByName("blocks")
+		return blocks.Cap() * int(blocks.Type().Elem().Size()), sel.FieldByName("pool").Cap() + sel.FieldByName("heap").Cap()
 	}
-	if seen, buffered := held(); seen <= bound || buffered <= bound {
-		t.Fatalf("%d candidates in room for %d seen, %d buffered", bound+1, seen, buffered)
+	if seen, buffered := held(); seen <= seenBound || buffered <= bound {
+		t.Fatalf("%d candidates in a %d-byte bitmap and room for %d buffered", bound+1, seen, buffered)
 	}
 	querier.mu.Lock()
 	querier.scratches = querier.scratches[:0]
@@ -262,8 +266,8 @@ func TestQueryScratchBounded(t *testing.T) {
 	if got := idle(); len(got) != 1 || got[0] != big {
 		t.Fatal("an oversized scratch was not kept")
 	}
-	if seen, buffered := held(); seen > bound || buffered > bound {
-		t.Fatalf("the kept scratch has room for %d seen, %d buffered candidates, bound %d", seen, buffered, bound)
+	if seen, buffered := held(); seen > seenBound || buffered > bound {
+		t.Fatalf("the kept scratch has a %d-byte bitmap (bound %d) and room for %d buffered candidates (bound %d)", seen, seenBound, buffered, bound)
 	}
 }
 
