@@ -134,19 +134,22 @@ bench-json:
 # Compare fresh headline benchmarks against the recorded trajectory
 # point: fails if allocs/op or B/op (iteration-exact,
 # machine-independent) grows past 110% of the baseline for the
-# default-config run, the 100k-peer scaling run or one live-node query
+# default-config run, the 100k-peer scaling run, one live-node query
 # over memnet (BenchmarkFleetQuery, at a fixed iteration count: a
-# closure or scratch that escapes per probe shows up there). Override with
+# closure or scratch that escapes per probe shows up there) or one
+# gossip run at the families workload's shape (named with its package:
+# internal/dht has a BenchmarkRun too). Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
 BENCH_BASELINE ?= BENCH_20261017_pr36.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkLargeRun$$' -benchmem -benchtime 1x -timeout 30m . && \
-	  $(GO) test -run '^$$' -bench 'BenchmarkFleetQuery$$' -benchmem -benchtime 2000x ./node; } \
+	  $(GO) test -run '^$$' -bench 'BenchmarkFleetQuery$$' -benchmem -benchtime 2000x ./node && \
+	  $(GO) test -run '^$$' -bench 'BenchmarkRun$$' -benchmem -benchtime 2x ./internal/gossip; } \
 	  | tee /dev/stderr \
 	  | /tmp/benchjson -check $(BENCH_BASELINE) \
-	      -benchmark 'BenchmarkSingleRun,BenchmarkLargeRun,BenchmarkFleetQuery'
+	      -benchmark 'BenchmarkSingleRun,BenchmarkLargeRun,BenchmarkFleetQuery,repro/internal/gossip.BenchmarkRun'
 
 # The repository's end-to-end benchmark (bench/README.md): every
 # workload of BENCHMARK.json, five runs each, into a result set named

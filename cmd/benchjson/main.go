@@ -18,7 +18,10 @@
 //
 // allocs/op and B/op are the checked metrics because they are
 // iteration-exact and machine-independent, unlike ns/op; `make
-// bench-check` wires this up.
+// bench-check` wires this up. -benchmark names each benchmark bare
+// (BenchmarkSingleRun) or, where that name is in more than one
+// package, with its import path (repro/internal/gossip.BenchmarkRun);
+// a bare name found in two packages is an error, not the first match.
 package main
 
 import (
@@ -55,7 +58,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	out := fs.String("o", "", "output file (default stdout)")
 	check := fs.String("check", "", "baseline BENCH_<date>.json: compare instead of record")
-	benchmark := fs.String("benchmark", "BenchmarkSingleRun", "comma-separated benchmark names to compare with -check")
+	benchmark := fs.String("benchmark", "BenchmarkSingleRun", "comma-separated benchmarks to compare with -check: Name, or <pkg>.Name where Name is in more than one package")
 	maxRatio := fs.Float64("max-ratio", 1.10, "fail -check when allocs/op or B/op exceeds baseline by this factor")
 	printRev := fs.Bool("revision", false, "print the working tree's revision and exit")
 	if err := fs.Parse(args); err != nil {
@@ -145,6 +148,7 @@ func revision(dir string) string {
 
 // checkAgainst compares the named benchmark's allocs/op and B/op in
 // results against the recorded baseline, allowing growth up to maxRatio.
+// name is a bare benchmark name or <pkg>.<Name> (see findResult).
 func checkAgainst(baselinePath, name string, maxRatio float64, results []benchfmt.Result, stdout io.Writer) error {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -154,19 +158,11 @@ func checkAgainst(baselinePath, name string, maxRatio float64, results []benchfm
 	if err := json.Unmarshal(raw, &baseline); err != nil {
 		return fmt.Errorf("%s: %w", baselinePath, err)
 	}
-	find := func(rs []benchfmt.Result, where string) (benchfmt.Result, error) {
-		for _, r := range rs {
-			if r.Name == name {
-				return r, nil
-			}
-		}
-		return benchfmt.Result{}, fmt.Errorf("%s has no %s result", where, name)
-	}
-	base, err := find(baseline.Results, baselinePath)
+	base, err := findResult(baseline.Results, name, baselinePath)
 	if err != nil {
 		return err
 	}
-	fresh, err := find(results, "input")
+	fresh, err := findResult(results, name, "input")
 	if err != nil {
 		return err
 	}
@@ -188,4 +184,32 @@ func checkAgainst(baselinePath, name string, maxRatio float64, results []benchfm
 		}
 	}
 	return nil
+}
+
+// findResult returns the result that spec names in rs. A bare spec
+// (BenchmarkRun) matches that name in any package, and is an error
+// when two packages have it; <pkg>.<Name> matches only in pkg. A name
+// recorded more than once in its package (-count) is its first run.
+func findResult(rs []benchfmt.Result, spec, where string) (benchfmt.Result, error) {
+	pkg, name := "", spec
+	if !strings.HasPrefix(spec, "Benchmark") {
+		if i := strings.Index(spec, ".Benchmark"); i > 0 {
+			pkg, name = spec[:i], spec[i+1:]
+		}
+	}
+	var found *benchfmt.Result
+	for i, r := range rs {
+		if r.Name != name || (pkg != "" && r.Pkg != pkg) {
+			continue
+		}
+		if found == nil {
+			found = &rs[i]
+		} else if r.Pkg != found.Pkg {
+			return benchfmt.Result{}, fmt.Errorf("%s: %s is in both %s and %s; name it <pkg>.%s", where, name, found.Pkg, r.Pkg, name)
+		}
+	}
+	if found == nil {
+		return benchfmt.Result{}, fmt.Errorf("%s has no %s result", where, spec)
+	}
+	return *found, nil
 }

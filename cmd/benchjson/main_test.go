@@ -99,6 +99,57 @@ func TestCheckGatesAllocsAndBytes(t *testing.T) {
 	}
 }
 
+// twoRuns holds a BenchmarkRun in each of two packages, as the gossip
+// and DHT engines both have one.
+const twoRuns = `goos: linux
+goarch: amd64
+pkg: repro/internal/gossip
+cpu: Test CPU
+BenchmarkRun-2   	       2	 600000000 ns/op	  842456 B/op	     221 allocs/op
+PASS
+ok  	repro/internal/gossip	3.1s
+goos: linux
+goarch: amd64
+pkg: repro/internal/dht
+cpu: Test CPU
+BenchmarkRun-2   	       9	 122762070 ns/op	 1720168 B/op	     986 allocs/op
+PASS
+ok  	repro/internal/dht	2.2s
+`
+
+// TestCheckNamesBenchmarkByPackage: -check compares the benchmark of
+// the package a <pkg>.<Name> spec names, whichever package comes first,
+// and refuses a bare name that two packages share rather than compare
+// whichever one came first.
+func TestCheckNamesBenchmarkByPackage(t *testing.T) {
+	baseline := filepath.Join(t.TempDir(), "BENCH_base.json")
+	if err := run([]string{"-o", baseline}, strings.NewReader(twoRuns), nil); err != nil {
+		t.Fatal(err)
+	}
+	// The DHT's run grew past the budget; the gossip run did not.
+	grown := strings.Replace(twoRuns, "986 allocs/op", "1200 allocs/op", 1)
+	for _, c := range []struct {
+		spec, wantErr, wantLine string
+	}{
+		{"repro/internal/gossip.BenchmarkRun", "", "repro/internal/gossip.BenchmarkRun allocs/op: 221 vs baseline 221"},
+		{"repro/internal/dht.BenchmarkRun", "repro/internal/dht.BenchmarkRun allocs/op regressed", "allocs/op: 1200 vs baseline 986"},
+		{"BenchmarkRun", "BenchmarkRun is in both repro/internal/gossip and repro/internal/dht", ""},
+		{"repro/internal/core.BenchmarkRun", "has no repro/internal/core.BenchmarkRun result", ""},
+	} {
+		var sb strings.Builder
+		err := run([]string{"-check", baseline, "-benchmark", c.spec}, strings.NewReader(grown), &sb)
+		if c.wantErr == "" && err != nil {
+			t.Fatalf("%s: check failed: %v\n%s", c.spec, err, sb.String())
+		}
+		if c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Fatalf("%s: got error %v, want one about %q\n%s", c.spec, err, c.wantErr, sb.String())
+		}
+		if !strings.Contains(sb.String(), c.wantLine) {
+			t.Fatalf("%s: no line %q in:\n%s", c.spec, c.wantLine, sb.String())
+		}
+	}
+}
+
 // TestRevisionNamesTheTree holds the revision stamp against a temporary
 // repository: a clean tree is its commit, a dirty one its commit plus a
 // hash of the diff against it (so two edits of one commit differ), and

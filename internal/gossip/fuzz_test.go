@@ -4,7 +4,9 @@ package gossip
 // combinations to the engine. Invalid parameters must be rejected by
 // Validate (never panic), and any accepted configuration must run to
 // completion deterministically: two runs from the same params produce
-// identical Results and every conservation invariant holds.
+// identical Results, every conservation invariant holds, and the run
+// matches the per-peer reference round (reference_test.go) in Results,
+// events and stream positions.
 
 import (
 	"context"
@@ -70,6 +72,9 @@ func FuzzGossipParams(f *testing.F) {
 		}
 		if a.Queries != p.NumQueries || a.Satisfied+a.Unsatisfied != a.Queries {
 			t.Fatalf("query accounting broken: %+v", a)
+		}
+		if diff, err := diffPerPeer(p); err != nil || diff != "" {
+			t.Fatalf("against the per-peer reference round: %s (error %v)", diff, err)
 		}
 		if a.MessagesSent != a.MessagesDelivered+a.MessagesDropped {
 			t.Fatalf("conservation violated: %+v", a)

@@ -469,7 +469,9 @@ func (e *Engine) startQuery() {
 }
 
 // runRound executes one synchronous gossip round for q and either
-// finishes the query or schedules the next round.
+// finishes the query or schedules the next round. The round's message
+// counts are kept in locals and added to q and e.res once at its end;
+// nothing reads them in between.
 func (e *Engine) runRound(q *query) {
 	q.round++
 	if e.observer != nil {
@@ -479,22 +481,82 @@ func (e *Engine) runRound(q *query) {
 			Round: q.round, Probes: int(q.messages),
 		})
 	}
+	loss, lossy := e.p.LossProb, e.p.LossProb > 0
+	dead, informed, loads := e.dead, q.informed, e.loads
+	var sent, delivered int
 	if e.p.Mode == ModePush || e.p.Mode == ModePushPull {
-		// Peers infected during this round spread next round: snapshot
-		// the spreader count before appending.
-		count := len(q.spreaders)
-		for i := 0; i < count; i++ {
-			e.pushFrom(q, q.spreaders[i])
+		// Informed peers push the rumor. Peers infected during this
+		// round spread next round: range over the spreaders as they
+		// stood before the first append. In push-pull mode each
+		// delivered push draws a response back to its live sender.
+		respond := e.p.Mode == ModePushPull
+		for _, s := range q.spreaders {
+			for _, dst := range e.fanoutTargets(s) {
+				ok := !e.rngNet.Bool(loss) && !dead[dst]
+				sent++
+				if e.observer != nil {
+					outcome := obs.OutcomeDead
+					if ok {
+						outcome = obs.OutcomeGood
+					}
+					e.observer.Observe(obs.Event{
+						Kind: obs.EvProbe, Time: e.now,
+						Query: q.id, Peer: uint64(s), Target: uint64(dst),
+						Outcome: outcome,
+					})
+				}
+				if !ok {
+					continue
+				}
+				delivered++
+				loads[dst]++
+				if !informed[dst] {
+					e.inform(q, dst)
+				}
+				if respond {
+					sent++
+					if !e.rngNet.Bool(loss) {
+						delivered++
+						loads[s]++
+					}
+				}
+			}
 		}
 	}
 	if e.p.Mode == ModePull || e.p.Mode == ModePushPull {
-		for v := 0; v < e.p.NetworkSize; v++ {
-			if e.dead[v] || q.informed[v] {
+		// Every uninformed live peer polls its targets in one pass. A
+		// poll that reaches a live target is delivered; one that
+		// reaches an informed target draws the rumor back. The counts
+		// are 0/1 arithmetic on dead and informed, not branches; with
+		// no loss there is no draw for the response to wait on.
+		for v, have := range informed {
+			if have || dead[v] {
 				continue
 			}
-			e.pullFrom(q, v)
+			heard := 0
+			for _, dst := range e.fanoutTargets(v) {
+				ok := bit(!e.rngNet.Bool(loss)) &^ bit(dead[dst])
+				reach := ok & bit(informed[dst])
+				got := reach
+				if lossy && reach != 0 {
+					got = bit(!e.rngNet.Bool(loss))
+				}
+				loads[dst] += int64(ok)
+				sent += 1 + reach
+				delivered += ok + got
+				heard += got
+			}
+			if heard != 0 {
+				// v got the rumor: at most once per peer per query.
+				loads[v] += int64(heard)
+				e.inform(q, v)
+			}
 		}
 	}
+	q.messages += int64(sent)
+	e.res.MessagesSent += int64(sent)
+	e.res.MessagesDelivered += int64(delivered)
+	e.res.MessagesDropped += int64(sent - delivered)
 	switch {
 	case q.results >= e.p.NumDesiredResults:
 		e.finishQuery(q, true)
@@ -503,6 +565,16 @@ func (e *Engine) runRound(q *query) {
 	default:
 		e.events.Push(e.now+e.p.RoundInterval, event{kind: evRound, q: q})
 	}
+}
+
+// bit is b as 0 or 1. The compiler makes it a flag-to-register move,
+// so arithmetic on it takes no branch.
+func bit(b bool) int {
+	n := 0
+	if b {
+		n = 1
+	}
+	return n
 }
 
 // displaced is one position of fanoutTargets' shuffle that no longer
@@ -518,6 +590,10 @@ type displaced struct {
 // j >= i and writes only j (position i is never read again), so the
 // shuffled list is the neighbor list plus at most one displaced
 // position per step.
+//
+// Two targets have a closed form with the shuffle's two draws: the
+// first step swaps positions 0 and j0, so the second step's j1 >= 1
+// finds neighbor j1, or neighbor 0 where the swap put it (j1 == j0).
 func (e *Engine) fanoutTargets(v int) []int {
 	nbrs := e.topo.Neighbors(v)
 	k := e.p.Fanout
@@ -526,6 +602,16 @@ func (e *Engine) fanoutTargets(v int) []int {
 	}
 	if cap(e.pick) < k {
 		e.pick, e.moved = make([]int, k), make([]displaced, k)
+	}
+	if k == 2 {
+		j0 := e.rngSpread.Intn(len(nbrs))
+		j1 := 1 + e.rngSpread.Intn(len(nbrs)-1)
+		if j1 == j0 {
+			j1 = 0
+		}
+		pick := e.pick[:2]
+		pick[0], pick[1] = nbrs[j0], nbrs[j1]
+		return pick
 	}
 	pick, moved, n := e.pick[:k], e.moved[:k], 0
 	for i := range pick {
@@ -552,74 +638,11 @@ func (e *Engine) fanoutTargets(v int) []int {
 	return pick
 }
 
-// send accounts one message from src to dst and reports whether it was
-// delivered (dst live and the message not lost).
-func (e *Engine) send(q *query, dst int) bool {
-	q.messages++
-	e.res.MessagesSent++
-	if e.rngNet.Bool(e.p.LossProb) || e.dead[dst] {
-		e.res.MessagesDropped++
-		return false
-	}
-	e.res.MessagesDelivered++
-	e.loads[dst]++
-	return true
-}
-
 // inform marks v as holding the rumor and collects v's results.
 func (e *Engine) inform(q *query, v int) {
 	q.informed[v] = true
 	q.spreaders = append(q.spreaders, v)
 	q.results += e.libs[v].Results(q.item)
-}
-
-// pushFrom has informed peer s push the rumor to Fanout random
-// neighbors. In push-pull mode each successful push also triggers a
-// response message back to s (the "exchange" half of the protocol).
-func (e *Engine) pushFrom(q *query, s int) {
-	for _, dst := range e.fanoutTargets(s) {
-		delivered := e.send(q, dst)
-		if e.observer != nil {
-			outcome := obs.OutcomeDead
-			if delivered {
-				outcome = obs.OutcomeGood
-			}
-			e.observer.Observe(obs.Event{
-				Kind: obs.EvProbe, Time: e.now,
-				Query: q.id, Peer: uint64(s), Target: uint64(dst),
-				Outcome: outcome,
-			})
-		}
-		if !delivered {
-			continue
-		}
-		if !q.informed[dst] {
-			e.inform(q, dst)
-		}
-		if e.p.Mode == ModePushPull {
-			e.send(q, s) // response; s is live by construction
-		}
-	}
-}
-
-// pullFrom has uninformed live peer v poll Fanout random neighbors;
-// informed live neighbors respond with the rumor.
-func (e *Engine) pullFrom(q *query, v int) {
-	for _, dst := range e.fanoutTargets(v) {
-		if !e.send(q, dst) {
-			continue
-		}
-		if !q.informed[dst] {
-			continue
-		}
-		// Response carrying the rumor back to v.
-		if !e.send(q, v) {
-			continue
-		}
-		if !q.informed[v] {
-			e.inform(q, v)
-		}
-	}
 }
 
 func (e *Engine) finishQuery(q *query, satisfied bool) {

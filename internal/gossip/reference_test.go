@@ -1,12 +1,14 @@
 package gossip
 
 // References for the mechanisms the engine replaced: the event queue
-// holding every arrival from the start, and the fan-out that shuffled a
-// copy of the neighbor list. The engine must order its events and pick
-// its targets exactly as they did.
+// holding every arrival from the start, the fan-out that shuffled a
+// copy of the neighbor list, and the round that sent one message at a
+// time over every peer. The engine must order its events, pick its
+// targets, and count, load and draw exactly as they did.
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -226,6 +228,215 @@ func TestFanoutTargetsMatchesReference(t *testing.T) {
 		}
 		if a, b := e.rngSpread.Uint64(), ref.Uint64(); a != b {
 			t.Fatalf("fanout %d: streams diverged after the picks", fanout)
+		}
+	}
+}
+
+// send accounts one message to dst and reports whether it was
+// delivered (dst live and the message not lost).
+func (e *Engine) send(q *query, dst int) bool {
+	q.messages++
+	e.res.MessagesSent++
+	if e.rngNet.Bool(e.p.LossProb) || e.dead[dst] {
+		e.res.MessagesDropped++
+		return false
+	}
+	e.res.MessagesDelivered++
+	e.loads[dst]++
+	return true
+}
+
+// pushFrom has informed peer s push the rumor to Fanout random
+// neighbors. In push-pull mode each successful push also triggers a
+// response message back to s.
+func (e *Engine) pushFrom(q *query, s int) {
+	for _, dst := range shuffledFanout(e.rngSpread, e.topo.Neighbors(s), e.p.Fanout) {
+		delivered := e.send(q, dst)
+		if e.observer != nil {
+			outcome := obs.OutcomeDead
+			if delivered {
+				outcome = obs.OutcomeGood
+			}
+			e.observer.Observe(obs.Event{
+				Kind: obs.EvProbe, Time: e.now,
+				Query: q.id, Peer: uint64(s), Target: uint64(dst),
+				Outcome: outcome,
+			})
+		}
+		if !delivered {
+			continue
+		}
+		if !q.informed[dst] {
+			e.inform(q, dst)
+		}
+		if e.p.Mode == ModePushPull {
+			e.send(q, s) // response; s is live by construction
+		}
+	}
+}
+
+// pullFrom has uninformed live peer v poll Fanout random neighbors;
+// informed live neighbors respond with the rumor.
+func (e *Engine) pullFrom(q *query, v int) {
+	for _, dst := range shuffledFanout(e.rngSpread, e.topo.Neighbors(v), e.p.Fanout) {
+		if !e.send(q, dst) {
+			continue
+		}
+		if !q.informed[dst] {
+			continue
+		}
+		// Response carrying the rumor back to v.
+		if !e.send(q, v) {
+			continue
+		}
+		if !q.informed[v] {
+			e.inform(q, v)
+		}
+	}
+}
+
+// perPeerRound is runRound as it was: a send call per message, and a
+// pullFrom call for every uninformed live peer.
+func (e *Engine) perPeerRound(q *query) {
+	q.round++
+	if e.observer != nil {
+		e.observer.Observe(obs.Event{
+			Kind: obs.EvProbeRound, Time: e.now,
+			Query: q.id, Peer: uint64(q.origin),
+			Round: q.round, Probes: int(q.messages),
+		})
+	}
+	if e.p.Mode == ModePush || e.p.Mode == ModePushPull {
+		count := len(q.spreaders)
+		for i := 0; i < count; i++ {
+			e.pushFrom(q, q.spreaders[i])
+		}
+	}
+	if e.p.Mode == ModePull || e.p.Mode == ModePushPull {
+		for v := 0; v < e.p.NetworkSize; v++ {
+			if e.dead[v] || q.informed[v] {
+				continue
+			}
+			e.pullFrom(q, v)
+		}
+	}
+	switch {
+	case q.results >= e.p.NumDesiredResults:
+		e.finishQuery(q, true)
+	case q.round >= e.p.MaxRounds || len(q.spreaders) == e.live:
+		e.finishQuery(q, false)
+	default:
+		e.events.Push(e.now+e.p.RoundInterval, event{kind: evRound, q: q})
+	}
+}
+
+// runPerPeer is Run's loop with perPeerRound in place of runRound.
+func runPerPeer(e *Engine) *Results {
+	e.arrivals = make([]float64, e.p.NumQueries)
+	t := 0.0
+	for i := range e.arrivals {
+		t += e.rngWorkload.ExpFloat64() / e.p.QueryRate
+		e.arrivals[i] = t
+	}
+	for {
+		when, ev, ok := e.pop()
+		if !ok {
+			break
+		}
+		e.now = when
+		switch ev.kind {
+		case evQueryStart:
+			e.startQuery()
+		case evRound:
+			e.perPeerRound(ev.q)
+		}
+	}
+	e.finalize()
+	return &e.res
+}
+
+// recorded is a run's Results, its observer's event stream, and the
+// next draw of each stream a round draws from.
+type recorded struct {
+	res         *Results
+	events      []obs.Event
+	spread, net uint64
+}
+
+// record runs p through the engine, or through the per-peer reference
+// round when perPeer is set.
+func record(p Params, perPeer bool) (recorded, error) {
+	e, err := New(p)
+	if err != nil {
+		return recorded{}, err
+	}
+	var r recorded
+	e.SetObserver(obs.ObserverFunc(func(ev obs.Event) { r.events = append(r.events, ev) }))
+	if perPeer {
+		r.res = runPerPeer(e)
+	} else if r.res, err = e.Run(context.Background()); err != nil {
+		return recorded{}, err
+	}
+	r.spread, r.net = e.rngSpread.Uint64(), e.rngNet.Uint64()
+	return r, nil
+}
+
+// diffPerPeer runs p through the engine and through the per-peer
+// reference round and describes the first difference, or returns "".
+func diffPerPeer(p Params) (string, error) {
+	got, err := record(p, false)
+	if err != nil {
+		return "", err
+	}
+	want, err := record(p, true)
+	if err != nil {
+		return "", err
+	}
+	switch {
+	case !reflect.DeepEqual(got.res, want.res):
+		return fmt.Sprintf("Results differ:\n got %+v\nwant %+v", *got.res, *want.res), nil
+	case !reflect.DeepEqual(got.events, want.events):
+		for i := range min(len(got.events), len(want.events)) {
+			if got.events[i] != want.events[i] {
+				return fmt.Sprintf("event %d differs:\n got %+v\nwant %+v", i, got.events[i], want.events[i]), nil
+			}
+		}
+		return fmt.Sprintf("%d events, reference %d", len(got.events), len(want.events)), nil
+	case got.spread != want.spread:
+		return "spread stream's next draw differs", nil
+	case got.net != want.net:
+		return "net stream's next draw differs", nil
+	}
+	return "", nil
+}
+
+// TestRoundMatchesPerPeerReference: the one-pass round counts every
+// message, loads every peer, informs every peer and emits every event
+// as the per-peer round did, from the same draws, and leaves both of
+// its streams where that round left them.
+func TestRoundMatchesPerPeerReference(t *testing.T) {
+	base := DefaultParams()
+	base.NetworkSize, base.NumQueries = 300, 20
+	// A small universe keeps New cheap; five results keep the rumor
+	// spreading for several rounds.
+	base.Content.NumItems, base.NumDesiredResults = 1000, 5
+	for _, mode := range []Mode{ModePush, ModePull, ModePushPull} {
+		for _, fanout := range []int{1, 2, 3, base.AvgDegree + 2} {
+			for _, loss := range []float64{0, 0.1} {
+				for _, dead := range []float64{0, 0.1, 0.5} {
+					for seed := uint64(1); seed <= 3; seed++ {
+						p := base
+						p.Mode, p.Fanout, p.LossProb, p.DeadFraction, p.Seed = mode, fanout, loss, dead, seed
+						diff, err := diffPerPeer(p)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if diff != "" {
+							t.Fatalf("%v fanout %d loss %v dead %v seed %d: %s", mode, fanout, loss, dead, seed, diff)
+						}
+					}
+				}
+			}
 		}
 	}
 }
