@@ -304,8 +304,17 @@ func pop[T any](free *[]T) (v T, ok bool) {
 // they neither deepen the heap nor keep a finished query's candidates
 // reachable from it. The filter is the loop's own: an event at exactly
 // end is queued and fires.
+//
+// A probe step goes to the queue's FIFO: it is always scheduled at
+// now + ProbeSpacing, and now never decreases, so probe steps arrive in
+// time order and need no heap sift. They are about 95% of the events a
+// paper-default run schedules. Every other kind keeps the heap.
 func (e *Engine) schedule(t float64, ev event) {
 	if t > e.end && !e.queueAll {
+		return
+	}
+	if ev.kind == evProbeStep {
+		e.events.PushInOrder(t, ev)
 		return
 	}
 	e.events.Push(t, ev)

@@ -1,12 +1,19 @@
 // Package eventq implements the event queue at the heart of the
-// discrete-event simulator: a binary min-heap keyed by virtual time
-// with deterministic FIFO ordering among events scheduled for the same
-// instant.
+// discrete-event simulator: a binary min-heap keyed by virtual time,
+// with one FIFO beside it for events that arrive already in time order.
 //
 // Determinism matters: the simulator must produce bit-identical results
 // for a given seed, so ties cannot be broken by map iteration order or
-// pointer values. Every pushed event receives a monotonically
-// increasing sequence number used as the tie-breaker.
+// pointer values. Every event, on either side, receives a number from
+// one monotonically increasing sequence, and events pop in (time, seq)
+// order: by time, and among equal times in push order.
+//
+// The FIFO is for events scheduled at a fixed delay after a clock that
+// never goes back, such as a GUESS query's next probe round. Such an
+// event is never earlier than the one pushed before it, so appending to
+// a ring keeps the FIFO sorted, and Pop takes whichever of the heap top
+// and the FIFO head is first on (time, seq). The result is the order a
+// heap alone would give, without a sift per event.
 package eventq
 
 // Queue is a time-ordered event queue. The zero value is an empty queue
@@ -16,7 +23,12 @@ package eventq
 // single-threaded by design (parallelism belongs across runs).
 type Queue[T any] struct {
 	heap []entry[T]
-	seq  uint64
+	// ring holds the FIFO's n entries from index first on, wrapping; its
+	// length is zero or a power of two. The entries are in (time, seq)
+	// order, which PushInOrder maintains.
+	ring     []entry[T]
+	first, n int
+	seq      uint64
 }
 
 type entry[T any] struct {
@@ -26,7 +38,7 @@ type entry[T any] struct {
 }
 
 // Len reports the number of pending events.
-func (q *Queue[T]) Len() int { return len(q.heap) }
+func (q *Queue[T]) Len() int { return len(q.heap) + q.n }
 
 // Push schedules v at the given virtual time. Events pushed with equal
 // times are dequeued in push order.
@@ -36,9 +48,55 @@ func (q *Queue[T]) Push(time float64, v T) {
 	q.up(len(q.heap) - 1)
 }
 
+// PushInOrder schedules v at the given virtual time, exactly as Push
+// does, but appends it to the FIFO when time is no earlier than the
+// FIFO's last event. That is constant work instead of a heap sift, so
+// it suits a caller whose times never decrease from one call to the
+// next. An earlier time goes on the heap, so the pop order is Push's
+// for any sequence of calls.
+func (q *Queue[T]) PushInOrder(time float64, v T) {
+	mask := len(q.ring) - 1
+	if q.n > 0 && time < q.ring[(q.first+q.n-1)&mask].time {
+		q.Push(time, v)
+		return
+	}
+	if q.n == len(q.ring) {
+		q.grow()
+		mask = len(q.ring) - 1
+	}
+	q.seq++
+	q.ring[(q.first+q.n)&mask] = entry[T]{time: time, seq: q.seq, v: v}
+	q.n++
+}
+
+// grow doubles the ring (to 16 entries from empty), moving the FIFO to
+// its start.
+func (q *Queue[T]) grow() {
+	ring := make([]entry[T], max(16, 2*len(q.ring)))
+	k := copy(ring, q.ring[q.first:])
+	copy(ring[k:], q.ring[:q.first])
+	q.ring, q.first = ring, 0
+}
+
+// fifoFirst reports whether the FIFO head is the earliest event: the
+// FIFO holds one, and the heap is empty or its top orders after it.
+func (q *Queue[T]) fifoFirst() bool {
+	if q.n == 0 {
+		return false
+	}
+	return len(q.heap) == 0 || q.ring[q.first].before(q.heap[0].time, q.heap[0].seq)
+}
+
 // Pop removes and returns the earliest event. ok is false when the
 // queue is empty.
 func (q *Queue[T]) Pop() (time float64, v T, ok bool) {
+	if q.fifoFirst() {
+		e := q.ring[q.first]
+		q.ring[q.first] = entry[T]{} // release payload for GC
+		q.first = (q.first + 1) & (len(q.ring) - 1)
+		q.n--
+		return e.time, e.v, true
+	}
 	if len(q.heap) == 0 {
 		var zero T
 		return 0, zero, false
@@ -58,6 +116,9 @@ func (q *Queue[T]) Pop() (time float64, v T, ok bool) {
 // Peek returns the earliest event without removing it. ok is false when
 // the queue is empty.
 func (q *Queue[T]) Peek() (time float64, v T, ok bool) {
+	if q.fifoFirst() {
+		return q.ring[q.first].time, q.ring[q.first].v, true
+	}
 	if len(q.heap) == 0 {
 		var zero T
 		return 0, zero, false
@@ -72,6 +133,8 @@ func (q *Queue[T]) Clear() {
 		q.heap[i] = zero
 	}
 	q.heap = q.heap[:0]
+	clear(q.ring)
+	q.first, q.n = 0, 0
 }
 
 // Reset returns the queue to its freshly-constructed state while
@@ -95,7 +158,9 @@ func (q *Queue[T]) pushSeq(time float64, seq uint64, v T) {
 	q.up(len(q.heap) - 1)
 }
 
-// head returns the key of the earliest event without removing it.
+// head returns the key of the heap's earliest event without removing
+// it. Sharded's shards never use the FIFO, so for them that is the
+// earliest event.
 func (q *Queue[T]) head() (time float64, seq uint64, ok bool) {
 	if len(q.heap) == 0 {
 		return 0, 0, false

@@ -97,11 +97,26 @@ func TestResetBehavesLikeFresh(t *testing.T) {
 		return out
 	}
 
+	// Queue's script sends every third event through the FIFO.
 	var q Queue[int]
-	fresh := script(q.Push, q.Pop)
-	q.Push(99, -1) // leftover that Reset must drop
+	pushQ := func(tm float64, v int) {
+		if v%3 == 0 {
+			q.PushInOrder(tm, v)
+		} else {
+			q.Push(tm, v)
+		}
+	}
+	fresh := script(pushQ, q.Pop)
+	// Leftovers that Reset must drop, on the heap and in the FIFO.
+	q.Push(99, -1)
+	for i := 0; i < 5; i++ {
+		q.PushInOrder(100, -1)
+	}
 	q.Reset()
-	if got := script(q.Push, q.Pop); !equalInts(got, fresh) {
+	if q.Len() != 0 || q.first != 0 || q.n != 0 || q.seq != 0 {
+		t.Fatalf("Queue after Reset: Len %d, FIFO first %d, n %d, seq %d", q.Len(), q.first, q.n, q.seq)
+	}
+	if got := script(pushQ, q.Pop); !equalInts(got, fresh) {
 		t.Fatalf("Queue after Reset diverged:\n got %v\nwant %v", got, fresh)
 	}
 
