@@ -22,15 +22,21 @@
 // The probability that a peer answers a query thus depends on the
 // number of files it shares, exactly as in the paper's model.
 //
-// A library is an ascending array of item IDs exactly as long as the
-// library, and the array is about a quarter of what a simulated peer
-// weighs. Its slots are 16 bits wide in a universe of at most 65 535
-// items (the default is 10 000) and 32 bits wide in a larger one. The
-// width is a function of Params.NumItems alone and shows in nothing but
+// A library is one array, of 16-bit slots in a universe of at most
+// 65 535 items (the default is 10 000) and of 32-bit slots in a larger
+// one. It holds the library's popular head as a bitmap, the items below
+// some H, and then its items from H up in ascending order. Peers
+// replicate items in proportion to popularity, so a library's low IDs
+// are dense and its high IDs sparse: each library takes the H, a
+// multiple of 64, that makes its array shortest (H = 0 is a plain
+// ascending array), and at the default calibration its array is about
+// 40 % shorter than the plain one. Libraries are about a fifth of what a
+// simulated peer weighs. The width and the head show in nothing but
 // memory: AppendItems gives the same items in the same order and the
-// sampler makes the same draws either way (TestNarrowLibraryMatchesWide).
-// The sampler dedups its draws in a bitmap of NumItems bits that the
-// universe keeps and reuses, empty between libraries.
+// sampler makes the same draws either way (TestNarrowLibraryMatchesWide,
+// FuzzLibrary). The sampler dedups its draws in a bitmap of NumItems
+// bits that the universe keeps and reuses, empty between libraries; a
+// library's head is a copy of the bitmap's first words.
 package content
 
 import (
@@ -38,6 +44,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/simrng"
@@ -211,13 +218,13 @@ func (u *Universe) NewLibrary(r *simrng.RNG, size int) Library {
 }
 
 // NewLibraryInto is NewLibrary reusing recycle's storage: the recycled
-// library's array is resliced to the new size, so simulators under churn
-// can recycle dead peers' libraries instead of allocating one per birth.
-// It draws from r exactly as NewLibrary does — the sampling loop depends
-// only on which items it has drawn so far — so recycling never perturbs
-// a seeded run. An empty library keeps the storage too, so a loop can
-// thread one Library through every call. recycle must not be in use by
-// any live peer; pass Library{} to allocate fresh.
+// library's array is resliced to the new library's length, so simulators
+// under churn can recycle dead peers' libraries instead of allocating one
+// per birth. It draws from r exactly as NewLibrary does — the sampling
+// loop depends only on which items it has drawn so far — so recycling
+// never perturbs a seeded run. An empty library keeps the storage too, so
+// a loop can thread one Library through every call. recycle must not be
+// in use by any live peer; pass Library{} to allocate fresh.
 func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Library {
 	if size > u.maxLib {
 		size = u.maxLib
@@ -236,12 +243,10 @@ func (u *Universe) NewLibraryInto(r *simrng.RNG, size int, recycle Library) Libr
 	// up: nothing of the dead library stays behind in it.
 	if u.narrow {
 		set.wide = nil
-		set.narrow = resize(set.narrow, size)
-		fill(u, r, set.narrow)
+		set.narrow = fill(u, r, size, set.narrow)
 	} else {
 		set.narrow = nil
-		set.wide = resize(set.wide, size)
-		fill(u, r, set.wide)
+		set.wide = fill(u, r, size, set.wide)
 	}
 	return Library{set: set}
 }
@@ -255,15 +260,15 @@ func resize[S slot](items []S, n int) []S {
 	return items[:n]
 }
 
-// fill samples len(dst) distinct items and writes them to dst in
-// ascending order.
-func fill[S slot](u *Universe, r *simrng.RNG, dst []S) {
+// fill samples size distinct items and returns their encoding (see
+// itemSet) in dst's storage, resized to the encoding's length.
+func fill[S slot](u *Universe, r *simrng.RNG, size int, dst []S) []S {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	if u.seen == nil {
 		u.seen = make([]uint64, (u.params.NumItems+63)/64)
 	}
-	seen, size := u.seen, len(dst)
+	seen := u.seen
 	// Popularity-weighted rejection sampling; popular items collide
 	// often for large libraries, so bound the attempts and top up with
 	// uniform unseen items (these late additions are tail items, which
@@ -297,10 +302,23 @@ func fill[S slot](u *Universe, r *simrng.RNG, dst []S) {
 			have++
 		}
 	}
-	// Exactly size bits are set: write them out in ascending order,
-	// clearing each word on the way, and stop at the last one.
-	i := 0
-	for w := 0; i < size; w++ {
+	// Exactly size bits are set. The head is the bitmap's first words as
+	// they stand; the tail, the items after them in ascending order. Each
+	// word is cleared on the way, and the tail stops at the last item.
+	width := slotBits[S]()
+	words, headItems := headWords(seen, size, width/8)
+	perWord := 64 / width
+	dst = resize(dst, 1+words*perWord+size-headItems)
+	dst[0] = S(words * perWord)
+	i := 1
+	for w, word := range seen[:words] {
+		seen[w] = 0
+		for q := 0; q < perWord; q++ {
+			dst[i] = S(word >> (q * width))
+			i++
+		}
+	}
+	for w := words; i < len(dst); w++ {
 		word := seen[w]
 		if word == 0 {
 			continue
@@ -311,6 +329,28 @@ func fill[S slot](u *Universe, r *simrng.RNG, dst []S) {
 			i++
 		}
 	}
+	return dst
+}
+
+// headWords returns how many of seen's first words make the head that
+// encodes a library of size items, whose slots are slotBytes wide, in
+// the fewest bytes, and how many items those words hold. A word costs 8
+// bytes and saves slotBytes per item in it, so a head of more than
+// size*slotBytes/8 words never pays and is not looked at. Of two heads
+// that cost the same the longer one wins: more items answer in one bit
+// test.
+func headWords(seen []uint64, size, slotBytes int) (words, items int) {
+	saved, held := 0, 0
+	for w, word := range seen[:min(len(seen), size*slotBytes/8)] {
+		held += bits.OnesCount64(word)
+		if s := held*slotBytes - 8*(w+1); s >= saved {
+			saved, words, items = s, w+1, held
+		}
+		if held == size {
+			break
+		}
+	}
+	return words, items
 }
 
 // mark sets item k's bit in seen and reports whether it was clear.
@@ -345,11 +385,20 @@ type Library struct {
 	set *itemSet
 }
 
-// itemSet holds a library's item IDs in ascending order, in an array
-// exactly as long as the library (its capacity may be a larger, recycled
-// library's). The array is narrow in a universe whose IDs fit it
-// (Universe.narrow) and wide in any other; the one not in use is nil or
-// empty.
+// itemSet holds a library in one array, narrow in a universe whose IDs
+// fit it (Universe.narrow) and wide in any other; the one not in use is
+// nil or empty, and so is the array of an empty library. The array is
+// exactly as long as the encoding (its capacity may be a larger,
+// recycled library's):
+//
+//	a[0]          hs, the head's length in slots: a multiple of 64/W
+//	a[1 : 1+hs]   the head, a bitmap of the items in [0, H), H = hs*W:
+//	              item i is bit i%W of a[1+i/W]
+//	a[1+hs:]      the tail, the items >= H in ascending order
+//
+// where W is the slot's width in bits. fill picks for each library the
+// H, a multiple of 64, that makes the array shortest (headWords); H = 0,
+// no head, is a plain ascending array.
 type itemSet struct {
 	narrow []uint16
 	wide   []int32
@@ -358,9 +407,26 @@ type itemSet struct {
 // slot is an array element: wide enough for every ID of its universe.
 type slot interface{ uint16 | int32 }
 
+// slotBits is the width of S in bits, W above.
+func slotBits[S slot]() int { return 8 * int(unsafe.Sizeof(S(0))) }
+
 // narrowMaxItems is the largest universe whose libraries hold uint16
 // slots.
 const narrowMaxItems = math.MaxUint16
+
+// holds reports whether the encoded library a holds id, which fits S: a
+// bit test in the head, a search of the tail above it.
+func holds[S slot](a []S, id uint) bool {
+	if len(a) == 0 {
+		return false
+	}
+	w := uint(slotBits[S]())
+	hs := uint(a[0])
+	if id < hs*w {
+		return a[1+id/w]>>(id%w)&1 != 0
+	}
+	return has(a[1+hs:], S(id))
+}
 
 // has reports whether the ascending items hold id. It is a binary search
 // with no branch on the items: a step keeps the upper half exactly when
@@ -379,12 +445,43 @@ func has[S slot](items []S, id S) bool {
 	return items[base] == id
 }
 
+// count returns the number of items the encoded library a holds.
+func count[S slot](a []S) int {
+	if len(a) == 0 {
+		return 0
+	}
+	hs := int(a[0])
+	n := len(a) - 1 - hs
+	for _, s := range a[1 : 1+hs] {
+		n += bits.OnesCount32(uint32(s))
+	}
+	return n
+}
+
+// appendItems appends the items of the encoded library a to dst in
+// ascending order.
+func appendItems[S slot](dst []ItemID, a []S) []ItemID {
+	if len(a) == 0 {
+		return dst
+	}
+	w, hs := slotBits[S](), int(a[0])
+	for j, s := range a[1 : 1+hs] {
+		for word := uint32(s); word != 0; word &= word - 1 {
+			dst = append(dst, ItemID(j*w+bits.TrailingZeros32(word)))
+		}
+	}
+	for _, id := range a[1+hs:] {
+		dst = append(dst, ItemID(id))
+	}
+	return dst
+}
+
 // Size returns the number of files shared — the peer's NumFiles.
 func (l Library) Size() int {
 	if l.set == nil {
 		return 0
 	}
-	return len(l.set.narrow) + len(l.set.wide)
+	return count(l.set.narrow) + count(l.set.wide)
 }
 
 // Contains reports whether the library holds item id. It is always
@@ -393,12 +490,12 @@ func (l Library) Contains(id ItemID) bool {
 	if id < 0 || l.set == nil {
 		return false
 	}
-	if items := l.set.narrow; len(items) > 0 {
+	if a := l.set.narrow; len(a) > 0 {
 		// An ID beyond the narrow range is in no narrow universe; as a
 		// uint16 it would be some other item.
-		return id < narrowMaxItems && has(items, uint16(id))
+		return id < narrowMaxItems && holds(a, uint(id))
 	}
-	return has(l.set.wide, int32(id))
+	return holds(l.set.wide, uint(id))
 }
 
 // Results returns the number of results the peer returns for a query
@@ -416,11 +513,5 @@ func (l Library) AppendItems(dst []ItemID) []ItemID {
 	if l.set == nil {
 		return dst
 	}
-	for _, id := range l.set.narrow {
-		dst = append(dst, ItemID(id))
-	}
-	for _, id := range l.set.wide {
-		dst = append(dst, ItemID(id))
-	}
-	return dst
+	return appendItems(appendItems(dst, l.set.narrow), l.set.wide)
 }

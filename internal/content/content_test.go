@@ -400,21 +400,37 @@ func BenchmarkNewLibrary(b *testing.B) {
 }
 
 // BenchmarkLibraryContains is the probe-time lookup: a query stream
-// against one typical library, about one hit in twenty.
+// against one typical library. The popular leg is the stream as queries
+// draw it, about one hit in twenty, most of them answered by the head's
+// bit test; the tail leg keeps only the stream's IDs past the head, each
+// a search of the tail.
 func BenchmarkLibraryContains(b *testing.B) {
 	u := MustNew(DefaultParams())
 	r := simrng.New(1)
 	lib := u.NewLibrary(r, 185)
-	queries := make([]ItemID, 1024)
-	for i := range queries {
-		queries[i] = u.DrawQuery(r)
+	h := ItemID(lib.set.narrow[0]) * 16
+	popular, tail := make([]ItemID, 1024), make([]ItemID, 0, 1024)
+	for i := range popular {
+		popular[i] = u.DrawQuery(r)
 	}
-	hits := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hits += lib.Results(queries[i%len(queries)])
+	for len(tail) < cap(tail) {
+		if id := u.DrawQuery(r); id >= h {
+			tail = append(tail, id)
+		}
 	}
-	benchHits = hits
+	for _, leg := range []struct {
+		name    string
+		queries []ItemID
+	}{{"popular", popular}, {"tail", tail}} {
+		b.Run(leg.name, func(b *testing.B) {
+			hits := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hits += lib.Results(leg.queries[i%len(leg.queries)])
+			}
+			benchHits = hits
+		})
+	}
 }
 
 var benchHits int

@@ -1,15 +1,16 @@
 package content
 
-// A library is an ascending array filled through the universe's bitmap.
-// These tests hold it against two references: a map[ItemID]bool of what
-// a library should hold, and the open-addressed table sampler the array
-// replaced, draw for draw.
+// A library is a bitmap head and an ascending tail, filled through the
+// universe's bitmap. These tests hold it against two references: a
+// map[ItemID]bool of what a library should hold, and the open-addressed
+// table sampler the array replaced, draw for draw.
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"unsafe"
@@ -145,6 +146,7 @@ func checkModel(t *testing.T, u *Universe, lib Library, want map[ItemID]bool) {
 			t.Fatalf("the bitmap kept bits %#x in word %d", word, w)
 		}
 	}
+	checkLayout(t, u, lib)
 }
 
 // TestLibraryMatchesModel runs one library's storage through a script of
@@ -232,17 +234,63 @@ func TestLibraryContainsEdges(t *testing.T) {
 
 // TestLibraryLayout pins the bytes: the header is two slice headers, in
 // the 48-byte size class, and a fresh library's array is exactly as long
-// as the library.
+// as its encoding, with the head that makes the encoding shortest.
 func TestLibraryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(itemSet{}); got != 48 {
 		t.Fatalf("itemSet is %d bytes, want 48", got)
 	}
 	for _, u := range []*Universe{MustNew(DefaultParams()), newWide(DefaultParams())} {
-		for _, size := range []int{1, 2, 3, 185, 192, 193, u.MaxLibrary()} {
+		for _, size := range []int{1, 2, 3, 4, 32, 185, 192, 193, u.MaxLibrary()} {
 			lib := u.NewLibrary(simrng.New(uint64(size)), size)
-			if c := cap(lib.set.narrow) + cap(lib.set.wide); c != size {
-				t.Fatalf("narrow %v: a fresh library of %d items has room for %d", u.narrow, size, c)
+			checkLayout(t, u, lib)
+			if c, n := cap(lib.set.narrow)+cap(lib.set.wide), len(lib.set.narrow)+len(lib.set.wide); c != n {
+				t.Fatalf("narrow %v: a fresh library of %d items, encoded in %d slots, has room for %d", u.narrow, size, n, c)
 			}
+		}
+	}
+}
+
+// checkLayout fails unless lib's array is a valid encoding (see itemSet)
+// in the width of u, and no head of whole words would make it shorter
+// and none longer than its own would make it as short.
+func checkLayout(t *testing.T, u *Universe, lib Library) {
+	t.Helper()
+	if lib.set == nil {
+		return
+	}
+	if len(lib.set.narrow) > 0 && len(lib.set.wide) > 0 {
+		t.Fatal("the library holds an array of each width")
+	}
+	if lib.Size() > 0 && u.narrow != (len(lib.set.narrow) > 0) {
+		t.Fatalf("a universe with narrow %v holds the library in the other width", u.narrow)
+	}
+	checkEncoding(t, u.NumItems(), lib.set.narrow)
+	checkEncoding(t, u.NumItems(), lib.set.wide)
+}
+
+// checkEncoding is checkLayout for one array, of a universe of numItems.
+func checkEncoding[S slot](t *testing.T, numItems int, a []S) {
+	t.Helper()
+	if len(a) == 0 {
+		return
+	}
+	w := slotBits[S]()
+	hs := int(a[0])
+	if hs < 0 || hs%(64/w) != 0 || 1+hs > len(a) {
+		t.Fatalf("head of %d slots of %d bits in an array of %d", hs, w, len(a))
+	}
+	tail := a[1+hs:]
+	for i, id := range tail {
+		if int(id) < hs*w || int(id) >= numItems || i > 0 && tail[i-1] >= id {
+			t.Fatalf("tail item %d at %d: not in [%d, %d) or not above the one before", id, i, hs*w, numItems)
+		}
+	}
+	items := appendItems(nil, a)
+	for words := 0; words <= (numItems+63)/64; words++ {
+		above := len(items) - sort.Search(len(items), func(i int) bool { return int(items[i]) >= 64*words })
+		n := 1 + words*64/w + above
+		if n < len(a) || n == len(a) && words*64 > hs*w {
+			t.Fatalf("a head of %d items encodes in %d slots; the library's head of %d, in %d", 64*words, n, hs*w, len(a))
 		}
 	}
 }

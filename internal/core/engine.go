@@ -477,7 +477,6 @@ func (e *Engine) spawnPeer(malicious, selfish bool) (int, bool) {
 	e.ps.selfish[slot] = selfish
 	e.ps.lib[slot] = lib
 	e.ps.link[slot] = link
-	e.ps.pingInterval[slot] = e.p.PingInterval
 	e.ps.winStart[slot] = -1
 	e.ps.byID = append(e.ps.byID, int32(slot))
 
@@ -569,7 +568,7 @@ func (e *Engine) handlePing(id cache.PeerID) {
 	if p < 0 {
 		return // peer died; its replacement has its own ping timer
 	}
-	e.schedule(e.now+e.ps.pingInterval[p], event{kind: evPing, peer: id})
+	e.schedule(e.now+e.pingInterval(p), event{kind: evPing, peer: id})
 
 	entries := e.ps.link[p].Entries()
 	i := policy.Pick(e.rngPolicy, e.p.PingProbe, entries)

@@ -45,28 +45,43 @@ func (e *Engine) recordPingOutcome(p int, dead bool) {
 	if !e.p.AdaptivePing {
 		return
 	}
-	e.ps.pingsInWindow[p]++
+	a := e.ps.adaptiveFor(p)
+	a.pings++
 	if dead {
-		e.ps.deadInWindow[p]++
+		a.dead++
 	}
 	const window = 5
-	if e.ps.pingsInWindow[p] < window {
+	if a.pings < window {
 		return
 	}
-	deadFrac := float64(e.ps.deadInWindow[p]) / float64(e.ps.pingsInWindow[p])
-	e.ps.pingsInWindow[p], e.ps.deadInWindow[p] = 0, 0
+	deadFrac := float64(a.dead) / float64(a.pings)
+	a.pings, a.dead = 0, 0
+	if a.interval == 0 {
+		a.interval = e.p.PingInterval
+	}
 	switch {
 	case deadFrac > 1-e.p.AdaptivePingLowLive:
-		e.ps.pingInterval[p] /= 2
-		if e.ps.pingInterval[p] < e.p.AdaptivePingMin {
-			e.ps.pingInterval[p] = e.p.AdaptivePingMin
+		a.interval /= 2
+		if a.interval < e.p.AdaptivePingMin {
+			a.interval = e.p.AdaptivePingMin
 		}
 	case deadFrac < 1-e.p.AdaptivePingHighLive:
-		e.ps.pingInterval[p] *= 1.25
-		if e.ps.pingInterval[p] > e.p.AdaptivePingMax {
-			e.ps.pingInterval[p] = e.p.AdaptivePingMax
+		a.interval *= 1.25
+		if a.interval > e.p.AdaptivePingMax {
+			a.interval = e.p.AdaptivePingMax
 		}
 	}
+}
+
+// pingInterval returns the peer in slot p's ping interval: the adaptive
+// controller's once it has set one, Params.PingInterval otherwise.
+func (e *Engine) pingInterval(p int) float64 {
+	if e.ps.adaptive != nil {
+		if iv := e.ps.adaptive[p].interval; iv != 0 {
+			return iv
+		}
+	}
+	return e.p.PingInterval
 }
 
 // pongSourceBlocked reports whether the peer in slot p has blacklisted

@@ -37,9 +37,6 @@ type peerStore struct {
 	selfish         []bool
 	lib             []content.Library
 	link            []cache.LinkCache
-	pingInterval    []float64
-	pingsInWindow   []int32
-	deadInWindow    []int32
 	winStart        []float64
 	winCount        []int32
 	probesReceived  []int64
@@ -48,6 +45,30 @@ type peerStore struct {
 	// configurations never touch it, so the array itself waits for the
 	// first write (rareFor): nil, or as long as id.
 	rare []rareState
+
+	// adaptive is the slot-parallel adaptive-ping state. Only
+	// recordPingOutcome writes it, and only under AdaptivePing, so the
+	// array too waits for the first write (adaptiveFor): nil, or as long
+	// as id.
+	adaptive []adaptiveState
+}
+
+// adaptiveState is one peer's adaptive-ping controller: its ping
+// interval, 0 until the controller first sets it (Params.PingInterval
+// until then), and the pings of the current window and how many of
+// them found a dead address.
+type adaptiveState struct {
+	interval    float64
+	pings, dead int32
+}
+
+// adaptiveFor returns slot p's adaptive-ping state for writing, making
+// the array on the first call. Readers check ps.adaptive for nil instead.
+func (ps *peerStore) adaptiveFor(p int) *adaptiveState {
+	if ps.adaptive == nil {
+		ps.adaptive = make([]adaptiveState, len(ps.id), cap(ps.id))
+	}
+	return &ps.adaptive[p]
 }
 
 // rareState is one peer's poison-detection and back-off maps, each nil
@@ -80,9 +101,6 @@ func (ps *peerStore) init(n int) {
 		ps.selfish = make([]bool, 0, n)
 		ps.lib = make([]content.Library, 0, n)
 		ps.link = make([]cache.LinkCache, 0, n)
-		ps.pingInterval = make([]float64, 0, n)
-		ps.pingsInWindow = make([]int32, 0, n)
-		ps.deadInWindow = make([]int32, 0, n)
 		ps.winStart = make([]float64, 0, n)
 		ps.winCount = make([]int32, 0, n)
 		ps.probesReceived = make([]int64, 0, n)
@@ -109,14 +127,14 @@ func (ps *peerStore) truncate(n int) {
 	ps.selfish = ps.selfish[:n]
 	ps.lib = ps.lib[:n]
 	ps.link = ps.link[:n]
-	ps.pingInterval = ps.pingInterval[:n]
-	ps.pingsInWindow = ps.pingsInWindow[:n]
-	ps.deadInWindow = ps.deadInWindow[:n]
 	ps.winStart = ps.winStart[:n]
 	ps.winCount = ps.winCount[:n]
 	ps.probesReceived = ps.probesReceived[:n]
 	if ps.rare != nil {
 		ps.rare = ps.rare[:n]
+	}
+	if ps.adaptive != nil {
+		ps.adaptive = ps.adaptive[:n]
 	}
 }
 
@@ -142,14 +160,14 @@ func (ps *peerStore) grow() int {
 	ps.selfish = append(ps.selfish, false)
 	ps.lib = append(ps.lib, content.Library{})
 	ps.link = append(ps.link, cache.LinkCache{})
-	ps.pingInterval = append(ps.pingInterval, 0)
-	ps.pingsInWindow = append(ps.pingsInWindow, 0)
-	ps.deadInWindow = append(ps.deadInWindow, 0)
 	ps.winStart = append(ps.winStart, 0)
 	ps.winCount = append(ps.winCount, 0)
 	ps.probesReceived = append(ps.probesReceived, 0)
 	if ps.rare != nil {
 		ps.rare = append(ps.rare, rareState{})
+	}
+	if ps.adaptive != nil {
+		ps.adaptive = append(ps.adaptive, adaptiveState{})
 	}
 	return slot
 }
@@ -166,14 +184,14 @@ func (ps *peerStore) swapRemove(slot int) {
 		ps.selfish[slot] = ps.selfish[last]
 		ps.lib[slot] = ps.lib[last]
 		ps.link[slot] = ps.link[last]
-		ps.pingInterval[slot] = ps.pingInterval[last]
-		ps.pingsInWindow[slot] = ps.pingsInWindow[last]
-		ps.deadInWindow[slot] = ps.deadInWindow[last]
 		ps.winStart[slot] = ps.winStart[last]
 		ps.winCount[slot] = ps.winCount[last]
 		ps.probesReceived[slot] = ps.probesReceived[last]
 		if ps.rare != nil {
 			ps.rare[slot] = ps.rare[last]
+		}
+		if ps.adaptive != nil {
+			ps.adaptive[slot] = ps.adaptive[last]
 		}
 		ps.byID[ps.id[slot]] = int32(slot)
 	}

@@ -370,9 +370,10 @@ func TestRunSpecReplicationsMerge(t *testing.T) {
 	}
 }
 
-// TestLookupAndDeprecatedShim checks the typed handle agrees with the
-// legacy Run entry.
-func TestLookupAndDeprecatedShim(t *testing.T) {
+// TestLookupHandleMatchesRun checks that Lookup refuses an unknown ID
+// and that the handle it returns renders what Run, the by-ID entry,
+// renders.
+func TestLookupHandleMatchesRun(t *testing.T) {
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatal("Lookup accepted unknown id")
 	}
@@ -396,7 +397,7 @@ func TestLookupAndDeprecatedShim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaShim, err := Run("fig8", quickOpts())
+	viaID, err := Run("fig8", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,11 +405,11 @@ func TestLookupAndDeprecatedShim(t *testing.T) {
 	if _, err := viaHandle.WriteTo(&a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := viaShim.WriteTo(&b); err != nil {
+	if _, err := viaID.WriteTo(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Fatal("deprecated Run shim disagrees with Experiment.Run")
+		t.Fatal("Run disagrees with Experiment.Run")
 	}
 }
 
