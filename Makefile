@@ -88,14 +88,17 @@ race:
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
 # the stream framing, the snapshot decoder, the gossip/DHT parameter
-# spaces, link-cache, query-cache and event-queue operation scripts,
-# and content libraries: cheap insurance that no datagram, frame, or
-# snapshot can panic a live node, no parameter corner breaks the
-# substrate engines' conservation invariants or determinism, the link
-# cache's two indexes never disagree, the query cache never departs
-# from its map reference, the event queue's FIFO never pops out of the
-# order its heap alone would give, and no library, fresh or recycled,
-# in either slot width, holds other items than the map sampler drew.
+# spaces, link-cache, query-cache, event-queue and memnet endpoint-queue
+# operation scripts, and content libraries: cheap insurance that no
+# datagram, frame, or snapshot can panic a live node, no parameter
+# corner breaks the substrate engines' conservation invariants or
+# determinism, the link cache's two indexes never disagree, the query
+# cache never departs from its map reference, the event queue's FIFO
+# never pops out of the order its heap alone would give, a memnet
+# endpoint's ring of pooled packets never departs from a slice per
+# endpoint (order, payloads, the 256-packet cap, Stats, Close), and no
+# library, fresh or recycled, in either slot width, holds other items
+# than the map sampler drew.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/frame
@@ -106,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzLinkCacheOps -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzQueryCacheOps -fuzztime=10s ./internal/policy
 	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=10s ./internal/eventq
+	$(GO) test -run='^$$' -fuzz=FuzzConnQueue -fuzztime=10s ./node/memnet
 	$(GO) test -run='^$$' -fuzz=FuzzLibrary -fuzztime=10s ./internal/content
 
 bench:

@@ -35,8 +35,10 @@
 // memory: AppendItems gives the same items in the same order and the
 // sampler makes the same draws either way (TestNarrowLibraryMatchesWide,
 // FuzzLibrary). The sampler dedups its draws in a bitmap of NumItems
-// bits that the universe keeps and reuses, empty between libraries; a
-// library's head is a copy of the bitmap's first words.
+// bits that the universe keeps and reuses, empty between libraries,
+// beside a summary of the bitmap's words that hold items; a library's
+// head is a copy of the bitmap's first words, and its tail is read from
+// the words the summary names.
 package content
 
 import (
@@ -134,9 +136,10 @@ type Universe struct {
 	narrow bool
 
 	mu sync.Mutex
-	// seen is fill's bitmap of NumItems bits, one per item: made by the
-	// first library that needs it and all clear between libraries.
-	seen []uint64
+	// seen is fill's bitmap of NumItems bits, one per item, and touched
+	// its summary, a bit per word of seen that holds an item: made by the
+	// first library that needs them and all clear between libraries.
+	seen, touched []uint64
 }
 
 // New builds a Universe from params.
@@ -267,8 +270,16 @@ func fill[S slot](u *Universe, r *simrng.RNG, size int, dst []S) []S {
 	defer u.mu.Unlock()
 	if u.seen == nil {
 		u.seen = make([]uint64, (u.params.NumItems+63)/64)
+		u.touched = make([]uint64, (len(u.seen)+63)/64)
 	}
-	seen := u.seen
+	seen, touched := u.seen, u.touched
+	width := slotBits[S]()
+	// A library too small for its head to reach past the bitmap's end
+	// leaves most words empty: its draws set the summary, so that the
+	// write-out visits only the words that hold items. A larger one
+	// fills most words, and a summary per draw would only slow the
+	// draws; its summary is taken from the bitmap after them.
+	tracked := size*width/64 < len(seen)
 	// Popularity-weighted rejection sampling; popular items collide
 	// often for large libraries, so bound the attempts and top up with
 	// uniform unseen items (these late additions are tail items, which
@@ -295,17 +306,24 @@ func fill[S slot](u *Universe, r *simrng.RNG, size int, dst []S) []S {
 				have++
 			}
 		}
+		if tracked {
+			for _, k := range ranks[:n] {
+				touch(touched, uint(k))
+			}
+		}
 		budget -= n
 	}
 	for have < size {
-		if mark(seen, uint(r.Intn(u.params.NumItems))) {
+		k := uint(r.Intn(u.params.NumItems))
+		if mark(seen, k) {
 			have++
 		}
+		touch(touched, k)
 	}
 	// Exactly size bits are set. The head is the bitmap's first words as
-	// they stand; the tail, the items after them in ascending order. Each
-	// word is cleared on the way, and the tail stops at the last item.
-	width := slotBits[S]()
+	// they stand; the tail, the items after them in ascending order, read
+	// from the words the summary marks. Each word is cleared on the way,
+	// the summary with it, and the tail stops at the last item.
 	words, headItems := headWords(seen, size, width/8)
 	perWord := 64 / width
 	dst = resize(dst, 1+words*perWord+size-headItems)
@@ -318,17 +336,30 @@ func fill[S slot](u *Universe, r *simrng.RNG, size int, dst []S) []S {
 			i++
 		}
 	}
-	for w := words; i < len(dst); w++ {
-		word := seen[w]
-		if word == 0 {
-			continue
-		}
-		seen[w] = 0
-		for ; word != 0; word &= word - 1 {
-			dst[i] = S(w<<6 | bits.TrailingZeros64(word))
-			i++
+	if !tracked && i < len(dst) {
+		for w := words; w < len(seen); w++ {
+			word := seen[w]
+			touched[w>>6] |= (word | -word) >> 63 << (w & 63)
 		}
 	}
+	for t := 0; i < len(dst); t++ {
+		sum := touched[t]
+		touched[t] = 0
+		for ; sum != 0; sum &= sum - 1 {
+			w := t<<6 | bits.TrailingZeros64(sum)
+			if w < words {
+				continue
+			}
+			word := seen[w]
+			seen[w] = 0
+			for ; word != 0; word &= word - 1 {
+				dst[i] = S(w<<6 | bits.TrailingZeros64(word))
+				i++
+			}
+		}
+	}
+	// A library all head leaves the summary of its head words set.
+	clear(touched[:(words+63)/64])
 	return dst
 }
 
@@ -358,6 +389,11 @@ func mark(seen []uint64, k uint) bool {
 	word, bit := seen[k>>6], uint64(1)<<(k&63)
 	seen[k>>6] = word | bit
 	return word&bit == 0
+}
+
+// touch sets the summary bit of the word of seen that holds item k.
+func touch(touched []uint64, k uint) {
+	touched[k>>12] |= 1 << (k >> 6 & 63)
 }
 
 // libraryBlock is the most popularity draws NewLibraryInto makes at a

@@ -8,9 +8,10 @@ import (
 )
 
 // FuzzLibrary holds a library against the map sampler it replaced, in a
-// narrow universe, a wide one, and the two either side of the width
+// narrow universe, a wide one, the two either side of the width
 // boundary (65 535 items, narrow; 65 536, wide), each of which may be
-// asked for every one of its items. The library is built fresh, into the
+// asked for every one of its items, and one so skewed that a small
+// library runs out of popularity draws and is topped up uniformly. The library is built fresh, into the
 // storage of a dead library of the same width, and into that of one of
 // the other width, the dead ones of sizes of their own. Each must hold
 // the reference's items by Contains for every ID in [-2, NumItems+2) and
@@ -23,11 +24,14 @@ func FuzzLibrary(f *testing.F) {
 		p.NumItems, p.MaxLibrary = n, n
 		return p
 	}
+	steep := DefaultParams()
+	steep.PopularityExp = 4
 	universes := []*Universe{
 		MustNew(DefaultParams()),
 		newWide(DefaultParams()),
 		MustNew(full(narrowMaxItems)),
 		MustNew(full(narrowMaxItems + 1)),
+		MustNew(steep),
 	}
 	f.Add(uint64(1), uint16(185), uint8(0), uint64(2), uint16(2500), uint8(1))
 	f.Add(uint64(3), uint16(2500), uint8(1), uint64(4), uint16(32), uint8(0))
@@ -35,6 +39,7 @@ func FuzzLibrary(f *testing.F) {
 	f.Add(uint64(7), uint16(0), uint8(2), uint64(8), uint16(40_000), uint8(1))
 	f.Add(uint64(9), uint16(65_535), uint8(2), uint64(10), uint16(17), uint8(3))
 	f.Add(uint64(11), uint16(30_000), uint8(3), uint64(12), uint16(900), uint8(2))
+	f.Add(uint64(13), uint16(185), uint8(4), uint64(14), uint16(32), uint8(4))
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, which uint8, deadSeed uint64, deadSize uint16, deadWhich uint8) {
 		u := universes[int(which)%len(universes)]
 		var same, other []*Universe
@@ -83,6 +88,11 @@ func FuzzLibrary(f *testing.F) {
 			for w, word := range u.seen {
 				if word != 0 {
 					t.Fatalf("the bitmap kept bits %#x in word %d", word, w)
+				}
+			}
+			for i, sum := range u.touched {
+				if sum != 0 {
+					t.Fatalf("the summary kept bits %#x in word %d", sum, i)
 				}
 			}
 			checkLayout(t, u, lib)

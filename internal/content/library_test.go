@@ -146,6 +146,11 @@ func checkModel(t *testing.T, u *Universe, lib Library, want map[ItemID]bool) {
 			t.Fatalf("the bitmap kept bits %#x in word %d", word, w)
 		}
 	}
+	for i, sum := range u.touched {
+		if sum != 0 {
+			t.Fatalf("the summary kept bits %#x in word %d", sum, i)
+		}
+	}
 	checkLayout(t, u, lib)
 }
 

@@ -15,6 +15,12 @@ import (
 // that is the reply deadline while a transmission is out and the pause
 // before the next one after a deadline passes.
 //
+// The timer is armed once and left to fire: a reply does not stop it,
+// and a new deadline re-arms it only when it is not armed or armed past
+// that deadline. A fire before due re-arms it for the rest. So a probe
+// sent after a quick reply finds the timer armed early enough and makes
+// no timer call; the early fire re-arms it once for the probes after.
+//
 // A flight in n.pending is held by no goroutine. Whichever goroutine
 // takes it out hands it to its owner's finish, exactly once: the serve
 // loop with its reply, the timer with its last deadline, the waiting
@@ -32,9 +38,12 @@ type flight struct {
 	attempt int // the transmission out, or next out after a pause
 	backoff time.Duration
 	sentAt  time.Time
-	// due is when the timer's next legitimate fire is: a fire before it
-	// is the leftover of a deadline the timer was re-armed past.
-	due     time.Time
+	// due is when the transmission out times out, or the pause ends: a
+	// fire before it finds the timer armed early and re-arms it.
+	due time.Time
+	// armed is when the timer is set to fire, zero once it has fired
+	// and its expire has run.
+	armed   time.Time
 	pausing bool
 	// aborted stops the flight at its next launch: set by abort while
 	// the holder steps, it makes a query stop instead of probing on. (The
@@ -94,11 +103,7 @@ func (n *Node) transmitLocked(f *flight, timeout time.Duration) (txOutcome, bool
 	f.pausing = false
 	f.sentAt = time.Now()
 	f.due = f.sentAt.Add(timeout)
-	if f.timer == nil {
-		f.timer = time.AfterFunc(timeout, f.expire)
-	} else {
-		f.timer.Reset(timeout)
-	}
+	f.armLocked(timeout)
 	buf := sendBufs.Get().(*[]byte)
 	defer sendBufs.Put(buf)
 	pkt, err := wire.AppendEncode((*buf)[:0], f.req)
@@ -130,7 +135,6 @@ func (n *Node) lapseLocked(f *flight) (txOutcome, bool) {
 	if f.attempt >= n.cfg.MaxProbeAttempts {
 		delete(n.pending, f.id)
 		n.pendingMu.Unlock()
-		f.timer.Stop()
 		return txTimeout, true
 	}
 	f.attempt++
@@ -140,20 +144,42 @@ func (n *Node) lapseLocked(f *flight) (txOutcome, bool) {
 	f.backoff = min(2*f.backoff, n.cfg.RetryBackoffMax)
 	f.pausing = true
 	f.due = time.Now().Add(pause)
-	f.timer.Reset(pause)
+	f.armLocked(pause)
 	n.pendingMu.Unlock()
 	return 0, false
 }
 
+// armLocked makes the timer fire no later than f.due, which is d from
+// now: it arms the timer unless it is armed already to fire by then.
+// Callers hold n.pendingMu.
+func (f *flight) armLocked(d time.Duration) {
+	switch {
+	case f.timer == nil:
+		f.timer = time.AfterFunc(d, f.expire)
+	case f.armed.IsZero() || f.armed.After(f.due):
+		f.timer.Reset(d)
+	default:
+		return
+	}
+	f.armed = f.due
+}
+
 // expire is the flight's timer: a reply deadline passing, or a backoff
 // pause ending in the next transmission. A fire that finds the flight
-// taken, or re-armed to a later due time, is a leftover and does
-// nothing: a deadline that fired while its reply was being taken must
-// not time out the next request the same flight carries.
+// taken is a leftover and does nothing: a deadline that fired while its
+// reply was being taken must not time out the next request the same
+// flight carries. A fire before the due time of the request in the air
+// re-arms the timer for the rest of it.
 func (f *flight) expire() {
 	n := f.n
 	n.pendingMu.Lock()
-	if n.pending[f.id] != f || time.Now().Before(f.due) {
+	f.armed = time.Time{}
+	if n.pending[f.id] != f {
+		n.pendingMu.Unlock()
+		return
+	}
+	if now := time.Now(); now.Before(f.due) {
+		f.armLocked(f.due.Sub(now))
 		n.pendingMu.Unlock()
 		return
 	}
@@ -181,7 +207,6 @@ func (n *Node) abort(f *flight) {
 	}
 	n.pendingMu.Unlock()
 	if held {
-		f.timer.Stop()
 		f.owner.finish(nil, txAborted, time.Time{})
 	}
 }
@@ -227,7 +252,6 @@ func (n *Node) deliver(msg wire.Message, at time.Time) {
 		n.observeRTTLocked(rtt.Seconds())
 	}
 	n.pendingMu.Unlock()
-	f.timer.Stop()
 	if sampled {
 		n.met.RTT.Observe(rtt.Seconds())
 	}

@@ -175,6 +175,69 @@ func TestFlightTimerReuse(t *testing.T) {
 	}
 }
 
+// TestFlightTimerArmedOnce: a reply leaves the flight's timer armed for
+// the deadline it answered, and the next request re-arms it only if that
+// fire would come too late. A timer armed too early must not time the
+// next request out before its own deadline, and one armed too late must
+// not hold it past its own.
+func TestFlightTimerArmedOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		// gap is how long after the quick reply the next request leaves;
+		// the next request's deadline must pass within [lo, hi) of it.
+		gap, lo, hi time.Duration
+	}{
+		// The timer stays armed for the first request's deadline, 60ms
+		// before the second's: that fire must re-arm for the rest.
+		{"armed-early", Config{ProbeTimeout: 150 * time.Millisecond}, 60 * time.Millisecond, 150 * time.Millisecond, time.Second},
+		// The quick reply brings the adaptive deadline down to its floor
+		// of ProbeTimeout/8, 50ms, far before the 400ms the timer is
+		// armed for: the timer must be re-armed.
+		{"adaptive-shorter", Config{ProbeTimeout: 400 * time.Millisecond, AdaptiveTimeout: true}, 0, 50 * time.Millisecond, 300 * time.Millisecond},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			nw := memnet.New(1)
+			cfg := c.cfg
+			cfg.MaxProbeAttempts, cfg.PingInterval = 1, time.Hour
+			n := startMemNode(t, nw, cfg)
+			quick, silent := nw.Listen(), nw.Listen()
+			defer quick.Close()
+			defer silent.Close()
+			log := make(flightLog, 2)
+			req := &wire.Ping{MsgID: n.msgID.Add(1)}
+			f := &flight{n: n, owner: log, req: req, target: quick.AddrPort()}
+			if _, ended := n.launch(f); ended {
+				t.Fatal("launch ended the flight")
+			}
+			n.deliver(&wire.Pong{MsgID: req.MsgID}, time.Now())
+			if out := <-log; out != txReply {
+				t.Fatalf("finished %v, want the reply", out)
+			}
+			time.Sleep(c.gap)
+
+			req.MsgID, f.target = n.msgID.Add(1), silent.AddrPort()
+			if _, ended := n.launch(f); ended {
+				t.Fatal("launch ended the flight")
+			}
+			n.pendingMu.Lock()
+			sent := f.sentAt
+			n.pendingMu.Unlock()
+			select {
+			case out := <-log:
+				if out != txTimeout {
+					t.Fatalf("finished %v, want a timeout", out)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the request to the silent peer never timed out")
+			}
+			if waited := time.Since(sent); waited < c.lo || waited >= c.hi {
+				t.Fatalf("timed out %v after it was sent, want within [%v, %v)", waited, c.lo, c.hi)
+			}
+		})
+	}
+}
+
 // TestAbortWhileHeld: an abort that finds the flight held by the
 // goroutine stepping it ends the flight at that goroutine's next
 // launch, which sends nothing.
@@ -291,11 +354,12 @@ func TestServeAllocCeilings(t *testing.T) {
 		req     func() wire.Message
 		ceiling float64
 	}{
-		// Most of these are the raw requester's own (encode, the packet
-		// copy, the boxed sender, decoding the reply); the node decodes
-		// into its serve loop's Decoder, so a query costs it the keyword.
-		{"query", wire.TypeQueryHit, func() wire.Message { q.next++; query.MsgID = q.next; return query }, 11}, // now 10, before 11
-		{"ping", wire.TypePong, func() wire.Message { q.next++; ping.MsgID = q.next; return ping }, 8},         // now 7, before 8
+		// Most of these are the raw requester's own (encode, the boxed
+		// sender, decoding the reply); memnet copies a datagram into a
+		// pooled buffer, and the node decodes into its serve loop's
+		// Decoder, so a query costs it the keyword.
+		{"query", wire.TypeQueryHit, func() wire.Message { q.next++; query.MsgID = q.next; return query }, 9}, // now 8, before 11
+		{"ping", wire.TypePong, func() wire.Message { q.next++; ping.MsgID = q.next; return ping }, 6},        // now 5, before 8
 	} {
 		got := testing.AllocsPerRun(500, func() {
 			if typ, err := q.roundTrip(c.req()); err != nil || typ != c.want {
@@ -316,9 +380,10 @@ func TestQueryAllocCeiling(t *testing.T) {
 		f.query(t, rng, pop)
 	}
 	// Seven of eight nodes are in every link cache, so a query is one
-	// probe (1.05 on average): a packet copy each way 2, the decoded
-	// query's keyword 1 and the hit's result name 1, the slice of hits 1.
-	if got := testing.AllocsPerRun(400, func() { f.query(t, rng, pop) }); got > 7 { // now 5, before 11
-		t.Errorf("one Query on a warm 8-node fleet: %.1f allocs, ceiling 7", got)
+	// probe (1.05 on average): the decoded query's keyword 1, the hit's
+	// result name 1 and the slice of hits 1 (memnet copies each datagram
+	// into a pooled buffer).
+	if got := testing.AllocsPerRun(400, func() { f.query(t, rng, pop) }); got > 4 { // now 3, before 11
+		t.Errorf("one Query on a warm 8-node fleet: %.1f allocs, ceiling 4", got)
 	}
 }

@@ -19,7 +19,7 @@ func benchDeliver(b *testing.B, p LinkProfile) {
 		if _, err := src.WriteToUDPAddrPort(payload, dst.AddrPort()); err != nil {
 			b.Fatal(err)
 		}
-		for len(dst.queue) > 0 {
+		for dst.queued() > 0 {
 			if _, _, err := dst.ReadFromUDPAddrPort(buf); err != nil {
 				b.Fatal(err)
 			}

@@ -15,6 +15,13 @@
 // order of packets sent over that link, not on goroutine interleaving
 // across links, so chaos scenarios replay identically for identical
 // seeds.
+//
+// Each endpoint holds at most 256 unread packets, in arrival order, in
+// a ring under its mutex; each packet is a copy of the sender's bytes,
+// in a pooled buffer that goes back to the pool once the reader has
+// copied it out or the packet is dropped. A read takes the endpoint's
+// lock once, and a reader that has to wait parks on a one-slot wake-up
+// channel, with a timer beside it only under a deadline.
 package memnet
 
 import (
@@ -232,10 +239,9 @@ func (n *Network) Listen() *Conn {
 	addr := netip.AddrPortFrom(netip.MustParseAddr("10.99.0.1"), n.nextPort)
 	n.nextPort++
 	c := &Conn{
-		net:   n,
-		addr:  addr,
-		queue: make(chan packet, 256),
-		done:  make(chan struct{}),
+		net:  n,
+		addr: addr,
+		wake: make(chan struct{}, 1),
 	}
 	n.endpoints[addr] = c
 	return c
@@ -317,15 +323,15 @@ func (n *Network) deliver(from, to netip.AddrPort, data []byte) {
 	}
 	n.mu.Unlock()
 
-	pkt := packet{from: from, data: append([]byte(nil), data...)}
 	if delay <= 0 {
 		for i := 0; i < copies; i++ {
-			dst.enqueue(pkt)
+			dst.enqueue(packet{from: from, data: copyPayload(data)})
 		}
 		return
 	}
 	n.inFlight.Add(int64(copies))
 	for i := 0; i < copies; i++ {
+		pkt := packet{from: from, data: copyPayload(data)}
 		time.AfterFunc(delay, func() {
 			defer n.inFlight.Add(-1)
 			dst.enqueue(pkt)
@@ -333,21 +339,55 @@ func (n *Network) deliver(from, to netip.AddrPort, data []byte) {
 	}
 }
 
-// enqueue lands one copy in c's receive queue, or drops it if c has
-// closed or the queue is full (like a real NIC).
+// enqueue lands one copy at the tail of c's receive queue and wakes a
+// reader, or drops it if c has closed or the queue is full (like a real
+// NIC).
 func (c *Conn) enqueue(pkt packet) {
 	met := c.net.met
-	select {
-	case <-c.done:
+	c.mu.Lock()
+	if c.closed.Load() || c.count == maxQueue {
+		c.mu.Unlock()
+		pkt.release()
 		met.QueueDrop.Inc()
 		return
-	default:
 	}
+	if c.count == len(c.ring) {
+		c.growLocked()
+	}
+	c.ring[(c.head+c.count)&(len(c.ring)-1)] = pkt
+	c.count++
+	c.signalLocked()
+	c.mu.Unlock()
+	met.Delivered.Inc()
+}
+
+// growLocked doubles the ring, which is full, keeping its packets in
+// order from index 0; callers hold c.mu.
+func (c *Conn) growLocked() {
+	ring := make([]packet, max(minRing, 2*len(c.ring)))
+	for i := 0; i < c.count; i++ {
+		ring[i] = c.ring[(c.head+i)&(len(c.ring)-1)]
+	}
+	c.ring, c.head = ring, 0
+}
+
+// popLocked takes the packet at the head of the queue, which is not
+// empty; callers hold c.mu.
+func (c *Conn) popLocked() packet {
+	pkt := c.ring[c.head]
+	c.ring[c.head] = packet{}
+	c.head = (c.head + 1) & (len(c.ring) - 1)
+	c.count--
+	return pkt
+}
+
+// signalLocked leaves a token in wake unless one is there already;
+// callers hold c.mu and have seen c open. One token wakes one parked
+// reader, so a reader that leaves packets behind signals again.
+func (c *Conn) signalLocked() {
 	select {
-	case c.queue <- pkt:
-		met.Delivered.Inc()
+	case c.wake <- struct{}{}:
 	default:
-		met.QueueDrop.Inc()
 	}
 }
 
@@ -382,22 +422,63 @@ func (n *Network) WaitIdle(timeout time.Duration) bool {
 	}
 }
 
+// maxQueue is the most packets an endpoint holds unread; a copy that
+// finds its destination's queue full is dropped, as a real NIC drops
+// past its receive ring. minRing is the ring a first packet allocates.
+const (
+	maxQueue = 256
+	minRing  = 4
+)
+
+// pooledSize is the size of the pooled buffers datagram copies are made
+// in: an Ethernet payload of 1500 bytes rounded up to its allocation
+// size class. A larger datagram gets a buffer of its own.
+const pooledSize = 1536
+
+var payloads = sync.Pool{New: func() any { return new([pooledSize]byte) }}
+
+// copyPayload returns a copy of data that the packet carrying it owns:
+// in a pooled buffer, which release returns, when it fits one.
+func copyPayload(data []byte) []byte {
+	if len(data) > pooledSize {
+		return append(make([]byte, 0, len(data)), data...)
+	}
+	buf := payloads.Get().(*[pooledSize]byte)
+	return buf[:copy(buf[:], data)]
+}
+
 type packet struct {
 	from netip.AddrPort
+	// data is the packet's own copy: in a pooled buffer exactly when its
+	// capacity is pooledSize (an unpooled copy is longer than that).
 	data []byte
 }
 
-// Conn is one endpoint; it implements net.PacketConn.
+// release returns the packet's buffer to the pool, once nothing reads it
+// again: after the reader copied it out, or where the packet is dropped.
+func (p packet) release() {
+	if cap(p.data) == pooledSize {
+		payloads.Put((*[pooledSize]byte)(p.data[:pooledSize]))
+	}
+}
+
+// Conn is one endpoint; it implements net.PacketConn. Its receive queue
+// is a FIFO ring under mu, grown by doubling up to maxQueue packets, and
+// wake is a one-slot channel a reader parks on: enqueue leaves a token
+// in it, and Close closes it, which wakes every parked reader.
 type Conn struct {
 	net  *Network
 	addr netip.AddrPort
 
-	queue chan packet
-
-	closeOnce sync.Once
-	done      chan struct{}
-
-	mu           sync.Mutex
+	mu sync.Mutex
+	// ring holds the count queued packets from head on, wrapping; its
+	// length is zero or a power of two.
+	ring  []packet
+	head  int
+	count int
+	// closed is set once, under mu, by Close; writes read it without.
+	closed       atomic.Bool
+	wake         chan struct{}
 	readDeadline time.Time
 	// idleTimer is the deadline timer of the last read that had to wait,
 	// stopped and drained, for the next one to re-arm.
@@ -416,59 +497,76 @@ func (c *Conn) ReadFrom(p []byte) (int, net.Addr, error) {
 }
 
 // ReadFromUDPAddrPort is ReadFrom with the sender's address in netip
-// form, as on *net.UDPConn. An expired deadline fails first; otherwise a
-// packet already queued is returned without arming a timer, and a read
-// that has to wait under a deadline re-arms the endpoint's one.
+// form, as on *net.UDPConn. Under the endpoint's lock an expired deadline
+// fails first, then a closed endpoint, and otherwise a queued packet is
+// taken. A read that has to wait parks on wake alone, or under a
+// deadline on wake and the endpoint's one timer.
 func (c *Conn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
-	c.mu.Lock()
-	deadline := c.readDeadline
-	c.mu.Unlock()
-	var wait time.Duration
-	if !deadline.IsZero() {
-		if wait = time.Until(deadline); wait <= 0 {
-			return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
-		}
-	}
-	select {
-	case <-c.done:
-		return 0, netip.AddrPort{}, net.ErrClosed
-	default:
-	}
-	select {
-	case pkt := <-c.queue:
-		return copy(p, pkt.data), pkt.from, nil
-	default:
-	}
-	var timeout <-chan time.Time
-	if wait > 0 {
-		// The endpoint keeps one timer between reads; a second reader
-		// at the same moment finds none and makes its own.
-		t := c.idleTimer.Swap(nil)
+	var t *time.Timer
+	armed := false
+	defer func() {
 		if t == nil {
-			t = time.NewTimer(wait)
-		} else {
-			t.Reset(wait)
+			return
 		}
-		defer func() {
-			// go.mod says go 1.22: a fired timer's tick stays in its
-			// channel, and would expire the next read on arrival.
-			if !t.Stop() {
-				select {
-				case <-t.C:
-				default:
-				}
+		// go.mod says go 1.22: a fired timer's tick stays in its
+		// channel, and would expire the next read on arrival.
+		if !t.Stop() {
+			select {
+			case <-t.C:
+			default:
 			}
-			c.idleTimer.Store(t)
-		}()
-		timeout = t.C
-	}
-	select {
-	case <-c.done:
-		return 0, netip.AddrPort{}, net.ErrClosed
-	case <-timeout:
-		return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
-	case pkt := <-c.queue:
-		return copy(p, pkt.data), pkt.from, nil
+		}
+		c.idleTimer.Store(t)
+	}()
+	for {
+		c.mu.Lock()
+		var wait time.Duration
+		if deadline := c.readDeadline; !deadline.IsZero() {
+			if wait = time.Until(deadline); wait <= 0 {
+				if c.count > 0 {
+					c.signalLocked() // a token this read took is another reader's
+				}
+				c.mu.Unlock()
+				return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
+			}
+		}
+		if c.closed.Load() {
+			c.mu.Unlock()
+			return 0, netip.AddrPort{}, net.ErrClosed
+		}
+		if c.count > 0 {
+			pkt := c.popLocked()
+			if c.count > 0 {
+				c.signalLocked()
+			}
+			c.mu.Unlock()
+			n := copy(p, pkt.data)
+			pkt.release()
+			return n, pkt.from, nil
+		}
+		c.mu.Unlock()
+		if wait == 0 {
+			<-c.wake
+			continue
+		}
+		if !armed {
+			// The endpoint keeps one timer between reads; a second reader
+			// at the same moment finds none and makes its own.
+			if t == nil {
+				t = c.idleTimer.Swap(nil)
+			}
+			if t == nil {
+				t = time.NewTimer(wait)
+			} else {
+				t.Reset(wait)
+			}
+			armed = true
+		}
+		select {
+		case <-c.wake:
+		case <-t.C:
+			armed = false
+		}
 	}
 }
 
@@ -484,21 +582,29 @@ func (c *Conn) WriteTo(p []byte, addr net.Addr) (int, error) {
 // WriteToUDPAddrPort is WriteTo with the destination in netip form, as
 // on *net.UDPConn.
 func (c *Conn) WriteToUDPAddrPort(p []byte, to netip.AddrPort) (int, error) {
-	select {
-	case <-c.done:
+	if c.closed.Load() {
 		return 0, net.ErrClosed
-	default:
 	}
 	c.net.deliver(c.addr, to, p)
 	return len(p), nil
 }
 
-// Close implements net.PacketConn.
+// Close implements net.PacketConn. It releases what is queued and
+// closes wake, so every parked reader returns net.ErrClosed.
 func (c *Conn) Close() error {
-	c.closeOnce.Do(func() {
-		close(c.done)
-		c.net.Partition(c.addr)
-	})
+	c.mu.Lock()
+	if c.closed.Load() {
+		c.mu.Unlock()
+		return nil
+	}
+	c.closed.Store(true)
+	for c.count > 0 {
+		c.popLocked().release()
+	}
+	c.ring = nil
+	close(c.wake)
+	c.mu.Unlock()
+	c.net.Partition(c.addr)
 	return nil
 }
 

@@ -502,7 +502,7 @@ func TestFaultScheduleIndependentOfSendOrder(t *testing.T) {
 		// drain counts what is queued at dst: copies of packet i are
 		// inline, copies of an earlier packet are held ones landing.
 		drain := func(dst *Conn, fates *[packets]fate, i int) {
-			for len(dst.queue) > 0 {
+			for dst.queued() > 0 {
 				if _, _, err := dst.ReadFromUDPAddrPort(buf); err != nil {
 					t.Fatal(err)
 				}
