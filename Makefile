@@ -88,21 +88,25 @@ race:
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
 # the stream framing, the snapshot decoder, the gossip/DHT parameter
-# spaces, link-cache, query-cache, event-queue and memnet endpoint-queue
-# operation scripts, and content libraries: cheap insurance that no
-# datagram, frame, or snapshot can panic a live node, no parameter
-# corner breaks the substrate engines' conservation invariants or
-# determinism, the link cache's two indexes never disagree, the query
-# cache never departs from its map reference, the event queue's FIFO
-# never pops out of the order its heap alone would give, a memnet
-# endpoint's ring of pooled packets never departs from a slice per
-# endpoint (order, payloads, the 256-packet cap, Stats, Close), and no
-# library, fresh or recycled, in either slot width, holds other items
-# than the map sampler drew.
+# spaces, link-cache, query-cache, event-queue, memnet endpoint-queue
+# and live-node address-table operation scripts, and content libraries:
+# cheap insurance that no datagram, frame, or snapshot can panic a live
+# node, no parameter corner breaks the substrate engines' conservation
+# invariants or determinism, the link cache's two indexes never
+# disagree, the query cache never departs from its map reference (its
+# seen set's members included), a node's address table never departs
+# from a map plus free list (a kept address keeps its ID, a freed ID
+# comes back only after a sweep, no two addresses share one, a full
+# table answers 0), the event queue's FIFO never pops out of the order
+# its heap alone would give, a memnet endpoint's ring of pooled packets
+# never departs from a slice per endpoint (order, payloads, the
+# 256-packet cap, Stats, Close), and no library, fresh or recycled, in
+# either slot width, holds other items than the map sampler drew.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/frame
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./node
+	$(GO) test -run='^$$' -fuzz=FuzzAddrTable -fuzztime=10s ./node
 	$(GO) test -run='^$$' -fuzz=FuzzStateSyncDecode -fuzztime=10s ./node/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzGossipParams -fuzztime=10s ./internal/gossip
 	$(GO) test -run='^$$' -fuzz=FuzzDHTLookup -fuzztime=10s ./internal/dht
@@ -149,7 +153,7 @@ bench-json:
 # gossip run at the families workload's shape (named with its package:
 # internal/dht has a BenchmarkRun too). Override with
 # `make bench-check BENCH_BASELINE=BENCH_<date>.json`.
-BENCH_BASELINE ?= BENCH_20261017_pr36.json
+BENCH_BASELINE ?= BENCH_20261018_pr44.json
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
 	{ $(GO) test -run '^$$' -bench 'BenchmarkSingleRun$$' -benchmem -benchtime 3x . && \

@@ -194,6 +194,25 @@ func (q *QueryCache) Shed() {
 	q.sel.Shed(MaxRetainedCandidates)
 }
 
+// AppendSeen appends the members of the seen set to dst, in no
+// particular order: the querying peer, every candidate Add took and so
+// every address Next has handed out. It walks the blocks' bits, so it
+// costs the blocks the query touched, not the addresses it heard.
+func (q *QueryCache) AppendSeen(dst []cache.PeerID) []cache.PeerID {
+	for _, slot := range q.dir {
+		if slot == 0 {
+			continue
+		}
+		base := (uint32(slot>>32) - 1) << blockShift
+		for w, word := range q.blocks[uint32(slot)] {
+			for ; word != 0; word &= word - 1 {
+				dst = append(dst, cache.PeerID(base+uint32(w)*64+uint32(bits.TrailingZeros64(word))))
+			}
+		}
+	}
+	return dst
+}
+
 // see inserts addr into the seen set, reporting whether it was absent.
 func (q *QueryCache) see(addr cache.PeerID) bool {
 	if addr <= 0 {

@@ -97,7 +97,8 @@ var queryScriptAddrs = func() []cache.PeerID {
 // q and to the reference, each drawing on its own RNG seeded with seed,
 // and fails on the first observable difference: an Add answer, a Next
 // result, the candidates a Next skipped, the Pending count, the
-// counters or Done. A Next that hands out a probe is followed by its
+// counters or Done; and, once the script is done, the members of the
+// seen set (AppendSeen). A Next that hands out a probe is followed by its
 // outcome, which the operation's top bits pick: good, dead, refused or
 // none. A scripted probe cap allows up to seven more probes than the
 // query has sent, or none at all, so it is reached and then lifted
@@ -188,6 +189,16 @@ func runQueryCacheScript(t *testing.T, q *QueryCache, sel Selection, seed uint64
 		if refSat, refDone := ref.Done(); sat != refSat || done != refDone {
 			t.Fatalf("step %d: Done = %v, %v; reference %v, %v", step, sat, done, refSat, refDone)
 		}
+	}
+	seen := q.AppendSeen(nil)
+	slices.Sort(seen)
+	var want []cache.PeerID
+	for a := range ref.seen {
+		want = append(want, a)
+	}
+	slices.Sort(want)
+	if !slices.Equal(seen, want) {
+		t.Fatalf("AppendSeen = %v, reference %v", seen, want)
 	}
 	q.Limit(ref.desired, 0)
 	ref.maxProbes = 0

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 
@@ -195,7 +196,9 @@ func (f *benchFleet) query(tb testing.TB, rng *simrng.RNG, pop *dist.Zipf) {
 // BenchmarkFleetQuery is one Node.Query on a warm 64-node memnet
 // fleet, closed loop from one caller: the node-fleet workload's unit of
 // work, and the benchmark to profile the live path with
-// (go test -run '^$' -bench FleetQuery -cpuprofile ...).
+// (go test -run '^$' -bench FleetQuery -cpuprofile ...). live-B/node is
+// the heap still reachable after the last query, with the fleet
+// referenced, per node: what a node holds once warm.
 func BenchmarkFleetQuery(b *testing.B) {
 	f := newBenchFleet(b, 64, 40, 20)
 	rng := simrng.New(7)
@@ -208,4 +211,10 @@ func BenchmarkFleetQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f.query(b, rng, pop)
 	}
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(f)
+	b.ReportMetric(float64(ms.HeapAlloc)/float64(len(f.nodes)), "live-B/node")
 }

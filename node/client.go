@@ -39,24 +39,30 @@ func (n *Node) pingOnce() {
 		n.mu.Unlock() // nothing to ping, or demoted this round: try again next tick
 		return
 	}
-	id := entries[i].Addr
-	target := n.addrs[id]
+	target := n.ids.addrs[entries[i].Addr]
 	n.mu.Unlock()
 
 	pong, at, outcome := n.ping(context.Background(), target)
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	// Nothing held target's ID while the ping was in the air: a sweep
+	// may have freed it and numbered another address with it. A target
+	// no longer numbered is neither touched nor blamed.
+	id := n.lookupID(target)
 	if outcome == txTimeout {
 		// Every attempt unanswered: breaker or eviction.
-		n.peerTimedOut(id)
+		if id != 0 {
+			n.peerTimedOutLocked(id)
+		}
+		return
 	}
 	if pong == nil {
 		return
 	}
-	n.mu.Lock()
 	ts := n.clock(at)
 	n.link.Touch(id, ts)
 	n.health.onSuccess(id)
 	n.absorbPong(pong.Entries, ts, nil)
-	n.mu.Unlock()
 }
 
 // pingCall is one ping on the flight path, and the blocking wrapper a
@@ -137,13 +143,18 @@ func (n *Node) absorbPong(entries []wire.PongEntry, ts float64, qc *policy.Query
 // consecutive timeouts and evicts only when the half-open trial fails.
 func (n *Node) peerTimedOut(id cache.PeerID) {
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.peerTimedOutLocked(id)
+}
+
+// peerTimedOutLocked is peerTimedOut for callers that hold n.mu.
+func (n *Node) peerTimedOutLocked(id cache.PeerID) {
 	evict, opened := n.health.onTimeout(id, time.Now())
 	if evict {
 		n.link.Remove(id)
 		n.syncCacheGauge()
 	}
 	n.syncBreakerGauge()
-	n.mu.Unlock()
 	if opened {
 		n.met.BreakerOpens.Inc()
 	}
@@ -207,7 +218,10 @@ const maxScratches = 4
 
 // getScratch returns a scratch whose query record wants desired
 // results, with no probe cap, and holds the link cache snapshot (the
-// node itself excluded); callers hold n.mu.
+// node itself excluded); callers hold n.mu. Until putScratch, the
+// scratch is among n.queries: a sweep keeps every ID its query has
+// seen, so none of its candidates, nor the peer it probes, is renumbered
+// under it.
 func (n *Node) getScratch(desired int) *queryScratch {
 	var s *queryScratch
 	if last := len(n.scratches) - 1; last >= 0 {
@@ -221,19 +235,23 @@ func (n *Node) getScratch(desired int) *queryScratch {
 	for _, e := range n.link.Entries() {
 		s.qc.Add(e)
 	}
+	n.queries = append(n.queries, s)
 	return s
 }
 
 // putScratch hands a finished query's scratch back, without the storage
-// of an exhaustive query over a large network.
+// of an exhaustive query over a large network. It leaves n.queries
+// before Shed drops the seen set a sweep would read.
 func (n *Node) putScratch(s *queryScratch) {
-	s.qc.Shed()
 	s.ctx, s.hits = nil, nil
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	i := slices.Index(n.queries, s)
+	n.queries = slices.Delete(n.queries, i, i+1)
+	s.qc.Shed()
 	if len(n.scratches) < maxScratches {
 		n.scratches = append(n.scratches, s)
 	}
-	n.mu.Unlock()
 }
 
 // Query runs a GUESS search: it serially probes peers from the link
@@ -313,7 +331,7 @@ func (s *queryScratch) next() bool {
 		n.mu.Unlock()
 		return false
 	}
-	target := n.addrs[addr]
+	target := n.ids.addrs[addr]
 	n.mu.Unlock()
 	s.probed, s.f.target = addr, target
 	s.req = wire.Query{

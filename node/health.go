@@ -175,6 +175,14 @@ func (h *peerHealth) pruneTo(link *cache.LinkCache) {
 	}
 }
 
+// appendIDs appends the IDs of the tracked peers to dst.
+func (h *peerHealth) appendIDs(dst []cache.PeerID) []cache.PeerID {
+	for id := range h.m {
+		dst = append(dst, id)
+	}
+	return dst
+}
+
 // open returns the number of peers behind a non-closed breaker.
 func (h *peerHealth) open() int { return h.openCnt }
 

@@ -324,6 +324,7 @@ func TestQueryScratchBounded(t *testing.T) {
 	}
 	querier.mu.Lock()
 	querier.scratches = querier.scratches[:0]
+	querier.queries = append(querier.queries, big) // in use, as getScratch leaves it
 	querier.mu.Unlock()
 	querier.putScratch(big)
 	if got := idle(); len(got) != 1 || got[0] != big {

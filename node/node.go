@@ -347,16 +347,14 @@ type Node struct {
 	mu   sync.Mutex
 	rng  *simrng.RNG
 	link *cache.LinkCache
-	ids  map[netip.AddrPort]cache.PeerID
-	// addrs[id] is the address idFor numbered id; IDs are dense from 1,
-	// so addrs[0] is unused. maxID is the last ID idFor hands out:
-	// math.MaxInt32, lower only in tests.
-	addrs []netip.AddrPort
-	maxID cache.PeerID
+	// ids numbers the addresses the node refers to (see idFor).
+	ids *addrTable
 	// pick is the selection scratch pongs are built with.
 	pick policy.Scratch
-	// scratches are idle query candidate sets (at most maxScratches).
-	scratches []*queryScratch
+	// scratches are idle query candidate sets (at most maxScratches);
+	// queries are the ones in use, whose candidates keep their IDs
+	// through a sweep.
+	scratches, queries []*queryScratch
 	// adm decides which inbound probes are served (flat window or fair
 	// SFB-style shedding); guarded by mu.
 	adm admitter
@@ -438,9 +436,7 @@ func New(conn Transport, cfg Config) (*Node, error) {
 		filesLower: make([]string, len(cfg.Files)),
 		rng:        simrng.New(cfg.Seed),
 		link:       cache.NewLinkCache(cfg.CacheSize),
-		ids:        make(map[netip.AddrPort]cache.PeerID),
-		addrs:      make([]netip.AddrPort, 1),
-		maxID:      math.MaxInt32,
+		ids:        newAddrTable(sweepFloor*cfg.CacheSize, math.MaxInt32),
 		keySalt:    saltFor(cfg),
 		health:     newPeerHealth(cfg),
 		pending:    make(map[uint64]*flight),
@@ -602,7 +598,7 @@ func (n *Node) CacheAddrs() []netip.AddrPort {
 	defer n.mu.Unlock()
 	out := make([]netip.AddrPort, 0, n.link.Len())
 	for _, e := range n.link.Entries() {
-		out = append(out, n.addrs[e.Addr])
+		out = append(out, n.ids.addrs[e.Addr])
 	}
 	return out
 }
@@ -646,22 +642,51 @@ func (n *Node) now() float64 { return n.clock(time.Now()) }
 // clock is t on the TS clock.
 func (n *Node) clock(t time.Time) float64 { return t.Sub(n.start).Seconds() }
 
-// idFor maps an address to its stable PeerID, numbering it on first
-// sight; callers hold n.mu. Once maxID addresses are numbered a new one
-// gets 0, which names no address and is never in the link cache: the
-// caller must not cache it, and touching or forgetting it is a no-op.
+// idFor maps an address to its PeerID, numbering it on first sight;
+// callers hold n.mu. An ID is stable for as long as something refers
+// to it: numbering a new address may sweep the table first (see
+// sweepIDs), which frees every ID that neither the node itself, the
+// link cache, peer health nor a query in progress holds. So an ID must
+// not be kept across an unlock unless one of those holds it; look the
+// address up again instead (lookupID). When maxID addresses are
+// numbered and none is free, a new one gets 0, which names no address
+// and is never in the link cache: the caller must not cache it, and
+// touching or forgetting it is a no-op.
 func (n *Node) idFor(addr netip.AddrPort) cache.PeerID {
 	addr = unmap(addr)
-	if id, ok := n.ids[addr]; ok {
+	if id := n.ids.lookup(addr); id != 0 {
 		return id
 	}
-	if len(n.addrs) > int(n.maxID) {
-		return 0
+	if n.ids.due() {
+		n.sweepIDs()
 	}
-	id := cache.PeerID(len(n.addrs))
-	n.ids[addr] = id
-	n.addrs = append(n.addrs, addr)
-	return id
+	return n.ids.add(addr)
+}
+
+// lookupID is addr's PeerID, 0 if it is not numbered; callers hold n.mu.
+func (n *Node) lookupID(addr netip.AddrPort) cache.PeerID {
+	return n.ids.lookup(unmap(addr))
+}
+
+// sweepFloor times CacheSize is how many addresses a node numbers
+// before its first sweep: above what a cache's worth of peers, their
+// health state and a few queries' candidates refer to at once, so a
+// node on a network no larger than that never sweeps.
+const sweepFloor = 4
+
+// sweepIDs frees the IDs nothing refers to; callers hold n.mu.
+func (n *Node) sweepIDs() {
+	keep := make([]cache.PeerID, 0, 1+n.link.Len()+n.health.len())
+	keep = append(keep, n.selfID)
+	for _, e := range n.link.Entries() {
+		keep = append(keep, e.Addr)
+	}
+	keep = n.health.appendIDs(keep)
+	//lint:lockguard-ok sweepIDs runs inside idFor, whose callers hold n.mu
+	for _, s := range n.queries {
+		keep = s.qc.AppendSeen(keep)
+	}
+	n.ids.sweep(keep)
 }
 
 func (n *Node) logf(format string, args ...any) {

@@ -327,7 +327,7 @@ func TestFullAddressTableStopsCaching(t *testing.T) {
 	n := startNode(t, Config{IntroProb: 1})
 	n.AddPeer(relay.Addr(), 1)
 	n.mu.Lock()
-	n.maxID = cache.PeerID(len(n.addrs) - 1) // self and the relay: the table is full
+	n.ids.maxID = cache.PeerID(len(n.ids.addrs) - 1) // self and the relay: the table is full
 	n.mu.Unlock()
 	onlyRelay := func(after string) {
 		t.Helper()
@@ -336,8 +336,8 @@ func TestFullAddressTableStopsCaching(t *testing.T) {
 		}
 		n.mu.Lock()
 		defer n.mu.Unlock()
-		if len(n.addrs) != 3 || len(n.ids) != 2 {
-			t.Fatalf("after %s: %d addresses numbered, %d in the map", after, len(n.addrs)-1, len(n.ids))
+		if len(n.ids.addrs) != 3 || n.ids.live != 2 || len(n.ids.free) != 0 {
+			t.Fatalf("after %s: %d IDs handed out, %d addresses numbered, %d IDs free", after, len(n.ids.addrs)-1, n.ids.live, len(n.ids.free))
 		}
 	}
 	ctx := context.Background()

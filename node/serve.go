@@ -172,9 +172,14 @@ func (n *Node) introduce(from netip.AddrPort, numFiles uint32, ts float64) {
 	if from == n.self {
 		return
 	}
+	// Touching needs no ID of a requester that has none: it is not in
+	// the link cache. Only one being inserted is numbered.
+	n.link.Touch(n.lookupID(from), ts)
+	if !n.rng.Bool(n.cfg.IntroProb) {
+		return
+	}
 	id := n.idFor(from)
-	n.link.Touch(id, ts)
-	if !n.rng.Bool(n.cfg.IntroProb) || id == 0 {
+	if id == 0 {
 		return
 	}
 	n.insertLocked(cache.Entry{
@@ -192,7 +197,7 @@ func (n *Node) appendPongEntries(out []wire.PongEntry, sel policy.Selection, rec
 	entries := n.link.Entries()
 	for _, i := range n.pick.PickN(n.rng, sel, entries, n.cfg.PongSize+1) {
 		e := entries[i]
-		addr := n.addrs[e.Addr]
+		addr := n.ids.addrs[e.Addr]
 		if addr == recipient || !addr.IsValid() {
 			continue
 		}

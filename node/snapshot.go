@@ -156,7 +156,7 @@ func (n *Node) snapshotEntries() []snapEntry {
 	defer n.mu.Unlock()
 	out := make([]snapEntry, 0, n.link.Len())
 	for _, e := range n.link.Entries() {
-		addr := n.addrs[e.Addr]
+		addr := n.ids.addrs[e.Addr]
 		if !addr.IsValid() {
 			continue
 		}
