@@ -87,12 +87,15 @@ race:
 	  ./internal/core
 
 # Ten seconds of coverage-guided fuzzing each over the wire decoder,
-# the stream framing, the snapshot decoder, the gossip/DHT parameter
-# spaces, link-cache, query-cache, event-queue, memnet endpoint-queue
-# and live-node address-table operation scripts, and content libraries:
+# the stream framing, the snapshot decoder, the gossip/DHT/GUESS
+# parameter spaces, link-cache, query-cache, event-queue, memnet
+# endpoint-queue and live-node address-table operation scripts, and
+# content libraries:
 # cheap insurance that no datagram, frame, or snapshot can panic a live
 # node, no parameter corner breaks the substrate engines' conservation
-# invariants or determinism, the link cache's two indexes never
+# invariants or determinism, no small GUESS configuration makes the
+# simulator depart from its plain reference engine (Results, CSV trace,
+# event stream, next draws), the link cache's two indexes never
 # disagree, the query cache never departs from its map reference (its
 # seen set's members included), a node's address table never departs
 # from a map plus free list (a kept address keeps its ID, a freed ID
@@ -110,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzStateSyncDecode -fuzztime=10s ./node/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzGossipParams -fuzztime=10s ./internal/gossip
 	$(GO) test -run='^$$' -fuzz=FuzzDHTLookup -fuzztime=10s ./internal/dht
+	$(GO) test -run='^$$' -fuzz=FuzzEngineParams -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzLinkCacheOps -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzQueryCacheOps -fuzztime=10s ./internal/policy
 	$(GO) test -run='^$$' -fuzz=FuzzQueueOps -fuzztime=10s ./internal/eventq

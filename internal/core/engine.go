@@ -132,14 +132,6 @@ type Engine struct {
 	freeBlacklist  []map[cache.PeerID]bool
 	freeSuppressed []map[cache.PeerID]float64
 
-	// noReuse (tests only) keeps the free lists above empty: nothing is
-	// donated, every birth and query allocates fresh, and the reuse
-	// determinism suite asserts the two kinds of run are byte-identical.
-	noReuse bool
-	// queueAll (tests only) has schedule queue the events it would drop;
-	// TestRunMatchesUnfilteredQueue asserts the runs are byte-identical.
-	queueAll bool
-
 	ran bool
 }
 
@@ -241,13 +233,8 @@ func (e *Engine) adoptStorage(old *Engine) {
 
 // recycleSlotStorage donates slot i's link cache, library and state
 // maps, cleared, to the free lists: the one place peer storage enters
-// them, for a death mid-run and for the final population at Renew. With
-// noReuse it donates nothing, so every pop finds its list empty and
-// allocates.
+// them, for a death mid-run and for the final population at Renew.
 func (e *Engine) recycleSlotStorage(i int) {
-	if e.noReuse {
-		return
-	}
 	link := e.ps.link[i]
 	if link.Cap() > 0 {
 		link.Clear()
@@ -310,7 +297,7 @@ func pop[T any](free *[]T) (v T, ok bool) {
 // time order and need no heap sift. They are about 95% of the events a
 // paper-default run schedules. Every other kind keeps the heap.
 func (e *Engine) schedule(t float64, ev event) {
-	if t > e.end && !e.queueAll {
+	if t > e.end {
 		return
 	}
 	if ev.kind == evProbeStep {
@@ -632,8 +619,8 @@ type overlaySample struct {
 
 // scanOverlay is the engine's one O(NetworkSize) scan: it counts every
 // peer's live and good cache entries and, with connectivity set, unions
-// the conceptual overlay's edges on the way — dead-target entries and
-// self-loops skipped exactly as overlay.Builder.AddEdge skips them.
+// the conceptual overlay's edges on the way: an entry pointing at a dead
+// peer or at the peer itself adds no edge.
 //
 // The union-find scratch is reset over peer IDs, dead and never-born
 // ones dropped, so the load that answers "is this address live" is also

@@ -6,6 +6,7 @@ package core
 // into the engine's peerStore (see peerstore.go).
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cache"
@@ -250,5 +251,27 @@ func TestQueryAddCandidateDedups(t *testing.T) {
 	}
 	if q.qc.Pending() != 1 {
 		t.Fatalf("%d candidates pending", q.qc.Pending())
+	}
+}
+
+// TestScheduleFilterIsTheLoops pins the boundary: an event at exactly
+// end is queued (Run's loop handles t == end), the next float after it
+// is not.
+func TestScheduleFilterIsTheLoops(t *testing.T) {
+	e, err := New(quickParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.end != e.p.WarmupTime+e.p.MeasureTime {
+		t.Fatalf("end = %v before Run, want %v", e.end, e.p.WarmupTime+e.p.MeasureTime)
+	}
+	e.schedule(e.end, event{kind: evPing, peer: 1})
+	if e.events.Len() != 1 {
+		t.Fatal("an event at exactly end was not queued")
+	}
+	e.schedule(math.Nextafter(e.end, math.Inf(1)), event{kind: evPing, peer: 1})
+	e.schedule(math.Inf(1), event{kind: evDeath, peer: 1})
+	if e.events.Len() != 1 {
+		t.Fatal("an event past end was queued")
 	}
 }

@@ -55,9 +55,6 @@ func (e *Engine) getQuery() *query {
 // release sites run while handling (or before scheduling) that event —
 // so no queued event can still reference q.
 func (e *Engine) putQuery(q *query) {
-	if e.noReuse {
-		return
-	}
 	q.qc.Shed()
 	e.freeQueries = append(e.freeQueries, q)
 }

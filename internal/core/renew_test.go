@@ -81,8 +81,8 @@ func TestRenewMatchesFresh(t *testing.T) {
 	chain := []Params{base, small, base, poisoned, churny, manyItems, base}
 	gotRes, gotTrace := runTracedRenew(t, chain)
 	for i, p := range chain {
-		wantRes, wantTrace := runTraced(t, p, false)
-		if gotRes[i] != wantRes {
+		res, wantTrace := runWithTrace(t, p)
+		if wantRes := marshalResults(t, res); gotRes[i] != wantRes {
 			t.Errorf("run %d: Renewed Results diverged from fresh:\n%s\n%s", i, gotRes[i], wantRes)
 		}
 		if gotTrace[i] != wantTrace {

@@ -14,99 +14,13 @@ package overlay
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/cache"
 )
-
-// Graph is an immutable snapshot of the conceptual overlay.
-type Graph struct {
-	nodes []cache.PeerID
-	index map[cache.PeerID]int
-	// adj[i] lists indices of nodes that node i points at.
-	adj [][]int
-}
-
-// Builder accumulates a snapshot. Add all nodes first, then edges;
-// edges to unknown (dead) targets are counted separately and excluded
-// from the graph.
-type Builder struct {
-	g         *Graph
-	deadEdges int
-}
-
-// NewBuilder returns a Builder expecting roughly n nodes.
-func NewBuilder(n int) *Builder {
-	return &Builder{g: &Graph{
-		nodes: make([]cache.PeerID, 0, n),
-		index: make(map[cache.PeerID]int, n),
-	}}
-}
-
-// AddNode registers a live peer. Duplicate registrations are an error.
-func (b *Builder) AddNode(id cache.PeerID) error {
-	if _, ok := b.g.index[id]; ok {
-		return fmt.Errorf("overlay: duplicate node %d", id)
-	}
-	b.g.index[id] = len(b.g.nodes)
-	b.g.nodes = append(b.g.nodes, id)
-	b.g.adj = append(b.g.adj, nil)
-	return nil
-}
-
-// AddEdge records a link-cache entry from -> to. Edges whose target is
-// not a registered (live) node are tallied as dead edges and dropped;
-// self-loops are ignored. Unknown sources are an error.
-func (b *Builder) AddEdge(from, to cache.PeerID) error {
-	fi, ok := b.g.index[from]
-	if !ok {
-		return fmt.Errorf("overlay: edge from unknown node %d", from)
-	}
-	if from == to {
-		return nil
-	}
-	ti, ok := b.g.index[to]
-	if !ok {
-		b.deadEdges++
-		return nil
-	}
-	b.g.adj[fi] = append(b.g.adj[fi], ti)
-	return nil
-}
-
-// Graph finalizes and returns the snapshot along with the number of
-// dropped dead edges.
-func (b *Builder) Graph() (*Graph, int) {
-	return b.g, b.deadEdges
-}
-
-// NumNodes returns the number of live peers in the snapshot.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// LargestWCC returns the size of the largest weakly connected
-// component (0 for an empty graph), computed with a union-find over
-// the undirected projection.
-func (g *Graph) LargestWCC() int {
-	return g.components().Largest()
-}
-
-// components unions the undirected projection of the graph.
-func (g *Graph) components() *WCCScratch {
-	var s WCCScratch
-	s.Reset(len(g.nodes))
-	for from, targets := range g.adj {
-		for _, to := range targets {
-			s.Union(from, to)
-		}
-	}
-	return &s
-}
 
 // WCCScratch is a reusable union-find for repeated largest-WCC
 // computations over index-identified nodes. A simulator that samples
 // connectivity every few virtual seconds resets one WCCScratch per
-// sample instead of rebuilding a Builder + Graph, so steady-state
-// sampling does not allocate (the backing arrays grow once to the
-// high-water mark).
+// sample instead of building a graph, so steady-state sampling does not
+// allocate (the backing arrays grow once to the high-water mark).
 //
 // Nodes are indices in [0, n); the caller supplies its own
 // index-to-peer mapping (a simulation engine already has one). The

@@ -3,12 +3,11 @@ package overlay
 import (
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/simrng"
 )
 
-// TestWCCScratchMatchesGraph checks the reusable union-find against the
-// Graph-based reference on random digraphs, including reuse of one
+// TestWCCScratchMatchesGraph checks the reusable union-find against
+// breadth-first search over the same random digraph, reusing one
 // scratch across snapshots of varying size (the engine's sampling
 // pattern).
 func TestWCCScratchMatchesGraph(t *testing.T) {
@@ -16,24 +15,13 @@ func TestWCCScratchMatchesGraph(t *testing.T) {
 	var sc WCCScratch
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(60)
-		numEdges := r.Intn(4 * n)
-		edges := make([][2]int, 0, numEdges)
-		for i := 0; i < numEdges; i++ {
-			a := 1 + r.Intn(n)
-			b := 1 + r.Intn(n)
-			if a != b {
-				edges = append(edges, [2]int{a, b})
-			}
-		}
-		g := build(t, n, edges)
-		want := g.LargestWCC()
-
+		edges := randomEdges(r, n, r.Intn(4*n))
 		sc.Reset(n)
 		for _, e := range edges {
-			sc.Union(e[0]-1, e[1]-1)
+			sc.Union(e[0], e[1])
 		}
-		if got := sc.Largest(); got != want {
-			t.Fatalf("trial %d (n=%d, %d edges): scratch WCC %d, graph WCC %d",
+		if got, want := sc.Largest(), bruteWCC(n, nil, edges); got != want {
+			t.Fatalf("trial %d (n=%d, %d edges): scratch WCC %d, brute force %d",
 				trial, n, len(edges), got, want)
 		}
 	}
@@ -64,8 +52,8 @@ func TestWCCScratchEmpty(t *testing.T) {
 	}
 }
 
-// TestWCCScratchDrop checks a snapshot with holes against the Graph
-// built from the remaining nodes: dropped indices answer Has as
+// TestWCCScratchDrop checks a snapshot with holes against breadth-first
+// search over the remaining nodes: dropped indices answer Has as
 // out-of-range ones do and count towards no component.
 func TestWCCScratchDrop(t *testing.T) {
 	r := simrng.New(7)
@@ -73,33 +61,30 @@ func TestWCCScratchDrop(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(60)
 		sc.Reset(n)
-		b := NewBuilder(n)
+		dropped := map[int]bool{}
 		for i := 0; i < n; i++ {
 			if r.Intn(4) == 0 {
 				sc.Drop(i)
-			} else if err := b.AddNode(cache.PeerID(i)); err != nil {
-				t.Fatal(err)
+				dropped[i] = true
 			}
 		}
 		if sc.Has(-1) || sc.Has(n) {
 			t.Fatalf("trial %d: Has accepts an index outside [0, %d)", trial, n)
 		}
+		var edges [][2]int
 		for e := r.Intn(4 * n); e > 0; e-- {
 			from, to := r.Intn(n), r.Intn(n)
-			if !sc.Has(from) {
-				continue
+			if sc.Has(from) != !dropped[from] || sc.Has(to) != !dropped[to] {
+				t.Fatalf("trial %d: Has disagrees with the dropped set", trial)
 			}
-			if err := b.AddEdge(cache.PeerID(from), cache.PeerID(to)); err != nil {
-				t.Fatal(err)
-			}
-			if sc.Has(to) {
+			edges = append(edges, [2]int{from, to})
+			if sc.Has(from) && sc.Has(to) {
 				sc.Union(from, to)
 			}
 		}
-		g, _ := b.Graph()
-		if got, want := sc.Largest(), g.LargestWCC(); got != want {
-			t.Fatalf("trial %d (n=%d, %d present): scratch WCC %d, graph WCC %d",
-				trial, n, g.NumNodes(), got, want)
+		if got, want := sc.Largest(), bruteWCC(n, dropped, edges); got != want {
+			t.Fatalf("trial %d (n=%d, %d dropped): scratch WCC %d, brute force %d",
+				trial, n, len(dropped), got, want)
 		}
 	}
 }

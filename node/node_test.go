@@ -285,14 +285,22 @@ func TestSmallLiveNetwork(t *testing.T) {
 		nodes[i].AddPeer(nodes[0].Addr(), uint32(nodes[0].NumFiles()))
 		nodes[0].AddPeer(nodes[i].Addr(), uint32(nodes[i].NumFiles()))
 	}
-	// Let ping/pong gossip circulate addresses.
-	time.Sleep(500 * time.Millisecond)
+	// Let ping/pong gossip circulate addresses until node 1 caches the
+	// sharer, so the query's candidates hold it from the start. A peer
+	// node 1 caches that caches the sharer is not enough: node 0 caches
+	// everyone from the bootstrap on, and its pong carries five of them.
+	sharer := nodes[peers-1].Addr()
+	for deadline := time.Now().Add(5 * time.Second); !slices.Contains(nodes[1].CacheAddrs(), sharer); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("after 5 s of gossip node 1 does not cache the sharer: cache=%v", nodes[1].CacheAddrs())
+		}
+	}
 
 	hits, stats, err := nodes[1].Query(context.Background(), "rare file", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != 1 || hits[0].From != nodes[peers-1].Addr() {
+	if len(hits) != 1 || hits[0].From != sharer {
 		t.Fatalf("rare file not found: hits=%v stats=%+v cache=%d",
 			hits, stats, nodes[1].CacheLen())
 	}
