@@ -317,12 +317,6 @@ func (e *Engine) SetObserver(o obs.Observer) { e.observer = o }
 // ignored (progress is best-effort, unlike Params.Trace).
 func (e *Engine) SetProgress(w io.Writer) { e.progress = w }
 
-// ctxCheckInterval is how many events the loop processes between
-// context checks: coarse enough to keep ctx.Err out of the hot path's
-// profile, fine enough that cancellation lands within microseconds of
-// simulated work.
-const ctxCheckInterval = 512
-
 // Run executes the simulation and returns its measurements. It can be
 // called once. A nil ctx is treated as context.Background. When ctx is
 // cancelled mid-run the loop stops at the next event-batch boundary and
@@ -337,34 +331,33 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 	e.bootstrap()
 	e.schedule(e.p.WarmupTime, event{kind: evSample})
 
-	var processed uint64
-	for e.exhausted == nil {
-		if ctx != nil && processed%ctxCheckInterval == 0 {
-			if ctx.Err() != nil {
-				e.res.Interrupted = true
-				break
+	var unknown error
+	if e.exhausted == nil {
+		e.res.Interrupted = e.events.Drain(ctx, nil, event{}, func(t float64, ev event) bool {
+			if t > e.end {
+				return false
 			}
-		}
-		processed++
-		t, ev, ok := e.events.Pop()
-		if !ok || t > e.end {
-			break
-		}
-		e.now = t
-		switch ev.kind {
-		case evDeath:
-			e.handleDeath(ev.peer)
-		case evPing:
-			e.handlePing(ev.peer)
-		case evBurst:
-			e.handleBurst(ev.peer)
-		case evProbeStep:
-			e.handleProbeStep(ev.q)
-		case evSample:
-			e.handleSample()
-		default:
-			return nil, fmt.Errorf("core: unknown event kind %d", ev.kind)
-		}
+			e.now = t
+			switch ev.kind {
+			case evDeath:
+				e.handleDeath(ev.peer)
+			case evPing:
+				e.handlePing(ev.peer)
+			case evBurst:
+				e.handleBurst(ev.peer)
+			case evProbeStep:
+				e.handleProbeStep(ev.q)
+			case evSample:
+				e.handleSample()
+			default:
+				unknown = fmt.Errorf("core: unknown event kind %d", ev.kind)
+				return false
+			}
+			return e.exhausted == nil
+		})
+	}
+	if unknown != nil {
+		return nil, unknown
 	}
 	if e.exhausted != nil {
 		return nil, fmt.Errorf("core: %w", e.exhausted)

@@ -136,7 +136,7 @@ func TestPoisoningRunsMatchParentTree(t *testing.T) {
 					fabricated, e.nextFake-fakeAddrBase, c.fabricates)
 			}
 			// The fused scan and its reference count them dead alike.
-			want := referenceSample(e)
+			want := population(e).sample(true)
 			if got := e.scanOverlay(true); got != want {
 				t.Fatalf("scanOverlay = %+v, reference %+v", got, want)
 			}

@@ -698,6 +698,19 @@ func (r *refEngine) sample(connectivity bool) overlaySample {
 	return s
 }
 
+// population returns a reference holding e's peers as they stand, in
+// slot order, each sharing its slot's link cache, so that its sample
+// scans the overlay e.scanOverlay does.
+func population(e *Engine) *refEngine {
+	r := &refEngine{byID: map[cache.PeerID]*refPeer{}}
+	for i, id := range e.ps.id {
+		p := &refPeer{id: id, malicious: e.ps.malicious[i], link: &e.ps.link[i]}
+		r.peers = append(r.peers, p)
+		r.byID[id] = p
+	}
+	return r
+}
+
 func (r *refEngine) handleSample() {
 	r.schedule(r.now+r.p.SampleInterval, refEvent{kind: evSample})
 	s := r.sample(r.p.SampleConnectivity)

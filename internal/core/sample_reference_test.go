@@ -1,9 +1,9 @@
 package core
 
-// The sample scan's reference: the two passes scanOverlay fused, kept
-// here as they were — per-peer integer tallies, a reduce in slot order,
-// and a union-find over slots that resolves every address through
-// byID — so the fused pass can be checked against them bit for bit.
+// The sample scan held to the reference engine's: populations that a
+// run never reaches on its own (self entries, killed down to no peers)
+// are loaded into a refEngine, whose separate passes must sample them
+// as scanOverlay's fused one does, bit for bit.
 
 import (
 	"context"
@@ -11,56 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/overlay"
 )
-
-func referenceSample(e *Engine) overlaySample {
-	n := e.ps.len()
-	pl, pg := make([]int32, n), make([]int32, n)
-	for i := 0; i < n; i++ {
-		var live, good int32
-		for _, entry := range e.ps.link[i].Entries() {
-			t := e.ps.slotOf(entry.Addr)
-			if t < 0 {
-				continue
-			}
-			live++
-			if !e.ps.malicious[t] {
-				good++
-			}
-		}
-		pl[i], pg[i] = live, good
-	}
-	var s overlaySample
-	for i := 0; i < n; i++ {
-		entries := e.ps.link[i].Len()
-		s.held += float64(entries)
-		s.live += float64(pl[i])
-		if entries > 0 {
-			s.fracSum += float64(pl[i]) / float64(entries)
-			s.fracPeers++
-		}
-		if !e.ps.malicious[i] {
-			s.goodSum += float64(pg[i])
-			s.goodPeers++
-		}
-	}
-	var wcc overlay.WCCScratch
-	wcc.Reset(n)
-	for i := 0; i < n; i++ {
-		selfID := e.ps.id[i]
-		for _, entry := range e.ps.link[i].Entries() {
-			if entry.Addr == selfID {
-				continue
-			}
-			if t := e.ps.slotOf(entry.Addr); t >= 0 {
-				wcc.Union(i, t)
-			}
-		}
-	}
-	s.largestWCC = wcc.Largest()
-	return s
-}
 
 // churned runs a short simulation and returns the engine as the run
 // left it: a population several generations deep, its caches holding
@@ -133,12 +84,11 @@ func TestScanOverlayMatchesReference(t *testing.T) {
 					for e.ps.len() > keep {
 						kill(e, e.ps.len()/2)
 					}
-					want := referenceSample(e)
-					if got := e.scanOverlay(true); got != want {
+					ref := population(e)
+					if got, want := e.scanOverlay(true), ref.sample(true); got != want {
 						t.Fatalf("%d peers: scanOverlay = %+v, reference %+v", keep, got, want)
 					}
-					want.largestWCC = 0
-					if got := e.scanOverlay(false); got != want {
+					if got, want := e.scanOverlay(false), ref.sample(false); got != want {
 						t.Fatalf("%d peers, no connectivity: scanOverlay = %+v, reference %+v", keep, got, want)
 					}
 				}
@@ -149,7 +99,7 @@ func TestScanOverlayMatchesReference(t *testing.T) {
 	// the time-zero overlay equals the reference's scan over slots.
 	t.Run("bootstrapped", func(t *testing.T) {
 		e := newBootstrapped(t, func(p *Params) { p.NetworkSize = 3 * 2048 })
-		if got, want := e.scanOverlay(true).largestWCC, referenceSample(e).largestWCC; got != want {
+		if got, want := e.scanOverlay(true).largestWCC, population(e).sample(true).largestWCC; got != want {
 			t.Fatalf("WCC=%d, reference=%d", got, want)
 		}
 	})

@@ -259,12 +259,9 @@ type Engine struct {
 	rngNet      *simrng.RNG
 
 	now float64
-	// arrivals holds the lookups' start times, ascending, from
-	// arrivals[nextArrival] on still to come; events holds the hop
-	// attempts of the lookups in flight. pop merges the two.
-	arrivals    []float64
-	nextArrival int
-	events      eventq.Queue[event]
+	// events holds the hop attempts of the lookups in flight; the
+	// lookups' arrivals are not queued, Drain merges them in.
+	events eventq.Queue[event]
 
 	res   Results
 	loads []int64
@@ -444,11 +441,6 @@ func (e *Engine) recordAt(v int, item content.ItemID) (providers int32, cached, 
 // leaves Results byte-identical.
 func (e *Engine) SetObserver(o obs.Observer) { e.observer = o }
 
-// ctxCheckInterval matches the core engine's cancellation granularity,
-// scaled down because round and hop events are far coarser than core's
-// per-probe events.
-const ctxCheckInterval = 64
-
 // Run executes the configured number of lookups and returns the run's
 // Results. It may be called once per Engine.
 func (e *Engine) Run(ctx context.Context) (*Results, error) {
@@ -456,64 +448,36 @@ func (e *Engine) Run(ctx context.Context) (*Results, error) {
 		return nil, fmt.Errorf("dht: Engine.Run called twice")
 	}
 	e.ran = true
-	if ctx != nil && ctx.Err() != nil {
-		e.res.Interrupted = true
-		e.finalize()
-		return &e.res, nil
-	}
-	// Every inter-arrival gap is drawn before the first lookup starts:
-	// startLookup draws from the same stream, and the seeded results fix
-	// the order of its draws.
-	e.arrivals = make([]float64, e.p.NumLookups)
-	t := 0.0
-	for i := range e.arrivals {
-		t += e.rngWorkload.ExpFloat64() / e.p.LookupRate
-		e.arrivals[i] = t
-	}
-	processed := 0
-	for {
-		when, ev, ok := e.pop()
-		if !ok {
-			break
-		}
-		e.now = when
-		processed++
-		if processed%ctxCheckInterval == 0 && ctx != nil {
-			select {
-			case <-ctx.Done():
-				// Like core.Engine, a cancelled run returns its partial
-				// results with Interrupted set and no error.
-				e.res.Interrupted = true
-				e.finalize()
-				return &e.res, nil
-			default:
-			}
-		}
-		switch ev.kind {
-		case evLookupStart:
-			e.startLookup()
-		case evHop:
-			e.handleHop(ev.q)
-		}
-	}
+	// Like core.Engine, a cancelled run returns its partial results
+	// with Interrupted set and no error.
+	e.res.Interrupted = e.events.Drain(ctx, e.drawArrivals(), event{kind: evLookupStart}, e.step)
 	e.finalize()
 	return &e.res, nil
 }
 
-// pop returns the next event: the earliest arrival when it is due no
-// later than the earliest hop attempt, that attempt otherwise. This is
-// the (time, push order) order of a queue holding every arrival from
-// the start, where the arrivals would carry the lowest sequence
-// numbers and so win every tie.
-func (e *Engine) pop() (when float64, ev event, ok bool) {
-	if e.nextArrival < len(e.arrivals) {
-		t := e.arrivals[e.nextArrival]
-		if head, _, pending := e.events.Peek(); !pending || t <= head {
-			e.nextArrival++
-			return t, event{kind: evLookupStart}, true
-		}
+// drawArrivals draws every lookup's start time, ascending, before the
+// first lookup starts: startLookup draws from the same stream, and the
+// seeded results fix the order of its draws.
+func (e *Engine) drawArrivals() []float64 {
+	arrivals := make([]float64, e.p.NumLookups)
+	t := 0.0
+	for i := range arrivals {
+		t += e.rngWorkload.ExpFloat64() / e.p.LookupRate
+		arrivals[i] = t
 	}
-	return e.events.Pop()
+	return arrivals
+}
+
+// step handles one event as Drain hands it out.
+func (e *Engine) step(when float64, ev event) bool {
+	e.now = when
+	switch ev.kind {
+	case evLookupStart:
+		e.startLookup()
+	case evHop:
+		e.handleHop(ev.q)
+	}
+	return true
 }
 
 func (e *Engine) finalize() {

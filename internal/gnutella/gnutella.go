@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"repro/internal/content"
+	"repro/internal/policy"
 	"repro/internal/simrng"
 )
 
@@ -37,10 +38,9 @@ type Population struct {
 	holderOff []int32
 	holders   []int32
 
-	// sample's working state: the peers in the sample being drawn, and
-	// the backing of the slice it returns.
-	chosen stampSet
-	order  []int
+	// sc draws the peers a search reaches; the slice it returns is its
+	// own, overwritten by the next draw.
+	sc policy.Scratch
 }
 
 // NewPopulation samples n peers' libraries from the universe.
@@ -117,27 +117,6 @@ func (p *Population) indexHolders() {
 	p.holderOff, p.holders = off, holders
 }
 
-// sample draws k distinct peer indices via Floyd's algorithm. The
-// slice is the population's own: the next sample overwrites it.
-func (p *Population) sample(r *simrng.RNG, k int) []int {
-	n := len(p.libs)
-	if k > n {
-		k = n
-	}
-	p.chosen.reset(n)
-	out := p.order[:0]
-	for i := n - k; i < n; i++ {
-		j := r.Intn(i + 1)
-		if p.chosen.has(j) {
-			j = i
-		}
-		p.chosen.add(j)
-		out = append(out, j)
-	}
-	p.order = out
-	return out
-}
-
 // FixedExtent runs one fixed-extent query: the query reaches exactly
 // extent random peers (the set a Gnutella TTL would cover), costing
 // extent probes no matter when results appear.
@@ -146,7 +125,7 @@ func (p *Population) FixedExtent(r *simrng.RNG, item content.ItemID, extent, des
 		extent = 1
 	}
 	res := SearchResult{}
-	for _, i := range p.sample(r, extent) {
+	for _, i := range p.sc.SampleIndices(r, len(p.libs), extent) {
 		res.Probes++
 		res.Results += p.libs[i].Results(item)
 	}
@@ -167,7 +146,7 @@ func (p *Population) IterativeDeepening(r *simrng.RNG, item content.ItemID, batc
 	if total > len(p.libs) {
 		total = len(p.libs)
 	}
-	order := p.sample(r, total)
+	order := p.sc.SampleIndices(r, len(p.libs), total)
 	next := 0
 	for _, b := range batches {
 		for i := 0; i < b && next < len(order); i++ {

@@ -2,9 +2,8 @@ package gnutella
 
 // References for the mechanisms this package replaced: the flood that
 // allocated and cleared a depth slice per query, the result count that
-// probed every reached peer's library, the map behind Floyd's sample
-// and the edge map behind NewRandom. The replacements must return
-// exactly what these do.
+// probed every reached peer's library and the edge map behind
+// NewRandom. The replacements must return exactly what these do.
 
 import (
 	"math"
@@ -201,43 +200,6 @@ func TestConcurrentFloodsShareTopology(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-// mapSample is Population.sample as it was.
-func mapSample(r *simrng.RNG, n, k int) []int {
-	if k > n {
-		k = n
-	}
-	chosen := make(map[int]bool, k)
-	out := make([]int, 0, k)
-	for i := n - k; i < n; i++ {
-		j := r.Intn(i + 1)
-		if chosen[j] {
-			j = i
-		}
-		chosen[j] = true
-		out = append(out, j)
-	}
-	return out
-}
-
-// TestSampleMatchesMapReference: the stamp-array sample makes Floyd's
-// draws and returns his picks in his order, call after call.
-func TestSampleMatchesMapReference(t *testing.T) {
-	const n = 200
-	p := pop(t, n)
-	r, ref := simrng.New(11), simrng.New(11)
-	for _, k := range []int{0, 1, 2, 50, n - 1, n, n + 5, 3, 120} {
-		for rep := 0; rep < 20; rep++ {
-			got, want := p.sample(r, k), mapSample(ref, n, k)
-			if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("k=%d rep %d: sample %v, reference %v", k, rep, got, want)
-			}
-		}
-	}
-	if a, b := r.Uint64(), ref.Uint64(); a != b {
-		t.Fatal("streams diverged after the samples")
-	}
 }
 
 // mapRandom is NewRandom as it was: edges deduplicated through a map.

@@ -375,18 +375,11 @@ func FairIndices(key uint64) [FairLevels]int {
 
 // RequesterKey hashes a requester address into the 64-bit sketch key
 // (FNV-1a over the salt, IP, and port). Exported for the cluster
-// layer: with a cluster-shared salt (Config.KeySalt or a sync client's
-// rotated epoch salt) every node hashes a requester to the same
-// buckets, which is what makes merged sketches meaningful. Without a
-// cluster the salt is per-node so two nodes never shed the same
-// colliding requesters.
+// layer: with a cluster-shared salt (a sync client's rotated epoch
+// salt) every node hashes a requester to the same buckets, which is
+// what makes merged sketches meaningful. Without a cluster the salt is
+// per-node so two nodes never shed the same colliding requesters.
 func RequesterKey(addr netip.AddrPort, salt uint64) uint64 {
-	return requesterKey(addr, salt)
-}
-
-// requesterKey hashes a requester address into the 64-bit sketch key
-// (FNV-1a over the salt, IP, and port).
-func requesterKey(addr netip.AddrPort, salt uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

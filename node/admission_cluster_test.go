@@ -2,7 +2,7 @@ package node
 
 // Unit tests for the cluster hooks on the fair admitter: the delta the
 // sync client drains, the aggregate it installs, the salt-rotation
-// reset, and the Config.KeySalt injection point — all exercised at the
+// reset, and the salt a node starts with — all exercised at the
 // admitter level, below the wire.
 
 import (
@@ -149,27 +149,38 @@ func TestFairAdmitterResetSketch(t *testing.T) {
 	}
 }
 
-// TestKeySaltConfig: Config.KeySalt zero derives the per-node salt from
-// Seed exactly as before the field existed (byte-identical default),
-// while a nonzero KeySalt is taken verbatim — the cluster injection
-// point.
+// TestKeySaltConfig: a node's own salt derives from Seed exactly as it
+// always has (byte-identical default), while SetAdmissionSalt — the
+// cluster injection point — gives nodes of any seed one salt and
+// forgets the demand counted under the old one.
 func TestKeySaltConfig(t *testing.T) {
 	legacy := func(seed uint64) uint64 { return seed*0x9e3779b97f4a7c15 + 1 }
 	for _, seed := range []uint64{0, 1, 42, 1 << 60} {
-		if got, want := saltFor(Config{Seed: seed}), legacy(seed); got != want {
-			t.Fatalf("saltFor(Seed=%d) = %#x, want legacy %#x", seed, got, want)
+		if got, want := saltFor(seed), legacy(seed); got != want {
+			t.Fatalf("saltFor(%d) = %#x, want legacy %#x", seed, got, want)
 		}
 	}
-	if got := saltFor(Config{Seed: 42, KeySalt: 7}); got != 7 {
-		t.Fatalf("saltFor with KeySalt=7 = %d, want 7", got)
-	}
-	// Two nodes configured with the same KeySalt hash a requester
-	// identically — the property merged sketches depend on.
+	// Two nodes given the same salt hash a requester identically — the
+	// property merged sketches depend on.
 	addr := netip.MustParseAddrPort("10.0.0.9:6346")
-	if RequesterKey(addr, 7) != RequesterKey(addr, 7) {
-		t.Fatal("RequesterKey not deterministic")
+	var keys []uint64
+	for _, seed := range []uint64{42, 43} {
+		f := newFairAdmitter(20, time.Second)
+		n := &Node{keySalt: saltFor(seed), adm: f}
+		f.admit(RequesterKey(addr, n.keySalt), probeQuery, time.Unix(9000, 0))
+		n.SetAdmissionSalt(7)
+		if n.keySalt != 7 {
+			t.Fatalf("seed %d: SetAdmissionSalt(7) left salt %#x", seed, n.keySalt)
+		}
+		if _, ok := f.takeDelta(); ok {
+			t.Fatalf("seed %d: demand counted under the old salt survived SetAdmissionSalt", seed)
+		}
+		keys = append(keys, RequesterKey(addr, n.keySalt))
 	}
-	if RequesterKey(addr, 7) == RequesterKey(addr, 8) {
+	if keys[0] != keys[1] {
+		t.Fatal("nodes sharing a salt hash a requester apart")
+	}
+	if keys[0] == RequesterKey(addr, 8) {
 		t.Fatal("RequesterKey ignores the salt")
 	}
 }

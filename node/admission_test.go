@@ -163,13 +163,13 @@ func TestFairAdmitterWindowScaling(t *testing.T) {
 func TestRequesterKey(t *testing.T) {
 	a := netip.MustParseAddrPort("10.0.0.1:4000")
 	b := netip.MustParseAddrPort("10.0.0.1:4001")
-	if requesterKey(a, 1) != requesterKey(a, 1) {
-		t.Fatal("requesterKey not deterministic")
+	if RequesterKey(a, 1) != RequesterKey(a, 1) {
+		t.Fatal("RequesterKey not deterministic")
 	}
-	if requesterKey(a, 1) == requesterKey(b, 1) {
+	if RequesterKey(a, 1) == RequesterKey(b, 1) {
 		t.Fatal("distinct ports hash equal")
 	}
-	if requesterKey(a, 1) == requesterKey(a, 2) {
+	if RequesterKey(a, 1) == RequesterKey(a, 2) {
 		t.Fatal("distinct salts hash equal")
 	}
 }

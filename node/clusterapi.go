@@ -5,22 +5,11 @@ package node
 // All of them are safe no-ops under flat admission, so the cluster
 // harness can run nodes in either mode.
 
-// saltFor resolves the requester-hash salt: an explicit KeySalt wins,
-// otherwise the historical per-node derivation from Seed (byte-
-// identical for every pre-cluster configuration).
-func saltFor(cfg Config) uint64 {
-	if cfg.KeySalt != 0 {
-		return cfg.KeySalt
-	}
-	return cfg.Seed*0x9e3779b97f4a7c15 + 1
-}
-
-// KeySalt returns the salt currently hashing requester addresses into
-// the fair sketch.
-func (n *Node) KeySalt() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.keySalt
+// saltFor derives a node's own requester-hash salt from its seed, so
+// that two nodes never shed the same colliding requesters. A cluster
+// replaces it with a shared one through SetAdmissionSalt.
+func saltFor(seed uint64) uint64 {
+	return seed*0x9e3779b97f4a7c15 + 1
 }
 
 // SetAdmissionSalt installs a new requester-hash salt and forgets all

@@ -109,15 +109,6 @@ type Config struct {
 	// SnapshotInterval is the period between snapshots. Default 30s.
 	SnapshotInterval time.Duration
 
-	// KeySalt, when nonzero, fixes the fair-admission requester-hash
-	// salt. Zero (the default) derives a per-node salt from Seed, which
-	// keeps single-node behavior byte-identical and means two nodes
-	// never shed the same colliding requesters; a cluster sets the same
-	// KeySalt everywhere (or lets a cluster.SyncClient rotate it) so
-	// sketch buckets agree across nodes and merged aggregates are
-	// meaningful.
-	KeySalt uint64
-
 	// Policies, as in the paper.
 	QueryProbe, QueryPong, PingProbe, PingPong policy.Selection
 	CacheReplacement                           policy.Eviction
@@ -437,7 +428,7 @@ func New(conn Transport, cfg Config) (*Node, error) {
 		rng:        simrng.New(cfg.Seed),
 		link:       cache.NewLinkCache(cfg.CacheSize),
 		ids:        newAddrTable(sweepFloor*cfg.CacheSize, math.MaxInt32),
-		keySalt:    saltFor(cfg),
+		keySalt:    saltFor(cfg.Seed),
 		health:     newPeerHealth(cfg),
 		pending:    make(map[uint64]*flight),
 		met:        obs.NewNodeMetrics(cfg.Metrics),

@@ -107,7 +107,7 @@ func (n *Node) shed(sv *server, tier shedTier, msgID uint64, from netip.AddrPort
 // and the pong under sel, which it leaves in sv.entries; callers hold
 // n.mu.
 func (n *Node) admitLocked(sv *server, kind probeKind, sel policy.Selection, from netip.AddrPort, numFiles uint32, at time.Time) admitVerdict {
-	v := n.adm.admit(requesterKey(from, n.keySalt), kind, at)
+	v := n.adm.admit(RequesterKey(from, n.keySalt), kind, at)
 	if !v.ok {
 		return v
 	}
