@@ -220,12 +220,13 @@ cluster-smoke:
 	$(GO) build -o /tmp/guess-cluster ./cmd/guess-cluster
 	/tmp/guess-cluster -smoke
 
-# Coverage gate for the protocol substrates, the event loop they run
-# on (eventq's Drain) and the experiment harness: the cross-protocol
-# property suite only means something while it actually exercises the
-# engines, so the covered-statement ratio of each gated package must
-# stay at or above COVER_MIN.
-COVER_PKGS = ./internal/gossip ./internal/dht ./internal/eventq ./internal/experiments
+# Coverage gate for the GUESS engine, the flooding baseline and the
+# other protocol substrates, the event loop they run on (eventq's
+# Drain) and the experiment harness: the cross-protocol property suite
+# only means something while it actually exercises the engines, and
+# code that no test reaches shows up here, so the covered-statement
+# ratio of each gated package must stay at or above COVER_MIN.
+COVER_PKGS = ./internal/core ./internal/gnutella ./internal/gossip ./internal/dht ./internal/eventq ./internal/experiments
 COVER_MIN ?= 80
 cover-check:
 	$(GO) test -coverprofile=/tmp/cover-check.out $(COVER_PKGS)

@@ -38,24 +38,25 @@ func main() {
 }
 
 func run(args []string) error {
+	def := node.Default()
 	fs := flag.NewFlagSet("guess-node", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:0", "UDP address to bind")
 	filesFlag := fs.String("files", "", "comma-separated file names to share")
 	bootstrapFlag := fs.String("bootstrap", "", "comma-separated peer addresses to seed the cache")
-	cacheSize := fs.Int("cache", 100, "link cache capacity")
-	pingInterval := fs.Duration("ping-interval", 30*time.Second, "cache maintenance period")
-	probeTimeout := fs.Duration("probe-timeout", 200*time.Millisecond, "probe reply timeout")
-	attempts := fs.Int("probe-attempts", 3, "transmissions per probe before a peer is presumed dead (1 = single-shot)")
-	backoff := fs.Duration("retry-backoff", 50*time.Millisecond, "pause before the first retransmission (doubles per attempt)")
+	cacheSize := fs.Int("cache", def.CacheSize, "link cache capacity")
+	pingInterval := fs.Duration("ping-interval", def.PingInterval, "cache maintenance period")
+	probeTimeout := fs.Duration("probe-timeout", def.ProbeTimeout, "probe reply timeout")
+	attempts := fs.Int("probe-attempts", def.MaxProbeAttempts, "transmissions per probe before a peer is presumed dead (1 = single-shot)")
+	backoff := fs.Duration("retry-backoff", def.RetryBackoff, "pause before the first retransmission (doubles per attempt)")
 	adaptive := fs.Bool("adaptive-timeout", false, "derive per-attempt deadlines from an RTT EWMA")
 	busyBackoff := fs.Duration("busy-backoff", 0, "suppress Busy peers instead of evicting them (0 = evict on first Busy)")
 	capacity := fs.Int("capacity", 0, "max probes/second served (0 = unlimited)")
 	admission := fs.String("admission", "flat", "overload controller: flat (paper's window) or fair (shed heaviest requesters first)")
 	breaker := fs.Int("breaker", 0, "consecutive probe timeouts that open a peer's circuit breaker (0 = evict on first timed-out probe)")
-	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "open-breaker suppression before the half-open trial")
+	breakerCooldown := fs.Duration("breaker-cooldown", def.BreakerCooldown, "open-breaker suppression before the half-open trial")
 	drainTimeout := fs.Duration("drain-timeout", 0, "graceful drain window on shutdown (0 = close immediately)")
 	snapshot := fs.String("snapshot", "", "path for periodic link-cache snapshots, restored on startup (empty = disabled)")
-	snapshotInterval := fs.Duration("snapshot-interval", 30*time.Second, "period between link-cache snapshots")
+	snapshotInterval := fs.Duration("snapshot-interval", def.SnapshotInterval, "period between link-cache snapshots")
 	stateAddr := fs.String("state", "", "TCP address of the cluster shed-state service (empty = standalone; requires -admission fair)")
 	stateInterval := fs.Duration("state-interval", time.Second, "push/pull period against -state")
 	nodeName := fs.String("node-name", "", "stable name for -state sequence tracking (default: the bound address)")

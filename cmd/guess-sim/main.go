@@ -9,10 +9,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -82,8 +84,14 @@ func run(args []string) error {
 			return err
 		}
 		p = guess.DefaultConfig()
-		if err := json.Unmarshal(data, &p); err != nil {
+		// A misspelled or retired key is an error, not a silent default.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&p); err != nil {
 			return fmt.Errorf("parsing %s: %w", *configPath, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return fmt.Errorf("parsing %s: data after the configuration object", *configPath)
 		}
 		if err := fs.Parse(args); err != nil {
 			return err

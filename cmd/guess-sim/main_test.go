@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -81,6 +82,24 @@ func TestDumpAndLoadConfig(t *testing.T) {
 	for _, want := range []string{`"NetworkSize": 123`, `"QueryPong": "MFS"`, `"CacheSize": 44`} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("config round trip lost %s:\n%s", want, out)
+		}
+	}
+}
+
+func TestRunRejectsBadConfig(t *testing.T) {
+	dir := t.TempDir()
+	for i, c := range []struct{ cfg, want string }{
+		{`{"CacheSzie": 5}`, "unknown field"},
+		{`{"AdaptivePing": true}`, "unknown field"},
+		{`{"CacheSize": 5} {}`, "data after"},
+	} {
+		path := filepath.Join(dir, fmt.Sprintf("cfg%d.json", i))
+		if err := os.WriteFile(path, []byte(c.cfg), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := run([]string{"-config", path, "-dump-config"})
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("config %s: got error %v, want one saying %q", c.cfg, err, c.want)
 		}
 	}
 }

@@ -409,11 +409,6 @@ func (u *Universe) DrawQuery(r *simrng.RNG) ItemID {
 	return ItemID(u.queryPop.Rank(r))
 }
 
-// ItemProb returns the replication probability mass of item id.
-func (u *Universe) ItemProb(id ItemID) float64 {
-	return u.itemPop.Prob(int(id))
-}
-
 // Library is the set of items a peer shares. The zero value is an
 // empty library (a free rider). It is one pointer wide: simulators hold
 // a Library per peer by value, in arrays sized to the population.

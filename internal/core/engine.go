@@ -548,7 +548,7 @@ func (e *Engine) handlePing(id cache.PeerID) {
 	if p < 0 {
 		return // peer died; its replacement has its own ping timer
 	}
-	e.schedule(e.now+e.pingInterval(p), event{kind: evPing, peer: id})
+	e.schedule(e.now+e.p.PingInterval, event{kind: evPing, peer: id})
 
 	entries := e.ps.link[p].Entries()
 	i := policy.Pick(e.rngPolicy, e.p.PingProbe, entries)
@@ -561,7 +561,6 @@ func (e *Engine) handlePing(id cache.PeerID) {
 	if target < 0 {
 		e.ps.link[p].Remove(addr)
 		e.blameDeadAddress(p, addr)
-		e.recordPingOutcome(p, true)
 		if measuring {
 			e.res.Pings++
 			e.res.DeadPings++
@@ -579,7 +578,6 @@ func (e *Engine) handlePing(id cache.PeerID) {
 		e.observer.Observe(obs.Event{Kind: obs.EvPing, Time: e.now,
 			Peer: uint64(id), Target: uint64(addr), Outcome: obs.OutcomeGood})
 	}
-	e.recordPingOutcome(p, false)
 	// Both sides record the interaction.
 	e.ps.link[p].Touch(addr, e.now)
 	e.ps.link[target].Touch(id, e.now)

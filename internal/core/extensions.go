@@ -3,12 +3,11 @@ package core
 import "repro/internal/cache"
 
 // This file implements the paper's future-work proposals as opt-in
-// extensions: adaptive probe parallelism (Section 6.2), adaptive ping
-// intervals (Section 6.1), selfish peers and probe payments
-// (Section 3.3), and pong-poisoning detection (Section 6.4). Every
-// extension is inert unless enabled in Params, so the baseline
-// protocol is bit-identical to the paper's. Helpers take slot indices
-// into the engine's peerStore (see peerstore.go).
+// extensions: adaptive probe parallelism (Section 6.2), selfish peers
+// and probe payments (Section 3.3), and pong-poisoning detection
+// (Section 6.4). Every extension is inert unless enabled in Params, so
+// the baseline protocol is bit-identical to the paper's. Helpers take
+// slot indices into the engine's peerStore (see peerstore.go).
 
 // queryParallelism returns the per-round probe fan-out a querying peer
 // uses. A selfish peer ignores the protocol's serial discipline unless
@@ -34,54 +33,6 @@ func (e *Engine) maybeGrowParallelism(q *query) {
 		q.k = e.p.MaxParallelProbes
 	}
 	q.lastProgress = e.now
-}
-
-// recordPingOutcome feeds the adaptive-ping controller: after every
-// few pings, a peer whose probes mostly hit dead addresses halves its
-// interval, and one that saw no dead addresses at all relaxes it. The
-// short window matters: peers live for minutes, so the controller must
-// converge within a handful of pings to help at all.
-func (e *Engine) recordPingOutcome(p int, dead bool) {
-	if !e.p.AdaptivePing {
-		return
-	}
-	a := e.ps.adaptiveFor(p)
-	a.pings++
-	if dead {
-		a.dead++
-	}
-	const window = 5
-	if a.pings < window {
-		return
-	}
-	deadFrac := float64(a.dead) / float64(a.pings)
-	a.pings, a.dead = 0, 0
-	if a.interval == 0 {
-		a.interval = e.p.PingInterval
-	}
-	switch {
-	case deadFrac > 1-e.p.AdaptivePingLowLive:
-		a.interval /= 2
-		if a.interval < e.p.AdaptivePingMin {
-			a.interval = e.p.AdaptivePingMin
-		}
-	case deadFrac < 1-e.p.AdaptivePingHighLive:
-		a.interval *= 1.25
-		if a.interval > e.p.AdaptivePingMax {
-			a.interval = e.p.AdaptivePingMax
-		}
-	}
-}
-
-// pingInterval returns the peer in slot p's ping interval: the adaptive
-// controller's once it has set one, Params.PingInterval otherwise.
-func (e *Engine) pingInterval(p int) float64 {
-	if e.ps.adaptive != nil {
-		if iv := e.ps.adaptive[p].interval; iv != 0 {
-			return iv
-		}
-	}
-	return e.p.PingInterval
 }
 
 // pongSourceBlocked reports whether the peer in slot p has blacklisted

@@ -14,9 +14,6 @@ func TestExtensionValidation(t *testing.T) {
 	}{
 		{"adaptive window", func(p *Params) { p.AdaptiveParallel = true; p.AdaptiveParallelWindow = 0 }},
 		{"adaptive cap", func(p *Params) { p.AdaptiveParallel = true; p.MaxParallelProbes = 0 }},
-		{"ping bounds", func(p *Params) { p.AdaptivePing = true; p.AdaptivePingMin = 0 }},
-		{"ping bounds inverted", func(p *Params) { p.AdaptivePing = true; p.AdaptivePingMin = 100; p.AdaptivePingMax = 10 }},
-		{"ping thresholds", func(p *Params) { p.AdaptivePing = true; p.AdaptivePingLowLive = 0.99; p.AdaptivePingHighLive = 0.5 }},
 		{"selfish percent", func(p *Params) { p.PercentSelfishPeers = -1 }},
 		{"selfish plus bad", func(p *Params) { p.PercentSelfishPeers = 60; p.PercentBadPeers = 60 }},
 		{"selfish fanout", func(p *Params) { p.PercentSelfishPeers = 10; p.SelfishParallelProbes = 0 }},
@@ -68,28 +65,6 @@ func TestAdaptiveParallelImprovesResponseTime(t *testing.T) {
 	if fast.UnsatisfactionWithAborted() > plain.UnsatisfactionWithAborted()+0.05 {
 		t.Fatalf("adaptive parallelism hurt satisfaction: %.3f vs %.3f",
 			fast.UnsatisfactionWithAborted(), plain.UnsatisfactionWithAborted())
-	}
-}
-
-func TestAdaptivePingReducesDeadEntries(t *testing.T) {
-	base := quickParams()
-	base.LifespanMultiplier = 0.1 // heavy churn so caches rot
-	base.PingInterval = 120       // deliberately too slow
-	base.QueriesEnabled = false
-	base.WarmupTime = 300
-	base.MeasureTime = 1500
-	base.Seed = 33
-
-	adaptive := base
-	adaptive.AdaptivePing = true
-	adaptive.AdaptivePingMin = 5
-	adaptive.AdaptivePingMax = 240
-
-	slow := run(t, base)
-	tuned := run(t, adaptive)
-	if tuned.AvgLiveFraction <= slow.AvgLiveFraction {
-		t.Fatalf("adaptive ping did not improve cache liveness: %.3f vs %.3f",
-			tuned.AvgLiveFraction, slow.AvgLiveFraction)
 	}
 }
 

@@ -176,16 +176,6 @@ type Params struct {
 	// MaxParallelProbes caps adaptive parallelism.
 	MaxParallelProbes int
 
-	// AdaptivePing implements Section 6.1's guideline: peers shorten
-	// their ping interval when many probes hit dead addresses and relax
-	// it when almost all entries are live.
-	AdaptivePing bool
-	// AdaptivePingMin and AdaptivePingMax bound the per-peer interval.
-	AdaptivePingMin, AdaptivePingMax float64
-	// AdaptivePingLowLive and AdaptivePingHighLive are the live-entry
-	// fractions below/above which the interval shrinks/grows.
-	AdaptivePingLowLive, AdaptivePingHighLive float64
-
 	// PercentSelfishPeers is the percentage (0..100) of peers that game
 	// the protocol per Section 3.3: instead of probing serially they
 	// blast SelfishParallelProbes probes per round to minimize their
@@ -270,12 +260,6 @@ func DefaultParams() Params {
 		AdaptiveParallelWindow: 10,
 		MaxParallelProbes:      64,
 
-		AdaptivePing:         false,
-		AdaptivePingMin:      5,
-		AdaptivePingMax:      240,
-		AdaptivePingLowLive:  0.7,
-		AdaptivePingHighLive: 0.95,
-
 		PercentSelfishPeers:   0,
 		SelfishParallelProbes: 100,
 		ProbePayments:         false,
@@ -349,12 +333,6 @@ func (p Params) Validate() error {
 	case p.AdaptiveParallel && p.MaxParallelProbes < p.ParallelProbes:
 		return fmt.Errorf("core: MaxParallelProbes %d below ParallelProbes %d",
 			p.MaxParallelProbes, p.ParallelProbes)
-	case p.AdaptivePing && (p.AdaptivePingMin <= 0 || p.AdaptivePingMax < p.AdaptivePingMin):
-		return fmt.Errorf("core: adaptive ping bounds [%v, %v] invalid",
-			p.AdaptivePingMin, p.AdaptivePingMax)
-	case p.AdaptivePing && !(p.AdaptivePingLowLive >= 0 && p.AdaptivePingLowLive <= p.AdaptivePingHighLive && p.AdaptivePingHighLive <= 1):
-		return fmt.Errorf("core: adaptive ping live thresholds [%v, %v] invalid",
-			p.AdaptivePingLowLive, p.AdaptivePingHighLive)
 	case p.PercentSelfishPeers < 0 || p.PercentSelfishPeers > 100:
 		return fmt.Errorf("core: PercentSelfishPeers must be in [0,100], got %v", p.PercentSelfishPeers)
 	case p.PercentSelfishPeers+p.PercentBadPeers > 100:

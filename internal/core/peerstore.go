@@ -45,30 +45,6 @@ type peerStore struct {
 	// configurations never touch it, so the array itself waits for the
 	// first write (rareFor): nil, or as long as id.
 	rare []rareState
-
-	// adaptive is the slot-parallel adaptive-ping state. Only
-	// recordPingOutcome writes it, and only under AdaptivePing, so the
-	// array too waits for the first write (adaptiveFor): nil, or as long
-	// as id.
-	adaptive []adaptiveState
-}
-
-// adaptiveState is one peer's adaptive-ping controller: its ping
-// interval, 0 until the controller first sets it (Params.PingInterval
-// until then), and the pings of the current window and how many of
-// them found a dead address.
-type adaptiveState struct {
-	interval    float64
-	pings, dead int32
-}
-
-// adaptiveFor returns slot p's adaptive-ping state for writing, making
-// the array on the first call. Readers check ps.adaptive for nil instead.
-func (ps *peerStore) adaptiveFor(p int) *adaptiveState {
-	if ps.adaptive == nil {
-		ps.adaptive = make([]adaptiveState, len(ps.id), cap(ps.id))
-	}
-	return &ps.adaptive[p]
 }
 
 // rareState is one peer's poison-detection and back-off maps, each nil
@@ -133,9 +109,6 @@ func (ps *peerStore) truncate(n int) {
 	if ps.rare != nil {
 		ps.rare = ps.rare[:n]
 	}
-	if ps.adaptive != nil {
-		ps.adaptive = ps.adaptive[:n]
-	}
 }
 
 // len returns the live population.
@@ -166,9 +139,6 @@ func (ps *peerStore) grow() int {
 	if ps.rare != nil {
 		ps.rare = append(ps.rare, rareState{})
 	}
-	if ps.adaptive != nil {
-		ps.adaptive = append(ps.adaptive, adaptiveState{})
-	}
 	return slot
 }
 
@@ -189,9 +159,6 @@ func (ps *peerStore) swapRemove(slot int) {
 		ps.probesReceived[slot] = ps.probesReceived[last]
 		if ps.rare != nil {
 			ps.rare[slot] = ps.rare[last]
-		}
-		if ps.adaptive != nil {
-			ps.adaptive[slot] = ps.adaptive[last]
 		}
 		ps.byID[ps.id[slot]] = int32(slot)
 	}

@@ -57,12 +57,10 @@ type refPeer struct {
 	probesReceived int64
 
 	// Extension state, made at birth whether or not an extension is on.
-	pingInterval float64
-	pings, dead  int
-	provenance   map[cache.PeerID]cache.PeerID
-	pongStats    map[cache.PeerID]supplierRecord
-	blacklist    map[cache.PeerID]bool
-	suppressed   map[cache.PeerID]float64
+	provenance map[cache.PeerID]cache.PeerID
+	pongStats  map[cache.PeerID]supplierRecord
+	blacklist  map[cache.PeerID]bool
+	suppressed map[cache.PeerID]float64
 }
 
 type refQuery struct {
@@ -249,18 +247,17 @@ func (r *refEngine) bootstrap() {
 func (r *refEngine) spawn(malicious, selfish bool) *refPeer {
 	lib := r.universe.NewLibrary(r.rngContent, r.universe.SampleLibrarySize(r.rngContent))
 	p := &refPeer{
-		id:           r.nextID,
-		advertised:   int32(lib.Size()),
-		malicious:    malicious,
-		selfish:      selfish,
-		lib:          lib,
-		link:         cache.NewLinkCache(r.p.CacheSize),
-		winStart:     -1,
-		pingInterval: r.p.PingInterval,
-		provenance:   map[cache.PeerID]cache.PeerID{},
-		pongStats:    map[cache.PeerID]supplierRecord{},
-		blacklist:    map[cache.PeerID]bool{},
-		suppressed:   map[cache.PeerID]float64{},
+		id:         r.nextID,
+		advertised: int32(lib.Size()),
+		malicious:  malicious,
+		selfish:    selfish,
+		lib:        lib,
+		link:       cache.NewLinkCache(r.p.CacheSize),
+		winStart:   -1,
+		provenance: map[cache.PeerID]cache.PeerID{},
+		pongStats:  map[cache.PeerID]supplierRecord{},
+		blacklist:  map[cache.PeerID]bool{},
+		suppressed: map[cache.PeerID]float64{},
 	}
 	r.nextID++
 	if malicious {
@@ -323,7 +320,7 @@ func (r *refEngine) handlePing(id cache.PeerID) {
 	if p == nil {
 		return
 	}
-	r.schedule(r.now+p.pingInterval, refEvent{kind: evPing, peer: id})
+	r.schedule(r.now+r.p.PingInterval, refEvent{kind: evPing, peer: id})
 	entries := p.link.Entries()
 	i := policy.Pick(r.rngPolicy, r.p.PingProbe, entries)
 	if i < 0 {
@@ -335,7 +332,6 @@ func (r *refEngine) handlePing(id cache.PeerID) {
 	if target == nil {
 		p.link.Remove(addr)
 		r.blame(p, addr)
-		r.pingOutcome(p, true)
 		if measuring {
 			r.res.Pings++
 			r.res.DeadPings++
@@ -347,7 +343,6 @@ func (r *refEngine) handlePing(id cache.PeerID) {
 		r.res.Pings++
 	}
 	r.observe(obs.Event{Kind: obs.EvPing, Time: r.now, Peer: uint64(id), Target: uint64(addr), Outcome: obs.OutcomeGood})
-	r.pingOutcome(p, false)
 	p.link.Touch(addr, r.now)
 	target.link.Touch(id, r.now)
 	r.introduce(target, p)
@@ -366,29 +361,6 @@ func (r *refEngine) handlePing(id cache.PeerID) {
 		}
 		r.supplied(p, addr, entry.Addr)
 		policy.Insert(r.rngPolicy, r.p.CacheReplacement, p.link, entry)
-	}
-}
-
-// pingOutcome is the adaptive-ping controller: every five pings it
-// halves the interval of a peer that mostly found dead addresses and
-// relaxes that of one that found none.
-func (r *refEngine) pingOutcome(p *refPeer, dead bool) {
-	if !r.p.AdaptivePing {
-		return
-	}
-	p.pings++
-	if dead {
-		p.dead++
-	}
-	if p.pings < 5 {
-		return
-	}
-	deadFrac := float64(p.dead) / float64(p.pings)
-	p.pings, p.dead = 0, 0
-	if deadFrac > 1-r.p.AdaptivePingLowLive {
-		p.pingInterval = math.Max(p.pingInterval/2, r.p.AdaptivePingMin)
-	} else if deadFrac < 1-r.p.AdaptivePingHighLive {
-		p.pingInterval = math.Min(p.pingInterval*1.25, r.p.AdaptivePingMax)
 	}
 }
 
@@ -842,8 +814,8 @@ func requireReference(t *testing.T, what string, p Params, prev *Engine) (*Engin
 
 // reuseTestConfigs covers every path on which Engine recycles storage:
 // random and scored pong selection, colluding/dead/genuine poisoning,
-// backoff and probe refusal, connectivity sampling, the adaptive
-// extensions, burst chaining through the query pool, and heavy churn
+// backoff and probe refusal, connectivity sampling, adaptive
+// parallelism, burst chaining through the query pool, and heavy churn
 // recycling caches and libraries.
 func reuseTestConfigs() map[string]Params {
 	cfgs := map[string]Params{}
@@ -884,7 +856,6 @@ func reuseTestConfigs() map[string]Params {
 	p.MaxProbesPerSecond = 3
 	p.DoBackoff = true
 	p.AdaptiveParallel = true
-	p.AdaptivePing = true
 	p.PercentSelfishPeers = 10
 	cfgs["stressed"] = p
 
@@ -921,10 +892,6 @@ func scheduleTestConfigs() map[string]Params {
 	p.BadPong = BadPongDead
 	p.PoisonDetection = true
 	cfgs["bad-peers"] = p
-
-	p = base
-	p.AdaptivePing = true
-	cfgs["adaptive-ping"] = p
 
 	p = base
 	p.LifespanMultiplier = 0.05 // most deaths fall inside the run
@@ -1061,7 +1028,8 @@ func FuzzEngineParams(f *testing.F) {
 		p.DoBackoff = bit(0)
 		p.AdaptiveParallel = bit(1)
 		p.AdaptiveParallelWindow = 1
-		p.AdaptivePing = bit(2)
+		// bit(2) is unused; the later bits keep their places so the
+		// seeds above keep their meaning.
 		p.PoisonDetection = bit(3)
 		p.PoisonMinSamples = 3
 		p.ProbePayments = bit(4)

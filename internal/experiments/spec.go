@@ -321,21 +321,3 @@ func coreResultsOf(prs []PointResult) []*core.Results {
 	}
 	return out
 }
-
-// gossipResultsOf unwraps a gossip point-result batch.
-func gossipResultsOf(prs []PointResult) []*gossip.Results {
-	out := make([]*gossip.Results, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.Gossip
-	}
-	return out
-}
-
-// dhtResultsOf unwraps a DHT point-result batch.
-func dhtResultsOf(prs []PointResult) []*dht.Results {
-	out := make([]*dht.Results, len(prs))
-	for i, pr := range prs {
-		out[i] = pr.DHT
-	}
-	return out
-}

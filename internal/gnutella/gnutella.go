@@ -7,9 +7,9 @@
 //   - iterative deepening (Yang & Garcia-Molina, ICDCS 2002): coarse
 //     batches of peers are probed round by round until the query is
 //     satisfied;
-//   - true TTL flooding over generated overlay topologies (random and
-//     power-law), used for validation and for the message-amplification
-//     comparison the paper makes qualitatively in Section 3.
+//   - true TTL flooding over a generated random overlay topology, used
+//     for validation and for the message-amplification comparison the
+//     paper makes qualitatively in Section 3.
 //
 // The baselines share the GUESS content model, so Figure 8's cost /
 // quality trade-off is apples-to-apples.

@@ -151,32 +151,6 @@ func TestNewRandomTopology(t *testing.T) {
 	}
 }
 
-func TestNewPowerLawTopology(t *testing.T) {
-	if _, err := NewPowerLaw(simrng.New(1), 3, 3); err == nil {
-		t.Fatal("n <= m accepted")
-	}
-	if _, err := NewPowerLaw(simrng.New(1), 10, 0); err == nil {
-		t.Fatal("m = 0 accepted")
-	}
-	topo, err := NewPowerLaw(simrng.New(1), 500, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Power-law graphs have hubs: max degree far above the median.
-	maxDeg, total := 0, 0
-	for v := 0; v < 500; v++ {
-		d := topo.Degree(v)
-		total += d
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	avg := float64(total) / 500
-	if float64(maxDeg) < 4*avg {
-		t.Fatalf("no hubs: max degree %d vs average %v", maxDeg, avg)
-	}
-}
-
 func TestFloodTTLLimitsReach(t *testing.T) {
 	topo, err := NewRandom(simrng.New(2), 300, 4)
 	if err != nil {

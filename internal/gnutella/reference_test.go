@@ -57,18 +57,27 @@ func scanSearch(t *Topology, p *Population, item content.ItemID, origin, ttl, de
 	return res, stats
 }
 
-// testTopologies returns a random and a power-law overlay of n nodes.
-func testTopologies(t *testing.T, n int) (random, powerLaw *Topology) {
+// testTopologies returns a random overlay of n nodes and a hub-heavy
+// one: a ring whose node 0 is also linked to every third node, so one
+// hub has degree about n/3 and every other node 2 or 3.
+func testTopologies(t *testing.T, n int) (random, hubbed *Topology) {
 	t.Helper()
 	random, err := NewRandom(simrng.New(7), n, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	powerLaw, err = NewPowerLaw(simrng.New(7), n, 2)
-	if err != nil {
-		t.Fatal(err)
+	hubbed = &Topology{adj: make([][]int, n)}
+	link := func(a, b int) {
+		hubbed.adj[a] = append(hubbed.adj[a], b)
+		hubbed.adj[b] = append(hubbed.adj[b], a)
 	}
-	return random, powerLaw
+	for v := 0; v < n; v++ {
+		link(v, (v+1)%n)
+	}
+	for v := 3; v < n-1; v += 3 {
+		link(0, v)
+	}
+	return random, hubbed
 }
 
 // TestFloodSearchMatchesLibraryScan: on one scratch reused throughout,
@@ -102,9 +111,16 @@ func TestFloodSearchMatchesLibraryScan(t *testing.T) {
 		t.Fatal("every item is held; the test needs one that is not")
 	}
 
-	random, powerLaw := testTopologies(t, n)
-	for i, topo := range []*Topology{random, powerLaw} {
-		name := []string{"random", "power-law"}[i]
+	random, hubbed := testTopologies(t, n)
+	hub := 0
+	for v := 0; v < n; v++ {
+		hub = max(hub, hubbed.Degree(v))
+	}
+	if hub < n/4 {
+		t.Fatalf("hubbed topology's largest degree is %d, want a hub of at least %d", hub, n/4)
+	}
+	for i, topo := range []*Topology{random, hubbed} {
+		name := []string{"random", "hubbed"}[i]
 		var scratch FloodScratch
 		origins := simrng.New(9)
 		check := func(item content.ItemID, ttl int) {

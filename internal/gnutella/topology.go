@@ -2,7 +2,6 @@ package gnutella
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/content"
 	"repro/internal/simrng"
@@ -61,52 +60,6 @@ func NewRandom(r *simrng.RNG, n, avgDegree int) (*Topology, error) {
 	extra := n * (avgDegree - 2) / 2
 	for i := 0; i < extra; i++ {
 		addEdge(r.Intn(n), r.Intn(n))
-	}
-	return t, nil
-}
-
-// NewPowerLaw builds a Barabási–Albert preferential-attachment overlay:
-// each new node attaches to m existing nodes with probability
-// proportional to their degree. This is the topology class the paper
-// notes arises naturally in Gnutella and makes it fragmentation-prone.
-func NewPowerLaw(r *simrng.RNG, n, m int) (*Topology, error) {
-	if m < 1 {
-		return nil, fmt.Errorf("gnutella: attachment count must be >= 1, got %d", m)
-	}
-	if n <= m {
-		return nil, fmt.Errorf("gnutella: need more than %d nodes, got %d", m, n)
-	}
-	t := &Topology{adj: make([][]int, n)}
-	// targets holds one entry per edge endpoint, so uniform sampling
-	// from it is degree-proportional sampling.
-	targets := make([]int, 0, 2*m*n)
-	// Seed: a small clique of m+1 nodes.
-	for a := 0; a <= m; a++ {
-		for b := a + 1; b <= m; b++ {
-			t.adj[a] = append(t.adj[a], b)
-			t.adj[b] = append(t.adj[b], a)
-			targets = append(targets, a, b)
-		}
-	}
-	for v := m + 1; v < n; v++ {
-		picked := make(map[int]bool, m)
-		for len(picked) < m {
-			picked[targets[r.Intn(len(targets))]] = true
-		}
-		// Attach in sorted order: map iteration order would otherwise
-		// leak into the adjacency lists and the degree-proportional
-		// sampling pool, so same-seed topologies would differ between
-		// runs.
-		ws := make([]int, 0, m)
-		for w := range picked {
-			ws = append(ws, w)
-		}
-		sort.Ints(ws)
-		for _, w := range ws {
-			t.adj[v] = append(t.adj[v], w)
-			t.adj[w] = append(t.adj[w], v)
-			targets = append(targets, v, w)
-		}
 	}
 	return t, nil
 }

@@ -58,19 +58,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// ParseMode is the inverse of String.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "push":
-		return ModePush, nil
-	case "pull":
-		return ModePull, nil
-	case "pushpull":
-		return ModePushPull, nil
-	}
-	return 0, fmt.Errorf("gossip: unknown mode %q", s)
-}
-
 // Params configures a gossip-search run. The zero value is not valid;
 // start from DefaultParams.
 type Params struct {

@@ -73,14 +73,13 @@ func TestValidateRejectsBadParams(t *testing.T) {
 }
 
 func TestModeStringRoundTrip(t *testing.T) {
-	for _, m := range []Mode{ModePush, ModePull, ModePushPull} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+	for _, c := range []struct {
+		m    Mode
+		want string
+	}{{ModePush, "push"}, {ModePull, "pull"}, {ModePushPull, "pushpull"}} {
+		if got := c.m.String(); got != c.want {
+			t.Errorf("Mode(%d).String() = %q, want %q", int(c.m), got, c.want)
 		}
-	}
-	if _, err := ParseMode("flood"); err == nil {
-		t.Error("ParseMode accepted unknown mode")
 	}
 	if s := Mode(42).String(); !strings.Contains(s, "42") {
 		t.Errorf("unknown mode String() = %q", s)

@@ -192,18 +192,19 @@ func shuffledFanout(r *simrng.RNG, nbrs []int, fanout int) []int {
 	return pick[:k]
 }
 
-// TestFanoutTargetsMatchesReference: for every degree 1-12 and every
+// TestFanoutTargetsMatchesReference: for every degree 2-12 and every
 // Fanout from 1 to past the degree, the copy-free fan-out picks the
 // neighbors the shuffled copy picked, in the same order, from the same
 // draws.
 func TestFanoutTargetsMatchesReference(t *testing.T) {
-	// A preferential-attachment tree has leaves, hubs and every degree
-	// in between.
-	topo, err := gnutella.NewPowerLaw(simrng.New(3), 3000, 1)
+	// The overlay New builds: its ring gives every node degree 2 or
+	// more, so no gossip overlay has a node of degree 1, and its random
+	// edges spread the degrees well past 12.
+	topo, err := gnutella.NewRandom(simrng.New(3), 3000, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const maxDegree, perDegree, rounds = 12, 3, 50
+	const minDegree, maxDegree, perDegree, rounds = 2, 12, 3, 50
 	var nodes []int
 	covered := make([]int, maxDegree+1)
 	for v := 0; v < topo.NumNodes(); v++ {
@@ -212,7 +213,7 @@ func TestFanoutTargetsMatchesReference(t *testing.T) {
 			nodes = append(nodes, v)
 		}
 	}
-	for d := 1; d <= maxDegree; d++ {
+	for d := minDegree; d <= maxDegree; d++ {
 		if covered[d] == 0 {
 			t.Fatalf("no node of degree %d in the test topology", d)
 		}
