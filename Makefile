@@ -16,9 +16,12 @@ BENCH_PKGS = ./internal/simrng ./internal/eventq ./internal/cache ./internal/pol
 build:
 	$(GO) build ./...
 
-# go vet, and gofmt: any file gofmt would change fails the target.
+# go vet, gofmt (any file gofmt would change fails the target) and a
+# tidy go.mod: the module is standard library only, so go.mod holds its
+# module and go lines and nothing else.
 vet:
 	$(GO) vet ./...
+	$(GO) mod tidy -diff
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then echo "vet: gofmt would reformat:" >&2; echo "$$unformatted" >&2; exit 1; fi
 

@@ -60,7 +60,8 @@ func run(args []string) error {
 	stateAddr := fs.String("state", "", "TCP address of the cluster shed-state service (empty = standalone; requires -admission fair)")
 	stateInterval := fs.Duration("state-interval", time.Second, "push/pull period against -state")
 	nodeName := fs.String("node-name", "", "stable name for -state sequence tracking (default: the bound address)")
-	queryProbe := fs.String("query-probe", "Random", "QueryProbe policy")
+	queryProbe := def.QueryProbe
+	fs.TextVar(&queryProbe, "query-probe", queryProbe, "QueryProbe policy")
 	queryFlag := fs.String("query", "", "run one query and exit")
 	desired := fs.Int("desired", 1, "results wanted for -query")
 	wait := fs.Duration("gossip-wait", 2*time.Second, "time to gossip before -query runs")
@@ -70,10 +71,6 @@ func run(args []string) error {
 		return err
 	}
 
-	sel, err := guess.ParseSelection(*queryProbe)
-	if err != nil {
-		return err
-	}
 	var admissionMode node.AdmissionMode
 	switch strings.ToLower(strings.TrimSpace(*admission)) {
 	case "", "flat":
@@ -99,7 +96,7 @@ func run(args []string) error {
 		DrainTimeout:       *drainTimeout,
 		SnapshotPath:       *snapshot,
 		SnapshotInterval:   *snapshotInterval,
-		QueryProbe:         sel,
+		QueryProbe:         queryProbe,
 		Metrics:            reg,
 	}
 	if *filesFlag != "" {

@@ -46,13 +46,13 @@ func run(args []string) error {
 	fs.Float64Var(&p.QueryRate, "query-rate", p.QueryRate, "queries per user per second")
 	fs.IntVar(&p.MaxProbesPerSecond, "capacity", p.MaxProbesPerSecond, "max probes/second a peer handles (0 = unlimited)")
 	fs.Float64Var(&p.PercentBadPeers, "bad", p.PercentBadPeers, "percentage of malicious peers")
-	badPong := fs.String("bad-pong", "Dead", "malicious pong behavior: Dead, Bad, or Good")
+	fs.TextVar(&p.BadPong, "bad-pong", p.BadPong, "malicious pong behavior: Dead, Bad, or Good")
 
-	queryProbe := fs.String("query-probe", p.QueryProbe.String(), "QueryProbe policy (Random, MRU, LRU, MFS, MR, MR*)")
-	queryPong := fs.String("query-pong", p.QueryPong.String(), "QueryPong policy")
-	pingProbe := fs.String("ping-probe", p.PingProbe.String(), "PingProbe policy")
-	pingPong := fs.String("ping-pong", p.PingPong.String(), "PingPong policy")
-	cacheRepl := fs.String("cache-repl", p.CacheReplacement.String(), "CacheReplacement policy (Random, LRU, MRU, LFS, LR, LR*)")
+	fs.TextVar(&p.QueryProbe, "query-probe", p.QueryProbe, "QueryProbe policy (Random, MRU, LRU, MFS, MR, MR*)")
+	fs.TextVar(&p.QueryPong, "query-pong", p.QueryPong, "QueryPong policy")
+	fs.TextVar(&p.PingProbe, "ping-probe", p.PingProbe, "PingProbe policy")
+	fs.TextVar(&p.PingPong, "ping-pong", p.PingPong, "PingPong policy")
+	fs.TextVar(&p.CacheReplacement, "cache-repl", p.CacheReplacement, "CacheReplacement policy (Random, LRU, MRU, LFS, LR, LR*)")
 
 	fs.Float64Var(&p.PingInterval, "ping-interval", p.PingInterval, "seconds between pings")
 	fs.IntVar(&p.CacheSize, "cache", p.CacheSize, "link cache capacity")
@@ -66,15 +66,15 @@ func run(args []string) error {
 	fs.Float64Var(&p.ProbeSpacing, "probe-spacing", p.ProbeSpacing, "seconds between probe rounds")
 	fs.IntVar(&p.ParallelProbes, "parallel", p.ParallelProbes, "probes per round (parallel walks)")
 	fs.IntVar(&p.MaxProbesPerQuery, "max-probes", p.MaxProbesPerQuery, "probe cap per query (0 = exhaustive)")
-	queries := fs.Bool("queries", true, "enable query traffic")
+	fs.BoolVar(&p.QueriesEnabled, "queries", p.QueriesEnabled, "enable query traffic")
 
 	fs.Uint64Var(&p.Seed, "seed", p.Seed, "random seed")
 	fs.Float64Var(&p.WarmupTime, "warmup", p.WarmupTime, "warmup seconds (simulated)")
 	fs.Float64Var(&p.MeasureTime, "measure", p.MeasureTime, "measurement seconds (simulated)")
 	fs.BoolVar(&p.SampleConnectivity, "connectivity", p.SampleConnectivity, "sample overlay connectivity")
 
-	// Two-pass parse so -config loads first and explicit flags still
-	// override it.
+	// Two-pass parse so -config loads first and explicit flags, which
+	// the second pass alone sets, still override it.
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -96,48 +96,6 @@ func run(args []string) error {
 		if err := fs.Parse(args); err != nil {
 			return err
 		}
-	}
-
-	// String-valued flags must not clobber a loaded config with their
-	// defaults: apply them only when explicitly set (or when no config
-	// was given).
-	explicit := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	apply := func(name string) bool { return *configPath == "" || explicit[name] }
-
-	var err error
-	if apply("query-probe") {
-		if p.QueryProbe, err = guess.ParseSelection(*queryProbe); err != nil {
-			return err
-		}
-	}
-	if apply("query-pong") {
-		if p.QueryPong, err = guess.ParseSelection(*queryPong); err != nil {
-			return err
-		}
-	}
-	if apply("ping-probe") {
-		if p.PingProbe, err = guess.ParseSelection(*pingProbe); err != nil {
-			return err
-		}
-	}
-	if apply("ping-pong") {
-		if p.PingPong, err = guess.ParseSelection(*pingPong); err != nil {
-			return err
-		}
-	}
-	if apply("cache-repl") {
-		if p.CacheReplacement, err = guess.ParseEviction(*cacheRepl); err != nil {
-			return err
-		}
-	}
-	if apply("bad-pong") {
-		if p.BadPong, err = guess.ParseBadPongBehavior(*badPong); err != nil {
-			return err
-		}
-	}
-	if apply("queries") {
-		p.QueriesEnabled = *queries
 	}
 
 	if *dumpConfig {

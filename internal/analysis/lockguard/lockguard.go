@@ -161,8 +161,9 @@ func candidateFields(pkg *types.Package) map[*types.Var]string {
 }
 
 func isMutexType(t types.Type) bool {
+	t = types.Unalias(t)
 	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+		t = types.Unalias(ptr.Elem())
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
@@ -182,8 +183,9 @@ func isSelfSynced(t types.Type) bool {
 	if _, ok := t.Underlying().(*types.Chan); ok {
 		return true
 	}
+	t = types.Unalias(t)
 	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+		t = types.Unalias(ptr.Elem())
 	}
 	named, ok := t.(*types.Named)
 	if !ok || named.Obj().Pkg() == nil {

@@ -103,3 +103,30 @@ type Plain struct {
 func (p *Plain) Inc() {
 	p.n++
 }
+
+// lock spells the mutex through a type alias, which go/types keeps as
+// *types.Alias: the struct still carries a mutex.
+type lock = sync.Mutex
+
+// Aliased guards n with a mutex named through the alias.
+type Aliased struct {
+	mu lock
+	n  int
+}
+
+func (a *Aliased) Add() {
+	a.mu.Lock()
+	a.n++
+	a.mu.Unlock()
+}
+
+func (a *Aliased) Reset() {
+	a.mu.Lock()
+	a.n = 0
+	a.mu.Unlock()
+}
+
+// Peek reads the guarded field without the lock.
+func (a *Aliased) Peek() int {
+	return a.n // want `field Aliased.n is read without the lock that guards it`
+}

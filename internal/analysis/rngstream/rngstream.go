@@ -150,9 +150,9 @@ func isRNGType(pass *analysis.Pass, expr ast.Expr) bool {
 	if !ok || tv.Type == nil {
 		return false
 	}
-	t := tv.Type
+	t := types.Unalias(tv.Type)
 	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+		t = types.Unalias(ptr.Elem())
 	}
 	named, ok := t.(*types.Named)
 	if !ok {

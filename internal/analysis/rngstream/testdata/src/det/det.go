@@ -60,3 +60,16 @@ func streamName(i int) string {
 	}
 	return "trialN"
 }
+
+// aliasRNG and rngPtr spell the generator through type aliases, which
+// go/types keeps as *types.Alias: the check must see through them.
+type (
+	aliasRNG = simrng.RNG
+	rngPtr   = *simrng.RNG
+)
+
+// SharedAlias exports RNG fields spelled through the aliases.
+type SharedAlias struct {
+	Stream *aliasRNG // want `exported simrng.RNG field shares one stream across components`
+	Ptr    rngPtr    // want `exported simrng.RNG field shares one stream across components`
+}

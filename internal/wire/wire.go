@@ -225,24 +225,63 @@ func appendEntries(dst []byte, entries []PongEntry) ([]byte, error) {
 	}
 	dst = append(dst, byte(len(entries)))
 	for _, e := range entries {
-		if !e.Addr.IsValid() {
-			return nil, fmt.Errorf("wire: invalid pong entry address")
+		var err error
+		if dst, err = AppendPongEntry(dst, e); err != nil {
+			return nil, err
 		}
-		addr := e.Addr.Addr()
-		if addr.Is4() {
-			dst = append(dst, 4)
-			b := addr.As4()
-			dst = append(dst, b[:]...)
-		} else {
-			dst = append(dst, 16)
-			b := addr.As16()
-			dst = append(dst, b[:]...)
-		}
-		dst = binary.BigEndian.AppendUint16(dst, e.Addr.Port())
-		dst = binary.BigEndian.AppendUint32(dst, e.NumFiles)
-		dst = binary.BigEndian.AppendUint16(dst, e.NumRes)
 	}
 	return dst, nil
+}
+
+// AppendPongEntry writes one pong entry, addrSize u8 (4|16) | addr |
+// port u16 | numFiles u32 | numRes u16, to dst. An IPv4 address takes 4
+// bytes; any other, IPv4-mapped IPv6 included, takes 16.
+func AppendPongEntry(dst []byte, e PongEntry) ([]byte, error) {
+	if !e.Addr.IsValid() {
+		return nil, fmt.Errorf("wire: invalid pong entry address")
+	}
+	addr := e.Addr.Addr()
+	if addr.Is4() {
+		dst = append(dst, 4)
+		b := addr.As4()
+		dst = append(dst, b[:]...)
+	} else {
+		dst = append(dst, 16)
+		b := addr.As16()
+		dst = append(dst, b[:]...)
+	}
+	dst = binary.BigEndian.AppendUint16(dst, e.Addr.Port())
+	dst = binary.BigEndian.AppendUint32(dst, e.NumFiles)
+	return binary.BigEndian.AppendUint16(dst, e.NumRes), nil
+}
+
+// DecodePongEntry parses the pong entry AppendPongEntry writes at the
+// front of b and returns it with the number of bytes it took. A bad
+// address size or a short b is ErrMalformed.
+func DecodePongEntry(b []byte) (PongEntry, int, error) {
+	if len(b) == 0 {
+		return PongEntry{}, 0, fmt.Errorf("%w: truncated payload", ErrMalformed)
+	}
+	size := int(b[0])
+	if size != 4 && size != 16 {
+		return PongEntry{}, 0, fmt.Errorf("%w: address size %d", ErrMalformed, size)
+	}
+	n := 1 + size + 8
+	if len(b) < n {
+		return PongEntry{}, 0, fmt.Errorf("%w: truncated payload", ErrMalformed)
+	}
+	var addr netip.Addr
+	if size == 4 {
+		addr = netip.AddrFrom4([4]byte(b[1:5]))
+	} else {
+		addr = netip.AddrFrom16([16]byte(b[1:17]))
+	}
+	rest := b[1+size : n]
+	return PongEntry{
+		Addr:     netip.AddrPortFrom(addr, binary.BigEndian.Uint16(rest[0:2])),
+		NumFiles: binary.BigEndian.Uint32(rest[2:6]),
+		NumRes:   binary.BigEndian.Uint16(rest[6:8]),
+	}, n, nil
 }
 
 // Decode parses a datagram into a message of its own. It returns
@@ -397,14 +436,6 @@ func (r *reader) byte() (byte, error) {
 	return b[0], nil
 }
 
-func (r *reader) uint16() (uint16, error) {
-	b, err := r.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b), nil
-}
-
 func (r *reader) uint32() (uint32, error) {
 	b, err := r.take(4)
 	if err != nil {
@@ -441,40 +472,12 @@ func (r *reader) entries(dst []PongEntry) ([]PongEntry, error) {
 		entries = make([]PongEntry, 0, count)
 	}
 	for i := 0; i < int(count); i++ {
-		size, err := r.byte()
+		e, n, err := DecodePongEntry(r.buf[r.off:])
 		if err != nil {
 			return nil, err
 		}
-		if size != 4 && size != 16 {
-			return nil, fmt.Errorf("%w: address size %d", ErrMalformed, size)
-		}
-		raw, err := r.take(int(size))
-		if err != nil {
-			return nil, err
-		}
-		var addr netip.Addr
-		if size == 4 {
-			addr = netip.AddrFrom4([4]byte(raw))
-		} else {
-			addr = netip.AddrFrom16([16]byte(raw))
-		}
-		port, err := r.uint16()
-		if err != nil {
-			return nil, err
-		}
-		numFiles, err := r.uint32()
-		if err != nil {
-			return nil, err
-		}
-		numRes, err := r.uint16()
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, PongEntry{
-			Addr:     netip.AddrPortFrom(addr, port),
-			NumFiles: numFiles,
-			NumRes:   numRes,
-		})
+		r.off += n
+		entries = append(entries, e)
 	}
 	return entries, nil
 }

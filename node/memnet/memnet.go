@@ -481,7 +481,8 @@ type Conn struct {
 	wake         chan struct{}
 	readDeadline time.Time
 	// idleTimer is the deadline timer of the last read that had to wait,
-	// stopped and drained, for the next one to re-arm.
+	// stopped, for the next one to re-arm; a stopped timer's channel
+	// holds no stale tick.
 	idleTimer atomic.Pointer[time.Timer]
 }
 
@@ -505,18 +506,10 @@ func (c *Conn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 	var t *time.Timer
 	armed := false
 	defer func() {
-		if t == nil {
-			return
+		if t != nil {
+			t.Stop()
+			c.idleTimer.Store(t)
 		}
-		// go.mod says go 1.22: a fired timer's tick stays in its
-		// channel, and would expire the next read on arrival.
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		c.idleTimer.Store(t)
 	}()
 	for {
 		c.mu.Lock()

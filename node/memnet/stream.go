@@ -181,31 +181,27 @@ type StreamConn struct {
 
 var _ net.Conn = (*StreamConn)(nil)
 
-// deadlineTimer arms a timer for the given deadline; the caller must
-// stop it. A nil channel never fires (no deadline).
-func deadlineTimer(at time.Time) (<-chan time.Time, *time.Timer, error) {
+// deadlineTimer returns a channel that fires at the given deadline. A
+// nil channel never fires (no deadline).
+func deadlineTimer(at time.Time) (<-chan time.Time, error) {
 	if at.IsZero() {
-		return nil, nil, nil
+		return nil, nil
 	}
 	d := time.Until(at)
 	if d <= 0 {
-		return nil, nil, os.ErrDeadlineExceeded
+		return nil, os.ErrDeadlineExceeded
 	}
-	t := time.NewTimer(d)
-	return t.C, t, nil
+	return time.After(d), nil
 }
 
 // Read implements net.Conn. After the peer closes, buffered data is
 // still drained before io.EOF.
 func (c *StreamConn) Read(p []byte) (int, error) {
 	c.mu.Lock()
-	timeout, timer, err := deadlineTimer(c.readDeadline)
+	timeout, err := deadlineTimer(c.readDeadline)
 	c.mu.Unlock()
 	if err != nil {
 		return 0, err
-	}
-	if timer != nil {
-		defer timer.Stop()
 	}
 	if len(c.in.rest) > 0 {
 		n := copy(p, c.in.rest)
@@ -257,26 +253,19 @@ func (c *StreamConn) Write(p []byte) (int, error) {
 		return 0, &net.OpError{Op: "write", Net: "memnet", Err: err}
 	}
 	c.mu.Lock()
-	timeout, timer, err := deadlineTimer(c.writeDeadline)
+	timeout, err := deadlineTimer(c.writeDeadline)
 	c.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	if timer != nil {
-		defer timer.Stop()
-	}
 	if d := c.net.streamLatency(c.local, c.remote); d > 0 {
-		lat := time.NewTimer(d)
 		select {
-		case <-lat.C:
+		case <-time.After(d):
 		case <-c.closed:
-			lat.Stop()
 			return 0, net.ErrClosed
 		case <-c.peerClosed:
-			lat.Stop()
 			return 0, &net.OpError{Op: "write", Net: "memnet", Err: errors.New("connection reset by peer")}
 		case <-timeout:
-			lat.Stop()
 			return 0, os.ErrDeadlineExceeded
 		}
 		// The link may have been blocked while the write was in flight.

@@ -191,25 +191,28 @@ func (n *Node) introduce(from netip.AddrPort, numFiles uint32, ts float64) {
 	n.syncCacheGauge()
 }
 
+// pongEntry is e as a pong carries it: its address, with NumRes
+// clamped into 16 bits; false when e's ID names no address. Callers
+// hold n.mu.
+func (n *Node) pongEntry(e cache.Entry) (wire.PongEntry, bool) {
+	addr := n.ids.addrs[e.Addr]
+	return wire.PongEntry{
+		Addr:     addr,
+		NumFiles: uint32(e.NumFiles),
+		NumRes:   uint16(min(max(int(e.NumRes), 0), 1<<16-1)),
+	}, addr.IsValid()
+}
+
 // appendPongEntries appends a pong built under the given policy,
 // excluding the recipient's own address, to out; callers hold n.mu.
 func (n *Node) appendPongEntries(out []wire.PongEntry, sel policy.Selection, recipient netip.AddrPort) []wire.PongEntry {
 	entries := n.link.Entries()
 	for _, i := range n.pick.PickN(n.rng, sel, entries, n.cfg.PongSize+1) {
-		e := entries[i]
-		addr := n.ids.addrs[e.Addr]
-		if addr == recipient || !addr.IsValid() {
+		pe, ok := n.pongEntry(entries[i])
+		if !ok || pe.Addr == recipient {
 			continue
 		}
-		numRes := e.NumRes
-		if numRes < 0 {
-			numRes = 0
-		}
-		out = append(out, wire.PongEntry{
-			Addr:     addr,
-			NumFiles: uint32(e.NumFiles),
-			NumRes:   uint16(min(int(numRes), 1<<16-1)),
-		})
+		out = append(out, pe)
 		if len(out) == n.cfg.PongSize {
 			break
 		}

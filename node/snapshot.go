@@ -14,8 +14,8 @@
 //	magic "GSNP" (4) | version u8 | count u16 | writtenUnixNano i64
 //	entries[count] | crc32-IEEE u32 over all preceding bytes
 //
-// entry: addrSize u8 (4|16) | addr | port u16 | numFiles u32 |
-// numRes u16 | direct u8
+// entry: a wire pong entry (addrSize u8 (4|16) | addr | port u16 |
+// numFiles u32 | numRes u16) | direct u8
 
 package node
 
@@ -24,13 +24,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 	"os"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/frame"
 	"repro/internal/policy"
+	"repro/internal/wire"
 )
 
 // snapshot format constants.
@@ -47,12 +47,11 @@ const (
 // errSnapshot reports an unusable snapshot file.
 var errSnapshot = errors.New("node: bad snapshot")
 
-// snapEntry is one serialized link-cache pointer.
+// snapEntry is one serialized link-cache pointer: a pong entry, and
+// whether the node learned it first-hand.
 type snapEntry struct {
-	Addr     netip.AddrPort
-	NumFiles uint32
-	NumRes   uint16
-	Direct   bool
+	wire.PongEntry
+	Direct bool
 }
 
 // encodeSnapshot serializes entries with the checksum trailer.
@@ -66,22 +65,10 @@ func encodeSnapshot(writtenAt time.Time, entries []snapEntry) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(entries)))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(writtenAt.UnixNano()))
 	for _, e := range entries {
-		if !e.Addr.IsValid() {
-			return nil, fmt.Errorf("%w: invalid entry address", errSnapshot)
+		var err error
+		if buf, err = wire.AppendPongEntry(buf, e.PongEntry); err != nil {
+			return nil, fmt.Errorf("%w: %v", errSnapshot, err)
 		}
-		addr := e.Addr.Addr()
-		if addr.Is4() {
-			b := addr.As4()
-			buf = append(buf, 4)
-			buf = append(buf, b[:]...)
-		} else {
-			b := addr.As16()
-			buf = append(buf, 16)
-			buf = append(buf, b[:]...)
-		}
-		buf = binary.BigEndian.AppendUint16(buf, e.Addr.Port())
-		buf = binary.BigEndian.AppendUint32(buf, e.NumFiles)
-		buf = binary.BigEndian.AppendUint16(buf, e.NumRes)
 		if e.Direct {
 			buf = append(buf, 1)
 		} else {
@@ -117,32 +104,15 @@ func decodeSnapshot(b []byte) (writtenAt time.Time, entries []snapEntry, err err
 	rest := body[snapHeaderSize:]
 	entries = make([]snapEntry, 0, count)
 	for i := 0; i < count; i++ {
-		if len(rest) < 1 {
+		e, n, err := wire.DecodePongEntry(rest)
+		if err != nil {
+			return time.Time{}, nil, fmt.Errorf("%w: entry %d: %v", errSnapshot, i, err)
+		}
+		if len(rest) <= n {
 			return time.Time{}, nil, fmt.Errorf("%w: truncated entry %d", errSnapshot, i)
 		}
-		size := int(rest[0])
-		rest = rest[1:]
-		if size != 4 && size != 16 {
-			return time.Time{}, nil, fmt.Errorf("%w: address size %d", errSnapshot, size)
-		}
-		if len(rest) < size+9 {
-			return time.Time{}, nil, fmt.Errorf("%w: truncated entry %d", errSnapshot, i)
-		}
-		var addr netip.Addr
-		if size == 4 {
-			addr = netip.AddrFrom4([4]byte(rest[:4]))
-		} else {
-			addr = netip.AddrFrom16([16]byte(rest[:16]))
-		}
-		rest = rest[size:]
-		e := snapEntry{
-			Addr:     netip.AddrPortFrom(addr, binary.BigEndian.Uint16(rest[0:2])),
-			NumFiles: binary.BigEndian.Uint32(rest[2:6]),
-			NumRes:   binary.BigEndian.Uint16(rest[6:8]),
-			Direct:   rest[8] != 0,
-		}
-		rest = rest[9:]
-		entries = append(entries, e)
+		entries = append(entries, snapEntry{e, rest[n] != 0})
+		rest = rest[n+1:]
 	}
 	if len(rest) != 0 {
 		return time.Time{}, nil, fmt.Errorf("%w: %d trailing bytes", errSnapshot, len(rest))
@@ -156,20 +126,9 @@ func (n *Node) snapshotEntries() []snapEntry {
 	defer n.mu.Unlock()
 	out := make([]snapEntry, 0, n.link.Len())
 	for _, e := range n.link.Entries() {
-		addr := n.ids.addrs[e.Addr]
-		if !addr.IsValid() {
-			continue
+		if pe, ok := n.pongEntry(e); ok {
+			out = append(out, snapEntry{pe, e.Direct})
 		}
-		numRes := e.NumRes
-		if numRes < 0 {
-			numRes = 0
-		}
-		out = append(out, snapEntry{
-			Addr:     addr,
-			NumFiles: uint32(e.NumFiles),
-			NumRes:   uint16(min(int(numRes), 1<<16-1)),
-			Direct:   e.Direct,
-		})
 	}
 	return out
 }

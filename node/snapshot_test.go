@@ -1,21 +1,25 @@
 package node
 
 import (
+	"encoding/hex"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/frame"
+	"repro/internal/wire"
 	"repro/node/memnet"
 )
 
 func goldenSnapshot(t testing.TB) ([]byte, []snapEntry) {
 	entries := []snapEntry{
-		{Addr: netip.MustParseAddrPort("10.1.2.3:6346"), NumFiles: 12, NumRes: 3, Direct: true},
-		{Addr: netip.MustParseAddrPort("[2001:db8::7]:4000"), NumFiles: 0, NumRes: 0, Direct: false},
-		{Addr: netip.MustParseAddrPort("192.168.0.9:1"), NumFiles: 1 << 30, NumRes: 65535, Direct: true},
+		{wire.PongEntry{Addr: netip.MustParseAddrPort("10.1.2.3:6346"), NumFiles: 12, NumRes: 3}, true},
+		{wire.PongEntry{Addr: netip.MustParseAddrPort("[2001:db8::7]:4000"), NumFiles: 0, NumRes: 0}, false},
+		{wire.PongEntry{Addr: netip.MustParseAddrPort("192.168.0.9:1"), NumFiles: 1 << 30, NumRes: 65535}, true},
 	}
 	data, err := encodeSnapshot(time.Unix(1700000000, 12345), entries)
 	if err != nil {
@@ -41,6 +45,56 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("entry %d: %+v != %+v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestSnapshotByteVector pins the snapshot format: link-cache entries
+// taken through snapshotEntries (NumRes clamped into 16 bits; an
+// IPv4-mapped address kept at 16 bytes) encode to these bytes, and
+// decode back.
+func TestSnapshotByteVector(t *testing.T) {
+	n := startMemNode(t, memnet.New(1), Config{Seed: 1, PingInterval: time.Hour})
+	links := []struct {
+		addr string
+		e    cache.Entry
+	}{
+		{"10.1.2.3:6346", cache.Entry{NumFiles: 12, NumRes: 3, Direct: true}},
+		{"[2001:db8::7]:4000", cache.Entry{NumFiles: 0, NumRes: 70000}},
+		{"[::ffff:192.168.0.9]:1", cache.Entry{NumFiles: 1 << 30, NumRes: -5, Direct: true}},
+		{"172.16.0.1:65535", cache.Entry{NumFiles: 7, NumRes: 65535}},
+	}
+	n.mu.Lock()
+	for _, l := range links {
+		e := l.e
+		e.Addr = n.ids.add(netip.MustParseAddrPort(l.addr))
+		n.link.Add(e)
+	}
+	n.mu.Unlock()
+	data, err := encodeSnapshot(time.Unix(1700000000, 12345), n.snapshotEntries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "47534e5001000417979cfe362a3039" +
+		"040a01020318ca0000000c000301" +
+		"1020010db80000000000000000000000070fa000000000ffff00" +
+		"1000000000000000000000ffffc0a80009000140000000000001" +
+		"04ac100001ffff00000007ffff00" +
+		"714ad374"
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("snapshot bytes\n got %s\nwant %s", got, want)
+	}
+	_, got, err := decodeSnapshot(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEntries := []snapEntry{
+		{wire.PongEntry{Addr: netip.MustParseAddrPort("10.1.2.3:6346"), NumFiles: 12, NumRes: 3}, true},
+		{wire.PongEntry{Addr: netip.MustParseAddrPort("[2001:db8::7]:4000"), NumFiles: 0, NumRes: 65535}, false},
+		{wire.PongEntry{Addr: netip.MustParseAddrPort("[::ffff:192.168.0.9]:1"), NumFiles: 1 << 30, NumRes: 0}, true},
+		{wire.PongEntry{Addr: netip.MustParseAddrPort("172.16.0.1:65535"), NumFiles: 7, NumRes: 65535}, false},
+	}
+	if !slices.Equal(got, wantEntries) {
+		t.Fatalf("decoded %+v\nwant %+v", got, wantEntries)
 	}
 }
 
