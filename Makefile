@@ -106,7 +106,8 @@ race:
 # table answers 0), the event queue's FIFO never pops out of the order
 # its heap alone would give, a memnet endpoint's ring of pooled packets
 # never departs from a slice per endpoint (order, payloads, the
-# 256-packet cap, Stats, Close), and no library, fresh or recycled, in
+# 256-packet cap, Stats, Close) and a far-future read deadline, its timer
+# left armed, never fails a later read, and no library, fresh or recycled, in
 # either slot width, holds other items than the map sampler drew.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=10s ./internal/wire

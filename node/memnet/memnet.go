@@ -21,7 +21,9 @@
 // in a pooled buffer that goes back to the pool once the reader has
 // copied it out or the packet is dropped. A read takes the endpoint's
 // lock once, and a reader that has to wait parks on a one-slot wake-up
-// channel, with a timer beside it only under a deadline.
+// channel alone; a read deadline reaches it through that channel, from
+// one timer per endpoint that is re-armed only when a deadline comes
+// earlier than the one it is set for.
 package memnet
 
 import (
@@ -465,7 +467,8 @@ func (p packet) release() {
 // Conn is one endpoint; it implements net.PacketConn. Its receive queue
 // is a FIFO ring under mu, grown by doubling up to maxQueue packets, and
 // wake is a one-slot channel a reader parks on: enqueue leaves a token
-// in it, and Close closes it, which wakes every parked reader.
+// in it, so does the deadline timer once the read deadline has passed,
+// and Close closes it, which wakes every parked reader.
 type Conn struct {
 	net  *Network
 	addr netip.AddrPort
@@ -480,10 +483,10 @@ type Conn struct {
 	closed       atomic.Bool
 	wake         chan struct{}
 	readDeadline time.Time
-	// idleTimer is the deadline timer of the last read that had to wait,
-	// stopped, for the next one to re-arm; a stopped timer's channel
-	// holds no stale tick.
-	idleTimer atomic.Pointer[time.Timer]
+	// timer runs expire at timerAt, or timerAt is zero and nothing is
+	// pending; it is made at the first deadline that needs it.
+	timer   *time.Timer
+	timerAt time.Time
 }
 
 var _ net.PacketConn = (*Conn)(nil)
@@ -498,30 +501,20 @@ func (c *Conn) ReadFrom(p []byte) (int, net.Addr, error) {
 }
 
 // ReadFromUDPAddrPort is ReadFrom with the sender's address in netip
-// form, as on *net.UDPConn. Under the endpoint's lock an expired deadline
+// form, as on *net.UDPConn. Under the endpoint's lock a passed deadline
 // fails first, then a closed endpoint, and otherwise a queued packet is
-// taken. A read that has to wait parks on wake alone, or under a
-// deadline on wake and the endpoint's one timer.
+// taken. A read that has to wait parks on wake alone, with or without a
+// deadline: the deadline timer leaves a token there once it passes, and
+// a reader that finds it passed leaves one for the next waiting reader.
 func (c *Conn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
-	var t *time.Timer
-	armed := false
-	defer func() {
-		if t != nil {
-			t.Stop()
-			c.idleTimer.Store(t)
-		}
-	}()
 	for {
 		c.mu.Lock()
-		var wait time.Duration
-		if deadline := c.readDeadline; !deadline.IsZero() {
-			if wait = time.Until(deadline); wait <= 0 {
-				if c.count > 0 {
-					c.signalLocked() // a token this read took is another reader's
-				}
-				c.mu.Unlock()
-				return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
+		if deadline := c.readDeadline; !deadline.IsZero() && !time.Now().Before(deadline) {
+			if !c.closed.Load() {
+				c.signalLocked() // for the next waiting reader, whose deadline it is too
 			}
+			c.mu.Unlock()
+			return 0, netip.AddrPort{}, os.ErrDeadlineExceeded
 		}
 		if c.closed.Load() {
 			c.mu.Unlock()
@@ -538,29 +531,40 @@ func (c *Conn) ReadFromUDPAddrPort(p []byte) (int, netip.AddrPort, error) {
 			return n, pkt.from, nil
 		}
 		c.mu.Unlock()
-		if wait == 0 {
-			<-c.wake
-			continue
-		}
-		if !armed {
-			// The endpoint keeps one timer between reads; a second reader
-			// at the same moment finds none and makes its own.
-			if t == nil {
-				t = c.idleTimer.Swap(nil)
-			}
-			if t == nil {
-				t = time.NewTimer(wait)
-			} else {
-				t.Reset(wait)
-			}
-			armed = true
-		}
-		select {
-		case <-c.wake:
-		case <-t.C:
-			armed = false
-		}
+		<-c.wake
 	}
+}
+
+// armLocked makes sure wake gets a token once the read deadline passes:
+// a deadline already passed signals now, and otherwise the timer is
+// armed for it, unless it is pending for no later than that already
+// (expire then re-arms it for the rest). Callers hold c.mu.
+func (c *Conn) armLocked() {
+	t := c.readDeadline
+	if t.IsZero() || c.closed.Load() || !c.timerAt.IsZero() && !t.Before(c.timerAt) {
+		return
+	}
+	d := time.Until(t)
+	switch {
+	case d <= 0:
+		c.signalLocked()
+		return
+	case c.timer == nil:
+		c.timer = time.AfterFunc(d, c.expire)
+	default:
+		c.timer.Reset(d)
+	}
+	c.timerAt = t
+}
+
+// expire is the deadline timer: it signals wake if the read deadline has
+// passed, and re-arms for the rest if the deadline moved later. After
+// Close it does nothing.
+func (c *Conn) expire() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.timerAt = time.Time{}
+	c.armLocked()
 }
 
 // WriteTo implements net.PacketConn.
@@ -582,8 +586,9 @@ func (c *Conn) WriteToUDPAddrPort(p []byte, to netip.AddrPort) (int, error) {
 	return len(p), nil
 }
 
-// Close implements net.PacketConn. It releases what is queued and
-// closes wake, so every parked reader returns net.ErrClosed.
+// Close implements net.PacketConn. It stops the deadline timer,
+// releases what is queued and closes wake, so every parked reader
+// returns net.ErrClosed.
 func (c *Conn) Close() error {
 	c.mu.Lock()
 	if c.closed.Load() {
@@ -591,6 +596,10 @@ func (c *Conn) Close() error {
 		return nil
 	}
 	c.closed.Store(true)
+	if c.timer != nil {
+		c.timer.Stop()
+		c.timerAt = time.Time{}
+	}
 	for c.count > 0 {
 		c.popLocked().release()
 	}
@@ -613,11 +622,13 @@ func (c *Conn) AddrPort() netip.AddrPort { return c.addr }
 // applies t as the read deadline.
 func (c *Conn) SetDeadline(t time.Time) error { return c.SetReadDeadline(t) }
 
-// SetReadDeadline implements net.PacketConn.
+// SetReadDeadline implements net.PacketConn. The deadline applies to
+// reads already waiting too.
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.readDeadline = t
+	c.armLocked()
 	return nil
 }
 

@@ -588,9 +588,11 @@ func TestFaultScheduleIndependentOfSendOrder(t *testing.T) {
 	}
 }
 
-// TestReadDeadlineTimerReuse: the endpoint re-arms one timer for every
-// read that waits under a deadline; neither an expired wait nor one cut
-// short by a packet may leak into the read after it.
+// TestReadDeadlineTimerReuse: the endpoint's one deadline timer serves
+// every read that waits under a deadline. It is re-armed only for a
+// deadline earlier than the one it is pending for, so a later deadline
+// leaves it as it is, and neither an expired wait nor one cut short by a
+// packet may leak into the read after it.
 func TestReadDeadlineTimerReuse(t *testing.T) {
 	nw := New(1)
 	a, b := nw.Listen(), nw.Listen()
@@ -628,4 +630,117 @@ func TestReadDeadlineTimerReuse(t *testing.T) {
 			t.Fatalf("round %d: a 10ms deadline expired after %v", round, waited)
 		}
 	}
+	b.SetReadDeadline(time.Now().Add(time.Second))
+	armed := b.pendingAt()
+	b.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if got := b.pendingAt(); !got.Equal(armed) {
+		t.Fatalf("a later deadline moved the pending timer from %v to %v", armed, got)
+	}
+}
+
+// pendingAt is when c's deadline timer is pending for, or zero.
+func (c *Conn) pendingAt() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.timerAt
+}
+
+// TestReadDeadlineAppliesToPendingRead: a deadline set while a read
+// waits applies to that read, as net.PacketConn asks, whether it is set
+// to now, cuts a longer one short, or comes where there was none.
+func TestReadDeadlineAppliesToPendingRead(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		start, set time.Duration // the deadline the read starts under (0: none) and the one set while it waits, from now
+	}{
+		{"now", 0, 0},
+		{"10s cut to 30ms", 10 * time.Second, 30 * time.Millisecond},
+		{"none to 30ms", 0, 30 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(1).Listen()
+			defer c.Close()
+			if tc.start > 0 {
+				c.SetReadDeadline(time.Now().Add(tc.start))
+			}
+			type result struct {
+				err error
+				at  time.Time
+			}
+			done := make(chan result, 1)
+			go func() {
+				_, _, err := c.ReadFromUDPAddrPort(make([]byte, 8))
+				done <- result{err, time.Now()}
+			}()
+			waitParked(t, 1)
+			at := time.Now().Add(tc.set)
+			c.SetReadDeadline(at)
+			select {
+			case r := <-done:
+				if !errors.Is(r.err, os.ErrDeadlineExceeded) {
+					t.Fatalf("err = %v, want deadline exceeded", r.err)
+				}
+				if late := r.at.Sub(at); late < 0 || late > time.Second {
+					t.Fatalf("the read returned %v after its new deadline", late)
+				}
+			case <-time.After(2*time.Second + tc.set):
+				t.Fatal("the waiting read outlived its new deadline by 2s")
+			}
+		})
+	}
+}
+
+// TestReadDeadlineWakesEveryReader: four readers waiting on one endpoint
+// under one deadline all return at it, though the timer leaves one token:
+// each passes it on.
+func TestReadDeadlineWakesEveryReader(t *testing.T) {
+	c := New(1).Listen()
+	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(30 * time.Millisecond))
+	const readers = 4
+	errs := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		go func() {
+			_, _, err := c.ReadFromUDPAddrPort(make([]byte, 8))
+			errs <- err
+		}()
+	}
+	for left := readers; left > 0; left-- {
+		select {
+		case err := <-errs:
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("a reader returned %v, want deadline exceeded", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%d of %d readers still wait 2s past their deadline", left, readers)
+		}
+	}
+}
+
+// TestCloseStopsDeadlineTimer: Close stops an armed deadline timer, and a
+// fire that comes after Close neither signals wake, which Close closed
+// (a send there would panic), nor arms the timer again. The loop races
+// short deadlines against Close for the race detector.
+func TestCloseStopsDeadlineTimer(t *testing.T) {
+	nw := New(1)
+	c := nw.Listen()
+	c.SetReadDeadline(time.Now().Add(time.Hour))
+	c.Close()
+	c.mu.Lock()
+	stopped := !c.timer.Stop()
+	c.mu.Unlock()
+	if !stopped {
+		t.Fatal("Close left the deadline timer armed")
+	}
+	c.expire() // a fire that lost the race to Close
+	if at := c.pendingAt(); !at.IsZero() {
+		t.Fatalf("a fire after Close armed the timer for %v", at)
+	}
+	for i := 0; i < 100; i++ {
+		c := nw.Listen()
+		c.SetReadDeadline(time.Now().Add(time.Duration(i%4) * 50 * time.Microsecond))
+		time.Sleep(time.Duration(i%3) * 50 * time.Microsecond)
+		c.Close()
+	}
+	time.Sleep(2 * time.Millisecond) // the last fires land after Close
 }

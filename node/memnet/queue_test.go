@@ -23,8 +23,8 @@ func (c *Conn) queued() int {
 // and checks every step against a model of a slice per endpoint: FIFO
 // order and payloads (every fifth one too long for a pooled buffer), the
 // cap of maxQueue packets, the Stats identity and net.ErrClosed after
-// Close. The low three bits of a byte pick the operation, the next two
-// the destination and the top three the source, both modulo 3:
+// Close. A byte b is the operation b%9 with destination b/9%3 and source
+// b/27%3 (see fuzzOp):
 //
 //	0, 1  send from the source
 //	2     send over a link that duplicates every packet
@@ -33,11 +33,26 @@ func (c *Conn) queued() int {
 //	5     read under an armed deadline
 //	6     close the destination
 //	7     read parked before a send from the source wakes it
+//	8     set a far-future deadline, and read under it if a packet is
+//	      queued; the deadline and its armed timer stay for the ops after
+//	      it, which must never fail a read they should not
 func FuzzConnQueue(f *testing.F) {
-	f.Add([]byte{0, 8, 16, 3, 11, 2, 5, 4, 13, 6, 3, 5, 0})
-	f.Add(bytes.Repeat([]byte{0}, maxQueue+4))                             // past the cap
-	f.Add(append(bytes.Repeat([]byte{2}, maxQueue/2+1), 3, 5, 2, 6, 3, 5)) // duplicates at the cap, then close
-	f.Add([]byte{7, 15, 7, 0, 0, 7, 3, 3, 7})
+	o := fuzzOp
+	f.Add([]byte{
+		o(0, 0, 0), o(0, 1, 0), o(0, 2, 0), o(3, 0, 0), o(3, 1, 0), o(2, 0, 0), o(5, 0, 0),
+		o(4, 0, 0), o(5, 1, 0), o(6, 0, 0), o(3, 0, 0), o(5, 0, 0), o(0, 0, 0),
+	})
+	// Past the cap.
+	f.Add(bytes.Repeat([]byte{o(0, 0, 0)}, maxQueue+4))
+	// Duplicates at the cap, then close.
+	f.Add(append(bytes.Repeat([]byte{o(2, 0, 0)}, maxQueue/2+1),
+		o(3, 0, 0), o(5, 0, 0), o(2, 0, 0), o(6, 0, 0), o(3, 0, 0), o(5, 0, 0)))
+	f.Add([]byte{o(7, 0, 0), o(7, 1, 0), o(7, 0, 0), o(0, 0, 0), o(0, 0, 0), o(7, 0, 0), o(3, 0, 0), o(3, 0, 0), o(7, 0, 0)})
+	// A far deadline left armed under the other reads, then close.
+	f.Add([]byte{
+		o(8, 0, 0), o(0, 0, 1), o(8, 0, 0), o(5, 0, 0), o(0, 0, 1), o(8, 0, 0), o(7, 0, 1),
+		o(8, 1, 0), o(4, 1, 0), o(0, 1, 0), o(3, 1, 0), o(8, 2, 0), o(6, 2, 0),
+	})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		nw := New(1)
 		var eps [3]*Conn
@@ -97,8 +112,8 @@ func FuzzConnQueue(f *testing.F) {
 			}
 		}
 		for step, op := range ops {
-			d, s := int(op>>3&3)%3, int(op>>5)%3
-			switch op & 7 {
+			d, s := int(op/9%3), int(op/27%3)
+			switch op % 9 {
 			case 0, 1:
 				p := payload()
 				_, err := eps[s].WriteToUDPAddrPort(p, eps[d].AddrPort())
@@ -186,6 +201,14 @@ func FuzzConnQueue(f *testing.F) {
 				case <-time.After(5 * time.Second):
 					t.Fatalf("step %d: a send never woke the reader parked on %d", step, d)
 				}
+			case 8:
+				eps[d].SetReadDeadline(time.Now().Add(time.Hour))
+				switch {
+				case closed[d]:
+					read(step, d, net.ErrClosed)
+				case len(queues[d]) > 0:
+					read(step, d, nil)
+				}
 			}
 			if got := nw.Stats(); got != want {
 				t.Fatalf("step %d (op %d): stats %+v, want %+v", step, op, got, want)
@@ -202,6 +225,10 @@ func FuzzConnQueue(f *testing.F) {
 	})
 }
 
+// fuzzOp is the FuzzConnQueue input byte for operation op with
+// destination d and source s.
+func fuzzOp(op, d, s int) byte { return byte(op + 9*d + 27*s) }
+
 // TestCloseWakesEveryReader: Close wakes a reader parked with no
 // deadline and one parked under a deadline, and both return
 // net.ErrClosed.
@@ -213,10 +240,10 @@ func TestCloseWakesEveryReader(t *testing.T) {
 		_, _, err := c.ReadFromUDPAddrPort(make([]byte, 8))
 		errs <- err
 	}
-	go read() // parks on wake alone
+	go read() // parks with no deadline
 	waitParked(t, 1)
 	c.SetReadDeadline(time.Now().Add(time.Hour))
-	go read() // parks on wake and its timer
+	go read() // parks under a deadline, its timer armed
 	waitParked(t, 2)
 	c.Close()
 	for left := 2; left > 0; left-- {
@@ -315,15 +342,14 @@ func TestPooledPayloadsIntact(t *testing.T) {
 }
 
 // waitParked waits until want goroutines are blocked in a read, parked
-// on a channel receive or a select.
+// on the endpoint's wake channel.
 func waitParked(t *testing.T, want int) {
 	t.Helper()
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
 		parked := 0
 		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
-			waiting := strings.Contains(g, "[chan receive") || strings.Contains(g, "[select")
-			if waiting && strings.Contains(g, "memnet.(*Conn).ReadFromUDPAddrPort") {
+			if strings.Contains(g, "[chan receive") && strings.Contains(g, "memnet.(*Conn).ReadFromUDPAddrPort") {
 				parked++
 			}
 		}
