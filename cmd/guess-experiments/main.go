@@ -14,13 +14,12 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -43,37 +42,16 @@ func run(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress progress output")
 	traceQueries := fs.String("trace-queries", "", "write a JSONL per-query event trace of every run to this file")
 	metricsOut := fs.String("metrics-out", "", "write aggregate Prometheus-text metrics at exit to this file (\"-\" = stdout)")
-	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
+	prof := profile.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			return fmt.Errorf("-cpuprofile: %w", err)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := prof.Start("guess-experiments")
+	if err != nil {
+		return err
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "guess-experiments: -memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush recently freed objects so the profile shows live + alloc space accurately
-			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "guess-experiments: -memprofile:", err)
-			}
-		}()
-	}
+	defer stopProfiles()
 
 	if *list {
 		for _, id := range experiments.IDs() {

@@ -6,6 +6,7 @@
 // Example:
 //
 //	guess-sim -network 1000 -cache 100 -query-pong MFS -cache-repl LFS
+//	guess-sim -network 2000 -cache 2000 -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"time"
 
 	guess "repro"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -38,6 +40,7 @@ func run(args []string) error {
 	tracePath := fs.String("trace", "", "write a CSV time series of the run to this file")
 	traceQueries := fs.String("trace-queries", "", "write a JSONL per-query event trace to this file")
 	metricsOut := fs.String("metrics-out", "", "write Prometheus-text metrics after the run to this file (\"-\" = stdout)")
+	prof := profile.Register(fs)
 
 	fs.IntVar(&p.NetworkSize, "network", p.NetworkSize, "number of live peers")
 	fs.IntVar(&p.NetworkSize, "peers", p.NetworkSize, "alias for -network (million-peer runs read better)")
@@ -103,6 +106,11 @@ func run(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(p)
 	}
+	stopProfiles, err := prof.Start("guess-sim")
+	if err != nil {
+		return err
+	}
+	defer stopProfiles()
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
 		if err != nil {

@@ -121,3 +121,26 @@ func TestTraceFile(t *testing.T) {
 		t.Fatalf("trace file malformed:\n%s", data)
 	}
 }
+
+// TestProfileFlags checks that -cpuprofile and -memprofile each leave
+// a non-empty profile behind, and that an unwritable CPU profile path
+// fails before the run.
+func TestProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	err := run([]string{
+		"-network", "100", "-warmup", "20", "-measure", "80",
+		"-cpuprofile", cpu, "-memprofile", mem,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Fatalf("%s: no profile written (%v)", path, err)
+		}
+	}
+	if err := run([]string{"-cpuprofile", filepath.Join(dir, "missing", "cpu.pprof")}); err == nil {
+		t.Fatal("unwritable -cpuprofile accepted")
+	}
+}

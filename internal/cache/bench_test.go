@@ -11,13 +11,13 @@ import (
 //
 // It runs both index representations at every capacity, on either side
 // of linearIndexMax, so the boundary's comment can quote a measured
-// crossover: NewLinkCache picks index=tags up to 128 and index=map
-// above.
+// crossover: NewLinkCache picks index=tags up to linearIndexMax and
+// index=slots above.
 func BenchmarkAddRemoveCycle(b *testing.B) {
-	for _, capacity := range []int{32, 100, 128, 200, 512} {
-		for _, index := range []string{"tags", "map"} {
+	for _, capacity := range []int{32, 100, 128, 160, 200, 256, 512, 1000, 2000, 5000} {
+		for _, index := range []string{"tags", "slots"} {
 			b.Run(fmt.Sprintf("cap=%d/index=%s", capacity, index), func(b *testing.B) {
-				c := newIndexed(capacity, index == "map")
+				c := newIndexed(capacity, index == "slots")
 				for i := 0; i < capacity; i++ {
 					c.Add(Entry{Addr: PeerID(i)})
 				}

@@ -233,19 +233,19 @@ func TestClearRetainsCapacityAndEmpties(t *testing.T) {
 }
 
 // TestLinkCacheIndexRegimesAgree drives a flat-indexed cache (capacity
-// = linearIndexMax) and a map-indexed one (capacity = linearIndexMax+1)
+// = linearIndexMax) and a slot-indexed one (capacity = linearIndexMax+1)
 // through an identical randomized script. The address space is kept
 // small enough that neither cache ever fills, so capacity cannot
 // influence behavior and every observable — membership, entry fields,
 // lengths — must agree between the two index implementations.
 func TestLinkCacheIndexRegimesAgree(t *testing.T) {
 	flat := NewLinkCache(linearIndexMax)
-	mapped := NewLinkCache(linearIndexMax + 1)
-	if flat.index != nil || flat.tags == nil {
+	slotted := NewLinkCache(linearIndexMax + 1)
+	if flat.slots != nil || flat.tags == nil {
 		t.Fatal("capacity <= linearIndexMax did not select the tag index")
 	}
-	if mapped.index == nil || mapped.tags != nil {
-		t.Fatal("capacity > linearIndexMax did not select the map index")
+	if slotted.slots == nil || slotted.tags != nil {
+		t.Fatal("capacity > linearIndexMax did not select the slot index")
 	}
 	r := simrng.New(7)
 	const addrSpace = 48 // << both capacities: neither cache ever fills
@@ -254,22 +254,22 @@ func TestLinkCacheIndexRegimesAgree(t *testing.T) {
 		switch r.Intn(5) {
 		case 0:
 			a := flat.Add(Entry{Addr: addr, TS: float64(step)})
-			b := mapped.Add(Entry{Addr: addr, TS: float64(step)})
+			b := slotted.Add(Entry{Addr: addr, TS: float64(step)})
 			if a != b {
-				t.Fatalf("step %d: Add(%d) flat=%v map=%v", step, addr, a, b)
+				t.Fatalf("step %d: Add(%d) flat=%v slots=%v", step, addr, a, b)
 			}
 		case 1:
 			a := flat.Remove(addr)
-			b := mapped.Remove(addr)
+			b := slotted.Remove(addr)
 			if a != b {
-				t.Fatalf("step %d: Remove(%d) flat=%v map=%v", step, addr, a, b)
+				t.Fatalf("step %d: Remove(%d) flat=%v slots=%v", step, addr, a, b)
 			}
 		case 2:
 			flat.Touch(addr, float64(step))
-			mapped.Touch(addr, float64(step))
+			slotted.Touch(addr, float64(step))
 		case 3:
 			flat.SetNumRes(addr, int32(step%7))
-			mapped.SetNumRes(addr, int32(step%7))
+			slotted.SetNumRes(addr, int32(step%7))
 		case 4:
 			if flat.Len() > 0 {
 				// ReplaceAt targets the slot holding a common address so
@@ -280,26 +280,26 @@ func TestLinkCacheIndexRegimesAgree(t *testing.T) {
 					continue
 				}
 				flat.ReplaceAt(flat.find(victim), Entry{Addr: addr, TS: float64(step)})
-				mapped.ReplaceAt(mapped.find(victim), Entry{Addr: addr, TS: float64(step)})
+				slotted.ReplaceAt(slotted.find(victim), Entry{Addr: addr, TS: float64(step)})
 			}
 		}
 		flat.checkInvariants()
-		mapped.checkInvariants()
-		if flat.Len() != mapped.Len() {
-			t.Fatalf("step %d: Len flat=%d map=%d", step, flat.Len(), mapped.Len())
+		slotted.checkInvariants()
+		if flat.Len() != slotted.Len() {
+			t.Fatalf("step %d: Len flat=%d slots=%d", step, flat.Len(), slotted.Len())
 		}
 		for _, e := range flat.entries {
-			g, ok := mapped.Get(e.Addr)
+			g, ok := slotted.Get(e.Addr)
 			if !ok || g != e {
-				t.Fatalf("step %d: entry %d flat=%+v map=%+v (ok=%v)", step, e.Addr, e, g, ok)
+				t.Fatalf("step %d: entry %d flat=%+v slots=%+v (ok=%v)", step, e.Addr, e, g, ok)
 			}
 		}
 	}
 	flat.Clear()
-	mapped.Clear()
-	if flat.Len() != 0 || mapped.Len() != 0 || flat.Has(1) || mapped.Has(1) {
+	slotted.Clear()
+	if flat.Len() != 0 || slotted.Len() != 0 || flat.Has(1) || slotted.Has(1) {
 		t.Fatal("Clear left residue")
 	}
 	flat.checkInvariants()
-	mapped.checkInvariants()
+	slotted.checkInvariants()
 }

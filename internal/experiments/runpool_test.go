@@ -3,7 +3,9 @@ package experiments
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -174,5 +176,56 @@ func TestMemoKeyDistinguishesParams(t *testing.T) {
 	}
 	if memoKey("gossip", opts, "sweep", d) == memoKey("dht", opts, "sweep", d) {
 		t.Fatal("memoKey ignores protocol family (gossip vs dht)")
+	}
+}
+
+// TestPoolDispatchesCostliestFirst checks the order runPool's workers
+// take a batch in, and that the order changes no result: the costliest
+// GUESS point goes first, ties keep input order, a lone worker and a
+// family without a cost estimate keep input order, and a pooled run's
+// results equal a serial run's byte for byte.
+func TestPoolDispatchesCostliestFirst(t *testing.T) {
+	params := make([]core.Params, 6)
+	for i, c := range []int{5, 9, 7, 9, 5, 7} {
+		params[i] = tinyParams(7)
+		params[i].CacheSize = c
+	}
+	params[5].MeasureTime *= 3 // 7 × 3 outweighs every 9
+	spec := tinySpec(params)
+	pts := make([]Point, spec.NumPoints())
+	for i := range pts {
+		pts[i] = spec.Point(i)
+	}
+	if got, want := poolOrder(pts, 2), []int{5, 1, 3, 2, 0, 4}; !slices.Equal(got, want) {
+		t.Fatalf("two workers take the points in order %v, want %v", got, want)
+	}
+	if got, want := poolOrder(pts, 1), []int{0, 1, 2, 3, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("one worker takes the points in order %v, want input order %v", got, want)
+	}
+	gossip := tinyFamilyPoints()[2]
+	if got := poolOrder([]Point{gossip, gossip, gossip}, 2); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("gossip points taken in order %v, want input order", got)
+	}
+
+	serial, err := RunSpec(Options{Parallelism: 1}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var progress strings.Builder
+	pooled, err := RunSpec(Options{Parallelism: 2, Progress: &progress}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Progress counts completions, whichever point completed.
+	lines := strings.Split(strings.TrimSpace(progress.String()), "\n")
+	for i, line := range lines {
+		if want := fmt.Sprintf("run %d/6 done (N=30 cache=", i+1); !strings.Contains(line, want) {
+			t.Fatalf("progress line %d is %q, want it to contain %q", i, line, want)
+		}
+	}
+	for i := range serial {
+		if got, want := mustJSON(t, pooled[i]), mustJSON(t, serial[i]); got != want {
+			t.Fatalf("point %d: pooled result %s differs from serial %s", i, got, want)
+		}
 	}
 }

@@ -12,8 +12,10 @@ package experiments
 // shared-cache key.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/content"
 	"repro/internal/core"
@@ -311,6 +313,31 @@ func (pr PointResult) Validate() error {
 // distributed-vs-local byte-identity tests hold implementations to it.
 type Executor interface {
 	RunPoints(ctx context.Context, pts []Point) ([]PointResult, error)
+}
+
+// DispatchOrder returns the indices of pts in the order an executor
+// hands them to its workers: costliest first by an estimate from each
+// point's own parameters, ties in input order. A batch ends when its
+// last point does, so a costly point dispatched last runs alone at the
+// end while the other workers idle; dispatched first, it runs while
+// the cheap points fill in beside it. Results are unchanged, each
+// being a pure function of its point.
+//
+// A GUESS point's estimate is NetworkSize × CacheSize × simulated
+// seconds: events grow with the peers and the simulated time, and a
+// query's probes with the cache. The other families have no estimate,
+// so their batches keep input order.
+func DispatchOrder(pts []Point) []int {
+	cost := make([]float64, len(pts))
+	order := make([]int, len(pts))
+	for i, pt := range pts {
+		order[i] = i
+		if p := pt.Core; p != nil {
+			cost[i] = float64(p.NetworkSize) * float64(p.CacheSize) * (p.WarmupTime + p.MeasureTime)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(cost[b], cost[a]) })
+	return order
 }
 
 // coreResultsOf unwraps a GUESS point-result batch.

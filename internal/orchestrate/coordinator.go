@@ -172,9 +172,9 @@ func (c *Coordinator) finishLocked(r *runState, err error) {
 
 // RunPoints implements experiments.Executor: deduplicate the batch
 // into units, satisfy what the cache can, dispatch the rest to
-// workers, and assemble results in input order. On failure (retries
-// exhausted, context canceled, coordinator closed) no partial results
-// are returned.
+// workers in experiments.DispatchOrder, and assemble results in input
+// order. On failure (retries exhausted, context canceled, coordinator
+// closed) no partial results are returned.
 func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point) ([]experiments.PointResult, error) {
 	if len(pts) == 0 {
 		return nil, nil
@@ -199,8 +199,14 @@ func (c *Coordinator) RunPoints(ctx context.Context, pts []experiments.Point) ([
 		byKey[key] = u
 		r.units = append(r.units, u)
 	}
+	// Pending units queue in DispatchOrder, costliest first.
+	unitPts := make([]experiments.Point, len(r.units))
+	for id, u := range r.units {
+		unitPts[id] = u.pt
+	}
 	cacheHits := 0
-	for _, u := range r.units {
+	for _, id := range experiments.DispatchOrder(unitPts) {
+		u := r.units[id]
 		if c.cfg.Cache != nil {
 			if pr, ok := c.cfg.Cache.Get(u.key); ok && pr.Family == u.pt.Family && pr.Validate() == nil {
 				u.state = unitDone

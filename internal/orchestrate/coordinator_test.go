@@ -428,6 +428,73 @@ func TestCacheSkipsRecomputation(t *testing.T) {
 	sameResults(t, second, first)
 }
 
+// TestCoordinatorDispatchesCostliestFirst drives one hand-written
+// worker, so every unit of a batch passes through it in dispatch
+// order: costliest first by experiments.DispatchOrder, ties in input
+// order. The results still assemble in input order, equal to a serial
+// run's byte for byte, and so do a LocalPool's.
+func TestCoordinatorDispatchesCostliestFirst(t *testing.T) {
+	h := newHarness(t, Config{})
+	w := h.dial()
+	if err := sendMsg(w, message{Type: msgHello, Worker: "recorder"}); err != nil {
+		t.Fatal(err)
+	}
+	pts := tinyPoints(4)
+	for i, c := range []int{5, 9, 7, 9} {
+		pts[i].Core.CacheSize = c
+	}
+	pts[3].Core.Seed++ // equal cost to point 1, but a unit of its own
+	type outcome struct {
+		res []experiments.PointResult
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := h.coord.RunPoints(context.Background(), pts)
+		done <- outcome{res, err}
+	}()
+	var got []string
+	for range pts {
+		m, err := recvMsg(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, m.Unit.Key)
+		if err := sendMsg(w, executeUnit(context.Background(), m.Unit)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, i := range []int{1, 3, 2, 0} {
+		if got[k] != pts[i].Key() {
+			t.Fatalf("unit %d dispatched is %s, want point %d's %s", k, got[k], i, pts[i].Key())
+		}
+	}
+	out := <-done
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	sameResults(t, out.res, localResults(t, pts))
+
+	pool, err := NewLocalPool(2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	spec := experiments.Spec{Family: experiments.FamilyGUESS}
+	for _, pt := range pts {
+		spec.Core = append(spec.Core, *pt.Core)
+	}
+	serial, err := experiments.RunSpec(experiments.Options{Parallelism: 1}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pooled, err := experiments.RunSpec(experiments.Options{Executor: pool}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResults(t, pooled, serial)
+}
+
 // TestDiskCacheAcrossCoordinators checks a disk cache carries results
 // to a brand-new coordinator, as across process restarts.
 func TestDiskCacheAcrossCoordinators(t *testing.T) {
