@@ -25,6 +25,9 @@ func TestRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-breaker", "-1", "-query", "x"}); err == nil {
 		t.Fatal("negative breaker threshold accepted")
 	}
+	if err := run([]string{"-capacity", "-5", "-query", "x"}); err == nil {
+		t.Fatal("negative capacity accepted")
+	}
 	if err := run([]string{"-bootstrap", "not-an-addr", "-query", "x"}); err == nil {
 		t.Fatal("bad bootstrap address accepted")
 	}
@@ -71,6 +74,8 @@ func TestNewFlagsAcceptedInQueryMode(t *testing.T) {
 		"-capacity", "50",
 		"-breaker", "3",
 		"-breaker-cooldown", "500ms",
+		"-retry-backoff", "2s",
+		"-busy-backoff", "10s",
 		"-drain-timeout", "50ms",
 		"-snapshot", filepath.Join(t.TempDir(), "cache.snap"),
 		"-snapshot-interval", "10s",

@@ -34,6 +34,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	if err := run([]string{"-capacity", "-1"}); err == nil {
+		t.Fatal("negative capacity accepted")
+	}
 }
 
 func TestDumpAndLoadConfig(t *testing.T) {

@@ -10,12 +10,10 @@
 //   - every Stream(name) call passes a compile-time string constant, so
 //     the set of stream names is a static, reviewable inventory and a
 //     stream cannot silently fork per run;
-//   - no Split() calls: Split seeds the child from the parent's next
-//     draw, so the child's entire sequence depends on how many draws
-//     preceded it — exactly the coupling Stream exists to prevent;
 //   - no seeding a new generator from a sibling stream's output
-//     (simrng.New(r.Uint64()) and friends), which is Split by another
-//     name;
+//     (simrng.New(r.Uint64()) and friends): the child's entire
+//     sequence would depend on how many draws preceded it — exactly
+//     the coupling Stream exists to prevent;
 //   - no exported struct fields of type simrng.RNG / *simrng.RNG: an
 //     exported field invites sharing one stream across components,
 //     which entangles their draw sequences.
@@ -95,17 +93,11 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 				"Stream name must be a compile-time string constant so sub-streams form a stable, reviewable inventory; annotate //lint:%s <reason> if a dynamic name is genuinely safe",
 				Suppress)
 		}
-	case isMethod && fn.Name() == "Split":
-		if !pass.Suppressed(call.Pos(), Suppress) {
-			pass.Reportf(call.Pos(),
-				"Split seeds the child from the parent's draw position, coupling its sequence to unrelated draw counts; use Stream(name), or annotate //lint:%s <reason>",
-				Suppress)
-		}
 	case !isMethod && fn.Name() == "New":
 		for _, arg := range call.Args {
 			if drawsFromRNG(pass, arg) && !pass.Suppressed(call.Pos(), Suppress) {
 				pass.Reportf(call.Pos(),
-					"seeding a generator from a sibling stream's output re-creates Split's draw-order coupling; derive the stream with Stream(name), or annotate //lint:%s <reason>",
+					"seeding a generator from a sibling stream's output couples its sequence to the sibling's draw count; derive the stream with Stream(name), or annotate //lint:%s <reason>",
 					Suppress)
 			}
 		}

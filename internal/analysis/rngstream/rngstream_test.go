@@ -8,7 +8,7 @@ import (
 )
 
 // TestFindings checks the named-stream discipline: dynamic stream
-// names, Split, sibling reseeding, and exported RNG fields are flagged
+// names, sibling reseeding, and exported RNG fields are flagged
 // in a deterministic package; constant names, plain seeds, unexported
 // fields, and reasoned annotations pass.
 func TestFindings(t *testing.T) {

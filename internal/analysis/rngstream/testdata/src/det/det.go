@@ -20,12 +20,8 @@ func dynamicStreamName(root *simrng.RNG, peer string) *simrng.RNG {
 	return root.Stream("peer:" + peer) // want `Stream name must be a compile-time string constant`
 }
 
-// split couples the child's sequence to the parent's draw count.
-func split(root *simrng.RNG) *simrng.RNG {
-	return root.Split() // want `Split seeds the child from the parent's draw position`
-}
-
-// reseedFromSibling is Split by another name.
+// reseedFromSibling couples the child's sequence to the sibling's draw
+// count.
 func reseedFromSibling(sibling *simrng.RNG) *simrng.RNG {
 	return simrng.New(sibling.Uint64()) // want `seeding a generator from a sibling stream's output`
 }

@@ -10,7 +10,3 @@ import (
 func perLink(root *simrng.RNG, link string) *simrng.RNG {
 	return root.Stream("link:" + link)
 }
-
-func split(root *simrng.RNG) *simrng.RNG {
-	return root.Split()
-}

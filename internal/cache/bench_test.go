@@ -42,24 +42,6 @@ func BenchmarkAddRemoveCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendEntries measures snapshotting a full cache into a
-// caller-owned reused buffer (the engine's pong-building pattern).
-func BenchmarkAppendEntries(b *testing.B) {
-	c := NewLinkCache(128)
-	for i := 0; i < 128; i++ {
-		c.Add(Entry{Addr: PeerID(i)})
-	}
-	var buf []Entry
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = c.AppendEntries(buf[:0])
-		if len(buf) != 128 {
-			b.Fatal("short snapshot")
-		}
-	}
-}
-
 // BenchmarkReplaceAt measures the eviction write path.
 func BenchmarkReplaceAt(b *testing.B) {
 	c := NewLinkCache(128)

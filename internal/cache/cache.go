@@ -267,17 +267,8 @@ func (c *LinkCache) Get(addr PeerID) (Entry, bool) {
 // ReplaceAt, Clear) — the backing array may be reallocated, truncated,
 // or have entries swapped into different slots. Mutating entry fields
 // in place (e.g. TS updates) is allowed and is how Touch and SetNumRes
-// work. Use AppendEntries for a stable snapshot that survives later
-// cache mutations.
+// work. Copy it for a snapshot that survives later cache mutations.
 func (c *LinkCache) Entries() []Entry { return c.entries }
-
-// AppendEntries appends a copy of the cache's entries to dst and
-// returns the extended slice, for callers that need a snapshot
-// surviving subsequent cache mutations. Passing dst[:0] reuses dst's
-// storage.
-func (c *LinkCache) AppendEntries(dst []Entry) []Entry {
-	return append(dst, c.entries...)
-}
 
 // Add inserts e if there is room and the address is not already
 // present. It reports whether the entry was inserted. Use ReplaceAt for

@@ -184,9 +184,6 @@ func MustNew(params Params) *Universe {
 	return u
 }
 
-// Params returns the universe's configuration.
-func (u *Universe) Params() Params { return u.params }
-
 // NumItems returns the number of distinct items.
 func (u *Universe) NumItems() int { return u.params.NumItems }
 

@@ -57,6 +57,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{"zero probe spacing", func(p *Params) { p.ProbeSpacing = 0 }},
 		{"zero parallel probes", func(p *Params) { p.ParallelProbes = 0 }},
 		{"negative max probes", func(p *Params) { p.MaxProbesPerQuery = -1 }},
+		{"negative capacity", func(p *Params) { p.MaxProbesPerSecond = -1 }},
 		{"negative warmup", func(p *Params) { p.WarmupTime = -1 }},
 		{"zero measure", func(p *Params) { p.MeasureTime = 0 }},
 		{"zero sample interval", func(p *Params) { p.SampleInterval = 0 }},

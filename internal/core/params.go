@@ -111,7 +111,7 @@ type Params struct {
 	// QueryRate is the expected number of queries per user per second.
 	QueryRate float64
 	// MaxProbesPerSecond is the per-peer probe capacity; beyond it a
-	// peer refuses probes. Zero or negative means unlimited.
+	// peer refuses probes. Zero means unlimited.
 	MaxProbesPerSecond int
 	// PercentBadPeers is the percentage (0..100) of malicious peers.
 	PercentBadPeers float64
@@ -318,6 +318,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: ProbeSpacing must be positive, got %v", p.ProbeSpacing)
 	case p.QueriesEnabled && p.ParallelProbes < 1:
 		return fmt.Errorf("core: ParallelProbes must be >= 1, got %d", p.ParallelProbes)
+	case p.MaxProbesPerSecond < 0:
+		return fmt.Errorf("core: MaxProbesPerSecond must be >= 0, got %d", p.MaxProbesPerSecond)
 	case p.MaxProbesPerQuery < 0:
 		return fmt.Errorf("core: MaxProbesPerQuery must be >= 0, got %d", p.MaxProbesPerQuery)
 	case p.WarmupTime < 0:

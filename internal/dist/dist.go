@@ -1,6 +1,6 @@
 // Package dist provides the probability distributions used by the
 // simulation substrates: peer lifetimes, library sizes, item
-// popularity, and workload inter-arrival times.
+// popularity, and link jitter.
 //
 // All samplers draw from an explicit *simrng.RNG so that every use is
 // attributable to a named random stream and fully reproducible.
@@ -38,22 +38,6 @@ func (u Uniform) Sample(r *simrng.RNG) float64 {
 // Mean returns (Lo+Hi)/2.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
 
-// Exponential is the exponential distribution with the given rate
-// (events per unit time). Its mean is 1/Rate.
-type Exponential struct {
-	Rate float64
-}
-
-var _ Sampler = Exponential{}
-
-// Sample draws from the exponential distribution.
-func (e Exponential) Sample(r *simrng.RNG) float64 {
-	return r.ExpFloat64() / e.Rate
-}
-
-// Mean returns 1/Rate.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
 // LogNormal is the log-normal distribution: exp(N(Mu, Sigma^2)).
 type LogNormal struct {
 	Mu, Sigma float64
@@ -68,28 +52,6 @@ func (l LogNormal) Sample(r *simrng.RNG) float64 {
 
 // Mean returns exp(Mu + Sigma^2/2).
 func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// Pareto is the (type I) Pareto distribution with scale Xm > 0 and
-// shape Alpha > 0. Values are >= Xm.
-type Pareto struct {
-	Xm, Alpha float64
-}
-
-var _ Sampler = Pareto{}
-
-// Sample draws from the Pareto distribution by inverse CDF.
-func (p Pareto) Sample(r *simrng.RNG) float64 {
-	// 1-Float64() is in (0,1], avoiding a zero argument to Pow.
-	return p.Xm / math.Pow(1-r.Float64(), 1/p.Alpha)
-}
-
-// Mean returns Alpha*Xm/(Alpha-1) for Alpha > 1, NaN otherwise.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.NaN()
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
-}
 
 // Point is one (quantile, value) knot of an empirical distribution.
 type Point struct {

@@ -17,7 +17,6 @@ import (
 // the content model: item popularity in file-sharing networks is well
 // approximated by a Zipf distribution.
 type Zipf struct {
-	s   float64
 	cum []float64
 	// guide cuts [0, 1) into M = len(guide) equal buckets, M the
 	// smallest power of two >= N: guide[j] is the first rank whose CDF
@@ -46,7 +45,7 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 		cum[k] *= inv
 	}
 	cum[n-1] = 1
-	return &Zipf{s: s, cum: cum, guide: cutPoints(cum)}, nil
+	return &Zipf{cum: cum, guide: cutPoints(cum)}, nil
 }
 
 // cutPoints builds the guide table of an ascending CDF ending in 1, in
@@ -122,28 +121,3 @@ func (z *Zipf) Prob(k int) float64 {
 	}
 	return z.cum[k] - z.cum[k-1]
 }
-
-// CDF returns the cumulative probability of ranks <= k.
-func (z *Zipf) CDF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	if k >= len(z.cum) {
-		return 1
-	}
-	return z.cum[k]
-}
-
-// Sample implements Sampler by returning the drawn rank as a float64.
-func (z *Zipf) Sample(r *simrng.RNG) float64 { return float64(z.Rank(r)) }
-
-// Mean returns the expected rank.
-func (z *Zipf) Mean() float64 {
-	mean := 0.0
-	for k := range z.cum {
-		mean += float64(k) * z.Prob(k)
-	}
-	return mean
-}
-
-var _ Sampler = (*Zipf)(nil)

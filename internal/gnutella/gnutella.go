@@ -61,9 +61,6 @@ func (p *Population) Size() int { return len(p.libs) }
 // Universe returns the shared content universe.
 func (p *Population) Universe() *content.Universe { return p.universe }
 
-// Library returns peer i's library.
-func (p *Population) Library(i int) content.Library { return p.libs[i] }
-
 // SearchResult reports one query's outcome under a baseline mechanism.
 type SearchResult struct {
 	// Probes is the number of peers that received the query.

@@ -5,13 +5,13 @@ import (
 	"repro/internal/simrng"
 )
 
-// Scratch holds reusable selection state so the hot-path variants of
-// Pick and PickN run with zero steady-state allocations. A simulation
+// Scratch holds reusable selection state so the hot-path variant of
+// PickN runs with zero steady-state allocations. A simulation
 // engine owns one Scratch and threads it through every pong build; the
 // buffers grow to the high-water mark of the run and are then reused.
 //
 // The scratch-backed methods consume randomness in exactly the same
-// order as the allocating reference functions (Pick, PickN), and for
+// order as the allocating reference function PickN, and for
 // scored policies produce exactly the same indices in the same order —
 // TestScratchMatchesReference locks both properties. That equivalence
 // is what lets the simulator adopt Scratch without perturbing a single
@@ -40,13 +40,6 @@ type Scratch struct {
 type topkItem struct {
 	score float64
 	idx   int
-}
-
-// Pick is the scratch-backed equivalent of the package-level Pick. It
-// never allocates; it exists so callers can hold a single handle for
-// all selection entry points.
-func (sc *Scratch) Pick(r *simrng.RNG, sel Selection, entries []cache.Entry) int {
-	return Pick(r, sel, entries)
 }
 
 // PickN is the scratch-backed equivalent of the package-level PickN:

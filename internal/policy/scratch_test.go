@@ -86,22 +86,6 @@ func TestScratchReuse(t *testing.T) {
 	}
 }
 
-// TestScratchPickDelegates pins the scratch Pick to the reference.
-func TestScratchPickDelegates(t *testing.T) {
-	gen := simrng.New(5)
-	entries := randomEntries(gen, 31)
-	var sc Scratch
-	for _, sel := range allSelections {
-		for seed := uint64(1); seed < 10; seed++ {
-			ref := Pick(simrng.New(seed), sel, entries)
-			got := sc.Pick(simrng.New(seed), sel, entries)
-			if ref != got {
-				t.Fatalf("%v: Pick %d != %d", sel, got, ref)
-			}
-		}
-	}
-}
-
 // TestScratchTopKExtremeScores exercises the heap with infinities and
 // large magnitudes where comparison bugs would reorder winners.
 func TestScratchTopKExtremeScores(t *testing.T) {

@@ -16,7 +16,7 @@ import "math"
 // seed is explicit.
 //
 // RNG is not safe for concurrent use; give each goroutine its own
-// stream via Stream or Split.
+// stream via Stream.
 type RNG struct {
 	state uint64
 	seed  uint64 // original seed, used for stable Stream derivation
@@ -147,14 +147,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomizes the order of n elements using swap, as in
-// math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Stream derives an independent generator from r's original seed and a
 // name. Derivation neither advances r nor depends on how many draws r
 // has made, so adding a new named stream to a simulation never perturbs
@@ -162,12 +154,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // independent.
 func (r *RNG) Stream(name string) *RNG {
 	return New(mix(r.seed ^ hashString(name)))
-}
-
-// Split returns a new generator seeded from r's output, advancing r by
-// one draw. Use Stream when stable derivation by name is needed.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
 }
 
 // hashString is FNV-1a, inlined to avoid a hash/fnv allocation on a hot

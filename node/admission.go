@@ -125,12 +125,6 @@ const (
 	FairBuckets = 64
 )
 
-// fairLevels/fairBuckets keep the package-internal spelling terse.
-const (
-	fairLevels  = FairLevels
-	fairBuckets = FairBuckets
-)
-
 // AdmissionDelta is the fair sketch's demand counted since the last
 // drain: the per-bucket query counts a cluster sync client pushes to
 // the shed-state service. Deltas include refused queries — offered
@@ -175,7 +169,7 @@ type fairAdmitter struct {
 	window   time.Duration // admission window length
 
 	winStart int64 // window index (unix-time / window)
-	counts   [fairLevels][fairBuckets]uint32
+	counts   [FairLevels][FairBuckets]uint32
 
 	// active counts distinct-ish requesters this window (level-0
 	// buckets that went nonzero); activePrev carries the previous
@@ -266,7 +260,7 @@ func (f *fairAdmitter) admit(key uint64, kind probeKind, now time.Time) admitVer
 	// the requester's demand estimate (min over levels, SFB-style).
 	idx := FairIndices(key)
 	est := uint32(1<<32 - 1)
-	for l := 0; l < fairLevels; l++ {
+	for l := 0; l < FairLevels; l++ {
 		b := idx[l]
 		f.counts[l][b]++
 		if f.delta.Counts[l][b] < ^uint32(0) {
@@ -305,7 +299,7 @@ func (f *fairAdmitter) admit(key uint64, kind probeKind, now time.Time) admitVer
 // aggregate: the SFB min over its bucket in every row.
 func aggEstimate(agg *AdmissionAggregate, idx [FairLevels]int) uint32 {
 	est := uint32(1<<32 - 1)
-	for l := 0; l < fairLevels; l++ {
+	for l := 0; l < FairLevels; l++ {
 		if c := agg.Counts[l][idx[l]]; c < est {
 			est = c
 		}
@@ -368,7 +362,7 @@ func FairIndices(key uint64) [FairLevels]int {
 	h1, h2 := uint32(key), uint32(key>>32)
 	var idx [FairLevels]int
 	for l := 0; l < FairLevels; l++ {
-		idx[l] = int((h1 + uint32(l)*h2) % fairBuckets)
+		idx[l] = int((h1 + uint32(l)*h2) % FairBuckets)
 	}
 	return idx
 }

@@ -71,7 +71,6 @@ func chaosCfg(seed uint64) Config {
 		ProbeTimeout:     60 * time.Millisecond,
 		MaxProbeAttempts: 4,
 		RetryBackoff:     5 * time.Millisecond,
-		RetryBackoffMax:  40 * time.Millisecond,
 		AdaptiveTimeout:  true,
 		PingInterval:     time.Hour, // scenarios drive all traffic themselves
 		Seed:             seed,
@@ -418,7 +417,6 @@ func TestChaosRetryBeatsSingleShot(t *testing.T) {
 			ProbeTimeout:     30 * time.Millisecond,
 			MaxProbeAttempts: attempts,
 			RetryBackoff:     5 * time.Millisecond,
-			RetryBackoffMax:  20 * time.Millisecond,
 			PingInterval:     time.Hour,
 			Seed:             9,
 		})

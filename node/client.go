@@ -177,7 +177,7 @@ func (n *Node) suppressedLocked(id cache.PeerID) bool {
 // demoteBusy applies Busy-aware demotion: with BusyBackoff disabled
 // the overloaded peer is dropped from the cache (the simulator's
 // no-backoff default); otherwise it is suppressed with exponential
-// backoff and evicted only after BusyEvictAfter consecutive refusals.
+// backoff and evicted at its third consecutive refusal.
 func (n *Node) demoteBusy(id cache.PeerID) {
 	n.mu.Lock()
 	evict, demoted := n.health.onBusy(id, time.Now())

@@ -58,8 +58,3 @@ func (n *Node) ClearClusterAggregate() {
 		f.setAggregate(AdmissionAggregate{}, false)
 	}
 }
-
-// AdmissionMode reports which admission controller the node runs.
-func (n *Node) AdmissionMode() AdmissionMode {
-	return n.cfg.Admission
-}

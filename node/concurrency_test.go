@@ -127,7 +127,6 @@ func TestQueryAbortStress(t *testing.T) {
 		ProbeTimeout:     4 * time.Millisecond,
 		MaxProbeAttempts: 2,
 		RetryBackoff:     time.Millisecond,
-		RetryBackoffMax:  2 * time.Millisecond,
 		PingInterval:     5 * time.Millisecond,
 		// Timeouts feed a breaker that never opens, instead of evicting:
 		// the candidates stay the same all run.

@@ -129,7 +129,8 @@ func (n *Node) transmitLocked(f *flight, timeout time.Duration) (txOutcome, bool
 
 // lapseLocked handles a pending flight whose latest transmission went
 // unanswered: with attempts left it counts a retry and pauses for the
-// backoff, and otherwise the flight ends timed out. Callers hold
+// backoff, and otherwise the flight ends timed out. The backoff doubles
+// per retry up to the larger of 1s and RetryBackoff. Callers hold
 // n.pendingMu, which it releases.
 func (n *Node) lapseLocked(f *flight) (txOutcome, bool) {
 	if f.attempt >= n.cfg.MaxProbeAttempts {
@@ -141,7 +142,7 @@ func (n *Node) lapseLocked(f *flight) (txOutcome, bool) {
 	f.retries++
 	n.met.Retries.Inc()
 	pause := f.backoff
-	f.backoff = min(2*f.backoff, n.cfg.RetryBackoffMax)
+	f.backoff = min(2*f.backoff, max(time.Second, n.cfg.RetryBackoff))
 	f.pausing = true
 	f.due = time.Now().Add(pause)
 	f.armLocked(pause)

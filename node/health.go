@@ -34,12 +34,13 @@ type peerState struct {
 	openedAt time.Time
 }
 
+// busyEvictAt is the consecutive-Busy count that evicts a demoted peer.
+const busyEvictAt = 3
+
 // peerHealth tracks per-peer demotion and breaker state. All methods
 // must be called with the node mutex held.
 type peerHealth struct {
-	busyBackoff    time.Duration
-	busyBackoffMax time.Duration
-	busyEvictAfter int
+	busyBackoff time.Duration
 
 	breakerThreshold int // consecutive timeouts to trip; 0 disables
 	breakerCooldown  time.Duration
@@ -51,8 +52,6 @@ type peerHealth struct {
 func newPeerHealth(cfg Config) *peerHealth {
 	return &peerHealth{
 		busyBackoff:      cfg.BusyBackoff,
-		busyBackoffMax:   cfg.BusyBackoffMax,
-		busyEvictAfter:   cfg.BusyEvictAfter,
 		breakerThreshold: cfg.BreakerThreshold,
 		breakerCooldown:  cfg.BreakerCooldown,
 		m:                make(map[cache.PeerID]*peerState),
@@ -120,9 +119,9 @@ func (h *peerHealth) onTimeout(id cache.PeerID, now time.Time) (evict, opened bo
 
 // onBusy records a Busy refusal from id and reports whether the peer
 // should be evicted. With BusyBackoff disabled the refusal evicts (the
-// paper's no-backoff default); otherwise the peer is suppressed with
-// exponential backoff and evicted only after busyEvictAfter
-// consecutive refusals. The second return is true when the refusal was
+// paper's no-backoff default); otherwise the peer is suppressed for
+// busyBackoff, then twice that, and evicted at its busyEvictAt-th
+// consecutive refusal. The second return is true when the refusal was
 // absorbed by demotion (for the BusyBackoffs counter).
 func (h *peerHealth) onBusy(id cache.PeerID, now time.Time) (evict, demoted bool) {
 	if h.busyBackoff <= 0 {
@@ -134,15 +133,11 @@ func (h *peerHealth) onBusy(id cache.PeerID, now time.Time) (evict, demoted bool
 	// A Busy is still a reply: the peer is alive, so the timeout
 	// streak resets even as the busy streak grows.
 	st.timeouts = 0
-	if st.busyStreak >= h.busyEvictAfter {
+	if st.busyStreak >= busyEvictAt {
 		h.forget(id)
 		return true, false
 	}
-	d := h.busyBackoff << (st.busyStreak - 1)
-	if d > h.busyBackoffMax {
-		d = h.busyBackoffMax
-	}
-	st.busyUntil = now.Add(d)
+	st.busyUntil = now.Add(h.busyBackoff << (st.busyStreak - 1))
 	return false, true
 }
 

@@ -103,11 +103,9 @@ func TestBusyDemotionSemantics(t *testing.T) {
 		t.Fatalf("no-backoff Busy: evict=%v demoted=%v", evict, demoted)
 	}
 
-	// Enabled: exponential suppression, eviction after the streak.
+	// Enabled: exponential suppression, eviction at the third Busy.
 	cfg := healthCfg(0, time.Second)
 	cfg.BusyBackoff = 10 * time.Millisecond
-	cfg.BusyBackoffMax = 15 * time.Millisecond
-	cfg.BusyEvictAfter = 3
 	h = newPeerHealth(cfg)
 	now := time.Unix(300, 0)
 	if evict, demoted := h.onBusy(1, now); evict || !demoted {
@@ -122,9 +120,12 @@ func TestBusyDemotionSemantics(t *testing.T) {
 	if evict, _ := h.onBusy(1, now); evict {
 		t.Fatal("second Busy should still demote")
 	}
-	// Backoff is capped by BusyBackoffMax.
-	if h.suppressed(1, now.Add(16*time.Millisecond)) {
-		t.Fatal("suppression exceeded BusyBackoffMax")
+	// The second suppression lasts exactly 2*BusyBackoff.
+	if !h.suppressed(1, now.Add(20*time.Millisecond-time.Nanosecond)) {
+		t.Fatal("second suppression shorter than 2*BusyBackoff")
+	}
+	if h.suppressed(1, now.Add(20*time.Millisecond)) {
+		t.Fatal("second suppression longer than 2*BusyBackoff")
 	}
 	if evict, _ := h.onBusy(1, now); !evict {
 		t.Fatal("third Busy should evict")
@@ -168,7 +169,6 @@ func TestHealthMapPrunedOnCacheChurn(t *testing.T) {
 	cfg := chaosCfg(5)
 	cfg.CacheSize = 2
 	cfg.BusyBackoff = 50 * time.Millisecond
-	cfg.BusyBackoffMax = 200 * time.Millisecond
 	querier := startMemNode(t, nw, cfg)
 	querier.AddPeer(busy.Addr(), 1)
 

@@ -50,10 +50,9 @@ type Config struct {
 	// backoff between attempts. Default 3.
 	MaxProbeAttempts int
 	// RetryBackoff is the pause before the first retransmission; it
-	// doubles with each further attempt, capped at RetryBackoffMax.
+	// doubles with each further attempt, capped at the larger of 1s
+	// and RetryBackoff.
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential retry backoff.
-	RetryBackoffMax time.Duration
 	// AdaptiveTimeout, when true, replaces the fixed per-attempt
 	// deadline with one derived from an EWMA of observed RTTs
 	// (Jacobson/Karels: srtt + 4*rttvar), clamped to
@@ -61,16 +60,10 @@ type Config struct {
 	AdaptiveTimeout bool
 	// BusyBackoff, when positive, demotes a peer answering Busy
 	// instead of evicting it: the peer is suppressed from probing for
-	// BusyBackoff, doubling with each consecutive Busy up to
-	// BusyBackoffMax, and evicted only after BusyEvictAfter
-	// consecutive refusals. Zero keeps the paper's no-backoff default:
-	// evict on the first Busy.
+	// BusyBackoff, then 2*BusyBackoff after a second consecutive
+	// Busy, and evicted at the third. Zero keeps the paper's
+	// no-backoff default: evict on the first Busy.
 	BusyBackoff time.Duration
-	// BusyBackoffMax caps the exponential Busy suppression.
-	BusyBackoffMax time.Duration
-	// BusyEvictAfter is the consecutive-Busy count that evicts a
-	// demoted peer (only meaningful when BusyBackoff > 0). Default 3.
-	BusyEvictAfter int
 	// BreakerThreshold enables the client-path circuit breaker: after
 	// this many consecutive probe timeouts a peer's breaker opens
 	// (suppressed from selection) instead of the peer being evicted
@@ -134,9 +127,6 @@ func Default() Config {
 		ProbeTimeout:     200 * time.Millisecond,
 		MaxProbeAttempts: 3,
 		RetryBackoff:     50 * time.Millisecond,
-		RetryBackoffMax:  time.Second,
-		BusyBackoffMax:   5 * time.Second,
-		BusyEvictAfter:   3,
 		BreakerCooldown:  2 * time.Second,
 		AdmissionWindow:  time.Second,
 		SnapshotInterval: 30 * time.Second,
@@ -168,15 +158,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = d.RetryBackoff
-	}
-	if c.RetryBackoffMax == 0 {
-		c.RetryBackoffMax = d.RetryBackoffMax
-	}
-	if c.BusyBackoffMax == 0 {
-		c.BusyBackoffMax = d.BusyBackoffMax
-	}
-	if c.BusyEvictAfter == 0 {
-		c.BusyEvictAfter = d.BusyEvictAfter
 	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = d.BreakerCooldown
@@ -227,14 +208,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("node: MaxProbeAttempts %d outside [1,16]", c.MaxProbeAttempts)
 	case c.RetryBackoff <= 0:
 		return fmt.Errorf("node: RetryBackoff must be positive")
-	case c.RetryBackoffMax < c.RetryBackoff:
-		return fmt.Errorf("node: RetryBackoffMax %v below RetryBackoff %v", c.RetryBackoffMax, c.RetryBackoff)
 	case c.BusyBackoff < 0:
 		return fmt.Errorf("node: BusyBackoff must be non-negative")
-	case c.BusyBackoff > 0 && c.BusyBackoffMax < c.BusyBackoff:
-		return fmt.Errorf("node: BusyBackoffMax %v below BusyBackoff %v", c.BusyBackoffMax, c.BusyBackoff)
-	case c.BusyEvictAfter < 1:
-		return fmt.Errorf("node: BusyEvictAfter must be >= 1")
 	case c.BreakerThreshold < 0 || c.BreakerThreshold > 64:
 		return fmt.Errorf("node: BreakerThreshold %d outside [0,64]", c.BreakerThreshold)
 	case c.BreakerCooldown <= 0:
@@ -249,6 +224,8 @@ func (c Config) validate() error {
 		return fmt.Errorf("node: SnapshotInterval must be positive")
 	case c.PongSize < 0 || c.PongSize > wire.MaxPongEntries:
 		return fmt.Errorf("node: PongSize %d outside [0, %d]", c.PongSize, wire.MaxPongEntries)
+	case c.MaxProbesPerSecond < 0:
+		return fmt.Errorf("node: MaxProbesPerSecond must be non-negative, got %d", c.MaxProbesPerSecond)
 	case c.IntroProb < 0 || c.IntroProb > 1:
 		return fmt.Errorf("node: IntroProb %v outside [0,1]", c.IntroProb)
 	case !c.QueryProbe.Valid() || !c.QueryPong.Valid() || !c.PingProbe.Valid() || !c.PingPong.Valid():

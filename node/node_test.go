@@ -53,6 +53,7 @@ func TestConfigValidation(t *testing.T) {
 		{IntroProb: 2},
 		{QueryProbe: 99},
 		{CacheReplacement: 99},
+		{MaxProbesPerSecond: -5},
 	}
 	for i, cfg := range bad {
 		if _, err := Listen("127.0.0.1:0", cfg); err == nil {

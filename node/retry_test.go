@@ -39,15 +39,13 @@ func fakeBusyPeer(t *testing.T, nw *memnet.Network) netip.AddrPort {
 
 // TestBusyDemotionSuppressesThenEvicts: with BusyBackoff enabled a
 // refusing peer is first demoted (kept in the cache but not probed),
-// and only evicted after BusyEvictAfter consecutive refusals.
+// and only evicted at its third consecutive refusal.
 func TestBusyDemotionSuppressesThenEvicts(t *testing.T) {
 	nw := memnet.New(1)
 	querier := startMemNode(t, nw, Config{
-		ProbeTimeout:   50 * time.Millisecond,
-		BusyBackoff:    40 * time.Millisecond,
-		BusyBackoffMax: 200 * time.Millisecond,
-		BusyEvictAfter: 2,
-		PingInterval:   time.Hour,
+		ProbeTimeout: 50 * time.Millisecond,
+		BusyBackoff:  40 * time.Millisecond,
+		PingInterval: time.Hour,
 	})
 	busy := fakeBusyPeer(t, nw)
 	querier.AddPeer(busy, 5)
@@ -76,8 +74,8 @@ func TestBusyDemotionSuppressesThenEvicts(t *testing.T) {
 		t.Fatalf("suppressed peer was probed: %+v", qs)
 	}
 
-	// After the backoff expires, the next refusal crosses
-	// BusyEvictAfter and evicts.
+	// After the backoff expires, the second refusal demotes again, for
+	// twice as long.
 	time.Sleep(60 * time.Millisecond)
 	_, qs, err = querier.Query(context.Background(), "anything", 1)
 	if err != nil {
@@ -86,8 +84,24 @@ func TestBusyDemotionSuppressesThenEvicts(t *testing.T) {
 	if qs.Refused != 1 {
 		t.Fatalf("stats = %+v, want a refusal after backoff expiry", qs)
 	}
+	if querier.CacheLen() != 1 {
+		t.Fatal("busy peer evicted on second refusal")
+	}
+	if querier.Stats().BusyBackoffs != 2 {
+		t.Fatalf("BusyBackoffs = %d, want 2", querier.Stats().BusyBackoffs)
+	}
+
+	// After the doubled backoff, the third refusal evicts.
+	time.Sleep(100 * time.Millisecond)
+	_, qs, err = querier.Query(context.Background(), "anything", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qs.Refused != 1 {
+		t.Fatalf("stats = %+v, want a refusal after the doubled backoff", qs)
+	}
 	if querier.CacheLen() != 0 {
-		t.Fatal("busy peer not evicted after BusyEvictAfter refusals")
+		t.Fatal("busy peer not evicted at its third refusal")
 	}
 }
 
@@ -166,7 +180,6 @@ func TestRetryRecoversFromSingleDrop(t *testing.T) {
 		ProbeTimeout:     40 * time.Millisecond,
 		MaxProbeAttempts: 3,
 		RetryBackoff:     5 * time.Millisecond,
-		RetryBackoffMax:  20 * time.Millisecond,
 		PingInterval:     time.Hour,
 	})
 	// Drop the querier's first transmission only.
