@@ -1,20 +1,14 @@
-// Command guess-cluster runs the cluster-wide fair-admission stack: a
-// crash-tolerant shed-state service aggregating every node's admission
-// sketch, and (optionally) a supervised fleet of GUESS nodes synced to
-// it.
+// Command guess-cluster runs the shed-state service behind cluster-wide
+// fair admission: it aggregates the admission sketch of every
+// guess-node that syncs to it, and recovers its aggregate from a
+// snapshot after a crash.
 //
-// Run just the service, with crash recovery:
+// Run the service, with crash recovery:
 //
 //	guess-cluster -service 127.0.0.1:7100 -snapshot /var/tmp/agg.snap
 //
-// Run a supervised 10-node UDP cluster against it (each node shares
-// the same files, sheds fairly, and pushes its sketch to the service):
-//
-//	guess-cluster -service 127.0.0.1:7100 -nodes 10 \
-//	    -files hotfile.iso -capacity 150
-//
-// Individual guess-node daemons join the same cluster view with
-// -state 127.0.0.1:7100 -admission fair.
+// Nodes join the cluster view with guess-node -admission fair
+// -state 127.0.0.1:7100.
 //
 // With -smoke the command runs a scripted three-node outage drill on an
 // in-memory network — converge, kill the service, verify every node
@@ -28,15 +22,10 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/netip"
 	"os"
 	"os/signal"
-	"strings"
-	"sync"
 	"time"
 
-	guess "repro"
-	"repro/node"
 	"repro/node/cluster"
 )
 
@@ -49,18 +38,11 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("guess-cluster", flag.ContinueOnError)
-	serviceAddr := fs.String("service", "", "TCP address for the shed-state service (empty = no in-process service)")
+	serviceAddr := fs.String("service", "", "TCP address for the shed-state service")
 	snapshot := fs.String("snapshot", "", "path for the service's aggregate snapshots, restored on startup")
 	snapshotInterval := fs.Duration("snapshot-interval", 10*time.Second, "period between aggregate snapshots")
 	window := fs.Duration("window", time.Second, "service aggregation window (match the nodes' admission window)")
 	rotate := fs.Duration("rotate", 0, "salt epoch rotation period (0 = never)")
-	nodes := fs.Int("nodes", 0, "supervised guess nodes to launch (0 = service only)")
-	stateAddr := fs.String("state", "", "shed-state service the nodes sync to (default: the in-process -service)")
-	filesFlag := fs.String("files", "", "comma-separated file names every node shares")
-	capacity := fs.Int("capacity", 150, "per-node max probes/second")
-	admissionWindow := fs.Duration("admission-window", 100*time.Millisecond, "per-node admission window")
-	syncInterval := fs.Duration("sync-interval", time.Second, "node push/pull period against the service")
-	stagger := fs.Duration("stagger", 250*time.Millisecond, "delay between initial node bootstraps")
 	smoke := fs.Bool("smoke", false, "run the scripted outage drill and exit (nonzero on failure)")
 	verbose := fs.Bool("v", false, "verbose lifecycle logging")
 	if err := fs.Parse(args); err != nil {
@@ -69,8 +51,8 @@ func run(args []string) error {
 	if *smoke {
 		return runSmoke(*verbose)
 	}
-	if *serviceAddr == "" && *nodes == 0 {
-		return fmt.Errorf("nothing to run: set -service and/or -nodes (or -smoke)")
+	if *serviceAddr == "" {
+		return fmt.Errorf("nothing to run: set -service (or -smoke)")
 	}
 
 	logf := func(format string, a ...any) {}
@@ -79,95 +61,25 @@ func run(args []string) error {
 			fmt.Fprintf(os.Stderr, "guess-cluster: "+format+"\n", a...)
 		}
 	}
-	reg := guess.NewMetricsRegistry()
-
-	// The in-process shed-state service.
-	target := *stateAddr
-	if *serviceAddr != "" {
-		ln, err := net.Listen("tcp", *serviceAddr)
-		if err != nil {
-			return err
-		}
-		svc, err := cluster.Serve(ln, cluster.ServiceConfig{
-			Window:           *window,
-			RotateEvery:      *rotate,
-			SnapshotPath:     *snapshot,
-			SnapshotInterval: *snapshotInterval,
-			Metrics:          reg,
-			Logf:             logf,
-		})
-		if err != nil {
-			return err
-		}
-		defer svc.Close()
-		if target == "" {
-			target = ln.Addr().String()
-		}
-		fmt.Printf("shed-state service on %v (epoch %d)\n", ln.Addr(), svc.Epoch())
+	ln, err := net.Listen("tcp", *serviceAddr)
+	if err != nil {
+		return err
 	}
+	svc, err := cluster.Serve(ln, cluster.ServiceConfig{
+		Window:           *window,
+		RotateEvery:      *rotate,
+		SnapshotPath:     *snapshot,
+		SnapshotInterval: *snapshotInterval,
+		Logf:             logf,
+	})
+	if err != nil {
+		return err
+	}
+	defer svc.Close()
+	fmt.Printf("shed-state service on %v (epoch %d)\n", ln.Addr(), svc.Epoch())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *nodes > 0 {
-		if target == "" {
-			return fmt.Errorf("-nodes needs a service: set -service or -state")
-		}
-		var files []string
-		for _, f := range strings.Split(*filesFlag, ",") {
-			if f = strings.TrimSpace(f); f != "" {
-				files = append(files, f)
-			}
-		}
-		// Peers discovered so far, handed to each new member so the
-		// fleet bootstraps into one overlay. Guarded: each slot's
-		// supervisor calls Start from its own goroutine.
-		var knownMu sync.Mutex
-		var known []netip.AddrPort
-		h, err := cluster.StartHarness(cluster.HarnessConfig{
-			Slots:   *nodes,
-			Stagger: *stagger,
-			Logf:    logf,
-			Events: func(e cluster.Event) {
-				logf("slot %d: %v (restarts %d)", e.Slot, e.Type, e.Restarts)
-			},
-			Start: func(slot int) (cluster.Member, error) {
-				n, err := node.Listen("127.0.0.1:0", node.Config{
-					Files:              files,
-					MaxProbesPerSecond: *capacity,
-					Admission:          node.AdmissionFair,
-					AdmissionWindow:    *admissionWindow,
-					Metrics:            reg,
-				})
-				if err != nil {
-					return nil, err
-				}
-				knownMu.Lock()
-				for _, p := range known {
-					n.AddPeer(p, 0)
-				}
-				known = append(known, n.Addr())
-				knownMu.Unlock()
-				c, err := cluster.NewSyncClient(n, cluster.ClientConfig{
-					Name:     fmt.Sprintf("slot-%d", slot),
-					Dial:     func() (net.Conn, error) { return net.DialTimeout("tcp", target, *syncInterval) },
-					Interval: *syncInterval,
-					Metrics:  reg,
-				})
-				if err != nil {
-					n.Close()
-					return nil, err
-				}
-				fmt.Printf("slot %d: node on %v, syncing to %s\n", slot, n.Addr(), target)
-				return cluster.NewNodeMember(n, c), nil
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer h.Stop()
-	}
-
 	<-ctx.Done()
 	fmt.Println("\nshutting down")
 	return nil

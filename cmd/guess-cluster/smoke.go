@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/netip"
 	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,58 +57,44 @@ func runSmoke(verbose bool) error {
 	}
 	defer svc.Close()
 
-	// Written by each slot's supervisor goroutine, read by the drill:
-	// guarded.
-	var mu sync.Mutex
 	var clients [smokeSlots]*cluster.SyncClient
 	var servers [smokeSlots]*node.Node
-	h, err := cluster.StartHarness(cluster.HarnessConfig{
-		Slots: smokeSlots,
-		Logf:  logf,
-		Start: func(slot int) (cluster.Member, error) {
-			n, err := node.New(nw.Listen(), node.Config{
-				Files:              []string{"smoke.txt"},
-				MaxProbesPerSecond: 100,
-				Admission:          node.AdmissionFair,
-				AdmissionWindow:    100 * time.Millisecond,
-				PingInterval:       time.Hour,
-				Seed:               uint64(slot + 1),
-			})
-			if err != nil {
-				return nil, err
-			}
-			c, err := cluster.NewSyncClient(n, cluster.ClientConfig{
-				Name: fmt.Sprintf("smoke-%d", slot),
-				Dial: func() (net.Conn, error) {
-					return nw.DialStream(svcAddr.Load().(netip.AddrPort))
-				},
-				Interval:   25 * time.Millisecond,
-				StaleAfter: 100 * time.Millisecond,
-				Nonce:      uint64(slot + 1),
-				Metrics:    reg,
-			})
-			if err != nil {
-				n.Close()
-				return nil, err
-			}
-			mu.Lock()
-			servers[slot], clients[slot] = n, c
-			mu.Unlock()
-			return cluster.NewNodeMember(n, c), nil
-		},
-	})
-	if err != nil {
-		return err
+	for slot := range servers {
+		n, err := node.New(nw.Listen(), node.Config{
+			Files:              []string{"smoke.txt"},
+			MaxProbesPerSecond: 100,
+			Admission:          node.AdmissionFair,
+			AdmissionWindow:    100 * time.Millisecond,
+			PingInterval:       time.Hour,
+			Seed:               uint64(slot + 1),
+		})
+		if err != nil {
+			return err
+		}
+		defer n.Close()
+		c, err := cluster.NewSyncClient(n, cluster.ClientConfig{
+			Name: fmt.Sprintf("smoke-%d", slot),
+			Dial: func() (net.Conn, error) {
+				return nw.DialStream(svcAddr.Load().(netip.AddrPort))
+			},
+			Interval:   25 * time.Millisecond,
+			StaleAfter: 100 * time.Millisecond,
+			Nonce:      uint64(slot + 1),
+			Metrics:    reg,
+		})
+		if err != nil {
+			return err
+		}
+		// Deferred after its node's Close, so it runs first: the
+		// client stops driving the node before the node closes.
+		defer c.Close()
+		servers[slot], clients[slot] = n, c
 	}
-	defer h.Stop()
 
 	allMatch := func(fallback bool) func() bool {
 		return func() bool {
-			mu.Lock()
-			cs := clients
-			mu.Unlock()
-			for _, c := range cs {
-				if c == nil || c.Status().Fallback != fallback {
+			for _, c := range clients {
+				if c.Status().Fallback != fallback {
 					return false
 				}
 			}
@@ -131,10 +116,7 @@ func runSmoke(verbose bool) error {
 		return err
 	}
 	defer querier.Close()
-	mu.Lock()
-	server0 := servers[0]
-	mu.Unlock()
-	querier.AddPeer(server0.Addr(), 0)
+	querier.AddPeer(servers[0].Addr(), 0)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	hits, _, err := querier.Query(ctx, "smoke", 1)
 	cancel()

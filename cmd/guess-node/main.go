@@ -115,6 +115,11 @@ func run(args []string) error {
 	if *stateAddr != "" && admissionMode != node.AdmissionFair {
 		return errors.New("-state needs -admission fair (the shed-state service syncs the fair sketch)")
 	}
+	// The period also bounds each dial to -state: zero would dial with
+	// no timeout, a negative value with one already expired.
+	if *stateInterval <= 0 {
+		return fmt.Errorf("bad -state-interval %v: want a positive period", *stateInterval)
+	}
 
 	n, err := node.Listen(*listen, cfg)
 	if err != nil {

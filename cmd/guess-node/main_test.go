@@ -31,6 +31,9 @@ func TestRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-bootstrap", "not-an-addr", "-query", "x"}); err == nil {
 		t.Fatal("bad bootstrap address accepted")
 	}
+	if err := run([]string{"-admission", "fair", "-state", "127.0.0.1:1", "-state-interval", "0", "-query", "x", "-gossip-wait", "0"}); err == nil {
+		t.Fatal("zero -state-interval accepted")
+	}
 	if err := run([]string{"-listen", "256.0.0.1:99999"}); err == nil {
 		t.Fatal("bad listen address accepted")
 	}

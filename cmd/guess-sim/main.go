@@ -43,7 +43,6 @@ func run(args []string) error {
 	prof := profile.Register(fs)
 
 	fs.IntVar(&p.NetworkSize, "network", p.NetworkSize, "number of live peers")
-	fs.IntVar(&p.NetworkSize, "peers", p.NetworkSize, "alias for -network (million-peer runs read better)")
 	fs.IntVar(&p.NumDesiredResults, "results", p.NumDesiredResults, "results needed to satisfy a query")
 	fs.Float64Var(&p.LifespanMultiplier, "lifespan", p.LifespanMultiplier, "lifespan multiplier")
 	fs.Float64Var(&p.QueryRate, "query-rate", p.QueryRate, "queries per user per second")

@@ -37,6 +37,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-capacity", "-1"}); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
+	if err := run([]string{"-peers", "10"}); err == nil {
+		t.Fatal("-peers accepted: the network size is -network")
+	}
 }
 
 func TestDumpAndLoadConfig(t *testing.T) {

@@ -58,9 +58,11 @@ type ClientConfig struct {
 	// a cluster's pushes do not phase-lock. Default 0.2; clamped to
 	// [0, 0.9].
 	Jitter float64
-	// Timeout bounds one sync round's I/O (dial, hello, push, reply).
-	// A slow service is indistinguishable from a dead one past this
-	// deadline. Default Interval/2.
+	// Timeout bounds one sync round's I/O on an open connection
+	// (hello, push, reply). A slow service is indistinguishable from a
+	// dead one past this deadline. Default Interval/2. Dial takes no
+	// deadline, so it must bound its own connect: a Dial that blocks
+	// holds the sync loop, and with it the staleness check.
 	Timeout time.Duration
 	// StaleAfter is the fallback deadline: with no aggregate
 	// installed for this long, the cluster view is cleared and the

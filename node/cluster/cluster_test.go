@@ -453,76 +453,6 @@ func TestServiceSnapshotCorruptColdStart(t *testing.T) {
 	}
 }
 
-// TestHarnessRestartsCrashedMembers: a killed slot restarts with
-// backoff and fires lifecycle events in order.
-func TestHarnessRestartsCrashedMembers(t *testing.T) {
-	var mu sync.Mutex
-	var events []Event
-	starts := 0
-	h, err := StartHarness(HarnessConfig{
-		Slots: 2,
-		Start: func(slot int) (Member, error) {
-			mu.Lock()
-			starts++
-			mu.Unlock()
-			return NewNodeMember(nopCloser{}, nil), nil
-		},
-		RestartBackoff:    5 * time.Millisecond,
-		RestartBackoffMax: 50 * time.Millisecond,
-		Events: func(e Event) {
-			mu.Lock()
-			events = append(events, e)
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Stop()
-
-	waitFor(t, time.Second, func() bool {
-		return h.Member(0) != nil && h.Member(1) != nil
-	})
-	if !h.Kill(0) {
-		t.Fatal("Kill(0) found no member")
-	}
-	waitFor(t, time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, e := range events {
-			if e.Type == EventStarted && e.Slot == 0 && e.Restarts == 1 {
-				return true
-			}
-		}
-		return false
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	// The kill produced exited → restarting → started for slot 0.
-	var seq []EventType
-	for _, e := range events {
-		if e.Slot == 0 {
-			seq = append(seq, e.Type)
-		}
-	}
-	want := []EventType{EventStarted, EventExited, EventRestarting, EventStarted}
-	if len(seq) < len(want) {
-		t.Fatalf("slot 0 events: %v", seq)
-	}
-	for i, w := range want {
-		if seq[i] != w {
-			t.Fatalf("slot 0 event %d = %v, want %v (all: %v)", i, seq[i], w, seq)
-		}
-	}
-	if starts < 3 {
-		t.Fatalf("starts = %d, want >= 3 (2 initial + 1 restart)", starts)
-	}
-}
-
-type nopCloser struct{}
-
-func (nopCloser) Close() error { return nil }
-
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Helper()
@@ -536,14 +466,8 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-// TestHarnessValidation: unusable configs are refused.
-func TestHarnessValidation(t *testing.T) {
-	if _, err := StartHarness(HarnessConfig{Slots: 0, Start: func(int) (Member, error) { return nil, nil }}); err == nil {
-		t.Error("Slots 0 accepted")
-	}
-	if _, err := StartHarness(HarnessConfig{Slots: 1}); err == nil {
-		t.Error("nil Start accepted")
-	}
+// TestSyncClientValidation: unusable configs are refused.
+func TestSyncClientValidation(t *testing.T) {
 	if _, err := NewSyncClient(nil, ClientConfig{Name: "x", Dial: func() (net.Conn, error) { return nil, errors.New("no") }}); err == nil {
 		t.Error("nil target accepted")
 	}

@@ -1,10 +1,11 @@
 package cluster
 
-// The cluster flash-crowd acceptance test: a 10-node harness-supervised
-// cluster where a heavy requester ROTATES its queries across all nodes.
-// To any single node the rotator looks light — below its local fair
-// share — so per-node fair admission admits it; only the cluster-merged
-// demand view exposes its true appetite. The test asserts the three
+// The cluster flash-crowd acceptance test: ten fair-admission nodes,
+// each with a sync client to the shed-state service, and a heavy
+// requester that ROTATES its queries across all of them. To any single
+// node the rotator looks light — below its local fair share — so
+// per-node fair admission admits it; only the cluster-merged demand
+// view exposes its true appetite. The test asserts the three
 // robustness postures in sequence:
 //
 //  1. service up: the rotator is shed cluster-wide while in-capacity
@@ -122,70 +123,58 @@ func TestClusterFlashCrowdRotatingRequester(t *testing.T) {
 	defer svc.Close()
 	svcAddr.Store(ln.AddrPort())
 
-	// The harness supervises the ten server nodes; every member bundles
-	// a node with its sync client. Per-node capacity is 15 queries per
-	// 100ms window; a local flood keeps each node under pressure so the
-	// fair shed path is live the whole test.
+	// Ten server nodes, each with its sync client. Per-node capacity
+	// is 15 queries per 100ms window; a local flood keeps each node
+	// under pressure so the fair shed path is live the whole test.
 	reg := obs.NewRegistry()
 	var (
-		mu      sync.Mutex
-		nodes   []*node.Node
-		clients []*SyncClient
-		addrs   []netip.AddrPort
+		targets []netip.AddrPort
+		syncs   []*SyncClient
+		servers []*node.Node
 	)
-	h, err := StartHarness(HarnessConfig{
-		Slots:   slots,
-		Stagger: 5 * time.Millisecond,
-		Start: func(slot int) (Member, error) {
-			n, err := node.New(nw.Listen(), node.Config{
-				Files:              []string{"hotfile.iso"},
-				MaxProbesPerSecond: 150,
-				Admission:          node.AdmissionFair,
-				AdmissionWindow:    100 * time.Millisecond,
-				PingInterval:       time.Hour,
-				Seed:               uint64(slot + 1),
-			})
-			if err != nil {
-				return nil, err
-			}
-			c, err := NewSyncClient(n, ClientConfig{
-				Name: "node-" + string(rune('a'+slot)),
-				Dial: func() (net.Conn, error) {
-					return nw.DialStream(svcAddr.Load().(netip.AddrPort))
-				},
-				Interval:   25 * time.Millisecond,
-				Timeout:    40 * time.Millisecond,
-				StaleAfter: 100 * time.Millisecond,
-				Nonce:      uint64(slot + 1),
-				Seed:       uint64(slot + 1),
-				Metrics:    reg,
-			})
-			if err != nil {
-				n.Close()
-				return nil, err
-			}
-			mu.Lock()
-			nodes = append(nodes, n)
-			clients = append(clients, c)
-			addrs = append(addrs, n.Addr())
-			mu.Unlock()
-			return NewNodeMember(n, c), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	// stopNodes closes the sync clients before the nodes they drive.
+	// Both Closes are idempotent: the test stops the nodes itself
+	// before its last checks, and the defer covers an early failure.
+	stopNodes := func() {
+		for _, c := range syncs {
+			c.Close()
+		}
+		for _, n := range servers {
+			n.Close()
+		}
 	}
-	defer h.Stop()
-	waitFor(t, 5*time.Second, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(addrs) == slots
-	})
-	mu.Lock()
-	targets := append([]netip.AddrPort(nil), addrs...)
-	syncs := append([]*SyncClient(nil), clients...)
-	servers := append([]*node.Node(nil), nodes...)
-	mu.Unlock()
+	defer stopNodes()
+	for slot := 0; slot < slots; slot++ {
+		n, err := node.New(nw.Listen(), node.Config{
+			Files:              []string{"hotfile.iso"},
+			MaxProbesPerSecond: 150,
+			Admission:          node.AdmissionFair,
+			AdmissionWindow:    100 * time.Millisecond,
+			PingInterval:       time.Hour,
+			Seed:               uint64(slot + 1),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers = append(servers, n)
+		c, err := NewSyncClient(n, ClientConfig{
+			Name: "node-" + string(rune('a'+slot)),
+			Dial: func() (net.Conn, error) {
+				return nw.DialStream(svcAddr.Load().(netip.AddrPort))
+			},
+			Interval:   25 * time.Millisecond,
+			Timeout:    40 * time.Millisecond,
+			StaleAfter: 100 * time.Millisecond,
+			Nonce:      uint64(slot + 1),
+			Seed:       uint64(slot + 1),
+			Metrics:    reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		syncs = append(syncs, c)
+		targets = append(targets, n.Addr())
+	}
 	allConverged := func() bool {
 		for _, c := range syncs {
 			if c.Status().Fallback {
@@ -322,7 +311,7 @@ func TestClusterFlashCrowdRotatingRequester(t *testing.T) {
 
 	close(stop)
 	wg.Wait()
-	h.Stop()
+	stopNodes()
 	if !nw.WaitIdle(2 * time.Second) {
 		t.Fatal("network did not go idle after the flash crowd")
 	}

@@ -1,11 +1,7 @@
-// Package cluster runs GUESS nodes as a supervised fleet with
-// cluster-wide fair admission.
+// Package cluster gives a set of GUESS nodes cluster-wide fair
+// admission.
 //
-// Two pieces cooperate. The Harness launches and supervises K node
-// instances (over memnet or real sockets — it only needs a Start
-// callback), restarting crashed members with exponential backoff and
-// staggering bootstrap so a cold cluster does not thundering-herd its
-// seeds. The shed-state Service aggregates every node's fair-admission
+// The shed-state Service aggregates every node's fair-admission
 // sketch: each node's SyncClient pushes its local bucket deltas on a
 // jittered interval and pulls back the cluster-merged aggregate, so a
 // heavy requester that rotates across nodes — invisible to any one

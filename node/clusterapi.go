@@ -2,8 +2,8 @@ package node
 
 // Cluster plumbing: the handful of hooks node/cluster's sync client
 // needs to couple a node's fair admitter to the shed-state service.
-// All of them are safe no-ops under flat admission, so the cluster
-// harness can run nodes in either mode.
+// All of them are safe no-ops under flat admission, so a sync client
+// can drive a node in either mode.
 
 // saltFor derives a node's own requester-hash salt from its seed, so
 // that two nodes never shed the same colliding requesters. A cluster
